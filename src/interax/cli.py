@@ -113,10 +113,7 @@ def _cmd_reach(args: argparse.Namespace) -> int:
     if not raw:
         raise ModelError("target document lists no predicates")
     predicates = [resolve_predicate(system, constraints) for constraints in raw]
-    workers = 1 if args.deterministic else args.workers
-    result = is_reachable(
-        system, predicates, max_states=args.max_states, workers=workers
-    )
+    result = is_reachable(system, predicates, max_states=args.max_states)
     _emit(
         {
             "version": 1,
@@ -265,12 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-states", type=int, default=None)
     p.add_argument("--trace", action="store_true", help="print the witness trace")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force single-worker exploration",
-    )
     with_output(p)
     p.set_defaults(func=_cmd_reach)
 

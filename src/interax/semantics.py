@@ -11,9 +11,8 @@ indices), so reachable sets, traces, and counters are reproducible.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModelError
 from .model import InteractionSystem, validate_system
@@ -63,8 +62,9 @@ class ReachResult:
     complete: bool
 
 
-class _Engine:
-    """Index-packed view of a validated system for the search loops."""
+class Engine:
+    """Index-packed view of a validated system: the one search loop and the
+    one firing rule every public entry point goes through."""
 
     def __init__(self, sys: InteractionSystem):
         model = sys.model
@@ -117,6 +117,13 @@ class _Engine:
     def unpack(self, q: tuple[int, ...]) -> GlobalState:
         return tuple(self.state_names[ci][k] for ci, k in enumerate(q))
 
+    def parts(self, name: str) -> tuple[tuple[int, str], ...]:
+        """The (component index, port) participants of an interaction."""
+        for n, parts in self.interactions:
+            if n == name:
+                return parts
+        raise ModelError(f"no such interaction: {name!r}")
+
     def enabled(self, q: tuple[int, ...]) -> list[tuple[str, tuple[tuple[int, str], ...]]]:
         out = []
         for name, parts in self.interactions:
@@ -138,17 +145,78 @@ class _Engine:
         out.sort()
         return out
 
+    def fire(self, q: tuple[int, ...], name: str) -> tuple[int, ...]:
+        """Fire one interaction, every participant taking its lowest-index
+        target.  Raises when it is disabled, naming the blocking components."""
+        parts = self.parts(name)
+        blockers = [
+            self.components[ci]
+            for ci, port in parts
+            if (q[ci], port) not in self.moves[ci]
+        ]
+        if blockers:
+            raise ModelError(
+                f"interaction disabled: {name} blocked by {', '.join(blockers)}"
+            )
+        succ = list(q)
+        for ci, port in parts:
+            succ[ci] = self.moves[ci][(q[ci], port)][0]
+        return tuple(succ)
 
-def _engine(sys: InteractionSystem) -> _Engine:
+    def search(
+        self,
+        limit: int | None,
+        matches: Callable[[tuple[int, ...]], bool] | None = None,
+    ) -> tuple[dict, int, bool, tuple[int, ...] | None]:
+        """Breadth-first search from the initial state in canonical order.
+
+        Returns (parents, transitions, truncated, hit).  `parents` maps every
+        discovered state to (predecessor, interaction), the initial state to
+        None, and is the visited set.  At most `limit` states (default
+        1,000,000) are discovered; `truncated` says a new state was dropped for
+        it.  The search stops at the first discovered state `matches` accepts,
+        returned as `hit` (None when there is none).
+        """
+        limit = DEFAULT_MAX_STATES if limit is None else limit
+        if limit < 1:
+            raise ModelError(f"max_states must be at least 1, got {limit}")
+        parents: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {
+            self.initial: None
+        }
+        if matches is not None and matches(self.initial):
+            return parents, 0, False, self.initial
+        frontier = [self.initial]
+        transitions = 0
+        truncated = False
+        while frontier:
+            next_frontier: list[tuple[int, ...]] = []
+            for q1 in frontier:
+                succs = self.successors(q1)
+                transitions += len(succs)
+                for name, q2 in succs:
+                    if q2 in parents:
+                        continue
+                    if len(parents) >= limit:
+                        truncated = True
+                        continue
+                    parents[q2] = (q1, name)
+                    if matches is not None and matches(q2):
+                        return parents, transitions, truncated, q2
+                    next_frontier.append(q2)
+            frontier = next_frontier
+        return parents, transitions, truncated, None
+
+
+def compile_system(sys: InteractionSystem) -> Engine:
+    """Validate the system once and build its search engine."""
     validate_system(sys).raise_if_failed("system")
-    return _Engine(sys)
+    return Engine(sys)
 
 
 def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:
     """Names of interactions whose every participant enables its port in q."""
-    eng = _engine(sys)
-    packed = eng.pack(q)
-    return frozenset(name for name, _ in eng.enabled(packed))
+    eng = compile_system(sys)
+    return frozenset(name for name, _ in eng.enabled(eng.pack(q)))
 
 
 def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalState:
@@ -156,25 +224,8 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     (lowest target-state index when the local relation is nondeterministic);
     everyone else keeps its state.  Raises when the interaction is disabled,
     naming the blocking components."""
-    eng = _engine(sys)
-    packed = eng.pack(q)
-    for name, parts in eng.interactions:
-        if name != interaction:
-            continue
-        blockers = [
-            eng.components[ci]
-            for ci, port in parts
-            if (packed[ci], port) not in eng.moves[ci]
-        ]
-        if blockers:
-            raise ModelError(
-                f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"
-            )
-        succ = list(packed)
-        for ci, port in parts:
-            succ[ci] = eng.moves[ci][(packed[ci], port)][0]
-        return eng.unpack(tuple(succ))
-    raise ModelError(f"no such interaction: {interaction!r}")
+    eng = compile_system(sys)
+    return eng.unpack(eng.fire(eng.pack(q), interaction))
 
 
 def successors(
@@ -182,70 +233,28 @@ def successors(
 ) -> list[tuple[str, GlobalState]]:
     """All global transitions out of q, including every resolution of local
     nondeterminism, sorted by (interaction name, successor)."""
-    eng = _engine(sys)
-    packed = eng.pack(q)
-    return [(name, eng.unpack(s)) for name, s in eng.successors(packed)]
+    eng = compile_system(sys)
+    return [(name, eng.unpack(s)) for name, s in eng.successors(eng.pack(q))]
 
 
-def _expand_layer(
-    eng: _Engine,
-    layer: list[tuple[int, ...]],
-    pool: ThreadPoolExecutor | None,
-) -> list[list[tuple[str, tuple[int, ...]]]]:
-    if pool is not None and len(layer) > 1:
-        return list(pool.map(eng.successors, layer))
-    return [eng.successors(q) for q in layer]
-
-
-def explore(
-    sys: InteractionSystem,
-    max_states: int | None = None,
-    workers: int = 1,
-) -> ReachableSet:
-    """Breadth-first fixpoint from the global initial state.
-
-    The reachable set is independent of `workers`: layers are expanded in
-    frontier order and merged in submission order, so the result equals the
-    sequential exploration.  When `max_states` (default 1,000,000) is hit,
-    discovery stops and the completion flag is False.
-    """
-    limit = DEFAULT_MAX_STATES if max_states is None else max_states
-    eng = _engine(sys)
-    visited = {eng.initial}
-    frontier = [eng.initial]
-    transitions = 0
-    truncated = False
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            next_frontier: list[tuple[int, ...]] = []
-            for succs in _expand_layer(eng, frontier, pool):
-                transitions += len(succs)
-                for _, q2 in succs:
-                    if q2 in visited:
-                        continue
-                    if len(visited) >= limit:
-                        truncated = True
-                        continue
-                    visited.add(q2)
-                    next_frontier.append(q2)
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
+def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableSet:
+    """Breadth-first fixpoint from the global initial state.  When
+    `max_states` (default 1,000,000) is hit, discovery stops and the
+    completion flag is False; a bound below 1 is rejected."""
+    eng = compile_system(sys)
+    parents, transitions, truncated, _ = eng.search(max_states)
     return ReachableSet(
-        states={eng.unpack(q) for q in visited},
+        states={eng.unpack(q) for q in parents},
         transitions=transitions,
         complete=not truncated,
     )
 
 
-def resolve_predicate(
-    sys: InteractionSystem, constraints: Mapping[str, str]
-) -> StatePredicate:
-    """Build a predicate against a system, rejecting unknown names."""
-    pred = StatePredicate.of(constraints)
+def _resolve(sys: InteractionSystem, pred: StatePredicate) -> list[tuple[int, str]]:
+    """The predicate's constraints as (component index, state) pairs,
+    rejecting names the system does not have."""
     comp_index = {c: k for k, c in enumerate(sys.model.components)}
+    out = []
     for comp, state in pred.constraints:
         if comp not in comp_index:
             raise ModelError(f"predicate names unknown component {comp!r}")
@@ -253,102 +262,61 @@ def resolve_predicate(
             raise ModelError(
                 f"predicate names unknown state {state!r} of component {comp}"
             )
+        out.append((comp_index[comp], state))
+    return out
+
+
+def resolve_predicate(
+    sys: InteractionSystem, constraints: Mapping[str, str]
+) -> StatePredicate:
+    """Build a predicate against a system, rejecting unknown names."""
+    pred = StatePredicate.of(constraints)
+    _resolve(sys, pred)
     return pred
 
 
 def satisfies(sys: InteractionSystem, pred: StatePredicate, q: GlobalState) -> bool:
-    """Does the global state meet every exact constraint of the predicate?"""
-    comp_index = {c: k for k, c in enumerate(sys.model.components)}
-    if len(q) != len(comp_index):
+    """Does the global state meet every exact constraint of the predicate?
+    Raises on a predicate naming a component or state the system lacks."""
+    if len(q) != len(sys.model.components):
         raise ModelError(
-            f"global state has {len(q)} entries, expected {len(comp_index)}"
+            f"global state has {len(q)} entries, expected {len(sys.model.components)}"
         )
-    for comp, state in pred.constraints:
-        if comp not in comp_index:
-            raise ModelError(f"predicate names unknown component {comp!r}")
-        if q[comp_index[comp]] != state:
-            return False
-    return True
-
-
-def _predicate_indices(
-    eng: _Engine, sys: InteractionSystem, target: StatePredicate
-) -> list[tuple[int, int]]:
-    comp_index = {c: k for k, c in enumerate(eng.components)}
-    out = []
-    for comp, state in target.constraints:
-        if comp not in comp_index:
-            raise ModelError(f"predicate names unknown component {comp!r}")
-        ci = comp_index[comp]
-        si = eng.state_index[ci].get(state)
-        if si is None:
-            raise ModelError(
-                f"predicate names unknown state {state!r} of component {comp}"
-            )
-        out.append((ci, si))
-    return out
+    return all(q[ci] == state for ci, state in _resolve(sys, pred))
 
 
 def is_reachable(
     sys: InteractionSystem,
     target: StatePredicate | Sequence[StatePredicate],
     max_states: int | None = None,
-    workers: int = 1,
 ) -> ReachResult:
     """Decide whether a state satisfying `target` (any member, when a list is
     given) is reachable, returning a shortest witness trace when it is.
 
     Truncated searches that found nothing report reachable=False with
-    complete=False.
+    complete=False; a `max_states` below 1 is rejected.
     """
-    limit = DEFAULT_MAX_STATES if max_states is None else max_states
     targets = [target] if isinstance(target, StatePredicate) else list(target)
     if not targets:
         raise ModelError("empty target disjunction")
-    eng = _engine(sys)
-    needs = [_predicate_indices(eng, sys, t) for t in targets]
+    eng = compile_system(sys)
+    needs = [
+        [(ci, eng.state_index[ci][state]) for ci, state in _resolve(sys, t)]
+        for t in targets
+    ]
 
     def matches(q: tuple[int, ...]) -> bool:
         return any(all(q[ci] == si for ci, si in need) for need in needs)
 
-    if matches(eng.initial):
-        return ReachResult(True, [], 1, 0, True)
-
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
-    visited = {eng.initial}
-    frontier = [eng.initial]
-    transitions = 0
-    truncated = False
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            next_frontier: list[tuple[int, ...]] = []
-            for q1, succs in zip(frontier, _expand_layer(eng, frontier, pool)):
-                transitions += len(succs)
-                for name, q2 in succs:
-                    if q2 in visited:
-                        continue
-                    if len(visited) >= limit:
-                        truncated = True
-                        continue
-                    visited.add(q2)
-                    parents[q2] = (q1, name)
-                    if matches(q2):
-                        trace: list[str] = []
-                        node = q2
-                        while node != eng.initial:
-                            node, via = parents[node]
-                            trace.append(via)
-                        trace.reverse()
-                        return ReachResult(
-                            True, trace, len(visited), transitions, True
-                        )
-                    next_frontier.append(q2)
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return ReachResult(False, None, len(visited), transitions, not truncated)
+    parents, transitions, truncated, hit = eng.search(max_states, matches)
+    if hit is None:
+        return ReachResult(False, None, len(parents), transitions, not truncated)
+    trace: list[str] = []
+    while parents[hit] is not None:
+        hit, via = parents[hit]
+        trace.append(via)
+    trace.reverse()
+    return ReachResult(True, trace, len(parents), transitions, True)
 
 
 def replay_trace(
@@ -356,16 +324,15 @@ def replay_trace(
 ) -> set[GlobalState]:
     """All states reachable from the initial state by firing exactly the
     given interaction names in order, under every resolution of local
-    nondeterminism.  Raises if some step is impossible from every state of
-    the current set."""
-    eng = _engine(sys)
+    nondeterminism.  Raises on an unknown interaction name, or if some step is
+    impossible from every state of the current set."""
+    eng = compile_system(sys)
     current = {eng.initial}
     for k, name in enumerate(trace):
-        following: set[tuple[int, ...]] = set()
-        for q in current:
-            for via, q2 in eng.successors(q):
-                if via == name:
-                    following.add(q2)
+        eng.parts(name)  # raises on an unknown name
+        following = {
+            q2 for q in current for via, q2 in eng.successors(q) if via == name
+        }
         if not following:
             raise ModelError(f"trace step {k} ({name}) is not fireable")
         current = following

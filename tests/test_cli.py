@@ -135,19 +135,15 @@ class TestReach:
         code, _, _ = run(capsys, "reach", files["cs1"], "--target", "ghost=here")
         assert code == 2
 
-    def test_deterministic_flag_matches_default(self, files, capsys):
-        code1, doc1, _ = run(capsys, "reach", files["pl3"], "--target", "s3=replying")
-        code2, doc2, _ = run(
-            capsys,
-            "reach",
-            files["pl3"],
-            "--target",
-            "s3=replying",
-            "--workers",
-            "4",
-            "--deterministic",
-        )
-        assert (code1, doc1) == (code2, doc2)
+    def test_max_states_below_one_exits_two(self, files, capsys):
+        for bound in ("0", "-1"):
+            code, doc, err = run(
+                capsys, "reach", files["pl3"], "--target", "s3=replying",
+                "--max-states", bound,
+            )
+            assert code == 2
+            assert doc is None
+            assert "max_states must be at least 1" in err
 
 
 class TestTmCommands:

@@ -20,6 +20,7 @@ from interax import (
     successors,
 )
 from interax.fixtures import client_server, pipeline
+from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
 
 
 def nondet_system():
@@ -130,12 +131,10 @@ class TestExplore:
         assert not result.complete
         assert len(result.states) == 3
 
-    def test_workers_equivalent(self):
-        for sys in (client_server(3), pipeline(4)):
-            seq = explore(sys, workers=1)
-            par = explore(sys, workers=4)
-            assert seq.states == par.states
-            assert seq.transitions == par.transitions
+    def test_bound_below_one_rejected(self):
+        for bound in (0, -1):
+            with pytest.raises(ModelError, match="max_states must be at least 1"):
+                explore(pipeline(3), max_states=bound)
 
     def test_frame_and_participation_conditions(self):
         # every produced edge: participants move along a local transition,
@@ -208,6 +207,10 @@ class TestIsReachable:
         assert result.reachable
         finals = replay_trace(sys, result.trace)
         assert any(satisfies(sys, target, q) for q in finals)
+        with pytest.raises(ModelError, match="no such interaction: 'ghost'"):
+            replay_trace(sys, result.trace + ["ghost"])
+        with pytest.raises(ModelError, match="trace step 0 .* is not fireable"):
+            replay_trace(sys, ["send_acknowledge_2"])
 
     def test_witness_replay_by_step_when_deterministic(self):
         sys = client_server(3)
@@ -224,15 +227,49 @@ class TestIsReachable:
             is_reachable(sys, StatePredicate.of({"nope": "x"}))
         with pytest.raises(ModelError, match="unknown state"):
             resolve_predicate(sys, {"c1": "nope"})
+        with pytest.raises(ModelError, match="unknown state"):
+            satisfies(sys, StatePredicate.of({"c1": "nope"}), sys.initial_state())
 
     def test_wildcard_star_is_dropped(self):
         pred = StatePredicate.of({"S": "busy", "c1": "*"})
         assert pred.as_dict() == {"S": "busy"}
 
-    def test_parallel_search_matches_sequential(self):
-        sys = pipeline(5)
-        target = StatePredicate.of({"s4": "acked"})
-        seq = is_reachable(sys, target, workers=1)
-        par = is_reachable(sys, target, workers=4)
-        assert (seq.reachable, seq.trace) == (par.reachable, par.trace)
-        assert seq.states_explored == par.states_explored
+    def test_bound_below_one_rejected(self):
+        sys = pipeline(3)
+        target = StatePredicate.of({"s3": "replying"})
+        for bound in (0, -1):
+            with pytest.raises(ModelError, match="max_states must be at least 1"):
+                is_reachable(sys, target, max_states=bound)
+
+
+def bfs_depths(sys):
+    """Breadth-first depth of every reachable state, from `successors`."""
+    depth = {sys.initial_state(): 0}
+    frontier = [sys.initial_state()]
+    while frontier:
+        following = []
+        for q in frontier:
+            for _, q2 in successors(sys, q):
+                if q2 not in depth:
+                    depth[q2] = depth[q] + 1
+                    following.append(q2)
+        frontier = following
+    return depth
+
+
+@pytest.mark.parametrize("seed", ENGINE_EQUIVALENCE_SEEDS[:60])
+def test_search_entry_points_agree(seed):
+    # explore, is_reachable and replay_trace share one search: every explored
+    # state has a shortest witness that replays to it, and successor lists
+    # come out in canonical order
+    sys = gen_random_system(GenParams(seed=seed))
+    depth = bfs_depths(sys)
+    states = explore(sys).states
+    assert states == set(depth)
+    for q in sorted(states):
+        succ = successors(sys, q)
+        assert succ == sorted(succ)
+        result = is_reachable(sys, StatePredicate.of(dict(zip(sys.model.components, q))))
+        assert result.reachable
+        assert len(result.trace) == depth[q]
+        assert q in replay_trace(sys, result.trace)
