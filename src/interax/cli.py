@@ -8,13 +8,13 @@ summary goes to stderr.  Exit codes: 0 for any computed answer (including
 from __future__ import annotations
 
 import argparse
-import json
 import sys as _sys
 from pathlib import Path
 from typing import Sequence
 
 from .errors import ModelError, ParseError
 from .formats import (
+    dump_document,
     parse_dtm,
     parse_predicates,
     parse_system,
@@ -22,7 +22,13 @@ from .formats import (
     serialize_system,
 )
 from .model import validate_system
-from .oracle import GenParams, check_theorem1, check_theorem2, gen_random_system
+from .oracle import (
+    GenParams,
+    Verdict,
+    check_theorem1,
+    check_theorem2,
+    gen_random_system,
+)
 from .reduce_linear import accept_predicate, compile_lsa, extend_halt_propagation
 from .reduce_star import starify
 from .semantics import is_reachable, resolve_predicate
@@ -30,19 +36,15 @@ from .topology import classify, export_dot, interaction_graph
 from .turing import run_tm
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out is None:
-        _sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _write(text: str, out: str | None) -> None:
     if out is None:
         _sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _emit(out: str | None, kind: str, **fields) -> None:
+    _write(dump_document({"kind": kind, **fields}), out)
 
 
 def _say(message: str) -> None:
@@ -57,14 +59,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     system = parse_system(_read(args.system), validate=False)
     report = validate_system(system)
     _emit(
-        {
-            "version": 1,
-            "kind": "validation",
-            "findings": [
-                {"rule": f.rule, "message": f.message} for f in report.findings
-            ],
-        },
         args.output,
+        "validation",
+        findings=[{"rule": f.rule, "message": f.message} for f in report.findings],
     )
     _say("ok" if report.ok else f"{len(report.findings)} finding(s)")
     return 0
@@ -77,15 +74,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.dot is not None:
         Path(args.dot).write_text(export_dot(graph))
     _emit(
-        {
-            "version": 1,
-            "kind": "topology",
-            "star_like": shape.star_like,
-            "linear": shape.linear,
-            "nodes": len(graph.nodes),
-            "edges": len(graph.edges),
-        },
         args.output,
+        "topology",
+        star_like=shape.star_like,
+        linear=shape.linear,
+        nodes=len(graph.nodes),
+        edges=len(graph.edges),
     )
     _say(f"star_like={shape.star_like} linear={shape.linear}")
     return 0
@@ -115,16 +109,13 @@ def _cmd_reach(args: argparse.Namespace) -> int:
     predicates = [resolve_predicate(system, constraints) for constraints in raw]
     result = is_reachable(system, predicates, max_states=args.max_states)
     _emit(
-        {
-            "version": 1,
-            "kind": "reach",
-            "reachable": result.reachable,
-            "trace": result.trace,
-            "states_explored": result.states_explored,
-            "transitions_explored": result.transitions_explored,
-            "complete": result.complete,
-        },
         args.output,
+        "reach",
+        reachable=result.reachable,
+        trace=result.trace,
+        states_explored=result.states_explored,
+        transitions_explored=result.transitions_explored,
+        complete=result.complete,
     )
     if result.reachable:
         _say(f"reachable in {len(result.trace or [])} step(s)")
@@ -140,15 +131,7 @@ def _cmd_reach(args: argparse.Namespace) -> int:
 def _cmd_tm_run(args: argparse.Namespace) -> int:
     machine = parse_dtm(_read(args.dtm))
     result = run_tm(machine, args.input, max_steps=args.max_steps)
-    _emit(
-        {
-            "version": 1,
-            "kind": "tm-run",
-            "outcome": result.outcome.value,
-            "steps": result.steps,
-        },
-        args.output,
-    )
+    _emit(args.output, "tm-run", outcome=result.outcome.value, steps=result.steps)
     _say(f"{result.outcome.value} after {result.steps} step(s)")
     return 0
 
@@ -181,36 +164,20 @@ def _cmd_starify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_thm1(args: argparse.Namespace) -> int:
-    machine = parse_dtm(_read(args.dtm))
-    verdict = check_theorem1(machine, args.input)
-    _emit(
-        {
-            "version": 1,
-            "kind": "verdict",
-            "agree": verdict.agree,
-            "details": verdict.details,
-        },
-        args.output,
-    )
+def _report_verdict(verdict: Verdict, out: str | None) -> int:
+    _emit(out, "verdict", agree=verdict.agree, details=verdict.details)
     _say(("agree: " if verdict.agree else "DISAGREE: ") + verdict.details)
     return 0
+
+
+def _cmd_check_thm1(args: argparse.Namespace) -> int:
+    machine = parse_dtm(_read(args.dtm))
+    return _report_verdict(check_theorem1(machine, args.input), args.output)
 
 
 def _cmd_check_thm2(args: argparse.Namespace) -> int:
     system = parse_system(_read(args.system))
-    verdict = check_theorem2(system)
-    _emit(
-        {
-            "version": 1,
-            "kind": "verdict",
-            "agree": verdict.agree,
-            "details": verdict.details,
-        },
-        args.output,
-    )
-    _say(("agree: " if verdict.agree else "DISAGREE: ") + verdict.details)
-    return 0
+    return _report_verdict(check_theorem2(system), args.output)
 
 
 def _cmd_gen_random(args: argparse.Namespace) -> int:

@@ -41,6 +41,13 @@ from .turing import DTM, canonicalize_dtm, validate_dtm
 DOCUMENT_VERSION = 1
 
 
+def dump_document(doc: dict) -> str:
+    """The one JSON writer: `doc` stamped with the document version, emitted
+    with sorted keys, two-space indentation and a trailing newline."""
+    stamped = {"version": DOCUMENT_VERSION, **doc}
+    return json.dumps(stamped, sort_keys=True, indent=2) + "\n"
+
+
 def _load(text: str) -> Any:
     try:
         return json.loads(text)
@@ -165,7 +172,6 @@ def serialize_system(sys: InteractionSystem) -> str:
     """Canonical, byte-stable system document."""
     canonical = canonicalize_system(sys)
     doc = {
-        "version": DOCUMENT_VERSION,
         "components": [
             {
                 "name": c,
@@ -184,7 +190,7 @@ def serialize_system(sys: InteractionSystem) -> str:
             for a in canonical.model.interactions
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump_document(doc)
 
 
 def parse_dtm(text: str, validate: bool = True) -> DTM:
@@ -249,7 +255,6 @@ def serialize_dtm(machine: DTM) -> str:
     """Canonical, byte-stable machine document."""
     canonical = canonicalize_dtm(machine)
     doc = {
-        "version": DOCUMENT_VERSION,
         "tape_alphabet": list(canonical.tape_alphabet),
         "input_alphabet": list(canonical.input_alphabet),
         "blank": canonical.blank,
@@ -262,7 +267,7 @@ def serialize_dtm(machine: DTM) -> str:
             for (p, g), (p2, w, move) in sorted(canonical.delta.items())
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump_document(doc)
 
 
 def parse_predicates(text: str) -> list[dict[str, str]]:
@@ -280,8 +285,4 @@ def parse_predicates(text: str) -> list[dict[str, str]]:
 
 
 def serialize_predicates(predicates: list[dict[str, str]]) -> str:
-    doc = {
-        "version": DOCUMENT_VERSION,
-        "predicates": [dict(sorted(p.items())) for p in predicates],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump_document({"predicates": [dict(sorted(p.items())) for p in predicates]})

@@ -89,23 +89,6 @@ def _delta_items(machine: DTM) -> list[tuple[str, str, str, str, int]]:
     return out
 
 
-def _leave_allowed(i: int, last: int, move: int) -> bool:
-    # boundary cells omit ports whose move would leave the tape
-    if i == 0:
-        return move == 1
-    if i == last:
-        return move == -1
-    return True
-
-
-def _arrive_allowed(i: int, last: int, move: int) -> bool:
-    if i == 0:
-        return move == -1
-    if i == last:
-        return move == 1
-    return True
-
-
 def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
     """Build the cell system for `machine` on `word`.
 
@@ -139,12 +122,13 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
     for i, cell in enumerate(cells):
         cell_ports: list[str] = []
         transitions: set[tuple[str, str, str]] = set()
+        # a cell has a rule's ports only where the rule's move stays on the tape
         for p, g, p2, w, move in rules:
-            if _leave_allowed(i, last, move):
+            if 0 <= i + move <= last:
                 port = leave_port(p, g)
                 cell_ports.append(port)
                 transitions.add((cell_state(p, g), port, cell_state(marker, w)))
-            if _arrive_allowed(i, last, move):
+            if 0 <= i - move <= last:
                 port = arrive_port(p, g)
                 cell_ports.append(port)
                 for held in machine.tape_alphabet:
@@ -242,26 +226,6 @@ def gstate_to_config(machine: DTM, word: str, gstate: GlobalState) -> Configurat
     return Configuration(state, tuple(tape), head)
 
 
-def _recover_word(machine: DTM, sys_m: InteractionSystem) -> str:
-    marker = head_marker(machine)
-    cells = sys_m.model.components
-    n = len(cells) - 2
-    if n < 0:
-        raise ModelError("not in compiled shape: fewer than two components")
-    symbols = []
-    for i in range(1, n + 1):
-        name = sys_m.behaviors[cells[i]].initial
-        prefix_initial = cell_state(machine.initial, "")
-        prefix_marker = cell_state(marker, "")
-        if i == 1 and name.startswith(prefix_initial):
-            symbols.append(name[len(prefix_initial):])
-        elif name.startswith(prefix_marker):
-            symbols.append(name[len(prefix_marker):])
-        else:
-            raise ModelError(f"not in compiled shape: unexpected initial {name!r}")
-    return "".join(symbols)
-
-
 def extend_halt_propagation(
     sys_m: InteractionSystem, machine: DTM
 ) -> tuple[InteractionSystem, GlobalState]:
@@ -276,13 +240,19 @@ def extend_halt_propagation(
     merely strands the run, it never unlocks the cascade ahead of acceptance.
     The extension only touches neighbor pairs, so the line shape survives.
     """
-    if len(sys_m.model.components) < 2:
+    cells = sys_m.model.components
+    if len(cells) < 2:
         raise ModelError("not in compiled shape: fewer than two components")
-    word = _recover_word(machine, sys_m)
+    try:
+        # only the word's length is read; its symbols come from the tape
+        placeholder = "_" * (len(cells) - 2)
+        start = gstate_to_config(machine, placeholder, sys_m.initial_state())
+    except ModelError as e:
+        raise ModelError(f"not in compiled shape: {e}") from None
+    word = "".join(start.tape[1:-1])
     if canonicalize_system(compile_lsa(machine, word)) != canonicalize_system(sys_m):
         raise ModelError("not in compiled shape: system differs from a fresh compile")
 
-    cells = sys_m.model.components
     last = len(cells) - 1
     marker = head_marker(machine)
     accept_states = [cell_state(machine.accept, g) for g in machine.tape_alphabet]

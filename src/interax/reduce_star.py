@@ -9,11 +9,18 @@ performing each port in order.  Reachability is preserved up to the hub
 coordinate: projecting the hub-idle states of the transformed system onto
 the original components yields exactly the original reachable set.
 
+A component in no interaction (in a valid system: one with no ports) is
+linked to the hub by a single interaction over two fresh ports, the ok
+variants of a virtual port "link"; neither port has a transition, so the
+link never fires and the reachable states stay the same.
+
 Name mangling (fixed, collision-checked):
   component side   "ok:<port>", "nok:<port>" added next to each port
   hub ports        "ok:<comp>.<port>", "nok:<comp>.<port>",
                    "fire:<comp>.<port>", "start:<interaction>"
   hub states       "idle", "chk:<interaction>:<k>", "fire:<interaction>:<k>"
+  link             component port "ok:link", hub port and interaction
+                   "ok:<comp>.link", for a component in no interaction
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .model import (
 from .semantics import GlobalState
 
 IDLE = "idle"
+LINK = "link"
 
 
 def _hub_name(model: InteractionModel) -> str:
@@ -72,11 +80,14 @@ def _ordered_ports(model: InteractionModel, a: Interaction) -> list[PortId]:
 def build_cc_behavior(model: InteractionModel) -> LocalBehavior:
     """The hub's behavior: one check-then-fire lobe per interaction, all
     sharing the idle state.  Per interaction with k ports that is 2k states
-    and 3k+1 transitions; every non-idle state enables exactly one port."""
+    and 3k+1 transitions; every non-idle state enables exactly one port.  A
+    component with no ports gets one link port without transitions."""
     states = [IDLE]
     transitions: set[tuple[str, str, str]] = set()
     ports: list[str] = []
     for comp in model.components:
+        if not model.ports.get(comp):
+            ports.append(_hub_ok(PortId(comp, LINK)))
         for port in model.ports.get(comp, ()):
             pid = PortId(comp, port)
             ports.extend((_hub_ok(pid), _hub_nok(pid), _hub_fire(pid)))
@@ -118,7 +129,7 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
     for comp in model.components:
         b = sys.behaviors[comp]
         base = set(b.ports)
-        lifted = list(b.ports)
+        lifted = list(b.ports) or [_ok(LINK)]
         for port in b.ports:
             for variant in (_ok(port), _nok(port)):
                 if variant in base:
@@ -142,6 +153,14 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
 
     interactions: list[Interaction] = []
     for comp in model.components:
+        if not model.ports.get(comp):
+            pid = PortId(comp, LINK)
+            interactions.append(
+                Interaction(
+                    _hub_ok(pid),
+                    (PortId(comp, _ok(LINK)), PortId(hub, _hub_ok(pid))),
+                )
+            )
         for port in model.ports.get(comp, ()):
             pid = PortId(comp, port)
             interactions.append(

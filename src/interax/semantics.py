@@ -5,7 +5,8 @@ model's component order.  Interactions fire atomically: every participant
 takes a local transition labeled by its port, every other component keeps its
 state.  Exploration is breadth-first with a canonical expansion order
 (interaction name ascending, then successor state ascending by local state
-indices), so reachable sets, traces, and counters are reproducible.
+indices), so reachable sets, traces, and counters are reproducible.  The
+order comes from generation itself, never from sorting afterwards.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class ReachResult:
 
 
 class Engine:
-    """Index-packed view of a validated system: the one search loop and the
-    one firing rule every public entry point goes through."""
+    """Index-packed view of a validated system.  `fire` is the one firing
+    rule: successors, `step`, enabledness and trace replay are all read off
+    it, and `search` is the one breadth-first loop over `successors`."""
 
     def __init__(self, sys: InteractionSystem):
         model = sys.model
@@ -85,14 +87,12 @@ class Engine:
                 table.setdefault((index[src], port), []).append(index[dst])
             self.moves.append({k: tuple(sorted(set(v))) for k, v in table.items()})
 
-        inters = []
-        for a in model.interactions:
-            parts = tuple(
-                sorted((comp_order[p.component], p.port) for p in a.ports)
-            )
-            inters.append((a.name, parts))
-        inters.sort(key=lambda t: t[0])
-        self.interactions = inters
+        # name -> (component index, port) participants in component order;
+        # names are validated unique, so name order is a total order
+        self.interactions: dict[str, tuple[tuple[int, str], ...]] = {
+            a.name: tuple(sorted((comp_order[p.component], p.port) for p in a.ports))
+            for a in sorted(model.interactions, key=lambda a: a.name)
+        }
 
         self.initial = tuple(
             self.state_index[ci][sys.behaviors[c].initial]
@@ -119,49 +119,40 @@ class Engine:
 
     def parts(self, name: str) -> tuple[tuple[int, str], ...]:
         """The (component index, port) participants of an interaction."""
-        for n, parts in self.interactions:
-            if n == name:
-                return parts
-        raise ModelError(f"no such interaction: {name!r}")
+        parts = self.interactions.get(name)
+        if parts is None:
+            raise ModelError(f"no such interaction: {name!r}")
+        return parts
 
-    def enabled(self, q: tuple[int, ...]) -> list[tuple[str, tuple[tuple[int, str], ...]]]:
+    def fire(
+        self, q: tuple[int, ...], parts: tuple[tuple[int, str], ...]
+    ) -> list[tuple[int, ...]]:
+        """Every successor of q by the interaction with these participants,
+        in canonical order (participants in component order, each one's
+        targets ascending by state index); [] when some participant does not
+        enable its port."""
+        choices = []
+        for ci, port in parts:
+            targets = self.moves[ci].get((q[ci], port))
+            if targets is None:
+                return []
+            choices.append(targets)
         out = []
-        for name, parts in self.interactions:
-            if all((q[ci], port) in self.moves[ci] for ci, port in parts):
-                out.append((name, parts))
+        for combo in itertools.product(*choices):
+            succ = list(q)
+            for (ci, _), target in zip(parts, combo):
+                succ[ci] = target
+            out.append(tuple(succ))
         return out
 
     def successors(self, q: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
-        """All (interaction name, successor) pairs in canonical order."""
-        out = []
-        for name, parts in self.enabled(q):
-            choice_sets = [self.moves[ci][(q[ci], port)] for ci, port in parts]
-            indices = [ci for ci, _ in parts]
-            for combo in itertools.product(*choice_sets):
-                succ = list(q)
-                for ci, target in zip(indices, combo):
-                    succ[ci] = target
-                out.append((name, tuple(succ)))
-        out.sort()
-        return out
-
-    def fire(self, q: tuple[int, ...], name: str) -> tuple[int, ...]:
-        """Fire one interaction, every participant taking its lowest-index
-        target.  Raises when it is disabled, naming the blocking components."""
-        parts = self.parts(name)
-        blockers = [
-            self.components[ci]
-            for ci, port in parts
-            if (q[ci], port) not in self.moves[ci]
+        """All (interaction name, successor) pairs in canonical order: by
+        name, then as `fire` yields them."""
+        return [
+            (name, succ)
+            for name, parts in self.interactions.items()
+            for succ in self.fire(q, parts)
         ]
-        if blockers:
-            raise ModelError(
-                f"interaction disabled: {name} blocked by {', '.join(blockers)}"
-            )
-        succ = list(q)
-        for ci, port in parts:
-            succ[ci] = self.moves[ci][(q[ci], port)][0]
-        return tuple(succ)
 
     def search(
         self,
@@ -216,23 +207,40 @@ def compile_system(sys: InteractionSystem) -> Engine:
 def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:
     """Names of interactions whose every participant enables its port in q."""
     eng = compile_system(sys)
-    return frozenset(name for name, _ in eng.enabled(eng.pack(q)))
+    packed = eng.pack(q)
+    return frozenset(
+        name for name, parts in eng.interactions.items() if eng.fire(packed, parts)
+    )
 
 
 def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalState:
-    """Fire one interaction.  Participants move along their local transition
-    (lowest target-state index when the local relation is nondeterministic);
-    everyone else keeps its state.  Raises when the interaction is disabled,
-    naming the blocking components."""
+    """Fire one interaction: its first successor in canonical order, so
+    participants move along their local transition (lowest target-state
+    index when the local relation is nondeterministic) and everyone else
+    keeps its state.  Raises when the interaction is disabled, naming the
+    blocking components."""
     eng = compile_system(sys)
-    return eng.unpack(eng.fire(eng.pack(q), interaction))
+    packed = eng.pack(q)
+    parts = eng.parts(interaction)
+    succs = eng.fire(packed, parts)
+    if not succs:
+        blockers = [
+            eng.components[ci]
+            for ci, port in parts
+            if (packed[ci], port) not in eng.moves[ci]
+        ]
+        raise ModelError(
+            f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"
+        )
+    return eng.unpack(succs[0])
 
 
 def successors(
     sys: InteractionSystem, q: GlobalState
 ) -> list[tuple[str, GlobalState]]:
     """All global transitions out of q, including every resolution of local
-    nondeterminism, sorted by (interaction name, successor)."""
+    nondeterminism, in canonical order: by interaction name, then by
+    successor (local state indices, in component order)."""
     eng = compile_system(sys)
     return [(name, eng.unpack(s)) for name, s in eng.successors(eng.pack(q))]
 
@@ -329,10 +337,8 @@ def replay_trace(
     eng = compile_system(sys)
     current = {eng.initial}
     for k, name in enumerate(trace):
-        eng.parts(name)  # raises on an unknown name
-        following = {
-            q2 for q in current for via, q2 in eng.successors(q) if via == name
-        }
+        parts = eng.parts(name)
+        following = {q2 for q in current for q2 in eng.fire(q, parts)}
         if not following:
             raise ModelError(f"trace step {k} ({name}) is not fireable")
         current = following

@@ -12,6 +12,7 @@ from interax import (
     PortId,
     brute_force_reachable,
     build_cc_behavior,
+    check_theorem2,
     classify,
     enabled_interactions,
     enabled_ports,
@@ -247,14 +248,33 @@ class TestTopologyOfResult:
         assert shape.star_like and shape.linear  # two nodes, one edge
 
     def test_random_systems_with_ported_components(self):
+        # starify ports every component, also one in no interaction
         for seed in range(25):
             sys = gen_random_system(GenParams(seed=seed))
             star = starify(sys)
             assert validate_system(star).ok
-            if len(sys.model.components) >= 2 and all(
-                sys.model.ports[c] for c in sys.model.components
-            ):
-                assert classify(star.model).star_like
+            assert classify(star.model).star_like
+
+    def test_component_in_no_interaction_gets_a_link_that_never_fires(self):
+        sys = gen_random_system(GenParams(seed=7))
+        assert sys.model.ports["k1"] == ()
+        star = starify(sys)
+        assert star.model.ports["k1"] == ("ok:link",)
+        link = [a for a in star.model.interactions if "k1" in a.components()]
+        assert link == [
+            Interaction(
+                "ok:k1.link", (PortId("k1", "ok:link"), PortId("cc", "ok:k1.link"))
+            )
+        ]
+        assert not star.behaviors["k1"].transitions
+        assert all(
+            "ok:k1.link" not in enabled_interactions(star, q)
+            for q in brute_force_reachable(star)
+        )
+        assert project_state(star, star.initial_state()) == sys.initial_state()
+        verdict = check_theorem2(sys)
+        assert verdict.agree
+        assert verdict.details == "|reach|=1 |reach'|=7 |projected|=1"
 
     def test_hub_name_dodges_existing_component(self):
         b = LocalBehavior(("q0",), ("a",), frozenset({("q0", "a", "q0")}), "q0")

@@ -35,6 +35,34 @@ def nondet_system():
     return InteractionSystem(model, {"k": b})
 
 
+def index_order_system():
+    """Names disagree with declaration order everywhere: components ("y",
+    "x"), states ("z", "a") and ("n", "m"), interactions declared "sync"
+    first and with ports out of component order.  Both parties of "sync"
+    are nondeterministic."""
+    y = LocalBehavior(
+        states=("z", "a"),
+        ports=("p", "u"),
+        transitions=frozenset({("z", "p", "a"), ("z", "p", "z"), ("z", "u", "a")}),
+        initial="z",
+    )
+    x = LocalBehavior(
+        states=("n", "m"),
+        ports=("q",),
+        transitions=frozenset({("n", "q", "m"), ("n", "q", "n")}),
+        initial="n",
+    )
+    model = InteractionModel(
+        ("y", "x"),
+        {"y": ("p", "u"), "x": ("q",)},
+        (
+            Interaction("sync", (PortId("x", "q"), PortId("y", "p"))),
+            Interaction("only_y", (PortId("y", "u"),)),
+        ),
+    )
+    return InteractionSystem(model, {"y": y, "x": x})
+
+
 class TestEnabledInteractions:
     def test_client_server_initial(self):
         sys = client_server(2)
@@ -101,6 +129,22 @@ class TestSuccessors:
     def test_nondeterminism_enumerates_all(self):
         sys = nondet_system()
         assert successors(sys, ("q0",)) == [("fire", ("q1",)), ("fire", ("q2",))]
+
+    def test_canonical_order_is_by_state_index_not_name(self):
+        # interaction name, then participants in component order, each one's
+        # targets ascending by declared state index; step takes the first
+        sys = index_order_system()
+        q = sys.initial_state()
+        assert successors(sys, q) == [
+            ("only_y", ("a", "n")),
+            ("sync", ("z", "n")),
+            ("sync", ("z", "m")),
+            ("sync", ("a", "n")),
+            ("sync", ("a", "m")),
+        ]
+        for name in ("only_y", "sync"):
+            first = next(s for via, s in successors(sys, q) if via == name)
+            assert step(sys, q, name) == first
 
 
 class TestExplore:
