@@ -38,7 +38,7 @@ from .reduce_linear import (
     extend_halt_propagation,
     gstate_to_config,
 )
-from .reduce_star import build_cc_behavior, lift_state, project_state, starify
+from .reduce_star import lift_state, project_state, starify
 from .semantics import (
     GlobalState,
     ReachResult,
@@ -96,7 +96,6 @@ __all__ = [
     "Verdict",
     "accept_predicate",
     "brute_force_reachable",
-    "build_cc_behavior",
     "canonicalize",
     "canonicalize_system",
     "check_theorem1",

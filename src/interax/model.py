@@ -102,6 +102,11 @@ def validate_model(im: InteractionModel) -> ValidationReport:
     for c in im.components:
         if c in seen_components:
             report.add("duplicate-component", f"component {c} declared twice")
+        elif "." in c:
+            # a reference "component.port" splits at its first "."
+            report.add(
+                "dotted-component-name", f"component name {c} contains '.'"
+            )
         seen_components.add(c)
 
     for c in im.ports:

@@ -185,6 +185,7 @@ def _lockstep_check(machine: DTM, word: str, sys_m: InteractionSystem) -> tuple[
     one interaction, whose successor is the image of the next configuration."""
     eng = Engine(sys_m)
     config = initial_config(machine, word)
+    here = eng.pack(config_to_gstate(machine, word, config))
     step_no = 0
     while True:
         result = tm_step(machine, config)
@@ -192,7 +193,6 @@ def _lockstep_check(machine: DTM, word: str, sys_m: InteractionSystem) -> tuple[
             return True, f"lockstep held for {step_no} steps"
         if not isinstance(result, Configuration):
             return True, f"lockstep check stopped at step {step_no}: {result}"
-        here = eng.pack(config_to_gstate(machine, word, config))
         succs = eng.successors(here)
         if len(succs) != 1:
             return False, (
@@ -201,7 +201,7 @@ def _lockstep_check(machine: DTM, word: str, sys_m: InteractionSystem) -> tuple[
         expected = eng.pack(config_to_gstate(machine, word, result))
         if succs[0][1] != expected:
             return False, f"step {step_no}: successor mismatch via {succs[0][0]}"
-        config = result
+        config, here = result, expected
         step_no += 1
 
 

@@ -5,7 +5,10 @@ One component per tape cell (0 through n+1).  A cell's local state pairs a
 head marker with the cell's symbol: the marker is the machine state while the
 head sits on that cell and a reserved off-cell marker otherwise.  Each delta
 rule becomes, per feasible cell position, one two-party interaction between
-the cell the head leaves and the cell it moves onto.
+the cell the head leaves and the cell it moves onto; a cell has a rule's
+leave or arrive port exactly when it is that side of one such interaction.
+The initial cell states are the image of the machine's initial
+configuration under `config_to_gstate`.
 
 Size, for a machine with states P, tape alphabet Gamma and delta rules delta
 (one per non-halt state and symbol) on a word of length n:
@@ -37,7 +40,7 @@ from .model import (
     canonicalize_system,
 )
 from .semantics import GlobalState, StatePredicate
-from .turing import DTM, Configuration, validate_dtm
+from .turing import DTM, Configuration, initial_config, validate_dtm
 
 HALT_SND = "halt:snd"
 HALT_RCV = "halt:rcv"
@@ -98,76 +101,54 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
     interaction, whose successor is the image of the next configuration.
     """
     validate_dtm(machine).raise_if_failed("machine")
-    allowed = set(machine.input_alphabet)
-    for s in word:
-        if s not in allowed:
-            raise ModelError(f"input symbol {s!r} outside the input alphabet")
-
-    n = len(word)
-    last = n + 1
-    cells = cell_names(n)
+    initial = config_to_gstate(machine, word, initial_config(machine, word))
     marker = head_marker(machine)
-    rules = _delta_items(machine)
-
-    ports: dict[str, tuple[str, ...]] = {}
-    behaviors: dict[str, LocalBehavior] = {}
     all_states = tuple(
         cell_state(p, g)
         for p in (*machine.states, marker)
         for g in machine.tape_alphabet
     )
-    if len(set(all_states)) != (len(machine.states) + 1) * len(machine.tape_alphabet):
+    if len(set(all_states)) != len(all_states):
         raise ModelError("ambiguous state naming: rendered cell states collide")
 
-    for i, cell in enumerate(cells):
-        cell_ports: list[str] = []
-        transitions: set[tuple[str, str, str]] = set()
-        # a cell has a rule's ports only where the rule's move stays on the tape
-        for p, g, p2, w, move in rules:
-            if 0 <= i + move <= last:
-                port = leave_port(p, g)
-                cell_ports.append(port)
-                transitions.add((cell_state(p, g), port, cell_state(marker, w)))
-            if 0 <= i - move <= last:
-                port = arrive_port(p, g)
-                cell_ports.append(port)
-                for held in machine.tape_alphabet:
-                    transitions.add(
-                        (cell_state(marker, held), port, cell_state(p2, held))
-                    )
-        if i == 0 or i == last:
-            symbol = machine.blank
-        else:
-            symbol = word[i - 1]
-        if i == 1:
-            initial = cell_state(machine.initial, word[0] if n >= 1 else machine.blank)
-        else:
-            initial = cell_state(marker, symbol)
-        ports[cell] = tuple(cell_ports)
-        behaviors[cell] = LocalBehavior(
-            states=all_states,
-            ports=tuple(cell_ports),
-            transitions=frozenset(transitions),
-            initial=initial,
-        )
-
+    cells = cell_names(len(word))
+    ports: dict[str, list[str]] = {cell: [] for cell in cells}
+    transitions: dict[str, set[tuple[str, str, str]]] = {cell: set() for cell in cells}
     interactions = []
-    for p, g, _, _, move in rules:
-        for i in range(n + 2):
-            j = i + move
-            if 0 <= j <= last:
-                port_pair = [
-                    PortId(cells[i], leave_port(p, g)),
-                    PortId(cells[j], arrive_port(p, g)),
-                ]
-                port_pair.sort(key=lambda pid: pid.component)
-                interactions.append(
-                    Interaction(
-                        f"mv:{p}:{g}:{cells[i]}:{cells[j]}",
-                        tuple(port_pair),
-                    )
+    # rule (p, g) moves the head from cell i to cell j = i + move; the rule
+    # exists at i only where j stays on the tape
+    for p, g, p2, w, move in _delta_items(machine):
+        leave, arrive = leave_port(p, g), arrive_port(p, g)
+        for i, src in enumerate(cells):
+            if not 0 <= i + move < len(cells):
+                continue
+            dst = cells[i + move]
+            ports[src].append(leave)
+            transitions[src].add((cell_state(p, g), leave, cell_state(marker, w)))
+            ports[dst].append(arrive)
+            for held in machine.tape_alphabet:
+                transitions[dst].add(
+                    (cell_state(marker, held), arrive, cell_state(p2, held))
                 )
-    model = InteractionModel(cells, ports, tuple(interactions))
+            interactions.append(
+                Interaction(
+                    f"mv:{p}:{g}:{src}:{dst}",
+                    tuple(sorted((PortId(src, leave), PortId(dst, arrive)))),
+                )
+            )
+
+    behaviors = {
+        cell: LocalBehavior(
+            states=all_states,
+            ports=tuple(ports[cell]),
+            transitions=frozenset(transitions[cell]),
+            initial=initial[i],
+        )
+        for i, cell in enumerate(cells)
+    }
+    model = InteractionModel(
+        cells, {cell: behaviors[cell].ports for cell in cells}, tuple(interactions)
+    )
     return InteractionSystem(model, behaviors)
 
 

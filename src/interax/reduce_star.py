@@ -9,6 +9,10 @@ performing each port in order.  Reachability is preserved up to the hub
 coordinate: projecting the hub-idle states of the transformed system onto
 the original components yields exactly the original reachable set.
 
+`starify` builds the result in one walk over the components: every port
+yields its ok/not-ok/fire interactions with the hub, and the hub's ports are
+exactly the hub sides of the interactions it makes.
+
 A component in no interaction (in a valid system: one with no ports) is
 linked to the hub by a single interaction over two fresh ports, the ok
 variants of a virtual port "link"; neither port has a transition, so the
@@ -48,28 +52,12 @@ def _hub_name(model: InteractionModel) -> str:
     return name
 
 
-def _ok(port: str) -> str:
+def _ok(port: object) -> str:
     return f"ok:{port}"
 
 
-def _nok(port: str) -> str:
+def _nok(port: object) -> str:
     return f"nok:{port}"
-
-
-def _hub_ok(pid: PortId) -> str:
-    return f"ok:{pid}"
-
-
-def _hub_nok(pid: PortId) -> str:
-    return f"nok:{pid}"
-
-
-def _hub_fire(pid: PortId) -> str:
-    return f"fire:{pid}"
-
-
-def _hub_start(name: str) -> str:
-    return f"start:{name}"
 
 
 def _ordered_ports(model: InteractionModel, a: Interaction) -> list[PortId]:
@@ -77,55 +65,29 @@ def _ordered_ports(model: InteractionModel, a: Interaction) -> list[PortId]:
     return sorted(a.ports, key=lambda p: order.get(p.component, len(order)))
 
 
-def build_cc_behavior(model: InteractionModel) -> LocalBehavior:
-    """The hub's behavior: one check-then-fire lobe per interaction, all
-    sharing the idle state.  Per interaction with k ports that is 2k states
-    and 3k+1 transitions; every non-idle state enables exactly one port.  A
-    component with no ports gets one link port without transitions."""
-    states = [IDLE]
-    transitions: set[tuple[str, str, str]] = set()
-    ports: list[str] = []
-    for comp in model.components:
-        if not model.ports.get(comp):
-            ports.append(_hub_ok(PortId(comp, LINK)))
-        for port in model.ports.get(comp, ()):
-            pid = PortId(comp, port)
-            ports.extend((_hub_ok(pid), _hub_nok(pid), _hub_fire(pid)))
-    for a in model.interactions:
-        ports.append(_hub_start(a.name))
-        walk = _ordered_ports(model, a)
-        k = len(walk)
-        chk = [f"chk:{a.name}:{m}" for m in range(1, k + 1)]
-        fire = [f"fire:{a.name}:{m}" for m in range(1, k + 1)]
-        states.extend(chk)
-        states.extend(fire)
-        transitions.add((IDLE, _hub_start(a.name), chk[0]))
-        for m, pid in enumerate(walk):
-            after_check = chk[m + 1] if m + 1 < k else fire[0]
-            transitions.add((chk[m], _hub_ok(pid), after_check))
-            transitions.add((chk[m], _hub_nok(pid), IDLE))
-            after_fire = fire[m + 1] if m + 1 < k else IDLE
-            transitions.add((fire[m], _hub_fire(pid), after_fire))
-    return LocalBehavior(
-        states=tuple(states),
-        ports=tuple(ports),
-        transitions=frozenset(transitions),
-        initial=IDLE,
-    )
-
-
 def starify(sys: InteractionSystem) -> InteractionSystem:
     """Build the hub-and-spokes equivalent of `sys`.
 
     The hub is appended as the last component, so a global state of the
-    result is a global state of `sys` plus one trailing hub coordinate.
+    result is a global state of `sys` plus one trailing hub coordinate.  Its
+    ports are the hub sides of the interactions, in order.  Per original
+    interaction with k ports the hub has one check-then-fire lobe of 2k
+    states and 3k+1 transitions, all lobes sharing the idle state; every
+    non-idle hub state enables the ports of one original port (its ok and
+    not-ok variants in a check state, its fire port in a fire state).
     """
     validate_system(sys).raise_if_failed("system")
     model = sys.model
     hub = _hub_name(model)
 
     behaviors: dict[str, LocalBehavior] = {}
-    ports: dict[str, tuple[str, ...]] = {}
+    interactions: list[Interaction] = []
+
+    def link(comp: str, port: str, hub_port: str) -> None:
+        interactions.append(
+            Interaction(hub_port, (PortId(comp, port), PortId(hub, hub_port)))
+        )
+
     for comp in model.components:
         b = sys.behaviors[comp]
         base = set(b.ports)
@@ -143,7 +105,6 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
             for port in b.ports:
                 loop = _ok(port) if port in can else _nok(port)
                 transitions.add((state, loop, state))
-        ports[comp] = tuple(lifted)
         behaviors[comp] = LocalBehavior(
             states=b.states,
             ports=tuple(lifted),
@@ -151,47 +112,43 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
             initial=b.initial,
         )
 
-    interactions: list[Interaction] = []
-    for comp in model.components:
         if not model.ports.get(comp):
-            pid = PortId(comp, LINK)
-            interactions.append(
-                Interaction(
-                    _hub_ok(pid),
-                    (PortId(comp, _ok(LINK)), PortId(hub, _hub_ok(pid))),
-                )
-            )
+            link(comp, _ok(LINK), _ok(PortId(comp, LINK)))
         for port in model.ports.get(comp, ()):
             pid = PortId(comp, port)
-            interactions.append(
-                Interaction(
-                    _hub_ok(pid),
-                    (PortId(comp, _ok(port)), PortId(hub, _hub_ok(pid))),
-                )
-            )
-            interactions.append(
-                Interaction(
-                    _hub_nok(pid),
-                    (PortId(comp, _nok(port)), PortId(hub, _hub_nok(pid))),
-                )
-            )
-            interactions.append(
-                Interaction(
-                    _hub_fire(pid),
-                    (PortId(comp, port), PortId(hub, _hub_fire(pid))),
-                )
-            )
-    for a in model.interactions:
-        interactions.append(
-            Interaction(_hub_start(a.name), (PortId(hub, _hub_start(a.name)),))
-        )
+            link(comp, _ok(port), _ok(pid))
+            link(comp, _nok(port), _nok(pid))
+            link(comp, port, f"fire:{pid}")
 
-    cc = build_cc_behavior(model)
-    ports[hub] = cc.ports
-    behaviors[hub] = cc
-    new_model = InteractionModel(
-        (*model.components, hub), ports, tuple(interactions)
+    states = [IDLE]
+    hub_transitions: set[tuple[str, str, str]] = set()
+    for a in model.interactions:
+        start = f"start:{a.name}"
+        interactions.append(Interaction(start, (PortId(hub, start),)))
+        walk = _ordered_ports(model, a)
+        k = len(walk)
+        chk = [f"chk:{a.name}:{m}" for m in range(1, k + 1)]
+        fire = [f"fire:{a.name}:{m}" for m in range(1, k + 1)]
+        states.extend(chk)
+        states.extend(fire)
+        hub_transitions.add((IDLE, start, chk[0]))
+        for m, pid in enumerate(walk):
+            after_check = chk[m + 1] if m + 1 < k else fire[0]
+            hub_transitions.add((chk[m], _ok(pid), after_check))
+            hub_transitions.add((chk[m], _nok(pid), IDLE))
+            after_fire = fire[m + 1] if m + 1 < k else IDLE
+            hub_transitions.add((fire[m], f"fire:{pid}", after_fire))
+
+    # the hub is the last party of every interaction built above
+    behaviors[hub] = LocalBehavior(
+        states=tuple(states),
+        ports=tuple(a.ports[-1].port for a in interactions),
+        transitions=frozenset(hub_transitions),
+        initial=IDLE,
     )
+    components = (*model.components, hub)
+    ports = {c: behaviors[c].ports for c in components}
+    new_model = InteractionModel(components, ports, tuple(interactions))
     return InteractionSystem(new_model, behaviors)
 
 

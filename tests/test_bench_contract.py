@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from interax import oracle, semantics
-from interax.fixtures import even_a
+from interax import oracle, reduce_star, semantics
+from interax.fixtures import even_a, pipeline
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -71,3 +71,13 @@ def test_check_theorem1_validates_once_through_module_global(monkeypatch):
     calls = spy(monkeypatch, semantics, "validate_system")
     oracle.check_theorem1(even_a(), "aaaa")
     assert len(calls) == 1
+
+
+def test_check_theorem2_calls_through_module_globals(monkeypatch):
+    starify = spy(monkeypatch, oracle, "starify")
+    brute = spy(monkeypatch, oracle, "brute_force_reachable")
+    project = spy(monkeypatch, oracle, "project_state")
+    validate = spy(monkeypatch, reduce_star, "validate_system")
+    verdict = oracle.check_theorem2(pipeline(3))
+    assert verdict.details == "|reach|=4 |reach'|=34 |projected|=4"
+    assert (len(starify), len(brute), len(project), len(validate)) == (1, 2, 34, 1)

@@ -65,6 +65,22 @@ class TestValidate:
         assert any(f["rule"] == "uncovered-port" for f in out["findings"])
         assert "finding" in err
 
+    def test_dotted_component_name_is_a_finding(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "components": [
+                {"name": "a.b", "ports": [], "states": ["q0"], "initial": "q0",
+                 "transitions": []}
+            ],
+            "interactions": [],
+        }
+        path = tmp_path / "dotted.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", path)
+        assert code == 0
+        assert [f["rule"] for f in out["findings"]] == ["dotted-component-name"]
+        assert "1 finding(s)" in err
+
     def test_schema_error_exits_two(self, files, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -11,6 +11,7 @@ from interax import (
     PortId,
     canonicalize,
     enabled_ports,
+    starify,
     validate_model,
     validate_system,
 )
@@ -126,6 +127,33 @@ class TestValidateSystem:
         del behaviors["c1"]
         report = validate_system(InteractionSystem(sys.model, behaviors))
         assert "behavior-component-mismatch" in _rules(report)
+
+
+def dotted_system():
+    """Components a.b (port x) and a (port b.x): both ports read "a.b.x"."""
+    b = LocalBehavior(("q0",), ("x",), frozenset({("q0", "x", "q0")}), "q0")
+    c = LocalBehavior(("q0",), ("b.x",), frozenset({("q0", "b.x", "q0")}), "q0")
+    model = InteractionModel(
+        ("a.b", "a"),
+        {"a.b": ("x",), "a": ("b.x",)},
+        (
+            Interaction("i", (PortId("a.b", "x"),)),
+            Interaction("j", (PortId("a", "b.x"),)),
+        ),
+    )
+    return InteractionSystem(model, {"a.b": b, "a": c})
+
+
+class TestDottedComponentName:
+    def test_reported(self):
+        report = validate_system(dotted_system())
+        assert _rules(report) == ["dotted-component-name"]
+        assert "a.b" in report.findings[0].message
+
+    def test_starify_refuses(self):
+        # the hub ports ok:/nok:/fire:a.b.x would name both a.b.x and a.(b.x)
+        with pytest.raises(ModelError, match="dotted-component-name"):
+            starify(dotted_system())
 
 
 class TestEnabledPorts:

@@ -1,5 +1,7 @@
 """Machine-to-line compilation: sizes, bijection, lockstep, halt cascade."""
 
+import itertools
+
 import pytest
 
 from interax import (
@@ -72,6 +74,22 @@ class TestCompile:
             "A:even:a",
             "A:odd:a",
         }
+
+    def test_cell_ports_are_their_sides_of_the_interactions(self):
+        # each port of a cell joins exactly one interaction, and every
+        # interaction is a head move
+        for m in (even_a(), first_last()):
+            for k in range(6):
+                for w in itertools.product(m.input_alphabet, repeat=k):
+                    sys_m = compile_lsa(m, "".join(w))
+                    sides = {c: [] for c in sys_m.model.components}
+                    for a in sys_m.model.interactions:
+                        assert a.name.startswith("mv:")
+                        for pid in a.ports:
+                            sides[pid.component].append(pid.port)
+                    for c, ports in sides.items():
+                        assert sorted(ports) == sorted(sys_m.model.ports[c])
+                        assert sys_m.behaviors[c].ports == sys_m.model.ports[c]
 
     def test_initial_states_from_word(self):
         sys_m = compile_lsa(even_a(), "aa")

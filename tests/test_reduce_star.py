@@ -11,7 +11,6 @@ from interax import (
     ModelError,
     PortId,
     brute_force_reachable,
-    build_cc_behavior,
     check_theorem2,
     classify,
     enabled_interactions,
@@ -25,6 +24,12 @@ from interax import (
     validate_system,
 )
 from interax.fixtures import client_server, pipeline
+
+
+def hub_of(sys):
+    """The hub behavior of starify(sys), its last component."""
+    star = starify(sys)
+    return star.behaviors[star.model.components[-1]]
 
 
 def single_port_system():
@@ -84,15 +89,14 @@ class TestSizes:
             {"k1": ("a",), "k2": ("b",)},
             (Interaction("pair", (PortId("k1", "a"), PortId("k2", "b"))),),
         )
-        cc = build_cc_behavior(model)
+        cc = hub_of(InteractionSystem(model, {"k1": b1, "k2": b2}))
         assert len(cc.states) == 5  # idle + two checks + two fires
         assert len(cc.transitions) == 3 * 2 + 1
 
 
 class TestCcBehavior:
     def test_binary_interaction_lobe(self):
-        model = client_server(1).model
-        cc = build_cc_behavior(model)
+        cc = hub_of(client_server(1))
         # 2 interactions of size 2: idle + 2*(2+2) states
         assert len(cc.states) == 9
         assert cc.initial == "idle"
@@ -105,8 +109,7 @@ class TestCcBehavior:
     def test_check_states_enable_their_port_pair_fire_states_one(self):
         # a check state can answer either way, so it enables the ok and the
         # not-ok variant of one base port; a fire state enables one port
-        model = pipeline(3).model
-        cc = build_cc_behavior(model)
+        cc = hub_of(pipeline(3))
         for state in cc.states:
             if state == "idle":
                 continue
@@ -120,13 +123,13 @@ class TestCcBehavior:
 
     def test_model_without_ports_gives_bare_idle(self):
         model = InteractionModel(("k",), {"k": ()}, ())
-        cc = build_cc_behavior(model)
+        b = LocalBehavior(("q0",), (), frozenset(), "q0")
+        cc = hub_of(InteractionSystem(model, {"k": b}))
         assert cc.states == ("idle",)
         assert cc.transitions == frozenset()
 
     def test_two_interactions_share_idle_only(self):
-        model = client_server(1).model
-        cc = build_cc_behavior(model)
+        cc = hub_of(client_server(1))
         lobes = {}
         for state in cc.states:
             if state == "idle":
@@ -284,3 +287,25 @@ class TestTopologyOfResult:
         star = starify(InteractionSystem(model, {"cc": b}))
         assert star.model.components == ("cc", "cc_")
         assert validate_system(star).ok
+
+
+def invariant_systems():
+    yield from (client_server(r) for r in range(1, 7))
+    yield from (pipeline(n) for n in range(2, 7))
+    for seed in range(300):
+        yield gen_random_system(GenParams(seed=seed))
+
+
+class TestSinglePass:
+    def test_hub_ports_are_the_hub_sides_of_the_interactions(self):
+        for sys in invariant_systems():
+            star = starify(sys)
+            hub = star.model.components[-1]
+            interactions = star.model.interactions
+            sides = [p.port for a in interactions for p in a.ports if p.component == hub]
+            # each hub port is the hub side of exactly one interaction
+            assert sorted(sides) == sorted(set(star.model.ports[hub]))
+            links = [a.name for a in interactions if not a.name.startswith("start:")]
+            starts = [f"start:{a.name}" for a in sys.model.interactions]
+            assert star.model.ports[hub] == (*links, *starts)
+            assert validate_system(star).ok
