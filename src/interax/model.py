@@ -5,14 +5,16 @@ the interaction set (the glue-code) wiring ports of different components
 together.  An interaction system pairs a model with one finite labeled
 transition system per component.
 
-Values are plain frozen containers and never self-validate; `validate_model`
-and `validate_system` report every rule violation as a finding instead of
-raising, so broken inputs can be inspected.
+Values are immutable: frozen containers whose mappings are read-only
+copies.  They never self-validate; `validate_model` and `validate_system`
+report every rule violation as a finding instead of raising, so broken inputs
+can be inspected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ModelError
@@ -55,11 +57,20 @@ class Interaction:
 
 @dataclass(frozen=True)
 class InteractionModel:
-    """Components, per-component port families, and the interaction set."""
+    """Components, per-component port families, and the interaction set.
+
+    `ports` is stored as a read-only copy of the mapping given."""
 
     components: tuple[str, ...]
     ports: Mapping[str, tuple[str, ...]]
     interactions: tuple[Interaction, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ports", MappingProxyType(dict(self.ports)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; its dict can
+        return type(self), (self.components, dict(self.ports), self.interactions)
 
 
 @dataclass(frozen=True)
@@ -79,10 +90,24 @@ class LocalBehavior:
 
 @dataclass(frozen=True)
 class InteractionSystem:
-    """An interaction model plus one local behavior per component."""
+    """An interaction model plus one local behavior per component.
+
+    A system never changes after construction: `behaviors` is stored as a
+    read-only copy of the mapping given, and the model and behaviors are
+    frozen.  That lets `semantics.compile_system` validate a system and build
+    its engine once per system object and keep the engine on the object, as
+    a private attribute outside the dataclass fields (so `==` and `repr`
+    ignore it)."""
 
     model: InteractionModel
     behaviors: Mapping[str, LocalBehavior]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "behaviors", MappingProxyType(dict(self.behaviors)))
+
+    def __reduce__(self):
+        # as InteractionModel's; a copy starts without the cached engine
+        return type(self), (self.model, dict(self.behaviors))
 
     def initial_state(self) -> tuple[str, ...]:
         """The global initial state, one local initial per component."""
@@ -198,7 +223,18 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
         for s in sorted(state_dupes):
             report.add("duplicate-state", f"component {c} declares state {s} twice")
 
-        if set(b.ports) != set(im.ports.get(c, ())):
+        family = im.ports.get(c, ())
+        ports = set(b.ports)
+        if len(ports) < len(b.ports):
+            # a port the model's family also lists twice is reported above
+            for p in sorted(ports):
+                if b.ports.count(p) > 1 and family.count(p) < 2:
+                    report.add(
+                        "duplicate-port",
+                        f"component {c}: behavior declares port {p} twice",
+                    )
+
+        if ports != set(family):
             report.add(
                 "port-set-mismatch",
                 f"component {c}: behavior ports differ from the model's port set",
@@ -210,7 +246,6 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
                 "missing-initial",
                 f"component {c}: missing initial state {b.initial}",
             )
-        ports = set(b.ports)
         for src, port, dst in sorted(b.transitions):
             if src not in states or dst not in states:
                 report.add(

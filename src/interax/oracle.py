@@ -30,7 +30,7 @@ from .reduce_linear import (
     config_to_gstate,
 )
 from .reduce_star import project_state, starify
-from .semantics import Engine, GlobalState, is_reachable
+from .semantics import GlobalState, compile_system, is_reachable
 from .turing import DTM, Configuration, Halted, Outcome, initial_config, run_tm, tm_step
 
 BRUTE_FORCE_LIMIT = 10_000
@@ -183,7 +183,7 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
 def _lockstep_check(machine: DTM, word: str, sys_m: InteractionSystem) -> tuple[bool, str]:
     """Replay the full run: each non-halt configuration must enable exactly
     one interaction, whose successor is the image of the next configuration."""
-    eng = Engine(sys_m)
+    eng = compile_system(sys_m)
     config = initial_config(machine, word)
     here = eng.pack(config_to_gstate(machine, word, config))
     step_no = 0

@@ -66,7 +66,11 @@ class ReachResult:
 class Engine:
     """Index-packed view of a validated system.  `fire` is the one firing
     rule: successors, `step`, enabledness and trace replay are all read off
-    it, and `search` is the one breadth-first loop over `successors`."""
+    it, and `search` is the one breadth-first loop over `successors`.
+
+    Get one through `compile_system`, which builds it once per system object
+    and hands the same engine to every later call; its tables are shared and
+    never change after construction."""
 
     def __init__(self, sys: InteractionSystem):
         model = sys.model
@@ -199,9 +203,18 @@ class Engine:
 
 
 def compile_system(sys: InteractionSystem) -> Engine:
-    """Validate the system once and build its search engine."""
-    validate_system(sys).raise_if_failed("system")
-    return Engine(sys)
+    """The search engine of a valid system, built once per system object.
+
+    The first call validates the system and builds its engine, which is kept
+    on the object; every later call returns that engine.  Systems are
+    immutable, so it can never go stale.  An invalid system raises
+    `ModelError` on every call and keeps nothing."""
+    eng = getattr(sys, "_engine", None)
+    if eng is None:
+        validate_system(sys).raise_if_failed("system")
+        eng = Engine(sys)
+        object.__setattr__(sys, "_engine", eng)
+    return eng
 
 
 def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:

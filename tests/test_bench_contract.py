@@ -47,7 +47,8 @@ def test_traced_names_exist_on_fresh_import(bench_run):
 
 
 def spy(monkeypatch, module, attr):
-    """Wrap a module global so that calls through it are counted."""
+    """Wrap a module global (or a class attribute, such as `__init__`) so
+    that calls through it are counted."""
     calls = []
     original = getattr(module, attr)
 
@@ -71,6 +72,28 @@ def test_check_theorem1_validates_once_through_module_global(monkeypatch):
     calls = spy(monkeypatch, semantics, "validate_system")
     oracle.check_theorem1(even_a(), "aaaa")
     assert len(calls) == 1
+
+
+def test_a_walk_compiles_its_system_once(monkeypatch):
+    validate = spy(monkeypatch, semantics, "validate_system")
+    build = spy(monkeypatch, semantics.Engine, "__init__")
+    system = pipeline(3)
+    q, trace = system.initial_state(), []
+    for k in range(10):
+        enabled = sorted(semantics.enabled_interactions(system, q))
+        assert [name for name, _ in semantics.successors(system, q)] == enabled
+        name = enabled[k % len(enabled)]
+        q = semantics.step(system, q, name)
+        trace.append(name)
+    assert q in semantics.replay_trace(system, trace)
+    assert (len(validate), len(build)) == (1, 1)
+
+
+def test_check_theorem1_builds_one_engine(monkeypatch):
+    # counts every construction, also one through a name bound elsewhere
+    build = spy(monkeypatch, semantics.Engine, "__init__")
+    assert oracle.check_theorem1(even_a(), "aaaa").agree
+    assert len(build) == 1
 
 
 def test_check_theorem2_calls_through_module_globals(monkeypatch):

@@ -81,6 +81,22 @@ class TestValidate:
         assert [f["rule"] for f in out["findings"]] == ["dotted-component-name"]
         assert "1 finding(s)" in err
 
+    def test_doubled_port_is_one_finding(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "components": [
+                {"name": "k", "ports": ["a", "a"], "states": ["q0"], "initial": "q0",
+                 "transitions": [{"from": "q0", "port": "a", "to": "q0"}]}
+            ],
+            "interactions": [{"name": "i", "ports": ["k.a"]}],
+        }
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", path)
+        assert code == 0
+        assert [f["rule"] for f in out["findings"]] == ["duplicate-port"]
+        assert "1 finding(s)" in err
+
     def test_schema_error_exits_two(self, files, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

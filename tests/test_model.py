@@ -1,5 +1,8 @@
 """Model layer: validation rules, enabled ports, canonicalization."""
 
+import copy
+import pickle
+
 import pytest
 
 from interax import (
@@ -11,6 +14,7 @@ from interax import (
     PortId,
     canonicalize,
     enabled_ports,
+    explore,
     starify,
     validate_model,
     validate_system,
@@ -154,6 +158,77 @@ class TestDottedComponentName:
         # the hub ports ok:/nok:/fire:a.b.x would name both a.b.x and a.(b.x)
         with pytest.raises(ModelError, match="dotted-component-name"):
             starify(dotted_system())
+
+
+def doubled_port_system():
+    """Component k's behavior lists port a twice; its model family once."""
+    b = LocalBehavior(("q0",), ("a", "a"), frozenset({("q0", "a", "q0")}), "q0")
+    model = InteractionModel(("k",), {"k": ("a",)}, (Interaction("i", (PortId("k", "a"),)),))
+    return InteractionSystem(model, {"k": b})
+
+
+class TestDuplicatePortInBehavior:
+    def test_reported(self):
+        report = validate_system(doubled_port_system())
+        assert _rules(report) == ["duplicate-port"]
+        assert report.findings[0].message == "component k: behavior declares port a twice"
+
+    def test_model_duplicate_is_reported_once(self):
+        # one port list in a document fills both the family and the behavior
+        b = LocalBehavior(("q0",), ("a", "a"), frozenset({("q0", "a", "q0")}), "q0")
+        model = InteractionModel(
+            ("k",), {"k": ("a", "a")}, (Interaction("i", (PortId("k", "a"),)),)
+        )
+        report = validate_system(InteractionSystem(model, {"k": b}))
+        assert _rules(report) == ["duplicate-port"]
+        assert report.findings[0].message == "component k declares port a twice"
+
+    def test_starify_refuses(self):
+        with pytest.raises(ModelError, match="duplicate-port"):
+            starify(doubled_port_system())
+
+
+class TestImmutable:
+    def test_behaviors_are_read_only(self):
+        sys = pipeline(3)
+        with pytest.raises(TypeError):
+            sys.behaviors["s1"] = sys.behaviors["s2"]
+
+    def test_port_families_are_read_only(self):
+        sys = pipeline(3)
+        with pytest.raises(TypeError):
+            sys.model.ports["s1"] = ()
+
+    def test_mappings_are_copied_at_construction(self):
+        sys = client_server(1)
+        ports, behaviors = dict(sys.model.ports), dict(sys.behaviors)
+        built = InteractionSystem(
+            InteractionModel(sys.model.components, ports, sys.model.interactions),
+            behaviors,
+        )
+        del ports["c1"], behaviors["c1"]
+        assert built == sys
+        assert validate_system(built).ok
+
+    def test_equal_to_plain_dicts(self):
+        sys = pipeline(2)
+        plain = InteractionSystem(
+            InteractionModel(
+                sys.model.components, dict(sys.model.ports), sys.model.interactions
+            ),
+            dict(sys.behaviors),
+        )
+        assert plain == sys
+        assert dict(sys.behaviors) == sys.behaviors
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        sys = client_server(2)
+        explore(sys)  # caches the engine, which a copy leaves behind
+        for twin in (pickle.loads(pickle.dumps(sys)), copy.deepcopy(sys)):
+            assert twin == sys
+            assert not hasattr(twin, "_engine")
+            with pytest.raises(TypeError):
+                twin.behaviors["c1"] = sys.behaviors["c1"]
 
 
 class TestEnabledPorts:

@@ -20,6 +20,8 @@ from interax import (
     successors,
 )
 from interax.fixtures import client_server, pipeline
+from interax.formats import parse_system, serialize_system
+from interax.semantics import compile_system
 from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
 
 
@@ -317,3 +319,33 @@ def test_search_entry_points_agree(seed):
         assert result.reachable
         assert len(result.trace) == depth[q]
         assert q in replay_trace(sys, result.trace)
+
+
+class TestCompileOnce:
+    def test_same_engine_on_every_call(self):
+        sys = pipeline(3)
+        assert compile_system(sys) is compile_system(sys)
+
+    def test_compiled_system_is_unchanged(self):
+        text = serialize_system(client_server(2))
+        sys = parse_system(text)
+        before = repr(sys)
+        explore(sys)
+        assert sys == parse_system(text)
+        assert serialize_system(sys) == text
+        assert repr(sys) == before
+
+    def test_invalid_system_raises_on_every_call(self):
+        sys = client_server(1)
+        bad = LocalBehavior(("idle",), ("connect_1",), frozenset(), "idle")
+        broken = InteractionSystem(sys.model, {**sys.behaviors, "c1": bad})
+        for _ in range(2):
+            with pytest.raises(ModelError, match="port-set-mismatch"):
+                compile_system(broken)
+        assert not hasattr(broken, "_engine")
+
+    def test_equal_systems_get_their_own_engines(self):
+        a, b = pipeline(3), pipeline(3)
+        assert a == b and a is not b
+        assert compile_system(a) is not compile_system(b)
+        assert compile_system(a) is compile_system(a)
