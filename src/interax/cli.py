@@ -31,7 +31,7 @@ from .oracle import (
 )
 from .reduce_linear import accept_predicate, compile_lsa, extend_halt_propagation
 from .reduce_star import starify
-from .semantics import is_reachable, resolve_predicate
+from .semantics import compile_system, is_reachable, resolve_predicate
 from .topology import classify, export_dot, interaction_graph
 from .turing import run_tm
 
@@ -99,7 +99,9 @@ def _parse_inline_target(text: str) -> list[dict[str, str]]:
 
 
 def _cmd_reach(args: argparse.Namespace) -> int:
-    system = parse_system(_read(args.system))
+    # compile_system validates, as starify does in starify and check-thm2
+    system = parse_system(_read(args.system), validate=False)
+    compile_system(system)
     if "=" in args.target:
         raw = _parse_inline_target(args.target)
     else:
@@ -156,7 +158,7 @@ def _cmd_tm_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_starify(args: argparse.Namespace) -> int:
-    system = parse_system(_read(args.system))
+    system = parse_system(_read(args.system), validate=False)
     transformed = starify(system)
     _write(serialize_system(transformed), args.output)
     model = transformed.model
@@ -176,7 +178,7 @@ def _cmd_check_thm1(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_thm2(args: argparse.Namespace) -> int:
-    system = parse_system(_read(args.system))
+    system = parse_system(_read(args.system), validate=False)
     return _report_verdict(check_theorem2(system), args.output)
 
 

@@ -29,7 +29,6 @@ def client_server(r: int) -> InteractionSystem:
     behaviors = {
         "S": LocalBehavior(
             states=("free", "busy"),
-            ports=("connect", "disconnect"),
             transitions=frozenset(
                 {("free", "connect", "busy"), ("busy", "disconnect", "free")}
             ),
@@ -41,7 +40,6 @@ def client_server(r: int) -> InteractionSystem:
         ports[c] = (f"connect_{i}", f"disconnect_{i}")
         behaviors[c] = LocalBehavior(
             states=("idle", "connected"),
-            ports=(f"connect_{i}", f"disconnect_{i}"),
             transitions=frozenset(
                 {
                     ("idle", f"connect_{i}", "connected"),
@@ -79,7 +77,6 @@ def pipeline(n: int) -> InteractionSystem:
             ports[s] = (f"send_m_{i}", f"rec_a_{i}")
             behaviors[s] = LocalBehavior(
                 states=("ready", "waiting"),
-                ports=ports[s],
                 transitions=frozenset(
                     {
                         ("ready", f"send_m_{i}", "waiting"),
@@ -92,7 +89,6 @@ def pipeline(n: int) -> InteractionSystem:
             ports[s] = (f"rec_m_{i}", f"send_a_{i}")
             behaviors[s] = LocalBehavior(
                 states=("idle", "replying"),
-                ports=ports[s],
                 transitions=frozenset(
                     {
                         ("idle", f"rec_m_{i}", "replying"),
@@ -105,7 +101,6 @@ def pipeline(n: int) -> InteractionSystem:
             ports[s] = (f"rec_m_{i}", f"send_m_{i}", f"rec_a_{i}", f"send_a_{i}")
             behaviors[s] = LocalBehavior(
                 states=("idle", "holding", "passed", "acked"),
-                ports=ports[s],
                 transitions=frozenset(
                     {
                         ("idle", f"rec_m_{i}", "holding"),

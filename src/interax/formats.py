@@ -3,8 +3,10 @@
 Documents carry a required integer `version` (currently 1).  Parsing is
 strict: unknown fields, wrong types, duplicate interactions, and duplicate
 rule rows are rejected with the offending path; plain syntax errors carry
-the line and column.  Serialization canonicalizes first and emits sorted
-keys with two-space indentation, so equal values produce identical bytes.
+the line and column; a key repeated within one object, and nesting too deep
+to parse, are errors too.  Serialization canonicalizes first and emits
+sorted keys with two-space indentation, so equal values produce identical
+bytes.
 
 System document:
     {"version": 1,
@@ -48,11 +50,22 @@ def dump_document(doc: dict) -> str:
     return json.dumps(stamped, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        dupe = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(f"duplicate key {dupe!r}")
+    return obj
+
+
 def _load(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
 
 
 def _object(value: Any, path: str) -> dict:
@@ -84,7 +97,7 @@ def _fields(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str
 
 def _version(obj: dict, path: str) -> None:
     v = obj["version"]
-    if v != DOCUMENT_VERSION:
+    if type(v) is not int or v != DOCUMENT_VERSION:
         raise ParseError(f"{path}.version: unsupported version {v!r}")
 
 
@@ -120,7 +133,7 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
         name = _string(obj["name"], f"{path}.name")
         if name in behaviors:
             raise ParseError(f"{path}.name: component {name!r} declared twice")
-        comp_ports = _string_array(obj["ports"], f"{path}.ports")
+        ports[name] = _string_array(obj["ports"], f"{path}.ports")
         states = _string_array(obj["states"], f"{path}.states")
         initial = _string(obj["initial"], f"{path}.initial")
         transitions = set()
@@ -136,8 +149,7 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
                 )
             )
         components.append(name)
-        ports[name] = comp_ports
-        behaviors[name] = LocalBehavior(states, comp_ports, frozenset(transitions), initial)
+        behaviors[name] = LocalBehavior(states, frozenset(transitions), initial)
 
     interactions: list[Interaction] = []
     seen_sets: dict[frozenset[PortId], int] = {}

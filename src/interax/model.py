@@ -3,7 +3,8 @@
 An interaction model declares components, one port family per component, and
 the interaction set (the glue-code) wiring ports of different components
 together.  An interaction system pairs a model with one finite labeled
-transition system per component.
+transition system per component, (states, transitions, initial), whose
+labels are that component's port family in the model.
 
 Values are immutable: frozen containers whose mappings are read-only
 copies.  They never self-validate; `validate_model` and `validate_system`
@@ -75,15 +76,16 @@ class InteractionModel:
 
 @dataclass(frozen=True)
 class LocalBehavior:
-    """Finite LTS of one component: (states, ports, transitions, initial).
+    """Finite LTS of one component: (states, transitions, initial).
 
-    `transitions` holds (source, port, target) triples; the relation may be
-    nondeterministic.  State order is significant: it defines the index used
-    by the deterministic tie-break in `semantics.step`.
+    Its labels are the component's port family in the model, which is the
+    only place the family is stated.  `transitions` holds (source, port,
+    target) triples; the relation may be nondeterministic.  State order is
+    significant: it defines the index used by the deterministic tie-break in
+    `semantics.step`.
     """
 
     states: tuple[str, ...]
-    ports: tuple[str, ...]
     transitions: frozenset[tuple[str, str, str]]
     initial: str
 
@@ -223,23 +225,7 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
         for s in sorted(state_dupes):
             report.add("duplicate-state", f"component {c} declares state {s} twice")
 
-        family = im.ports.get(c, ())
-        ports = set(b.ports)
-        if len(ports) < len(b.ports):
-            # a port the model's family also lists twice is reported above
-            for p in sorted(ports):
-                if b.ports.count(p) > 1 and family.count(p) < 2:
-                    report.add(
-                        "duplicate-port",
-                        f"component {c}: behavior declares port {p} twice",
-                    )
-
-        if ports != set(family):
-            report.add(
-                "port-set-mismatch",
-                f"component {c}: behavior ports differ from the model's port set",
-            )
-
+        ports = set(im.ports.get(c, ()))
         states = set(b.states)
         if b.initial not in states:
             report.add(
@@ -292,14 +278,13 @@ def canonicalize(im: InteractionModel) -> InteractionModel:
 
 
 def canonicalize_system(sys: InteractionSystem) -> InteractionSystem:
-    """Canonical model plus behaviors with sorted state and port lists."""
+    """Canonical model plus behaviors with sorted state lists."""
     model = canonicalize(sys.model)
     behaviors = {}
     for c in model.components:
         b = sys.behaviors[c]
         behaviors[c] = LocalBehavior(
             states=tuple(sorted(set(b.states))),
-            ports=tuple(sorted(set(b.ports))),
             transitions=frozenset(b.transitions),
             initial=b.initial,
         )

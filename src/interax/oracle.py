@@ -174,7 +174,7 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
                     transitions.add((s, port, rng.choice(states)))
                 if roll < 0.2:
                     transitions.add((s, port, rng.choice(states)))
-        behaviors[c] = LocalBehavior(states, ports[c], frozenset(transitions), states[0])
+        behaviors[c] = LocalBehavior(states, frozenset(transitions), states[0])
 
     model = InteractionModel(tuple(comps), ports, tuple(interactions))
     return InteractionSystem(model, behaviors)
@@ -223,9 +223,10 @@ def check_theorem1(machine: DTM, word: str) -> Verdict:
 
 def check_theorem2(sys: InteractionSystem) -> Verdict:
     """Brute-force reachable set of the system versus the hub-idle projection
-    of the brute-force reachable set of its starification."""
-    base = brute_force_reachable(sys)
+    of the brute-force reachable set of its starification.  `starify` runs
+    first: it validates the system."""
     transformed = starify(sys)
+    base = brute_force_reachable(sys)
     lifted = brute_force_reachable(transformed)
     projected = set()
     for q in lifted:

@@ -5,8 +5,9 @@ One component per tape cell (0 through n+1).  A cell's local state pairs a
 head marker with the cell's symbol: the marker is the machine state while the
 head sits on that cell and a reserved off-cell marker otherwise.  Each delta
 rule becomes, per feasible cell position, one two-party interaction between
-the cell the head leaves and the cell it moves onto; a cell has a rule's
-leave or arrive port exactly when it is that side of one such interaction.
+the cell the head leaves and the cell it moves onto; a cell's port family
+(in the model; its behavior has none) holds a rule's leave or arrive port
+exactly when the cell is that side of one such interaction.
 The initial cell states are the image of the machine's initial
 configuration under `config_to_gstate`.
 
@@ -140,14 +141,13 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
     behaviors = {
         cell: LocalBehavior(
             states=all_states,
-            ports=tuple(ports[cell]),
             transitions=frozenset(transitions[cell]),
             initial=initial[i],
         )
         for i, cell in enumerate(cells)
     }
     model = InteractionModel(
-        cells, {cell: behaviors[cell].ports for cell in cells}, tuple(interactions)
+        cells, {cell: tuple(ports[cell]) for cell in cells}, tuple(interactions)
     )
     return InteractionSystem(model, behaviors)
 
@@ -269,7 +269,6 @@ def extend_halt_propagation(
             transitions.add((HALT_FWD, HALT_SND, HALT_DONE))
         behaviors[cell] = LocalBehavior(
             states=(*b.states, *extra_states),
-            ports=(*b.ports, HALT_SND, HALT_RCV),
             transitions=frozenset(transitions),
             initial=b.initial,
         )

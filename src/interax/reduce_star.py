@@ -11,7 +11,8 @@ the original components yields exactly the original reachable set.
 
 `starify` builds the result in one walk over the components: every port
 yields its ok/not-ok/fire interactions with the hub, and the hub's ports are
-exactly the hub sides of the interactions it makes.
+exactly the hub sides of the interactions it makes.  Each port family goes
+into the result's model only; a behavior is `(states, transitions, initial)`.
 
 A component in no interaction (in a valid system: one with no ports) is
 linked to the hub by a single interaction over two fresh ports, the ok
@@ -80,6 +81,7 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
     model = sys.model
     hub = _hub_name(model)
 
+    ports: dict[str, tuple[str, ...]] = {}
     behaviors: dict[str, LocalBehavior] = {}
     interactions: list[Interaction] = []
 
@@ -90,31 +92,32 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
 
     for comp in model.components:
         b = sys.behaviors[comp]
-        base = set(b.ports)
-        lifted = list(b.ports) or [_ok(LINK)]
-        for port in b.ports:
+        family = model.ports.get(comp, ())
+        base = set(family)
+        lifted = list(family) or [_ok(LINK)]
+        for port in family:
             for variant in (_ok(port), _nok(port)):
                 if variant in base:
                     raise ModelError(
                         f"port name collision: {comp}.{variant} already exists"
                     )
                 lifted.append(variant)
+        ports[comp] = tuple(lifted)
         transitions = set(b.transitions)
         for state in b.states:
             can = enabled_ports(b, state)
-            for port in b.ports:
+            for port in family:
                 loop = _ok(port) if port in can else _nok(port)
                 transitions.add((state, loop, state))
         behaviors[comp] = LocalBehavior(
             states=b.states,
-            ports=tuple(lifted),
             transitions=frozenset(transitions),
             initial=b.initial,
         )
 
-        if not model.ports.get(comp):
+        if not family:
             link(comp, _ok(LINK), _ok(PortId(comp, LINK)))
-        for port in model.ports.get(comp, ()):
+        for port in family:
             pid = PortId(comp, port)
             link(comp, _ok(port), _ok(pid))
             link(comp, _nok(port), _nok(pid))
@@ -140,14 +143,13 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
             hub_transitions.add((fire[m], f"fire:{pid}", after_fire))
 
     # the hub is the last party of every interaction built above
+    ports[hub] = tuple(a.ports[-1].port for a in interactions)
     behaviors[hub] = LocalBehavior(
         states=tuple(states),
-        ports=tuple(a.ports[-1].port for a in interactions),
         transitions=frozenset(hub_transitions),
         initial=IDLE,
     )
     components = (*model.components, hub)
-    ports = {c: behaviors[c].ports for c in components}
     new_model = InteractionModel(components, ports, tuple(interactions))
     return InteractionSystem(new_model, behaviors)
 
@@ -164,7 +166,8 @@ def lift_state(sys: InteractionSystem, q: GlobalState) -> GlobalState:
     return (*q, IDLE)
 
 
-def _looks_like_hub(behavior: LocalBehavior) -> bool:
+def _looks_like_hub(sys_prime: InteractionSystem, hub: str) -> bool:
+    behavior = sys_prime.behaviors[hub]
     if behavior.initial != IDLE:
         return False
     if any(
@@ -172,7 +175,8 @@ def _looks_like_hub(behavior: LocalBehavior) -> bool:
     ):
         return False
     return all(
-        p.startswith(("ok:", "nok:", "fire:", "start:")) for p in behavior.ports
+        p.startswith(("ok:", "nok:", "fire:", "start:"))
+        for p in sys_prime.model.ports.get(hub, ())
     )
 
 
@@ -183,7 +187,7 @@ def project_state(sys_prime: InteractionSystem, q: GlobalState) -> GlobalState |
         raise ModelError(
             f"global state has {len(q)} entries, expected {len(components)}"
         )
-    if not _looks_like_hub(sys_prime.behaviors[components[-1]]):
+    if not _looks_like_hub(sys_prime, components[-1]):
         raise ModelError("not a starified system: last component is not the hub")
     if q[-1] != IDLE:
         return None

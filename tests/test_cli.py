@@ -1,12 +1,16 @@
 """CLI surface: subcommands, exit codes, output documents."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from interax import formats, reduce_star, semantics
 from interax.cli import run_cli
 from interax.fixtures import client_server, even_a, pipeline
 from interax.formats import parse_system, serialize_dtm, serialize_system
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -103,6 +107,13 @@ class TestValidate:
         code, _, err = run(capsys, "validate", bad)
         assert code == 2
         assert "error:" in err
+
+    def test_deep_nesting_exits_two(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, doc, err = run(capsys, "validate", deep)
+        assert (code, doc) == (2, None)
+        assert err == "error: document nested too deeply\n"
 
 
 class TestReach:
@@ -264,6 +275,43 @@ class TestTransformsAndCheckers:
         assert a.read_text() == b.read_text()
         code, doc, _ = run(capsys, "validate", a)
         assert code == 0 and doc["findings"] == []
+
+
+class TestOneValidation:
+    COMMANDS = [
+        ("reach", "--target", "s3=replying"),
+        ("starify",),
+        ("check-thm2",),
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_system_is_validated_once(self, command, monkeypatch, capsys):
+        calls = []
+        for module in (formats, semantics, reduce_star):
+            original = module.validate_system
+
+            def counted(sys, original=original):
+                calls.append(sys)
+                return original(sys)
+
+            monkeypatch.setattr(module, "validate_system", counted)
+        name, *rest = command
+        code, _, _ = run(capsys, name, FIXTURES / "pipeline_n3.json", *rest)
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command", [*COMMANDS, ("classify",)], ids=lambda c: c[0]
+    )
+    def test_invalid_system_exits_two(self, command, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "pipeline_n3.json").read_text())
+        doc["components"][0]["initial"] = "nowhere"
+        bad = tmp_path / "dangling.json"
+        bad.write_text(json.dumps(doc))
+        name, *rest = command
+        code, out, err = run(capsys, name, bad, *rest)
+        assert (code, out) == (2, None)
+        assert err.startswith("error: invalid system: missing-initial: component s1")
 
 
 class TestArgumentHandling:

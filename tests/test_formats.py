@@ -128,6 +128,20 @@ class TestParseErrors:
         system = parse_system(text, validate=False)
         assert not validate_system(system).ok
 
+    def test_duplicate_key(self):
+        text = serialize_system(client_server(1))
+        twice = text.replace('"version": 1', '"version": 1, "version": 1')
+        with pytest.raises(ParseError, match="duplicate key 'version'"):
+            parse_system(twice)
+        # without the check the second port list would silently win
+        two_lists = text.replace('"name": "S",', '"name": "S", "ports": [],')
+        with pytest.raises(ParseError, match="duplicate key 'ports'"):
+            parse_system(two_lists)
+        with pytest.raises(ParseError, match="duplicate key 'S'"):
+            parse_predicates(
+                '{"version": 1, "predicates": [{"S": "busy", "S": "free"}]}'
+            )
+
     def test_dtm_duplicate_rule_row(self):
         doc = json.loads(serialize_dtm(even_a()))
         doc["delta"].append(dict(doc["delta"][0]))
@@ -156,7 +170,7 @@ def _sys_drop_version(doc, rng):
 
 
 def _sys_wrong_version(doc, rng):
-    doc["version"] = 99
+    doc["version"] = rng.choice([99, True, 1.0])
 
 
 def _sys_unknown_field(doc, rng):

@@ -93,7 +93,6 @@ class TestValidateSystem:
         sys = client_server(1)
         bad = LocalBehavior(
             states=("idle", "connected"),
-            ports=("connect_1", "disconnect_1"),
             transitions=frozenset({("idle", "bogus", "connected")}),
             initial="idle",
         )
@@ -105,7 +104,6 @@ class TestValidateSystem:
         sys = client_server(1)
         bad = LocalBehavior(
             states=("idle", "connected"),
-            ports=("connect_1", "disconnect_1"),
             transitions=frozenset({("idle", "connect_1", "connected")}),
             initial="nowhere",
         )
@@ -113,17 +111,6 @@ class TestValidateSystem:
         report = validate_system(broken)
         assert "missing-initial" in _rules(report)
         assert any("missing initial" in f.message for f in report.findings)
-
-    def test_port_set_mismatch_with_model(self):
-        sys = client_server(1)
-        bad = LocalBehavior(
-            states=("idle",),
-            ports=("connect_1",),
-            transitions=frozenset(),
-            initial="idle",
-        )
-        broken = InteractionSystem(sys.model, {**sys.behaviors, "c1": bad})
-        assert "port-set-mismatch" in _rules(validate_system(broken))
 
     def test_missing_behavior(self):
         sys = client_server(1)
@@ -135,8 +122,8 @@ class TestValidateSystem:
 
 def dotted_system():
     """Components a.b (port x) and a (port b.x): both ports read "a.b.x"."""
-    b = LocalBehavior(("q0",), ("x",), frozenset({("q0", "x", "q0")}), "q0")
-    c = LocalBehavior(("q0",), ("b.x",), frozenset({("q0", "b.x", "q0")}), "q0")
+    b = LocalBehavior(("q0",), frozenset({("q0", "x", "q0")}), "q0")
+    c = LocalBehavior(("q0",), frozenset({("q0", "b.x", "q0")}), "q0")
     model = InteractionModel(
         ("a.b", "a"),
         {"a.b": ("x",), "a": ("b.x",)},
@@ -161,25 +148,17 @@ class TestDottedComponentName:
 
 
 def doubled_port_system():
-    """Component k's behavior lists port a twice; its model family once."""
-    b = LocalBehavior(("q0",), ("a", "a"), frozenset({("q0", "a", "q0")}), "q0")
-    model = InteractionModel(("k",), {"k": ("a",)}, (Interaction("i", (PortId("k", "a"),)),))
+    """Component k's port family lists port a twice."""
+    b = LocalBehavior(("q0",), frozenset({("q0", "a", "q0")}), "q0")
+    model = InteractionModel(
+        ("k",), {"k": ("a", "a")}, (Interaction("i", (PortId("k", "a"),)),)
+    )
     return InteractionSystem(model, {"k": b})
 
 
 class TestDuplicatePortInBehavior:
-    def test_reported(self):
-        report = validate_system(doubled_port_system())
-        assert _rules(report) == ["duplicate-port"]
-        assert report.findings[0].message == "component k: behavior declares port a twice"
-
     def test_model_duplicate_is_reported_once(self):
-        # one port list in a document fills both the family and the behavior
-        b = LocalBehavior(("q0",), ("a", "a"), frozenset({("q0", "a", "q0")}), "q0")
-        model = InteractionModel(
-            ("k",), {"k": ("a", "a")}, (Interaction("i", (PortId("k", "a"),)),)
-        )
-        report = validate_system(InteractionSystem(model, {"k": b}))
+        report = validate_system(doubled_port_system())
         assert _rules(report) == ["duplicate-port"]
         assert report.findings[0].message == "component k declares port a twice"
 
@@ -241,11 +220,11 @@ class TestEnabledPorts:
         assert enabled_ports(sys.behaviors["s2"], "idle") == {"rec_m_2"}
 
     def test_state_without_outgoing(self):
-        b = LocalBehavior(("q0", "dead"), ("p",), frozenset({("q0", "p", "dead")}), "q0")
+        b = LocalBehavior(("q0", "dead"), frozenset({("q0", "p", "dead")}), "q0")
         assert enabled_ports(b, "dead") == frozenset()
 
     def test_unknown_state(self):
-        b = LocalBehavior(("q0",), (), frozenset(), "q0")
+        b = LocalBehavior(("q0",), frozenset(), "q0")
         with pytest.raises(ModelError, match="no such state"):
             enabled_ports(b, "q1")
 

@@ -30,7 +30,7 @@ class TestBruteForce:
             assert len(brute_force_reachable(pipeline(n))) == 2 * (n - 1)
 
     def test_single_component_deadlock(self):
-        b = LocalBehavior(("q0", "q1"), ("p",), frozenset({("q1", "p", "q1")}), "q0")
+        b = LocalBehavior(("q0", "q1"), frozenset({("q1", "p", "q1")}), "q0")
         model = InteractionModel(
             ("k",), {"k": ("p",)}, (Interaction("a", (PortId("k", "p"),)),)
         )

@@ -89,7 +89,6 @@ class TestCompile:
                             sides[pid.component].append(pid.port)
                     for c, ports in sides.items():
                         assert sorted(ports) == sorted(sys_m.model.ports[c])
-                        assert sys_m.behaviors[c].ports == sys_m.model.ports[c]
 
     def test_initial_states_from_word(self):
         sys_m = compile_lsa(even_a(), "aa")

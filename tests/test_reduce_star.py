@@ -33,7 +33,7 @@ def hub_of(sys):
 
 
 def single_port_system():
-    b = LocalBehavior(("q0",), ("a",), frozenset({("q0", "a", "q0")}), "q0")
+    b = LocalBehavior(("q0",), frozenset({("q0", "a", "q0")}), "q0")
     model = InteractionModel(("k",), {"k": ("a",)}, (Interaction("solo", (PortId("k", "a"),)),))
     return InteractionSystem(model, {"k": b})
 
@@ -51,13 +51,13 @@ class TestSizes:
         assert len(cc.states) == 1 + 4 * (2 * 2)
         # |->_cc| = sum of (3*|alpha| + 1)
         assert len(cc.transitions) == 4 * (3 * 2 + 1)
-        assert len(cc.ports) == 4 + 3 * 6
+        assert len(star.model.ports["cc"]) == 4 + 3 * 6
         for c in sys.model.components:
             assert len(star.model.ports[c]) == 3 * len(sys.model.ports[c])
             b0, b1 = sys.behaviors[c], star.behaviors[c]
             # |->_i'| = |->_i| + |Q_i| * |A_i|
             assert len(b1.transitions) == len(b0.transitions) + len(b0.states) * len(
-                b0.ports
+                sys.model.ports[c]
             )
 
     def test_formulas_hold_on_fixture_family(self):
@@ -82,8 +82,8 @@ class TestSizes:
         assert len(cc.transitions) == 4  # start, ok, not-ok, fire
 
     def test_single_binary_interaction_gives_five_cc_states(self):
-        b1 = LocalBehavior(("q0",), ("a",), frozenset({("q0", "a", "q0")}), "q0")
-        b2 = LocalBehavior(("r0",), ("b",), frozenset({("r0", "b", "r0")}), "r0")
+        b1 = LocalBehavior(("q0",), frozenset({("q0", "a", "q0")}), "q0")
+        b2 = LocalBehavior(("r0",), frozenset({("r0", "b", "r0")}), "r0")
         model = InteractionModel(
             ("k1", "k2"),
             {"k1": ("a",), "k2": ("b",)},
@@ -123,7 +123,7 @@ class TestCcBehavior:
 
     def test_model_without_ports_gives_bare_idle(self):
         model = InteractionModel(("k",), {"k": ()}, ())
-        b = LocalBehavior(("q0",), (), frozenset(), "q0")
+        b = LocalBehavior(("q0",), frozenset(), "q0")
         cc = hub_of(InteractionSystem(model, {"k": b}))
         assert cc.states == ("idle",)
         assert cc.transitions == frozenset()
@@ -147,7 +147,7 @@ class TestProtocol:
             b0, b1 = sys.behaviors[c], star.behaviors[c]
             for state in b0.states:
                 can = enabled_ports(b0, state)
-                for port in b0.ports:
+                for port in sys.model.ports[c]:
                     ok, nok = f"ok:{port}", f"nok:{port}"
                     have_ok = (state, ok, state) in b1.transitions
                     have_nok = (state, nok, state) in b1.transitions
@@ -280,7 +280,7 @@ class TestTopologyOfResult:
         assert verdict.details == "|reach|=1 |reach'|=7 |projected|=1"
 
     def test_hub_name_dodges_existing_component(self):
-        b = LocalBehavior(("q0",), ("a",), frozenset({("q0", "a", "q0")}), "q0")
+        b = LocalBehavior(("q0",), frozenset({("q0", "a", "q0")}), "q0")
         model = InteractionModel(
             ("cc",), {"cc": ("a",)}, (Interaction("solo", (PortId("cc", "a"),)),)
         )

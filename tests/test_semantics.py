@@ -29,7 +29,6 @@ def nondet_system():
     """One component, one port, two targets for (q0, go)."""
     b = LocalBehavior(
         states=("q0", "q1", "q2"),
-        ports=("go",),
         transitions=frozenset({("q0", "go", "q1"), ("q0", "go", "q2")}),
         initial="q0",
     )
@@ -44,13 +43,11 @@ def index_order_system():
     are nondeterministic."""
     y = LocalBehavior(
         states=("z", "a"),
-        ports=("p", "u"),
         transitions=frozenset({("z", "p", "a"), ("z", "p", "z"), ("z", "u", "a")}),
         initial="z",
     )
     x = LocalBehavior(
         states=("n", "m"),
-        ports=("q",),
         transitions=frozenset({("n", "q", "m"), ("n", "q", "n")}),
         initial="n",
     )
@@ -165,7 +162,7 @@ class TestExplore:
         assert result.complete
 
     def test_initial_deadlock_single_state(self):
-        b = LocalBehavior(("q0", "q1"), ("p",), frozenset({("q1", "p", "q0")}), "q0")
+        b = LocalBehavior(("q0", "q1"), frozenset({("q1", "p", "q0")}), "q0")
         model = InteractionModel(("k",), {"k": ("p",)}, (Interaction("a", (PortId("k", "p"),)),))
         sys = InteractionSystem(model, {"k": b})
         result = explore(sys)
@@ -337,10 +334,10 @@ class TestCompileOnce:
 
     def test_invalid_system_raises_on_every_call(self):
         sys = client_server(1)
-        bad = LocalBehavior(("idle",), ("connect_1",), frozenset(), "idle")
+        bad = LocalBehavior(("idle",), frozenset(), "nowhere")
         broken = InteractionSystem(sys.model, {**sys.behaviors, "c1": bad})
         for _ in range(2):
-            with pytest.raises(ModelError, match="port-set-mismatch"):
+            with pytest.raises(ModelError, match="missing-initial"):
                 compile_system(broken)
         assert not hasattr(broken, "_engine")
 
