@@ -140,11 +140,11 @@ def _cmd_tm_run(args: argparse.Namespace) -> int:
 
 def _cmd_tm_compile(args: argparse.Namespace) -> int:
     machine = parse_dtm(_read(args.dtm))
-    system = compile_lsa(machine, args.input)
     if args.halt_extension:
-        system, distinguished = extend_halt_propagation(system, machine)
+        system, distinguished = extend_halt_propagation(machine, args.input)
         targets = [dict(zip(system.model.components, distinguished))]
     else:
+        system = compile_lsa(machine, args.input)
         targets = [p.as_dict() for p in accept_predicate(machine, args.input)]
     _write(serialize_system(system), args.output)
     if args.target_out is not None:

@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ModelError
-from .validation import ValidationReport
+from .validation import ValidationReport, repeated
 
 
 class PortId(NamedTuple):
@@ -142,16 +142,14 @@ def validate_model(im: InteractionModel) -> ValidationReport:
                 "unknown-component-ref", f"port family for unknown component {c}"
             )
     for c in im.components:
-        names = im.ports.get(c, ())
-        dupes = {p for p in names if names.count(p) > 1}
-        for p in sorted(dupes):
+        for p in repeated(im.ports.get(c, ())):
             report.add("duplicate-port", f"component {c} declares port {p} twice")
 
     declared = {
         PortId(c, p) for c in im.components for p in set(im.ports.get(c, ()))
     }
     used: set[PortId] = set()
-    seen_names: dict[str, int] = {}
+    seen_names: set[str] = set()
     seen_port_sets: dict[frozenset[PortId], str] = {}
     for a in im.interactions:
         if a.name in seen_names:
@@ -159,7 +157,7 @@ def validate_model(im: InteractionModel) -> ValidationReport:
                 "duplicate-interaction-name",
                 f"interaction name {a.name} used more than once",
             )
-        seen_names[a.name] = seen_names.get(a.name, 0) + 1
+        seen_names.add(a.name)
 
         if not a.ports:
             report.add("empty-interaction", f"interaction {a.name} has no ports")
@@ -221,8 +219,7 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
             )
             continue
 
-        state_dupes = {s for s in b.states if b.states.count(s) > 1}
-        for s in sorted(state_dupes):
+        for s in repeated(b.states):
             report.add("duplicate-state", f"component {c} declares state {s} twice")
 
         ports = set(im.ports.get(c, ()))

@@ -31,7 +31,7 @@ from .reduce_linear import (
 )
 from .reduce_star import project_state, starify
 from .semantics import GlobalState, compile_system, is_reachable
-from .turing import DTM, Configuration, Halted, Outcome, initial_config, run_tm, tm_step
+from .turing import DTM, Outcome, initial_config, run_tm, tm_step
 
 BRUTE_FORCE_LIMIT = 10_000
 
@@ -180,29 +180,27 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
     return InteractionSystem(model, behaviors)
 
 
-def _lockstep_check(machine: DTM, word: str, sys_m: InteractionSystem) -> tuple[bool, str]:
-    """Replay the full run: each non-halt configuration must enable exactly
-    one interaction, whose successor is the image of the next configuration."""
+def _lockstep_check(
+    machine: DTM, word: str, sys_m: InteractionSystem, steps: int
+) -> tuple[bool, str]:
+    """Replay the run's first `steps` moves: each configuration before a move
+    must enable exactly one interaction, whose successor is the image of the
+    next configuration."""
     eng = compile_system(sys_m)
     config = initial_config(machine, word)
     here = eng.pack(config_to_gstate(machine, word, config))
-    step_no = 0
-    while True:
-        result = tm_step(machine, config)
-        if isinstance(result, Halted):
-            return True, f"lockstep held for {step_no} steps"
-        if not isinstance(result, Configuration):
-            return True, f"lockstep check stopped at step {step_no}: {result}"
+    for step_no in range(steps):
+        config = tm_step(machine, config)
         succs = eng.successors(here)
         if len(succs) != 1:
             return False, (
                 f"step {step_no}: {len(succs)} interactions enabled, expected 1"
             )
-        expected = eng.pack(config_to_gstate(machine, word, result))
+        expected = eng.pack(config_to_gstate(machine, word, config))
         if succs[0][1] != expected:
             return False, f"step {step_no}: successor mismatch via {succs[0][0]}"
-        config, here = result, expected
-        step_no += 1
+        here = expected
+    return True, f"lockstep held for {steps} steps"
 
 
 def check_theorem1(machine: DTM, word: str) -> Verdict:
@@ -211,7 +209,7 @@ def check_theorem1(machine: DTM, word: str) -> Verdict:
     run = run_tm(machine, word)
     sys_m = compile_lsa(machine, word)
     reach = is_reachable(sys_m, accept_predicate(machine, word))
-    lock_ok, lock_msg = _lockstep_check(machine, word, sys_m)
+    lock_ok, lock_msg = _lockstep_check(machine, word, sys_m, run.steps)
     tm_accepts = run.outcome is Outcome.ACCEPT
     agree = (tm_accepts == reach.reachable) and lock_ok
     details = (

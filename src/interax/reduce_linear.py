@@ -38,7 +38,6 @@ from .model import (
     InteractionSystem,
     LocalBehavior,
     PortId,
-    canonicalize_system,
 )
 from .semantics import GlobalState, StatePredicate
 from .turing import DTM, Configuration, initial_config, validate_dtm
@@ -208,10 +207,11 @@ def gstate_to_config(machine: DTM, word: str, gstate: GlobalState) -> Configurat
 
 
 def extend_halt_propagation(
-    sys_m: InteractionSystem, machine: DTM
+    machine: DTM, word: str
 ) -> tuple[InteractionSystem, GlobalState]:
-    """Add a halt cascade so one distinguished global state (every cell done)
-    is reachable exactly when some cell can reach the accept marker.
+    """Compile `machine` on `word` and add a halt cascade, so one
+    distinguished global state (every cell done) is reachable exactly when
+    some cell can reach the accept marker.
 
     Two fresh ports per cell drive two waves of two-party neighbor
     interactions: the accepting cell announces the halt toward cell 0, cell 0
@@ -221,19 +221,8 @@ def extend_halt_propagation(
     merely strands the run, it never unlocks the cascade ahead of acceptance.
     The extension only touches neighbor pairs, so the line shape survives.
     """
+    sys_m = compile_lsa(machine, word)
     cells = sys_m.model.components
-    if len(cells) < 2:
-        raise ModelError("not in compiled shape: fewer than two components")
-    try:
-        # only the word's length is read; its symbols come from the tape
-        placeholder = "_" * (len(cells) - 2)
-        start = gstate_to_config(machine, placeholder, sys_m.initial_state())
-    except ModelError as e:
-        raise ModelError(f"not in compiled shape: {e}") from None
-    word = "".join(start.tape[1:-1])
-    if canonicalize_system(compile_lsa(machine, word)) != canonicalize_system(sys_m):
-        raise ModelError("not in compiled shape: system differs from a fresh compile")
-
     last = len(cells) - 1
     marker = head_marker(machine)
     accept_states = [cell_state(machine.accept, g) for g in machine.tape_alphabet]

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import ModelError
-from .validation import ValidationReport
+from .validation import ValidationReport, repeated
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,7 @@ class Outcome(Enum):
     REJECT = "reject"
     BOUND_VIOLATION = "bound_violation"
     STEP_LIMIT = "step_limit"
+    LOOP = "loop"
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,9 @@ def validate_dtm(machine: DTM) -> ValidationReport:
     m = machine
 
     for label, symbols in (("tape", m.tape_alphabet), ("input", m.input_alphabet)):
-        dupes = {s for s in symbols if symbols.count(s) > 1}
-        for s in sorted(dupes):
+        for s in repeated(symbols):
             report.add("duplicate-symbol", f"{label} alphabet lists {s} twice")
-    dupes = {s for s in m.states if m.states.count(s) > 1}
-    for s in sorted(dupes):
+    for s in repeated(m.states):
         report.add("duplicate-state", f"state {s} listed twice")
 
     tape = set(m.tape_alphabet)
@@ -159,16 +158,18 @@ def tm_step(machine: DTM, config: Configuration):
     return Configuration(state, tuple(tape), head)
 
 
-def default_step_limit(machine: DTM, word: str) -> int:
-    """Number of distinct configurations: a run longer than this loops."""
-    cells = len(word) + 2
-    return len(machine.states) * len(machine.tape_alphabet) ** cells * cells
-
-
 def run_tm(machine: DTM, word: str, max_steps: int | None = None) -> RunResult:
-    """Iterate tm_step from the initial configuration and classify the end."""
-    limit = default_step_limit(machine, word) if max_steps is None else max_steps
+    """Iterate tm_step from the initial configuration and classify the end.
+
+    A run on n+2 cells halts, leaves the tape or repeats a configuration.
+    Repeats are found by Brent's cycle detection: one saved configuration,
+    replaced when the steps since saving reach a doubling power of two.  LOOP
+    comes at the first repeat of the saved configuration, after the run has
+    closed its cycle, so its `steps` moves visit every distinct configuration.
+    `max_steps=None` means no cap; an explicit cap yields STEP_LIMIT.
+    """
     config = initial_config(machine, word)
+    saved, saved_at, power = config, 0, 1
     steps = 0
     while True:
         result = tm_step(machine, config)
@@ -177,10 +178,14 @@ def run_tm(machine: DTM, word: str, max_steps: int | None = None) -> RunResult:
             return RunResult(outcome, steps, config)
         if isinstance(result, BoundViolation):
             return RunResult(Outcome.BOUND_VIOLATION, steps, config)
-        if steps + 1 > limit:
+        if max_steps is not None and steps >= max_steps:
             return RunResult(Outcome.STEP_LIMIT, steps, config)
         steps += 1
         config = result
+        if config == saved:
+            return RunResult(Outcome.LOOP, steps, config)
+        if steps - saved_at == power:
+            saved, saved_at, power = config, steps, 2 * power
 
 
 def canonicalize_dtm(machine: DTM) -> DTM:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Hashable, Iterable
 
 
 @dataclass(frozen=True)
@@ -39,3 +41,8 @@ class ValidationReport:
         if not self.findings:
             return "ok"
         return "\n".join(str(f) for f in self.findings)
+
+
+def repeated(items: Iterable[Hashable]) -> list:
+    """The items listed more than once, sorted, each named once."""
+    return sorted(x for x, k in Counter(items).items() if k > 1)

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, output documents."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from interax.cli import run_cli
 from interax.fixtures import client_server, even_a, pipeline
 from interax.formats import parse_system, serialize_dtm, serialize_system
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 @pytest.fixture
@@ -33,6 +37,20 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out.strip() else None
     return code, doc, captured.err
+
+
+def run_child(*argv):
+    """Run the CLI in a child process, so a hang fails after 30 s instead of
+    stalling the suite."""
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-m", "interax", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    return proc.returncode, json.loads(proc.stdout)
 
 
 class TestClassify:
@@ -194,6 +212,26 @@ class TestTmCommands:
         code, doc, _ = run(capsys, "tm-run", files["even_a"], "--input", "aaa")
         assert code == 0
         assert doc == {"kind": "tm-run", "outcome": "reject", "steps": 4, "version": 1}
+
+    def test_tm_run_max_steps(self, files, capsys):
+        code, doc, _ = run(
+            capsys, "tm-run", files["even_a"], "--input", "aaaa", "--max-steps", 2
+        )
+        assert code == 0
+        assert (doc["outcome"], doc["steps"]) == ("step_limit", 2)
+
+    def test_tm_run_reports_loop(self):
+        code, doc = run_child("tm-run", FIXTURES / "ping_pong.json", "--input", "a" * 30)
+        assert code == 0
+        assert (doc["outcome"], doc["steps"]) == ("loop", 3)
+
+    def test_check_thm1_agrees_on_looping_machine(self):
+        for word in ("a", "a" * 30):
+            code, doc = run_child(
+                "check-thm1", FIXTURES / "ping_pong.json", "--input", word
+            )
+            assert code == 0
+            assert doc["agree"] is True
 
     def test_tm_run_bad_symbol_exits_two(self, files, capsys):
         code, _, _ = run(capsys, "tm-run", files["even_a"], "--input", "xyz")

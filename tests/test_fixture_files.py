@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from interax.fixtures import client_server, even_a, first_last, pipeline
-from interax.formats import serialize_dtm, serialize_system
+from interax.formats import parse_dtm, serialize_dtm, serialize_system
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,3 +27,6 @@ def test_pipeline_files_current(n):
 def test_machine_files_current():
     assert (FIXTURES / "even_a.json").read_text() == serialize_dtm(even_a())
     assert (FIXTURES / "first_last.json").read_text() == serialize_dtm(first_last())
+    # no builder in the package: the file itself is the machine's definition
+    text = (FIXTURES / "ping_pong.json").read_text()
+    assert serialize_dtm(parse_dtm(text)) == text

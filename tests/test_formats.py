@@ -30,7 +30,7 @@ from interax.turing import canonicalize_dtm
 def system_fixtures():
     machine = even_a()
     compiled = compile_lsa(machine, "a")
-    extended, _ = extend_halt_propagation(compile_lsa(machine, "aa"), machine)
+    extended, _ = extend_halt_propagation(machine, "aa")
     return [
         client_server(1),
         client_server(2),

@@ -1,6 +1,7 @@
 """Model layer: validation rules, enabled ports, canonicalization."""
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -16,10 +17,11 @@ from interax import (
     enabled_ports,
     explore,
     starify,
+    validate_dtm,
     validate_model,
     validate_system,
 )
-from interax.fixtures import client_server, pipeline
+from interax.fixtures import client_server, even_a, pipeline
 
 
 def _rules(report):
@@ -156,11 +158,44 @@ def doubled_port_system():
     return InteractionSystem(model, {"k": b})
 
 
+def doubled_state_system():
+    """Component k lists states q1 and q0 twice each."""
+    b = LocalBehavior(("q1", "q0", "q1", "q0"), frozenset({("q0", "a", "q0")}), "q0")
+    model = InteractionModel(
+        ("k",), {"k": ("a",)}, (Interaction("i", (PortId("k", "a"),)),)
+    )
+    return InteractionSystem(model, {"k": b})
+
+
 class TestDuplicatePortInBehavior:
     def test_model_duplicate_is_reported_once(self):
-        report = validate_system(doubled_port_system())
-        assert _rules(report) == ["duplicate-port"]
-        assert report.findings[0].message == "component k declares port a twice"
+        # each repeated item is named once, in sorted order
+        m = even_a()
+        doubled_dtm = dataclasses.replace(
+            m, tape_alphabet=("b", "a", "b", "a"), states=(*m.states, "odd")
+        )
+        for report, expected in (
+            (
+                validate_system(doubled_port_system()),
+                ["duplicate-port: component k declares port a twice"],
+            ),
+            (
+                validate_system(doubled_state_system()),
+                [
+                    "duplicate-state: component k declares state q0 twice",
+                    "duplicate-state: component k declares state q1 twice",
+                ],
+            ),
+            (
+                validate_dtm(doubled_dtm),
+                [
+                    "duplicate-symbol: tape alphabet lists a twice",
+                    "duplicate-symbol: tape alphabet lists b twice",
+                    "duplicate-state: state odd listed twice",
+                ],
+            ),
+        ):
+            assert [str(f) for f in report.findings] == expected
 
     def test_starify_refuses(self):
         with pytest.raises(ModelError, match="duplicate-port"):

@@ -195,14 +195,14 @@ class TestHaltExtension:
 
     def test_accepting_word_reaches_distinguished_state(self):
         m = even_a()
-        ext, done = extend_halt_propagation(compile_lsa(m, "aa"), m)
+        ext, done = extend_halt_propagation(m, "aa")
         assert validate_system(ext).ok
         result = is_reachable(ext, self._done_predicate(ext, done))
         assert result.reachable
 
     def test_rejecting_word_cannot_reach_it(self):
         m = even_a()
-        ext, done = extend_halt_propagation(compile_lsa(m, "a"), m)
+        ext, done = extend_halt_propagation(m, "a")
         result = is_reachable(ext, self._done_predicate(ext, done))
         assert not result.reachable
         assert result.complete
@@ -210,14 +210,14 @@ class TestHaltExtension:
     def test_still_classifies_linear(self):
         m = even_a()
         for word in ("aa", "aaa"):
-            ext, _ = extend_halt_propagation(compile_lsa(m, word), m)
+            ext, _ = extend_halt_propagation(m, word)
             assert classify(ext.model).linear
 
     def test_oracle_crosscheck_small_inputs(self):
         # full-product oracle fits for words up to length one
         m = even_a()
         for word, expect in (("", True), ("a", False)):
-            ext, done = extend_halt_propagation(compile_lsa(m, word), m)
+            ext, done = extend_halt_propagation(m, word)
             assert (done in brute_force_reachable(ext)) is expect
 
     def test_agrees_with_accept_predicate_reachability(self):
@@ -228,36 +228,21 @@ class TestHaltExtension:
             for word in words:
                 sys_m = compile_lsa(m, word)
                 plain = is_reachable(sys_m, accept_predicate(m, word)).reachable
-                ext, done = extend_halt_propagation(sys_m, m)
+                ext, done = extend_halt_propagation(m, word)
                 extended = is_reachable(ext, self._done_predicate(ext, done)).reachable
                 assert plain == extended, (word, plain, extended)
 
     def test_distinguished_state_is_all_done(self):
         m = even_a()
-        ext, done = extend_halt_propagation(compile_lsa(m, "a"), m)
+        ext, done = extend_halt_propagation(m, "a")
         assert set(done) == {"halt:done"}
         assert len(done) == len(ext.model.components)
-
-    def test_rejects_non_compiled_input(self):
-        from interax.fixtures import client_server
-
-        with pytest.raises(ModelError, match="not in compiled shape"):
-            extend_halt_propagation(client_server(2), even_a())
-
-    def test_accepts_round_tripped_compile(self):
-        from interax.formats import parse_system, serialize_system
-
-        m = even_a()
-        again = parse_system(serialize_system(compile_lsa(m, "aa")))
-        ext, done = extend_halt_propagation(again, m)
-        pred = StatePredicate.of(dict(zip(ext.model.components, done)))
-        assert is_reachable(ext, pred).reachable
 
     def test_no_cascade_before_accept(self):
         # reachable states of the extension with a rejecting word never leave
         # the machine-mirroring fragment
         m = even_a()
-        ext, _ = extend_halt_propagation(compile_lsa(m, "a"), m)
+        ext, _ = extend_halt_propagation(m, "a")
         for q in explore(ext).states:
             assert all(not s.startswith("halt:") for s in q)
 

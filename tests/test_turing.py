@@ -1,5 +1,7 @@
 """Machine syntax, bounded stepping, and full runs against closed forms."""
 
+from pathlib import Path
+
 import pytest
 
 from interax import (
@@ -15,6 +17,14 @@ from interax import (
     validate_dtm,
 )
 from interax.fixtures import even_a, first_last
+from interax.formats import parse_dtm
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def ping_pong():
+    """Moves the head between cells 1 and 2 forever, rewriting each symbol."""
+    return parse_dtm((FIXTURES / "ping_pong.json").read_text())
 
 
 def words(alphabet, max_len):
@@ -135,27 +145,19 @@ class TestRunTm:
             )
             assert run_tm(m, w).outcome is expected, w
 
-    def test_step_limit_on_looping_machine(self):
-        loop = DTM(
-            tape_alphabet=("a", "b"),
-            input_alphabet=("a",),
-            blank="b",
-            states=("go", "back", "accept", "reject"),
-            initial="go",
-            accept="accept",
-            reject="reject",
-            delta={
-                ("go", "a"): ("back", "a", 1),
-                ("go", "b"): ("back", "b", 1),
-                ("back", "a"): ("go", "a", -1),
-                ("back", "b"): ("go", "b", -1),
-            },
-        )
+    def test_loop_on_looping_machine(self):
+        loop = ping_pong()
         assert validate_dtm(loop).ok
         result = run_tm(loop, "a")
+        # Brent's saved configuration is the one after step 1; step 3 repeats it
+        assert result.outcome is Outcome.LOOP
+        assert result.steps == 3
+        assert result.final == Configuration("back", ("b", "a", "b"), 2)
+
+    def test_step_limit_on_looping_machine(self):
+        result = run_tm(ping_pong(), "a", max_steps=2)
         assert result.outcome is Outcome.STEP_LIMIT
-        # default limit equals the count of distinct configurations
-        assert result.steps == 4 * 2**3 * 3
+        assert result.steps == 2
 
     def test_bound_violation_outcome(self):
         runaway = DTM(
