@@ -56,9 +56,7 @@ from .semantics import (
 from .topology import InteractionGraph, TopologyClass, classify, export_dot, interaction_graph
 from .turing import (
     DTM,
-    BoundViolation,
     Configuration,
-    Halted,
     Outcome,
     RunResult,
     initial_config,
@@ -71,13 +69,11 @@ from .validation import Finding, ValidationReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundViolation",
     "Configuration",
     "DTM",
     "Finding",
     "GenParams",
     "GlobalState",
-    "Halted",
     "Interaction",
     "InteractionGraph",
     "InteractionModel",

@@ -31,7 +31,7 @@ from .oracle import (
 )
 from .reduce_linear import accept_predicate, compile_lsa, extend_halt_propagation
 from .reduce_star import starify
-from .semantics import compile_system, is_reachable, resolve_predicate
+from .semantics import StatePredicate, compile_system, is_reachable
 from .topology import classify, export_dot, interaction_graph
 from .turing import run_tm
 
@@ -106,9 +106,8 @@ def _cmd_reach(args: argparse.Namespace) -> int:
         raw = _parse_inline_target(args.target)
     else:
         raw = parse_predicates(_read(args.target))
-    if not raw:
-        raise ModelError("target document lists no predicates")
-    predicates = [resolve_predicate(system, constraints) for constraints in raw]
+    # is_reachable rejects unknown names and an empty list before it searches
+    predicates = [StatePredicate.of(constraints) for constraints in raw]
     result = is_reachable(system, predicates, max_states=args.max_states)
     _emit(
         args.output,

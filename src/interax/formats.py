@@ -3,10 +3,10 @@
 Documents carry a required integer `version` (currently 1).  Parsing is
 strict: unknown fields, wrong types, duplicate interactions, and duplicate
 rule rows are rejected with the offending path; plain syntax errors carry
-the line and column; a key repeated within one object, and nesting too deep
-to parse, are errors too.  Serialization canonicalizes first and emits
-sorted keys with two-space indentation, so equal values produce identical
-bytes.
+the line and column; a key repeated within one object, the non-standard
+constants NaN/Infinity/-Infinity, and nesting too deep to parse, are errors
+too.  Serialization canonicalizes first and emits sorted keys with two-space
+indentation, so equal values produce identical bytes.
 
 System document:
     {"version": 1,
@@ -59,9 +59,15 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+def _no_constant(name: str) -> Any:
+    raise ParseError(f"{name} is not a JSON number")
+
+
 def _load(text: str) -> Any:
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(
+            text, object_pairs_hook=_unique_keys, parse_constant=_no_constant
+        )
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
@@ -205,8 +211,9 @@ def serialize_system(sys: InteractionSystem) -> str:
     return dump_document(doc)
 
 
-def parse_dtm(text: str, validate: bool = True) -> DTM:
-    """Parse a machine document; rule totality is re-checked post-parse."""
+def parse_dtm(text: str) -> DTM:
+    """Parse a machine document and validate it; rule totality is checked
+    after parsing."""
     doc = _object(_load(text), "$")
     _fields(
         doc,
@@ -258,8 +265,7 @@ def parse_dtm(text: str, validate: bool = True) -> DTM:
         reject=_string(doc["reject"], "$.reject"),
         delta=delta,
     )
-    if validate:
-        validate_dtm(machine).raise_if_failed("machine")
+    validate_dtm(machine).raise_if_failed("machine")
     return machine
 
 

@@ -194,7 +194,7 @@ def _lockstep_check(
         succs = eng.successors(here)
         if len(succs) != 1:
             return False, (
-                f"step {step_no}: {len(succs)} interactions enabled, expected 1"
+                f"step {step_no}: {len(succs)} successors, expected 1"
             )
         expected = eng.pack(config_to_gstate(machine, word, config))
         if succs[0][1] != expected:

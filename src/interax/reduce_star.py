@@ -40,7 +40,7 @@ from .model import (
     enabled_ports,
     validate_system,
 )
-from .semantics import GlobalState
+from .semantics import GlobalState, compile_system
 
 IDLE = "idle"
 LINK = "link"
@@ -155,14 +155,9 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
 
 
 def lift_state(sys: InteractionSystem, q: GlobalState) -> GlobalState:
-    """The state of starify(sys) matching q: q with an idle hub appended."""
-    if len(q) != len(sys.model.components):
-        raise ModelError(
-            f"global state has {len(q)} entries, expected {len(sys.model.components)}"
-        )
-    for comp, state in zip(sys.model.components, q):
-        if state not in sys.behaviors[comp].states:
-            raise ModelError(f"no such state: {state!r} in component {comp}")
+    """The state of starify(sys) matching q: q with an idle hub appended.
+    Raises on a state `sys` does not have."""
+    compile_system(sys).pack(q)
     return (*q, IDLE)
 
 

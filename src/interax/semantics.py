@@ -67,6 +67,8 @@ class Engine:
     """Index-packed view of a validated system.  `fire` is the one firing
     rule: successors, `step`, enabledness and trace replay are all read off
     it, and `search` is the one breadth-first loop over `successors`.
+    `pack`, `unpack` and `resolve` are the only translation between the
+    system's component and state names and the engine's indices.
 
     Get one through `compile_system`, which builds it once per system object
     and hands the same engine to every later call; its tables are shared and
@@ -79,7 +81,7 @@ class Engine:
         self.state_index = [
             {s: k for k, s in enumerate(states)} for states in self.state_names
         ]
-        comp_order = {c: k for k, c in enumerate(model.components)}
+        self.comp_index = {c: k for k, c in enumerate(model.components)}
 
         # per component: (state index, port) -> ascending target indices
         self.moves: list[dict[tuple[int, str], tuple[int, ...]]] = []
@@ -94,7 +96,7 @@ class Engine:
         # name -> (component index, port) participants in component order;
         # names are validated unique, so name order is a total order
         self.interactions: dict[str, tuple[tuple[int, str], ...]] = {
-            a.name: tuple(sorted((comp_order[p.component], p.port) for p in a.ports))
+            a.name: tuple(sorted((self.comp_index[p.component], p.port) for p in a.ports))
             for a in sorted(model.interactions, key=lambda a: a.name)
         }
 
@@ -120,6 +122,22 @@ class Engine:
 
     def unpack(self, q: tuple[int, ...]) -> GlobalState:
         return tuple(self.state_names[ci][k] for ci, k in enumerate(q))
+
+    def resolve(self, pred: StatePredicate) -> list[tuple[int, int]]:
+        """The predicate's constraints as (component index, state index)
+        pairs, rejecting names the system does not have."""
+        out = []
+        for comp, state in pred.constraints:
+            ci = self.comp_index.get(comp)
+            if ci is None:
+                raise ModelError(f"predicate names unknown component {comp!r}")
+            si = self.state_index[ci].get(state)
+            if si is None:
+                raise ModelError(
+                    f"predicate names unknown state {state!r} of component {comp}"
+                )
+            out.append((ci, si))
+        return out
 
     def parts(self, name: str) -> tuple[tuple[int, str], ...]:
         """The (component index, port) participants of an interaction."""
@@ -271,39 +289,22 @@ def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableS
     )
 
 
-def _resolve(sys: InteractionSystem, pred: StatePredicate) -> list[tuple[int, str]]:
-    """The predicate's constraints as (component index, state) pairs,
-    rejecting names the system does not have."""
-    comp_index = {c: k for k, c in enumerate(sys.model.components)}
-    out = []
-    for comp, state in pred.constraints:
-        if comp not in comp_index:
-            raise ModelError(f"predicate names unknown component {comp!r}")
-        if state not in sys.behaviors[comp].states:
-            raise ModelError(
-                f"predicate names unknown state {state!r} of component {comp}"
-            )
-        out.append((comp_index[comp], state))
-    return out
-
-
 def resolve_predicate(
     sys: InteractionSystem, constraints: Mapping[str, str]
 ) -> StatePredicate:
     """Build a predicate against a system, rejecting unknown names."""
     pred = StatePredicate.of(constraints)
-    _resolve(sys, pred)
+    compile_system(sys).resolve(pred)
     return pred
 
 
 def satisfies(sys: InteractionSystem, pred: StatePredicate, q: GlobalState) -> bool:
     """Does the global state meet every exact constraint of the predicate?
-    Raises on a predicate naming a component or state the system lacks."""
-    if len(q) != len(sys.model.components):
-        raise ModelError(
-            f"global state has {len(q)} entries, expected {len(sys.model.components)}"
-        )
-    return all(q[ci] == state for ci, state in _resolve(sys, pred))
+    Raises on a state, or a predicate, naming a component or state the
+    system lacks."""
+    eng = compile_system(sys)
+    packed = eng.pack(q)
+    return all(packed[ci] == si for ci, si in eng.resolve(pred))
 
 
 def is_reachable(
@@ -321,10 +322,7 @@ def is_reachable(
     if not targets:
         raise ModelError("empty target disjunction")
     eng = compile_system(sys)
-    needs = [
-        [(ci, eng.state_index[ci][state]) for ci, state in _resolve(sys, t)]
-        for t in targets
-    ]
+    needs = [eng.resolve(t) for t in targets]
 
     def matches(q: tuple[int, ...]) -> bool:
         return any(all(q[ci] == si for ci, si in need) for need in needs)

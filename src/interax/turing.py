@@ -3,8 +3,8 @@
 Machines run on a tape of exactly n+2 cells (0 through n+1 for an input of
 length n).  Whether a machine really is linear bounded is semantic and
 undecidable in general, so the simulator enforces the bound at runtime: a
-step that would move the head off either end yields a BoundViolation outcome
-instead of growing the tape.
+step that would move the head off either end yields the BOUND_VIOLATION
+outcome instead of growing the tape.
 """
 
 from __future__ import annotations
@@ -42,18 +42,6 @@ class Configuration:
 
     state: str
     tape: tuple[str, ...]
-    head: int
-
-
-@dataclass(frozen=True)
-class Halted:
-    accepting: bool
-
-
-@dataclass(frozen=True)
-class BoundViolation:
-    """The step would move the head to `head`, outside the tape."""
-
     head: int
 
 
@@ -139,12 +127,14 @@ def initial_config(machine: DTM, word: str) -> Configuration:
     return Configuration(machine.initial, tape, 1)
 
 
-def tm_step(machine: DTM, config: Configuration):
-    """One move: Configuration, Halted, or BoundViolation."""
+def tm_step(machine: DTM, config: Configuration) -> Configuration | Outcome:
+    """One move: the next Configuration, or how the run ends here (ACCEPT or
+    REJECT in a halt state, BOUND_VIOLATION when the head would leave the
+    tape)."""
     if config.state == machine.accept:
-        return Halted(True)
+        return Outcome.ACCEPT
     if config.state == machine.reject:
-        return Halted(False)
+        return Outcome.REJECT
     key = (config.state, config.tape[config.head])
     rule = machine.delta.get(key)
     if rule is None:
@@ -152,7 +142,7 @@ def tm_step(machine: DTM, config: Configuration):
     state, written, move = rule
     head = config.head + move
     if head < 0 or head >= len(config.tape):
-        return BoundViolation(head)
+        return Outcome.BOUND_VIOLATION
     tape = list(config.tape)
     tape[config.head] = written
     return Configuration(state, tuple(tape), head)
@@ -166,18 +156,18 @@ def run_tm(machine: DTM, word: str, max_steps: int | None = None) -> RunResult:
     replaced when the steps since saving reach a doubling power of two.  LOOP
     comes at the first repeat of the saved configuration, after the run has
     closed its cycle, so its `steps` moves visit every distinct configuration.
-    `max_steps=None` means no cap; an explicit cap yields STEP_LIMIT.
+    `max_steps=None` means no cap; an explicit cap, at least 1, yields
+    STEP_LIMIT.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ModelError(f"max_steps must be at least 1, got {max_steps}")
     config = initial_config(machine, word)
     saved, saved_at, power = config, 0, 1
     steps = 0
     while True:
         result = tm_step(machine, config)
-        if isinstance(result, Halted):
-            outcome = Outcome.ACCEPT if result.accepting else Outcome.REJECT
-            return RunResult(outcome, steps, config)
-        if isinstance(result, BoundViolation):
-            return RunResult(Outcome.BOUND_VIOLATION, steps, config)
+        if isinstance(result, Outcome):
+            return RunResult(result, steps, config)
         if max_steps is not None and steps >= max_steps:
             return RunResult(Outcome.STEP_LIMIT, steps, config)
         steps += 1

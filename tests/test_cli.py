@@ -195,6 +195,18 @@ class TestReach:
     def test_unknown_component_exits_two(self, files, capsys):
         code, _, _ = run(capsys, "reach", files["cs1"], "--target", "ghost=here")
         assert code == 2
+        for target in ("S=busy,c1", "S=busy,=free", "S="):
+            code, doc, err = run(capsys, "reach", files["cs1"], "--target", target)
+            assert code == 2
+            assert doc is None
+            assert "expected comp=state" in err
+
+    def test_empty_predicate_document_exits_two(self, files, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"version": 1, "predicates": []}))
+        code, doc, err = run(capsys, "reach", files["pl3"], "--target", target)
+        assert (code, doc) == (2, None)
+        assert err == "error: empty target disjunction\n"
 
     def test_max_states_below_one_exits_two(self, files, capsys):
         for bound in ("0", "-1"):
@@ -219,6 +231,12 @@ class TestTmCommands:
         )
         assert code == 0
         assert (doc["outcome"], doc["steps"]) == ("step_limit", 2)
+        for bound in (0, -5):
+            code, doc, err = run(
+                capsys, "tm-run", files["even_a"], "--input", "aa", "--max-steps", bound
+            )
+            assert (code, doc) == (2, None)
+            assert f"max_steps must be at least 1, got {bound}" in err
 
     def test_tm_run_reports_loop(self):
         code, doc = run_child("tm-run", FIXTURES / "ping_pong.json", "--input", "a" * 30)

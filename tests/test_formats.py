@@ -114,9 +114,33 @@ class TestParseErrors:
 
     def test_bad_port_reference(self):
         doc = json.loads(serialize_system(client_server(1)))
-        doc["interactions"][0]["ports"][0] = "no-dot-here"
-        with pytest.raises(ParseError, match="must be 'component.port'"):
+        for ref in ("no-dot-here", ".connect_1", "S."):
+            doc["interactions"][0]["ports"][0] = ref
+            with pytest.raises(ParseError, match="must be 'component.port'"):
+                parse_system(json.dumps(doc))
+
+    def test_non_string_value(self):
+        doc = json.loads(serialize_system(client_server(1)))
+        doc["components"][0]["initial"] = 7
+        with pytest.raises(
+            ParseError, match=r"components\[0\]\.initial: expected a string, got int"
+        ):
             parse_system(json.dumps(doc))
+
+    def test_component_declared_twice(self):
+        doc = json.loads(serialize_system(client_server(1)))
+        doc["components"].append(dict(doc["components"][0]))
+        with pytest.raises(
+            ParseError, match=r"components\[2\]\.name: component 'S' declared twice"
+        ):
+            parse_system(json.dumps(doc))
+
+    def test_non_standard_constants(self):
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ParseError, match=f"{constant} is not a JSON number"):
+                parse_system(f'{{"version": {constant}}}')
+            with pytest.raises(ParseError, match=f"{constant} is not a JSON number"):
+                parse_predicates(f'{{"version": 1, "predicates": [[{constant}]]}}')
 
     def test_validation_findings_surface_as_errors(self):
         doc = json.loads(serialize_system(client_server(1)))

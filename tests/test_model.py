@@ -80,6 +80,45 @@ class TestValidateModel:
         assert "unknown-port-ref" in _rules(report)
         assert "uncovered-port" in _rules(report)  # x itself stays uncovered
 
+    @pytest.mark.parametrize(
+        "model, rule, message",
+        [
+            (
+                InteractionModel(
+                    ("c", "c"), {"c": ("x",)}, (Interaction("a", (PortId("c", "x"),)),)
+                ),
+                "duplicate-component",
+                "component c declared twice",
+            ),
+            (
+                InteractionModel(
+                    ("c",),
+                    {"c": ("x",), "ghost": ("y",)},
+                    (Interaction("a", (PortId("c", "x"),)),),
+                ),
+                "unknown-component-ref",
+                "port family for unknown component ghost",
+            ),
+            (
+                InteractionModel(
+                    ("c", "d"),
+                    {"c": ("x",), "d": ("y",)},
+                    (
+                        Interaction("a", (PortId("c", "x"),)),
+                        Interaction("a", (PortId("d", "y"),)),
+                    ),
+                ),
+                "duplicate-interaction-name",
+                "interaction name a used more than once",
+            ),
+        ],
+        ids=["duplicate-component", "unknown-family", "duplicate-interaction-name"],
+    )
+    def test_name_rules(self, model, rule, message):
+        report = validate_model(model)
+        assert _rules(report) == [rule]
+        assert report.findings[0].message == message
+
     def test_empty_port_set_component_permitted(self):
         im = InteractionModel(
             ("c", "d"), {"c": (), "d": ("y",)}, (Interaction("a", (PortId("d", "y"),)),)
@@ -120,6 +159,11 @@ class TestValidateSystem:
         del behaviors["c1"]
         report = validate_system(InteractionSystem(sys.model, behaviors))
         assert "behavior-component-mismatch" in _rules(report)
+        # and the other way round: a behaviour for no component of the model
+        extra = {**sys.behaviors, "ghost": sys.behaviors["c1"]}
+        report = validate_system(InteractionSystem(sys.model, extra))
+        assert _rules(report) == ["behavior-component-mismatch"]
+        assert "component ghost absent from the model" in report.findings[0].message
 
 
 def dotted_system():

@@ -13,11 +13,13 @@ from interax import (
     brute_force_reachable,
     check_theorem1,
     check_theorem2,
+    compile_lsa,
     explore,
     gen_random_system,
     validate_system,
 )
 from interax.fixtures import client_server, even_a, first_last, pipeline
+from interax.oracle import _lockstep_check
 
 
 class TestBruteForce:
@@ -125,6 +127,37 @@ class TestCheckTheorem1:
         assert "tm=accept" in verdict.details
         assert "reachable=True" in verdict.details
         assert "lockstep" in verdict.details
+
+
+def _retarget_arrival(extra):
+    """compile_lsa(even_a(), "aa") with cell 2's arrival of the head's first
+    move, ("s,a", "A:even:a", "odd,a"), replaced by `extra` transitions."""
+    sys_m = compile_lsa(even_a(), "aa")
+    b = sys_m.behaviors["2"]
+    transitions = b.transitions - {("s,a", "A:even:a", "odd,a")} | set(extra)
+    cell = LocalBehavior(b.states, transitions, b.initial)
+    return InteractionSystem(sys_m.model, {**sys_m.behaviors, "2": cell})
+
+
+class TestLockstepCheck:
+    @pytest.mark.parametrize(
+        "arrival, message",
+        [
+            # one interaction with two local targets: two successors
+            (
+                [("s,a", "A:even:a", "odd,a"), ("s,a", "A:even:a", "odd,b")],
+                "step 0: 2 successors, expected 1",
+            ),
+            (
+                [("s,a", "A:even:a", "odd,b")],
+                "step 0: successor mismatch via mv:even:a:1:2",
+            ),
+        ],
+        ids=["two-successors", "mismatch"],
+    )
+    def test_failure_branches(self, arrival, message):
+        mutated = _retarget_arrival(arrival)
+        assert _lockstep_check(even_a(), "aa", mutated, 3) == (False, message)
 
 
 class TestCheckTheorem2:

@@ -1,5 +1,11 @@
 """Property tests, run when Hypothesis is installed (the `test` extra)."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -18,7 +24,15 @@ from interax import (  # noqa: E402
     validate_dtm,
     validate_system,
 )
-from interax.formats import parse_system, serialize_system  # noqa: E402
+from interax.cli import run_cli  # noqa: E402
+from interax.errors import ModelError, ParseError  # noqa: E402
+from interax.formats import (  # noqa: E402
+    parse_dtm,
+    parse_predicates,
+    parse_system,
+    serialize_predicates,
+    serialize_system,
+)
 from interax.oracle import GenParams, gen_random_system  # noqa: E402
 
 bound = st.integers(1, 4)
@@ -99,3 +113,91 @@ def test_every_run_ends_and_theorem1_agrees(case):
     else:
         assert run.steps == distinct - 1
     assert check_theorem1(machine, word).agree
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_TEXTS = [p.read_text() for p in sorted(FIXTURES.glob("*.json"))]
+# no predicate document is kept under fixtures/; this one names real states
+FIXTURE_TEXTS.append(
+    serialize_predicates([{"S": "busy", "c1": "*"}, {"s1": "waiting"}])
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _slots(value, out):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return out
+    for key, child in items:
+        out.append((value, key))
+        _slots(child, out)
+    return out
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture document with one slot dropped, retyped or duplicated."""
+    doc = json.loads(draw(st.sampled_from(FIXTURE_TEXTS)))
+    container, key = draw(st.sampled_from(_slots(doc, [])))
+    op = draw(st.sampled_from(("drop", "retype", "duplicate")))
+    if op == "drop":
+        del container[key]
+    elif op == "retype":
+        old = container[key]
+        container[key] = draw(json_values.filter(lambda v: type(v) is not type(old)))
+    elif isinstance(container, list):
+        container.insert(key, container[key])
+    else:
+        # a key repeated in one object, which json.dumps cannot write
+        text = json.dumps(doc)
+        entry = json.dumps({key: container[key]})[1:-1]
+        return text.replace(entry, f"{entry}, {entry}", 1)
+    return json.dumps(doc)
+
+
+documents = st.text(max_size=40) | json_values.map(json.dumps) | mutated_fixtures()
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(documents)
+def test_parsers_return_or_raise_input_errors(text):
+    for parse in (parse_system, parse_dtm, parse_predicates):
+        try:
+            parse(text)
+        except (ParseError, ModelError):
+            pass
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(documents)
+def test_cli_answers_or_refuses_bad_documents(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        system = FIXTURES / "pipeline_n3.json"
+        for argv in (
+            ("validate", path),
+            ("classify", path),
+            ("reach", path, "--target", "s1=waiting", "--max-states", 1000),
+            ("reach", system, "--target", path),
+        ):
+            code, err = _cli(*argv)
+            assert code in (0, 2), (argv, err)
+            assert "internal error" not in err

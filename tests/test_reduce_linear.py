@@ -150,6 +150,10 @@ class TestBijection:
         m = even_a()
         with pytest.raises(ModelError, match="0 head markers"):
             gstate_to_config(m, "a", ("s,b", "s,a", "s,b"))
+        with pytest.raises(ModelError, match="global state has 2 entries, expected 3"):
+            gstate_to_config(m, "a", ("even,b", "s,a"))
+        with pytest.raises(ModelError, match="not a cell state: 'nope'"):
+            gstate_to_config(m, "a", ("even,b", "nope", "s,b"))
 
     def test_two_head_markers_rejected(self):
         m = even_a()

@@ -212,6 +212,13 @@ class TestLiftProject:
         assert lift_state(sys, sys.initial_state()) == star.initial_state()
         assert len(lift_state(sys, sys.initial_state())) == 4
 
+    def test_lift_rejects_foreign_state(self):
+        sys = client_server(1)
+        with pytest.raises(ModelError, match="global state has 1 entries, expected 2"):
+            lift_state(sys, ("free",))
+        with pytest.raises(ModelError, match="no such state: 'gone' in component c1"):
+            lift_state(sys, ("free", "gone"))
+
     def test_project_inverts_lift(self):
         sys = pipeline(3)
         star = starify(sys)
@@ -238,6 +245,13 @@ class TestLiftProject:
         sys = client_server(1)
         with pytest.raises(ModelError, match="not a starified system"):
             project_state(sys, sys.initial_state())
+        # a last component shaped like the hub but starting outside idle
+        star = starify(sys)
+        hub = star.behaviors["cc"]
+        busy = LocalBehavior(hub.states, hub.transitions, hub.states[1])
+        moved = InteractionSystem(star.model, {**star.behaviors, "cc": busy})
+        with pytest.raises(ModelError, match="not a starified system"):
+            project_state(moved, star.initial_state())
 
 
 class TestTopologyOfResult:
@@ -278,6 +292,19 @@ class TestTopologyOfResult:
         verdict = check_theorem2(sys)
         assert verdict.agree
         assert verdict.details == "|reach|=1 |reach'|=7 |projected|=1"
+
+    def test_port_name_collision_refused(self):
+        b = LocalBehavior(("q0",), frozenset({("q0", "a", "q0")}), "q0")
+        model = InteractionModel(
+            ("k",),
+            {"k": ("a", "ok:a")},
+            (
+                Interaction("i", (PortId("k", "a"),)),
+                Interaction("j", (PortId("k", "ok:a"),)),
+            ),
+        )
+        with pytest.raises(ModelError, match="port name collision: k.ok:a already exists"):
+            starify(InteractionSystem(model, {"k": b}))
 
     def test_hub_name_dodges_existing_component(self):
         b = LocalBehavior(("q0",), frozenset({("q0", "a", "q0")}), "q0")

@@ -273,6 +273,16 @@ class TestIsReachable:
         with pytest.raises(ModelError, match="unknown state"):
             satisfies(sys, StatePredicate.of({"c1": "nope"}), sys.initial_state())
 
+    def test_satisfies_checks_the_global_state(self):
+        sys = client_server(1)
+        pred = StatePredicate.of({"S": "busy"})
+        assert satisfies(sys, pred, ("busy", "connected"))
+        assert not satisfies(sys, pred, ("free", "connected"))
+        with pytest.raises(ModelError, match="global state has 1 entries, expected 2"):
+            satisfies(sys, pred, ("busy",))
+        with pytest.raises(ModelError, match="no such state: 'gone' in component c1"):
+            satisfies(sys, pred, ("busy", "gone"))
+
     def test_wildcard_star_is_dropped(self):
         pred = StatePredicate.of({"S": "busy", "c1": "*"})
         assert pred.as_dict() == {"S": "busy"}

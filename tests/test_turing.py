@@ -1,14 +1,13 @@
 """Machine syntax, bounded stepping, and full runs against closed forms."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from interax import (
-    BoundViolation,
     Configuration,
     DTM,
-    Halted,
     ModelError,
     Outcome,
     initial_config,
@@ -69,6 +68,24 @@ class TestValidateDtm:
         report = validate_dtm(DTM(m.tape_alphabet, m.input_alphabet, m.blank, m.states, m.initial, m.accept, m.reject, delta))
         assert any(f.rule == "delta-bad-move" for f in report.findings)
 
+    @pytest.mark.parametrize(
+        "change, rule, message",
+        [
+            ({"input_alphabet": ("a", "c")}, "input-outside-tape", "input symbol c not in tape alphabet"),
+            ({"blank": "_"}, "blank-missing", "blank _ not in tape alphabet"),
+            ({"delta": {("even", "c"): ("odd", "a", 1)}}, "delta-unknown-symbol", "delta rule reads unknown symbol c"),
+            ({"delta": {("even", "a"): ("odd", "c", 1)}}, "delta-unknown-symbol", "delta rule writes unknown symbol c"),
+            ({"delta": {("lost", "a"): ("odd", "a", 1)}}, "delta-unknown-state", "delta rule for unknown state lost"),
+        ],
+        ids=["input", "blank", "read", "write", "source"],
+    )
+    def test_unknown_names(self, change, rule, message):
+        m = even_a()
+        if "delta" in change:
+            change = {"delta": {**m.delta, **change["delta"]}}
+        report = validate_dtm(dataclasses.replace(m, **change))
+        assert (rule, message) in [(f.rule, f.message) for f in report.findings]
+
     def test_accept_equals_reject(self):
         m = even_a()
         report = validate_dtm(
@@ -99,14 +116,17 @@ class TestTmStep:
 
     def test_halt_state_reports_halted(self):
         m = even_a()
-        assert tm_step(m, Configuration("accept", ("b", "b"), 0)) == Halted(True)
-        assert tm_step(m, Configuration("reject", ("b", "b"), 0)) == Halted(False)
+        assert tm_step(m, Configuration("accept", ("b", "b"), 0)) is Outcome.ACCEPT
+        assert tm_step(m, Configuration("reject", ("b", "b"), 0)) is Outcome.REJECT
 
     def test_bound_violation_moving_right_off_tape(self):
         m = even_a()
         # reading "a" at the last cell moves right, off the tape
-        assert tm_step(m, Configuration("even", ("b", "a"), 1)) == BoundViolation(2)
-        assert tm_step(m, Configuration("even", ("b", "a", "a", "a"), 3)) == BoundViolation(4)
+        for config in (
+            Configuration("even", ("b", "a"), 1),
+            Configuration("even", ("b", "a", "a", "a"), 3),
+        ):
+            assert tm_step(m, config) is Outcome.BOUND_VIOLATION
 
     def test_tape_length_preserved_and_single_cell_write(self):
         m = first_last()
@@ -158,6 +178,12 @@ class TestRunTm:
         result = run_tm(ping_pong(), "a", max_steps=2)
         assert result.outcome is Outcome.STEP_LIMIT
         assert result.steps == 2
+
+    def test_max_steps_below_one_rejected(self):
+        for bound in (0, -5):
+            with pytest.raises(ModelError, match=f"max_steps must be at least 1, got {bound}"):
+                run_tm(ping_pong(), "a", max_steps=bound)
+        assert run_tm(ping_pong(), "a", max_steps=1).outcome is Outcome.STEP_LIMIT
 
     def test_bound_violation_outcome(self):
         runaway = DTM(
