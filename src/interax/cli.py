@@ -31,7 +31,7 @@ from .oracle import (
 )
 from .reduce_linear import accept_predicate, compile_lsa, extend_halt_propagation
 from .reduce_star import starify
-from .semantics import StatePredicate, compile_system, is_reachable
+from .semantics import DEFAULT_MAX_STATES, StatePredicate, compile_system, is_reachable
 from .topology import classify, export_dot, interaction_graph
 from .turing import run_tm
 
@@ -88,12 +88,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _parse_inline_target(text: str) -> list[dict[str, str]]:
     constraints: dict[str, str] = {}
     for chunk in text.split(","):
-        if "=" not in chunk:
-            raise ModelError(f"bad target constraint {chunk!r}, expected comp=state")
-        comp, state = chunk.split("=", 1)
+        comp, _, state = chunk.partition("=")
         comp, state = comp.strip(), state.strip()
         if not comp or not state:
             raise ModelError(f"bad target constraint {chunk!r}, expected comp=state")
+        if comp in constraints:
+            raise ModelError(f"target names component {comp!r} twice")
         constraints[comp] = state
     return [constraints]
 
@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-o", "--output", default=None, help="write the result here instead of stdout")
+        p.add_argument("-o", "--output", help="write the result here instead of stdout")
 
     p = sub.add_parser("validate", help="report validation findings for a system file")
     p.add_argument("system")
@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify the communication topology")
     p.add_argument("system")
-    p.add_argument("--dot", default=None, help="also write the interaction graph as DOT")
+    p.add_argument("--dot", help="also write the interaction graph as DOT")
     with_output(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -228,15 +228,23 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="inline 'comp=state,comp2=*' (a '=' marks it inline) or a predicate file",
     )
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument(
+        "--max-states",
+        type=int,
+        help=f"stop after this many states (default {DEFAULT_MAX_STATES:,}; at least 1)",
+    )
     p.add_argument("--trace", action="store_true", help="print the witness trace")
     with_output(p)
     p.set_defaults(func=_cmd_reach)
 
     p = sub.add_parser("tm-run", help="run a machine on an input word")
     p.add_argument("dtm")
-    p.add_argument("--input", required=True, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--input", required=True)
+    p.add_argument(
+        "--max-steps",
+        type=int,
+        help="at least 1; if omitted, the run ends in accept, reject, bound_violation or loop",
+    )
     with_output(p)
     p.set_defaults(func=_cmd_tm_run)
 
@@ -252,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--target-out",
-        default=None,
         help="also write the matching reachability target as a predicate file",
     )
     with_output(p)
@@ -301,10 +308,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ModelError) as e:
-        _say(f"error: {e}")
-        return 2
-    except OSError as e:
+    except (ParseError, ModelError, OSError) as e:
         _say(f"error: {e}")
         return 2
     except Exception as e:  # pragma: no cover - defensive

@@ -130,10 +130,11 @@ def validate_model(im: InteractionModel) -> ValidationReport:
         if c in seen_components:
             report.add("duplicate-component", f"component {c} declared twice")
         elif "." in c:
-            # a reference "component.port" splits at its first "."
-            report.add(
-                "dotted-component-name", f"component name {c} contains '.'"
-            )
+            # a reference "component.port" splits at its first "." and needs
+            # both sides non-empty (the empty port name is checked below)
+            report.add("dotted-component-name", f"component name {c} contains '.'")
+        elif not c:
+            report.add("empty-name", "a component name is empty")
         seen_components.add(c)
 
     for c in im.ports:
@@ -142,8 +143,11 @@ def validate_model(im: InteractionModel) -> ValidationReport:
                 "unknown-component-ref", f"port family for unknown component {c}"
             )
     for c in im.components:
-        for p in repeated(im.ports.get(c, ())):
+        family = im.ports.get(c, ())
+        for p in repeated(family):
             report.add("duplicate-port", f"component {c} declares port {p} twice")
+        if "" in family:
+            report.add("empty-name", f"component {c} declares an empty port name")
 
     declared = {
         PortId(c, p) for c in im.components for p in set(im.ports.get(c, ()))

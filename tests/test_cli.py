@@ -53,6 +53,24 @@ def run_child(*argv):
     return proc.returncode, json.loads(proc.stdout)
 
 
+def duplicated_documents(tmp_path):
+    """Each fixture system with its first component, or its first
+    interaction, listed twice; yields (path, the rule that reports it)."""
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        text = fixture.read_text()
+        if "components" not in json.loads(text):
+            continue
+        for section, rule in (
+            ("components", "duplicate-component"),
+            ("interactions", "duplicate-interaction"),
+        ):
+            twice = json.loads(text)
+            twice[section].append(twice[section][0])
+            path = tmp_path / f"{fixture.stem}-{section}.json"
+            path.write_text(json.dumps(twice))
+            yield path, rule
+
+
 class TestClassify:
     def test_client_server_star_like(self, files, capsys):
         code, doc, err = run(capsys, "classify", files["cs3"])
@@ -86,6 +104,11 @@ class TestValidate:
         assert code == 0
         assert any(f["rule"] == "uncovered-port" for f in out["findings"])
         assert "finding" in err
+        for path, rule in duplicated_documents(tmp_path):
+            code, out, err = run(capsys, "validate", path)
+            assert code == 0, path
+            assert rule in [f["rule"] for f in out["findings"]], path
+            assert "finding" in err
 
     def test_dotted_component_name_is_a_finding(self, tmp_path, capsys):
         doc = {
@@ -195,6 +218,12 @@ class TestReach:
     def test_unknown_component_exits_two(self, files, capsys):
         code, _, _ = run(capsys, "reach", files["cs1"], "--target", "ghost=here")
         assert code == 2
+        # a component constrained twice is refused, as in a predicate document
+        code, doc, err = run(
+            capsys, "reach", files["cs1"], "--target", "c1=idle,c1=connected"
+        )
+        assert (code, doc) == (2, None)
+        assert err == "error: target names component 'c1' twice\n"
         for target in ("S=busy,c1", "S=busy,=free", "S="):
             code, doc, err = run(capsys, "reach", files["cs1"], "--target", target)
             assert code == 2
@@ -368,6 +397,10 @@ class TestOneValidation:
         code, out, err = run(capsys, name, bad, *rest)
         assert (code, out) == (2, None)
         assert err.startswith("error: invalid system: missing-initial: component s1")
+        for path, _ in duplicated_documents(tmp_path):
+            code, out, err = run(capsys, name, path, *rest)
+            assert (code, out) == (2, None), path
+            assert err.startswith("error: invalid system: "), path
 
 
 class TestArgumentHandling:

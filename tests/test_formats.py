@@ -104,13 +104,20 @@ class TestParseErrors:
             parse_system(json.dumps(doc))
 
     def test_duplicate_interaction_names_both(self):
+        # a repeated port set is a model rule: validation reports it
         doc = json.loads(serialize_system(client_server(1)))
-        doc["interactions"].append(dict(doc["interactions"][0]))
-        with pytest.raises(
-            ParseError,
-            match=r"interactions\[2\] duplicates \$\.interactions\[0\]",
-        ):
-            parse_system(json.dumps(doc))
+        first = doc["interactions"][0]
+        doc["interactions"].append({**first, "name": "again"})
+        text = json.dumps(doc)
+        with pytest.raises(ModelError, match="invalid system: duplicate-interaction"):
+            parse_system(text)
+        findings = validate_system(parse_system(text, validate=False)).findings
+        assert [(f.rule, f.message) for f in findings] == [
+            (
+                "duplicate-interaction",
+                f"interactions {first['name']} and again have identical port sets",
+            )
+        ]
 
     def test_bad_port_reference(self):
         doc = json.loads(serialize_system(client_server(1)))
@@ -128,12 +135,17 @@ class TestParseErrors:
             parse_system(json.dumps(doc))
 
     def test_component_declared_twice(self):
+        # a repeated component name is a model rule: validation reports it
         doc = json.loads(serialize_system(client_server(1)))
         doc["components"].append(dict(doc["components"][0]))
-        with pytest.raises(
-            ParseError, match=r"components\[2\]\.name: component 'S' declared twice"
-        ):
-            parse_system(json.dumps(doc))
+        text = json.dumps(doc)
+        with pytest.raises(ModelError, match="invalid system: duplicate-component"):
+            parse_system(text)
+        system = parse_system(text, validate=False)
+        assert system.model.components == ("S", "c1", "S")
+        assert [str(f) for f in validate_system(system).findings] == [
+            "duplicate-component: component S declared twice"
+        ]
 
     def test_non_standard_constants(self):
         for constant in ("NaN", "Infinity", "-Infinity"):
@@ -174,11 +186,12 @@ class TestParseErrors:
 
     def test_dtm_bad_move(self):
         doc = json.loads(serialize_dtm(even_a()))
+        # the range is a machine rule; the type is the parser's
         doc["delta"][0]["move"] = 0
-        with pytest.raises(ParseError, match="expected -1 or \\+1"):
+        with pytest.raises(ModelError, match="invalid machine: delta-bad-move"):
             parse_dtm(json.dumps(doc))
         doc["delta"][0]["move"] = True
-        with pytest.raises(ParseError, match="expected -1 or \\+1"):
+        with pytest.raises(ParseError, match="move: expected an integer, got bool"):
             parse_dtm(json.dumps(doc))
 
     def test_predicates_document(self):

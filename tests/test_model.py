@@ -192,6 +192,27 @@ class TestDottedComponentName:
         with pytest.raises(ModelError, match="dotted-component-name"):
             starify(dotted_system())
 
+    def test_empty_names_reported(self):
+        # ".x" and "k." are no port reference, so no document can hold them
+        b = LocalBehavior(("q0",), frozenset({("q0", "x", "q0")}), "q0")
+        k = LocalBehavior(("q0",), frozenset({("q0", "", "q0")}), "q0")
+        model = InteractionModel(
+            ("", "k"),
+            {"": ("x",), "k": ("",)},
+            (
+                Interaction("i", (PortId("", "x"),)),
+                Interaction("j", (PortId("k", ""),)),
+            ),
+        )
+        system = InteractionSystem(model, {"": b, "k": k})
+        report = validate_system(system)
+        assert [str(f) for f in report.findings] == [
+            "empty-name: a component name is empty",
+            "empty-name: component k declares an empty port name",
+        ]
+        with pytest.raises(ModelError, match="empty-name"):
+            starify(system)
+
 
 def doubled_port_system():
     """Component k's port family lists port a twice."""

@@ -14,10 +14,18 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from interax import (  # noqa: E402
     DTM,
     Configuration,
+    Interaction,
+    InteractionModel,
+    InteractionSystem,
+    LocalBehavior,
     Outcome,
+    PortId,
+    StatePredicate,
     canonicalize_system,
     check_theorem1,
+    explore,
     initial_config,
+    is_reachable,
     run_tm,
     starify,
     tm_step,
@@ -30,10 +38,12 @@ from interax.formats import (  # noqa: E402
     parse_dtm,
     parse_predicates,
     parse_system,
+    serialize_dtm,
     serialize_predicates,
     serialize_system,
 )
 from interax.oracle import GenParams, gen_random_system  # noqa: E402
+from interax.turing import canonicalize_dtm  # noqa: E402
 
 bound = st.integers(1, 4)
 
@@ -53,6 +63,103 @@ def test_one_port_list_is_one_port_family(seed, **bounds):
     assert parse_system(serialize_system(system)) == canonicalize_system(system)
     assert validate_system(system).ok
     assert validate_system(starify(system)).ok
+
+
+random_systems = st.builds(GenParams, st.integers(0, 2**32 - 1), *[bound] * 5).map(
+    gen_random_system
+)
+
+
+@st.composite
+def renamed_systems(draw, names):
+    """A random system and a copy with its components, ports, states and
+    interactions renamed one-to-one to `names` draws and its components
+    reordered.  Returns (system, copy, component map, state maps)."""
+    system = draw(random_systems)
+    model = system.model
+
+    def rename(old):
+        new = draw(st.lists(names, min_size=len(old), max_size=len(old), unique=True))
+        return dict(zip(old, new))
+
+    comp = rename(model.components)
+    port = {c: rename(model.ports[c]) for c in model.components}
+    state = {c: rename(system.behaviors[c].states) for c in model.components}
+    name = rename([a.name for a in model.interactions])
+    order = draw(st.permutations(model.components))
+    behaviors = {
+        comp[c]: LocalBehavior(
+            tuple(state[c][s] for s in b.states),
+            frozenset(
+                (state[c][src], port[c][p], state[c][dst])
+                for src, p, dst in b.transitions
+            ),
+            state[c][b.initial],
+        )
+        for c, b in system.behaviors.items()
+    }
+    interactions = tuple(
+        Interaction(
+            name[a.name],
+            tuple(PortId(comp[p.component], port[p.component][p.port]) for p in a.ports),
+        )
+        for a in model.interactions
+    )
+    renamed = InteractionSystem(
+        InteractionModel(
+            tuple(comp[c] for c in order),
+            {comp[c]: tuple(port[c][p] for p in model.ports[c]) for c in order},
+            interactions,
+        ),
+        behaviors,
+    )
+    return system, renamed, comp, state
+
+
+# arbitrary names, "" and dotted ones included: about 40% of the draws are
+# valid, the rest name a component or port that no document can write
+@settings(max_examples=150, deadline=None, database=None)
+@given(renamed_systems(st.text(max_size=3)))
+def test_every_valid_system_round_trips(case):
+    _, system, _, _ = case
+    rules = {f.rule for f in validate_system(system).findings}
+    if rules:
+        assert rules <= {"empty-name", "dotted-component-name"}
+        return
+    star = starify(system)
+    assert validate_system(star).ok
+    for s in (system, star):
+        assert parse_system(serialize_system(s)) == canonicalize_system(s)
+
+
+fresh_names = st.text("abxy_0", min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(renamed_systems(fresh_names), st.data())
+def test_answers_survive_renaming_and_reordering(case, data):
+    system, renamed, comp, state = case
+    assert validate_system(renamed).ok
+    order = renamed.model.components
+    position = {c: k for k, c in enumerate(system.model.components)}
+    back = {new: old for old, new in comp.items()}
+
+    def moved(q):
+        return tuple(state[back[c]][q[position[back[c]]]] for c in order)
+
+    base, other = explore(system), explore(renamed)
+    assert {moved(q) for q in base.states} == other.states
+    assert (other.transitions, other.complete) == (base.transitions, base.complete)
+
+    components = system.model.components
+    picked = data.draw(st.lists(st.sampled_from(components), min_size=1, unique=True))
+    target = {c: data.draw(st.sampled_from(system.behaviors[c].states)) for c in picked}
+    found = is_reachable(system, [StatePredicate.of(target)])
+    again = is_reachable(
+        renamed, [StatePredicate.of({comp[c]: state[c][s] for c, s in target.items()})]
+    )
+    assert again.reachable == found.reachable
+    assert len(again.trace or []) == len(found.trace or [])
 
 
 @st.composite
@@ -113,6 +220,19 @@ def test_every_run_ends_and_theorem1_agrees(case):
     else:
         assert run.steps == distinct - 1
     assert check_theorem1(machine, word).agree
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(machines_and_words())
+def test_machine_documents_round_trip(case):
+    machine, _ = case
+    assert parse_dtm(serialize_dtm(machine)) == canonicalize_dtm(machine)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=4)))
+def test_predicate_documents_round_trip(predicates):
+    assert parse_predicates(serialize_predicates(predicates)) == predicates
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -197,6 +317,9 @@ def test_cli_answers_or_refuses_bad_documents(text):
             ("classify", path),
             ("reach", path, "--target", "s1=waiting", "--max-states", 1000),
             ("reach", system, "--target", path),
+            ("tm-run", path, "--input", ""),
+            ("check-thm1", path, "--input", ""),
+            ("check-thm2", path),
         ):
             code, err = _cli(*argv)
             assert code in (0, 2), (argv, err)
