@@ -106,8 +106,12 @@ def _cmd_reach(args: argparse.Namespace) -> int:
         raw = _parse_inline_target(args.target)
     else:
         raw = parse_predicates(_read(args.target))
-    # is_reachable rejects unknown names and an empty list before it searches
-    predicates = [StatePredicate.of(constraints) for constraints in raw]
+    # "*" means any state in predicate text only; validation bars it as a
+    # state name.  is_reachable rejects unknown names and an empty list.
+    predicates = [
+        StatePredicate.of({c: s for c, s in constraints.items() if s != "*"})
+        for constraints in raw
+    ]
     result = is_reachable(system, predicates, max_states=args.max_states)
     _emit(
         args.output,

@@ -21,6 +21,8 @@ Machine document:
 
 Predicate document:
     {"version": 1, "predicates": [{"<component>": "<state>"|"*", ...}, ...]}
+    "*" means any state here and in an inline target only; validation
+    reports a state named "*" as `wildcard-state`.
 """
 
 from __future__ import annotations

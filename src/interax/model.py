@@ -14,7 +14,7 @@ can be inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -34,26 +34,15 @@ class PortId(NamedTuple):
 
 @dataclass(frozen=True)
 class Interaction:
-    """A named, nonempty set of ports with at most one port per component.
-
-    Ports are kept in canonical order (ascending component position in the
-    owning model); `canonicalize` restores that order if needed.
-    """
+    """A named set of ports, listed in any order.  Validation requires it
+    nonempty with at most one port per component; `canonicalize` sorts the
+    ports by component and port name."""
 
     name: str
     ports: tuple[PortId, ...]
 
     def port_set(self) -> frozenset[PortId]:
         return frozenset(self.ports)
-
-    def components(self) -> tuple[str, ...]:
-        return tuple(p.component for p in self.ports)
-
-    def port_of(self, component: str) -> str | None:
-        for p in self.ports:
-            if p.component == component:
-                return p.port
-        return None
 
 
 @dataclass(frozen=True)
@@ -225,6 +214,9 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
 
         for s in repeated(b.states):
             report.add("duplicate-state", f"component {c} declares state {s} twice")
+        if "*" in b.states:
+            # predicate text reads "*" as any state, so no target can name it
+            report.add("wildcard-state", f"component {c} declares the state name *")
 
         ports = set(im.ports.get(c, ()))
         states = set(b.states)
@@ -256,37 +248,23 @@ def enabled_ports(behavior: LocalBehavior, state: str) -> frozenset[str]:
 
 
 def canonicalize(im: InteractionModel) -> InteractionModel:
-    """Sort components, port families, and interaction port lists; drop
-    duplicate interactions (same port set).  Semantics are unchanged."""
+    """Sort components, port families, interactions (by name, then ports)
+    and each interaction's ports.  Nothing is merged or dropped, so an
+    invalid model keeps every finding."""
     components = tuple(sorted(im.components))
-    order = {c: k for k, c in enumerate(components)}
-    ports = {c: tuple(sorted(set(im.ports.get(c, ())))) for c in components}
-
-    canonical: list[Interaction] = []
-    seen: set[frozenset[PortId]] = set()
-    for a in im.interactions:
-        key = a.port_set()
-        if key in seen:
-            continue
-        seen.add(key)
-        sorted_ports = tuple(
-            sorted(set(a.ports), key=lambda p: (order.get(p.component, len(order)), p.port))
-        )
-        canonical.append(Interaction(a.name, sorted_ports))
-    canonical.sort(key=lambda a: a.name)
-
-    return InteractionModel(components, ports, tuple(canonical))
+    ports = {c: tuple(sorted(im.ports.get(c, ()))) for c in components}
+    interactions = sorted(
+        (Interaction(a.name, tuple(sorted(a.ports))) for a in im.interactions),
+        key=lambda a: (a.name, a.ports),
+    )
+    return InteractionModel(components, ports, tuple(interactions))
 
 
 def canonicalize_system(sys: InteractionSystem) -> InteractionSystem:
     """Canonical model plus behaviors with sorted state lists."""
     model = canonicalize(sys.model)
-    behaviors = {}
-    for c in model.components:
-        b = sys.behaviors[c]
-        behaviors[c] = LocalBehavior(
-            states=tuple(sorted(set(b.states))),
-            transitions=frozenset(b.transitions),
-            initial=b.initial,
-        )
+    behaviors = {
+        c: replace(sys.behaviors[c], states=tuple(sorted(sys.behaviors[c].states)))
+        for c in model.components
+    }
     return InteractionSystem(model, behaviors)

@@ -61,11 +61,6 @@ def _nok(port: object) -> str:
     return f"nok:{port}"
 
 
-def _ordered_ports(model: InteractionModel, a: Interaction) -> list[PortId]:
-    order = {c: k for k, c in enumerate(model.components)}
-    return sorted(a.ports, key=lambda p: order.get(p.component, len(order)))
-
-
 def starify(sys: InteractionSystem) -> InteractionSystem:
     """Build the hub-and-spokes equivalent of `sys`.
 
@@ -125,10 +120,11 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
 
     states = [IDLE]
     hub_transitions: set[tuple[str, str, str]] = set()
+    order = {c: k for k, c in enumerate(model.components)}
     for a in model.interactions:
         start = f"start:{a.name}"
         interactions.append(Interaction(start, (PortId(hub, start),)))
-        walk = _ordered_ports(model, a)
+        walk = sorted(a.ports, key=lambda p: order[p.component])
         k = len(walk)
         chk = [f"chk:{a.name}:{m}" for m in range(1, k + 1)]
         fire = [f"fire:{a.name}:{m}" for m in range(1, k + 1)]

@@ -26,15 +26,14 @@ DEFAULT_MAX_STATES = 1_000_000
 @dataclass(frozen=True)
 class StatePredicate:
     """Exact-state constraints per component; unlisted components match any
-    state.  Build with `StatePredicate.of({"S": "busy", "c1": "*"})`; a "*"
-    value is the explicit wildcard."""
+    state.  Build with `StatePredicate.of({"S": "busy"})`; every value is a
+    state name, "*" included."""
 
     constraints: tuple[tuple[str, str], ...]
 
     @classmethod
     def of(cls, constraints: Mapping[str, str]) -> "StatePredicate":
-        exact = {c: s for c, s in dict(constraints).items() if s != "*"}
-        return cls(tuple(sorted(exact.items())))
+        return cls(tuple(sorted(constraints.items())))
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.constraints)
@@ -292,7 +291,9 @@ def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableS
 def resolve_predicate(
     sys: InteractionSystem, constraints: Mapping[str, str]
 ) -> StatePredicate:
-    """Build a predicate against a system, rejecting unknown names."""
+    """Build a predicate against a system, rejecting unknown names.  It
+    stays because the benchmark's ring-reach job calls it; ROADMAP item 1
+    removes that caller."""
     pred = StatePredicate.of(constraints)
     compile_system(sys).resolve(pred)
     return pred

@@ -9,7 +9,7 @@ outcome instead of growing the tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
@@ -179,14 +179,12 @@ def run_tm(machine: DTM, word: str, max_steps: int | None = None) -> RunResult:
 
 
 def canonicalize_dtm(machine: DTM) -> DTM:
-    """Sorted alphabets and state list; the rule table is order-free."""
-    return DTM(
-        tape_alphabet=tuple(sorted(set(machine.tape_alphabet))),
-        input_alphabet=tuple(sorted(set(machine.input_alphabet))),
-        blank=machine.blank,
-        states=tuple(sorted(set(machine.states))),
-        initial=machine.initial,
-        accept=machine.accept,
-        reject=machine.reject,
+    """Sorted alphabets and state list; the rule table is order-free.
+    Nothing is dropped, so an invalid machine keeps every finding."""
+    return replace(
+        machine,
+        tape_alphabet=tuple(sorted(machine.tape_alphabet)),
+        input_alphabet=tuple(sorted(machine.input_alphabet)),
+        states=tuple(sorted(machine.states)),
         delta=dict(machine.delta),
     )

@@ -126,7 +126,7 @@ def test_criterion_4_linear_reduction_size_formulas():
             position = {c: i for i, c in enumerate(cells)}
             per_pair = [0] * (len(cells) - 1)
             for a in sys_m.model.interactions:
-                spots = sorted(position[c] for c in a.components())
+                spots = sorted(position[p.component] for p in a.ports)
                 if len(spots) != 2 or spots[1] != spots[0] + 1:
                     failures.append(
                         f"{a.name} spans cells {spots}, not one neighbour pair, on {word!r}"

@@ -178,6 +178,30 @@ class TestReach:
         assert code == 0
         assert doc["reachable"] is True
 
+    def test_state_named_star_is_refused(self, tmp_path, capsys):
+        # "*" in a target means any state, so no target can name this one
+        path = tmp_path / "star.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "components": [
+                        {
+                            "name": "c",
+                            "ports": ["p"],
+                            "states": ["*", "q"],
+                            "initial": "q",
+                            "transitions": [{"from": "q", "port": "p", "to": "q"}],
+                        }
+                    ],
+                    "interactions": [{"ports": ["c.p"]}],
+                }
+            )
+        )
+        code, doc, err = run(capsys, "reach", path, "--target", "c=*")
+        assert (code, doc) == (2, None)
+        assert "wildcard-state" in err
+
     def test_unreachable_answer_is_exit_zero(self, files, capsys):
         code, doc, err = run(
             capsys, "reach", files["cs1"], "--target", "S=free,c1=connected"

@@ -3,16 +3,23 @@ and a seeded mutation fuzz asserting no invalid document slips through."""
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from interax import (
+    Interaction,
+    InteractionModel,
+    InteractionSystem,
+    LocalBehavior,
     ModelError,
     ParseError,
+    PortId,
     canonicalize_system,
     compile_lsa,
     extend_halt_propagation,
     starify,
+    validate_dtm,
     validate_system,
 )
 from interax.fixtures import client_server, even_a, first_last, pipeline
@@ -72,11 +79,43 @@ class TestSystemRoundTrip:
         again = parse_system(serialize_system(sys))
         assert validate_system(again).ok
 
+    def test_invalid_system_keeps_its_findings(self):
+        ports = (PortId("c", "x"), PortId("d", "y"))
+        sys = InteractionSystem(
+            InteractionModel(
+                ("c", "d"),
+                {"c": ("x", "x"), "d": ("y",)},
+                (Interaction("a", ports), Interaction("b", ports[::-1])),
+            ),
+            {
+                "c": LocalBehavior(("p", "q", "p"), frozenset({("p", "x", "q")}), "p"),
+                "d": LocalBehavior(("r",), frozenset({("r", "y", "r")}), "r"),
+            },
+        )
+        rules = sorted(f.rule for f in validate_system(sys).findings)
+        assert rules == ["duplicate-interaction", "duplicate-port", "duplicate-state"]
+        again = parse_system(serialize_system(sys), validate=False)
+        assert sorted(f.rule for f in validate_system(again).findings) == rules
+
 
 class TestDtmRoundTrip:
     def test_parse_of_serialize_is_canonicalize(self):
         for machine in (even_a(), first_last()):
             assert parse_dtm(serialize_dtm(machine)) == canonicalize_dtm(machine)
+
+    def test_invalid_machine_keeps_its_findings(self):
+        machine = even_a()
+        broken = replace(
+            machine,
+            tape_alphabet=machine.tape_alphabet * 2,
+            states=(*machine.states, machine.initial),
+        )
+        rules = sorted(f.rule for f in validate_dtm(broken).findings)
+        assert set(rules) == {"duplicate-symbol", "duplicate-state"}
+        with pytest.raises(ModelError) as caught:
+            parse_dtm(serialize_dtm(broken))
+        details = str(caught.value).removeprefix("invalid machine: ").split("; ")
+        assert sorted(d.split(":")[0] for d in details) == rules
 
     def test_serialize_deterministic(self):
         assert serialize_dtm(even_a()) == serialize_dtm(even_a())

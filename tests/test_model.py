@@ -330,18 +330,21 @@ class TestEnabledPorts:
 
 
 class TestCanonicalize:
-    def test_order_variant_interactions_merge(self):
+    def test_order_variant_interactions_both_survive(self):
+        # canonicalize only sorts: the repeated port set stays a finding
         im = InteractionModel(
             ("c", "d"),
             {"c": ("x",), "d": ("y",)},
             (
-                Interaction("a", (PortId("c", "x"), PortId("d", "y"))),
                 Interaction("b", (PortId("d", "y"), PortId("c", "x"))),
+                Interaction("a", (PortId("c", "x"), PortId("d", "y"))),
             ),
         )
-        canon = canonicalize(im)
-        assert len(canon.interactions) == 1
-        assert canon.interactions[0].ports == (PortId("c", "x"), PortId("d", "y"))
+        ports = (PortId("c", "x"), PortId("d", "y"))
+        assert canonicalize(im).interactions == (
+            Interaction("a", ports),
+            Interaction("b", ports),
+        )
 
     def test_idempotent(self):
         for im in (client_server(3).model, pipeline(4).model):

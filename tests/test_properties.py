@@ -73,8 +73,9 @@ random_systems = st.builds(GenParams, st.integers(0, 2**32 - 1), *[bound] * 5).m
 @st.composite
 def renamed_systems(draw, names):
     """A random system and a copy with its components, ports, states and
-    interactions renamed one-to-one to `names` draws and its components
-    reordered.  Returns (system, copy, component map, state maps)."""
+    interactions renamed one-to-one to `names` draws and its components and
+    interactions reordered.  Returns (system, copy, component map, state
+    maps)."""
     system = draw(random_systems)
     model = system.model
 
@@ -103,7 +104,7 @@ def renamed_systems(draw, names):
             name[a.name],
             tuple(PortId(comp[p.component], port[p.component][p.port]) for p in a.ports),
         )
-        for a in model.interactions
+        for a in draw(st.permutations(model.interactions))
     )
     renamed = InteractionSystem(
         InteractionModel(
@@ -116,15 +117,24 @@ def renamed_systems(draw, names):
     return system, renamed, comp, state
 
 
+# a state that predicate text cannot name, as "*" reads as any state there
+STAR_STATE = InteractionSystem(
+    InteractionModel(("c",), {"c": ("p",)}, (Interaction("a", (PortId("c", "p"),)),)),
+    {"c": LocalBehavior(("*", "q"), frozenset({("q", "p", "q")}), "q")},
+)
+
+
 # arbitrary names, "" and dotted ones included: about 40% of the draws are
-# valid, the rest name a component or port that no document can write
+# valid, the rest name a component or port that no document can write, or
+# a state that no target can name
+@example((None, STAR_STATE, None, None))
 @settings(max_examples=150, deadline=None, database=None)
 @given(renamed_systems(st.text(max_size=3)))
 def test_every_valid_system_round_trips(case):
     _, system, _, _ = case
     rules = {f.rule for f in validate_system(system).findings}
     if rules:
-        assert rules <= {"empty-name", "dotted-component-name"}
+        assert rules <= {"empty-name", "dotted-component-name", "wildcard-state"}
         return
     star = starify(system)
     assert validate_system(star).ok

@@ -277,7 +277,7 @@ class TestTopologyOfResult:
         assert sys.model.ports["k1"] == ()
         star = starify(sys)
         assert star.model.ports["k1"] == ("ok:link",)
-        link = [a for a in star.model.interactions if "k1" in a.components()]
+        link = [a for a in star.model.interactions if "k1" in dict(a.ports)]
         assert link == [
             Interaction(
                 "ok:k1.link", (PortId("k1", "ok:link"), PortId("cc", "ok:k1.link"))

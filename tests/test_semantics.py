@@ -189,7 +189,7 @@ class TestExplore:
                 for name, q2 in successors(sys, q):
                     a = by_name[name]
                     for i, c in enumerate(comps):
-                        port = a.port_of(c)
+                        port = dict(a.ports).get(c)
                         if port is None:
                             assert q[i] == q2[i]
                         else:
@@ -283,9 +283,13 @@ class TestIsReachable:
         with pytest.raises(ModelError, match="no such state: 'gone' in component c1"):
             satisfies(sys, pred, ("busy", "gone"))
 
-    def test_wildcard_star_is_dropped(self):
+    def test_star_is_a_state_name(self):
+        # "*" means any state only in predicate text, never in a predicate
+        sys = client_server(1)
         pred = StatePredicate.of({"S": "busy", "c1": "*"})
-        assert pred.as_dict() == {"S": "busy"}
+        assert pred.as_dict() == {"S": "busy", "c1": "*"}
+        with pytest.raises(ModelError, match="unknown state '\\*' of component c1"):
+            is_reachable(sys, pred)
 
     def test_bound_below_one_rejected(self):
         sys = pipeline(3)
