@@ -19,7 +19,6 @@ from .model import (
     canonicalize,
     canonicalize_system,
     enabled_ports,
-    interaction,
     validate_model,
     validate_system,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "gen_random_system",
     "gstate_to_config",
     "initial_config",
-    "interaction",
     "interaction_graph",
     "is_reachable",
     "lift_state",

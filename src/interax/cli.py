@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -186,14 +187,7 @@ def _cmd_check_thm2(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_random(args: argparse.Namespace) -> int:
-    params = GenParams(
-        seed=args.seed,
-        max_components=args.max_components,
-        max_states=args.max_states,
-        max_ports=args.max_ports,
-        max_interactions=args.max_interactions,
-        max_interaction_size=args.max_interaction_size,
-    )
+    params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams)})
     system = gen_random_system(params)
     _write(serialize_system(system), args.output)
     model = system.model
@@ -293,11 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-random", help="generate a seeded random system")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-components", type=int, default=4)
-    p.add_argument("--max-states", type=int, default=3)
-    p.add_argument("--max-ports", type=int, default=4)
-    p.add_argument("--max-interactions", type=int, default=6)
-    p.add_argument("--max-interaction-size", type=int, default=3)
+    for f in fields(GenParams)[1:]:
+        # the bounds after `seed`; GenParams states their defaults
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     with_output(p)
     p.set_defaults(func=_cmd_gen_random)
 

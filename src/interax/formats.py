@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError
+from .errors import ModelError, ParseError
 from .model import (
     Interaction,
     InteractionModel,
@@ -178,8 +178,16 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
 
 
 def serialize_system(sys: InteractionSystem) -> str:
-    """Canonical, byte-stable system document."""
+    """Canonical, byte-stable system document.  A document states each
+    component's behavior with the component, so a component without a
+    behavior, or a behavior without a component, cannot be written."""
     canonical = canonicalize_system(sys)
+    for c in canonical.model.components:
+        if c not in canonical.behaviors:
+            raise ModelError(f"cannot serialize: component {c} has no behavior")
+    for c in canonical.behaviors:
+        if c not in canonical.model.components:
+            raise ModelError(f"cannot serialize: component {c} is not in the model")
     doc = {
         "components": [
             {

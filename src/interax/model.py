@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import ModelError
 from .validation import ValidationReport, repeated
@@ -103,11 +103,6 @@ class InteractionSystem:
     def initial_state(self) -> tuple[str, ...]:
         """The global initial state, one local initial per component."""
         return tuple(self.behaviors[c].initial for c in self.model.components)
-
-
-def interaction(name: str, ports: Iterable[tuple[str, str]]) -> Interaction:
-    """Convenience constructor accepting (component, port) pairs."""
-    return Interaction(name, tuple(PortId(c, p) for c, p in ports))
 
 
 def validate_model(im: InteractionModel) -> ValidationReport:
@@ -261,10 +256,10 @@ def canonicalize(im: InteractionModel) -> InteractionModel:
 
 
 def canonicalize_system(sys: InteractionSystem) -> InteractionSystem:
-    """Canonical model plus behaviors with sorted state lists."""
-    model = canonicalize(sys.model)
+    """Canonical model plus behaviors with sorted state lists, sorted by
+    component.  Every behavior given is kept, also one the model lacks."""
     behaviors = {
-        c: replace(sys.behaviors[c], states=tuple(sorted(sys.behaviors[c].states)))
-        for c in model.components
+        c: replace(b, states=tuple(sorted(b.states)))
+        for c, b in sorted(sys.behaviors.items())
     }
-    return InteractionSystem(model, behaviors)
+    return InteractionSystem(canonicalize(sys.model), behaviors)

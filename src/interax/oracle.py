@@ -1,12 +1,11 @@
-"""Independent truth sources: brute-force reachability over the enumerated
-product, seeded random system generation, and the two end-to-end equivalence
-checkers.
+"""Independent truth sources: brute-force reachability by sweeping the
+global transition relation, seeded random system generation, and the two
+end-to-end equivalence checkers.
 
 The brute-force fixpoint shares no machinery with `semantics.explore`: it
-materializes the full product space up front, recomputes interaction
-enabledness per state straight from the definitions, and sweeps until no new
-state appears.  A frontier or hashing bug in the engine therefore cannot
-hide here.
+recomputes interaction enabledness per state straight from the definitions
+and sweeps the whole reachable set until no new state appears.  A frontier
+or hashing bug in the engine therefore cannot hide here.
 """
 
 from __future__ import annotations
@@ -59,20 +58,32 @@ class Verdict:
 
 
 def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
-    """Least fixpoint of the global transition relation over the complete
-    enumerated product (guarded at 10,000 product states)."""
+    """Least fixpoint of the global transition relation, guarded at 10,000
+    product states.  Every local initial state and transition target is
+    checked against its component's states up front, so every state the
+    sweep reaches lies in the product; an invalid system is refused even
+    when its bad transition never fires."""
     components = sys.model.components
     behaviors = [sys.behaviors[c] for c in components]
-    product_size = math.prod(len(set(b.states)) for b in behaviors)
+    state_sets = [set(b.states) for b in behaviors]
+    product_size = math.prod(len(states) for states in state_sets)
     if product_size > BRUTE_FORCE_LIMIT:
         raise ModelError(
             f"product too large for brute force: {product_size} > {BRUTE_FORCE_LIMIT}"
         )
 
     local: list[dict[tuple[str, str], list[str]]] = []
-    for b in behaviors:
+    for c, b, states in zip(components, behaviors, state_sets):
+        if b.initial not in states:
+            raise ModelError(
+                f"initial state of {c} outside its states (invalid system)"
+            )
         table: dict[tuple[str, str], list[str]] = {}
         for src, port, dst in b.transitions:
+            if dst not in states:
+                raise ModelError(
+                    f"transition target of {c} outside its states (invalid system)"
+                )
             table.setdefault((src, port), []).append(dst)
         local.append({k: sorted(set(v)) for k, v in table.items()})
 
@@ -81,11 +92,7 @@ def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
         [(order[p.component], p.port) for p in a.ports] for a in sys.model.interactions
     ]
 
-    product = set(itertools.product(*[tuple(set(b.states)) for b in behaviors]))
     initial = tuple(b.initial for b in behaviors)
-    if initial not in product:
-        raise ModelError("initial state outside the product (invalid system)")
-
     reachable = {initial}
     changed = True
     while changed:
@@ -107,10 +114,6 @@ def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
                         succ[ci] = target
                     succ_t = tuple(succ)
                     if succ_t not in reachable:
-                        if succ_t not in product:
-                            raise ModelError(
-                                "successor outside the product (invalid system)"
-                            )
                         reachable.add(succ_t)
                         changed = True
     return reachable
@@ -205,30 +208,33 @@ def _lockstep_check(
 
 def check_theorem1(machine: DTM, word: str) -> Verdict:
     """Machine acceptance of the word versus reachability of the accept
-    predicate in the compiled line system, plus the lockstep replay."""
+    predicate in the compiled line system, plus the lockstep replay.  A
+    search cut off by its state bound says so in `details`."""
     run = run_tm(machine, word)
     sys_m = compile_lsa(machine, word)
     reach = is_reachable(sys_m, accept_predicate(machine, word))
     lock_ok, lock_msg = _lockstep_check(machine, word, sys_m, run.steps)
     tm_accepts = run.outcome is Outcome.ACCEPT
     agree = (tm_accepts == reach.reachable) and lock_ok
-    details = (
-        f"tm={run.outcome.value} in {run.steps} steps; "
-        f"reachable={reach.reachable}; {lock_msg}"
-    )
+    reachable = f"reachable={reach.reachable}"
+    if not reach.complete:
+        reachable += f" (search stopped at {reach.states_explored} states)"
+    details = f"tm={run.outcome.value} in {run.steps} steps; {reachable}; {lock_msg}"
     return Verdict(agree, details)
 
 
 def check_theorem2(sys: InteractionSystem) -> Verdict:
     """Brute-force reachable set of the system versus the hub-idle projection
     of the brute-force reachable set of its starification.  `starify` runs
-    first: it validates the system."""
+    first: it validates the system, so every lifted state has the source
+    system's components plus the hub, and `project_state` checks no more
+    than that length."""
     transformed = starify(sys)
     base = brute_force_reachable(sys)
     lifted = brute_force_reachable(transformed)
     projected = set()
     for q in lifted:
-        p = project_state(transformed, q)
+        p = project_state(sys, q)
         if p is not None:
             projected.add(p)
     agree = projected == base

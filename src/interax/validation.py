@@ -6,6 +6,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
+from .errors import ModelError
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -32,8 +34,6 @@ class ValidationReport:
     def raise_if_failed(self, what: str = "value") -> None:
         """Raise ModelError when any finding was recorded."""
         if self.findings:
-            from .errors import ModelError
-
             details = "; ".join(str(f) for f in self.findings)
             raise ModelError(f"invalid {what}: {details}")
 

@@ -101,6 +101,9 @@ def test_check_theorem2_calls_through_module_globals(monkeypatch):
     brute = spy(monkeypatch, oracle, "brute_force_reachable")
     project = spy(monkeypatch, oracle, "project_state")
     validate = spy(monkeypatch, reduce_star, "validate_system")
-    verdict = oracle.check_theorem2(pipeline(3))
+    system = pipeline(3)
+    verdict = oracle.check_theorem2(system)
     assert verdict.details == "|reach|=4 |reach'|=34 |projected|=4"
     assert (len(starify), len(brute), len(project), len(validate)) == (1, 2, 34, 1)
+    # every projection takes the source system, as `lift_state` does
+    assert all(args[0] is system for args in project)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from interax import formats, reduce_star, semantics
+from interax import GenParams, formats, gen_random_system, reduce_star, semantics
 from interax.cli import run_cli
 from interax.fixtures import client_server, even_a, pipeline
 from interax.formats import parse_system, serialize_dtm, serialize_system
@@ -382,6 +382,8 @@ class TestTransformsAndCheckers:
         assert run_cli(["gen-random", "--seed", "7", "-o", str(a)]) == 0
         assert run_cli(["gen-random", "--seed", "7", "-o", str(b)]) == 0
         assert a.read_text() == b.read_text()
+        # GenParams states the defaults the command uses
+        assert a.read_text() == serialize_system(gen_random_system(GenParams(seed=7)))
         code, doc, _ = run(capsys, "validate", a)
         assert code == 0 and doc["findings"] == []
 

@@ -96,6 +96,25 @@ class TestSystemRoundTrip:
         assert rules == ["duplicate-interaction", "duplicate-port", "duplicate-state"]
         again = parse_system(serialize_system(sys), validate=False)
         assert sorted(f.rule for f in validate_system(again).findings) == rules
+        # a behavior-component mismatch survives canonicalization, but a
+        # document states each behavior with its component, so none is written
+        base = client_server(1)
+        for behaviors, message in (
+            (
+                {c: b for c, b in base.behaviors.items() if c != "c1"},
+                "component c1 has no behavior",
+            ),
+            (
+                {**base.behaviors, "zz": base.behaviors["c1"]},
+                "component zz is not in the model",
+            ),
+        ):
+            broken = InteractionSystem(base.model, behaviors)
+            for checked in (broken, canonicalize_system(broken)):
+                rules = [f.rule for f in validate_system(checked).findings]
+                assert rules == ["behavior-component-mismatch"], message
+            with pytest.raises(ModelError, match=message):
+                serialize_system(broken)
 
 
 class TestDtmRoundTrip:

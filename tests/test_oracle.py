@@ -18,6 +18,7 @@ from interax import (
     gen_random_system,
     validate_system,
 )
+from interax import semantics
 from interax.fixtures import client_server, even_a, first_last, pipeline
 from interax.oracle import _lockstep_check
 
@@ -43,6 +44,29 @@ class TestBruteForce:
         # 2 * 4^6 * 2 = 16384 product states exceed the guard
         with pytest.raises(ModelError, match="product too large"):
             brute_force_reachable(pipeline(8))
+
+    def test_undeclared_transition_target_refused(self):
+        # the bad transition never fires: q1 is unreachable
+        b = LocalBehavior(
+            ("q0", "q1"),
+            frozenset({("q0", "p", "q0"), ("q1", "p", "gone")}),
+            "q0",
+        )
+        model = InteractionModel(
+            ("k",), {"k": ("p",)}, (Interaction("a", (PortId("k", "p"),)),)
+        )
+        sys = InteractionSystem(model, {"k": b})
+        with pytest.raises(ModelError, match="transition target of k outside"):
+            brute_force_reachable(sys)
+
+    def test_undeclared_initial_state_refused(self):
+        b = LocalBehavior(("q0",), frozenset({("q0", "p", "q0")}), "gone")
+        model = InteractionModel(
+            ("k",), {"k": ("p",)}, (Interaction("a", (PortId("k", "p"),)),)
+        )
+        sys = InteractionSystem(model, {"k": b})
+        with pytest.raises(ModelError, match="initial state of k outside"):
+            brute_force_reachable(sys)
 
     def test_matches_engine_on_random_systems(self):
         for seed in range(60):
@@ -127,6 +151,15 @@ class TestCheckTheorem1:
         assert "tm=accept" in verdict.details
         assert "reachable=True" in verdict.details
         assert "lockstep" in verdict.details
+
+    def test_details_state_the_search_bound(self, monkeypatch):
+        monkeypatch.setattr(semantics, "DEFAULT_MAX_STATES", 5)
+        verdict = check_theorem1(even_a(), "a" * 10)
+        assert not verdict.agree
+        assert verdict.details == (
+            "tm=accept in 11 steps; reachable=False (search stopped at 5 states); "
+            "lockstep held for 11 steps"
+        )
 
 
 def _retarget_arrival(extra):

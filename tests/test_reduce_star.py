@@ -220,38 +220,36 @@ class TestLiftProject:
             lift_state(sys, ("free", "gone"))
 
     def test_project_inverts_lift(self):
-        sys = pipeline(3)
-        star = starify(sys)
-        q = sys.initial_state()
-        assert project_state(star, lift_state(sys, q)) == q
+        randoms = [gen_random_system(GenParams(seed=seed)) for seed in range(10)]
+        for sys in (client_server(2), pipeline(3), *randoms):
+            for q in brute_force_reachable(sys):
+                assert project_state(sys, lift_state(sys, q)) == q
 
     def test_mid_protocol_state_not_projectable(self):
         sys = client_server(1)
         star = starify(sys)
         q = step(star, star.initial_state(), "start:connect_S_c1")
-        assert project_state(star, q) is None
+        assert project_state(sys, q) is None
 
     def test_projection_of_reachable_equals_base_reachable(self):
         sys = client_server(1)
         star = starify(sys)
         projected = set()
         for q in brute_force_reachable(star):
-            p = project_state(star, q)
+            p = project_state(sys, q)
             if p is not None:
                 projected.add(p)
         assert projected == brute_force_reachable(sys)
 
-    def test_project_rejects_non_starified(self):
+    def test_project_checks_length_against_source(self):
         sys = client_server(1)
-        with pytest.raises(ModelError, match="not a starified system"):
-            project_state(sys, sys.initial_state())
-        # a last component shaped like the hub but starting outside idle
         star = starify(sys)
-        hub = star.behaviors["cc"]
-        busy = LocalBehavior(hub.states, hub.transitions, hub.states[1])
-        moved = InteractionSystem(star.model, {**star.behaviors, "cc": busy})
-        with pytest.raises(ModelError, match="not a starified system"):
-            project_state(moved, star.initial_state())
+        # a state of the source itself lacks the hub coordinate
+        with pytest.raises(ModelError, match="global state has 2 entries, expected 3"):
+            project_state(sys, sys.initial_state())
+        # the starified system passed as the source expects one more
+        with pytest.raises(ModelError, match="global state has 3 entries, expected 4"):
+            project_state(star, star.initial_state())
 
 
 class TestTopologyOfResult:
@@ -288,7 +286,7 @@ class TestTopologyOfResult:
             "ok:k1.link" not in enabled_interactions(star, q)
             for q in brute_force_reachable(star)
         )
-        assert project_state(star, star.initial_state()) == sys.initial_state()
+        assert project_state(sys, star.initial_state()) == sys.initial_state()
         verdict = check_theorem2(sys)
         assert verdict.agree
         assert verdict.details == "|reach|=1 |reach'|=7 |projected|=1"
