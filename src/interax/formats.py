@@ -179,8 +179,9 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
 
 def serialize_system(sys: InteractionSystem) -> str:
     """Canonical, byte-stable system document.  A document states each
-    component's behavior with the component, so a component without a
-    behavior, or a behavior without a component, cannot be written."""
+    component's behavior and port family with the component, so a component
+    without a behavior, or a behavior or port family without a component,
+    cannot be written."""
     canonical = canonicalize_system(sys)
     for c in canonical.model.components:
         if c not in canonical.behaviors:
@@ -188,6 +189,11 @@ def serialize_system(sys: InteractionSystem) -> str:
     for c in canonical.behaviors:
         if c not in canonical.model.components:
             raise ModelError(f"cannot serialize: component {c} is not in the model")
+    for c in canonical.model.ports:
+        if c not in canonical.model.components:
+            raise ModelError(
+                f"cannot serialize: port family for component {c} is not in the model"
+            )
     doc = {
         "components": [
             {

@@ -247,7 +247,9 @@ def canonicalize(im: InteractionModel) -> InteractionModel:
     and each interaction's ports.  Nothing is merged or dropped, so an
     invalid model keeps every finding."""
     components = tuple(sorted(im.components))
-    ports = {c: tuple(sorted(im.ports.get(c, ()))) for c in components}
+    # a family for a component the model lacks is kept too
+    families = sorted({*components, *im.ports})
+    ports = {c: tuple(sorted(im.ports.get(c, ()))) for c in families}
     interactions = sorted(
         (Interaction(a.name, tuple(sorted(a.ports))) for a in im.interactions),
         key=lambda a: (a.name, a.ports),

@@ -11,7 +11,6 @@ order comes from generation itself, never from sorting afterwards.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -19,6 +18,8 @@ from .errors import ModelError
 from .model import InteractionSystem, validate_system
 
 GlobalState = tuple[str, ...]
+# an interaction's (component index, table) participants; see `Engine`
+Parts = tuple[tuple[int, list[tuple[int, ...]]], ...]
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -69,6 +70,17 @@ class Engine:
     `pack`, `unpack` and `resolve` are the only translation between the
     system's component and state names and the engine's indices.
 
+    Rule tables: each interaction, in name order, is a rule `(name, parts)`
+    whose parts are `(component index, table)` pairs in component order;
+    `table[s]` is the ascending tuple of target indices the participant's
+    port leads to from local state `s`, empty when `s` disables the port.
+    Enabledness mask: rule `k` owns bit `k`, and each component with a
+    local state that disables some rule's port has a row of ints, where
+    `row[s]` has bit `k` set unless rule `k` needs a port that `s`
+    disables.  The AND of a state's rows is exactly its enabled set, and
+    walking its set bits from low to high visits the enabled rules in name
+    order, so the canonical order comes from generation, not sorting.
+
     Get one through `compile_system`, which builds it once per system object
     and hands the same engine to every later call; its tables are shared and
     never change after construction."""
@@ -82,22 +94,48 @@ class Engine:
         ]
         self.comp_index = {c: k for k, c in enumerate(model.components)}
 
-        # per component: (state index, port) -> ascending target indices
-        self.moves: list[dict[tuple[int, str], tuple[int, ...]]] = []
-        for ci, c in enumerate(model.components):
-            b = sys.behaviors[c]
-            index = self.state_index[ci]
-            table: dict[tuple[int, str], list[int]] = {}
-            for src, port, dst in b.transitions:
-                table.setdefault((index[src], port), []).append(index[dst])
-            self.moves.append({k: tuple(sorted(set(v))) for k, v in table.items()})
+        # name -> (component index, table) participants in component order;
+        # names are validated unique, so name order is a total order, and
+        # rule k owns bit k of the mask.  A port some interaction uses gets
+        # one table, shared by its rules and filled from the transitions.
+        tables: dict[tuple[int, str], list[tuple[int, ...]]] = {}
+        port_bits: dict[tuple[int, str], int] = {}
+        self.interactions: dict[str, Parts] = {}
+        for k, a in enumerate(sorted(model.interactions, key=lambda a: a.name)):
+            parts = []
+            ports = sorted((self.comp_index[p.component], p.port) for p in a.ports)
+            for key in ports:
+                if key not in tables:
+                    tables[key] = [()] * len(self.state_names[key[0]])
+                    port_bits[key] = 0
+                port_bits[key] |= 1 << k
+                parts.append((key[0], tables[key]))
+            self.interactions[a.name] = tuple(parts)
+        self.rules = list(self.interactions.items())
 
-        # name -> (component index, port) participants in component order;
-        # names are validated unique, so name order is a total order
-        self.interactions: dict[str, tuple[tuple[int, str], ...]] = {
-            a.name: tuple(sorted((self.comp_index[p.component], p.port) for p in a.ports))
-            for a in sorted(model.interactions, key=lambda a: a.name)
-        }
+        # rows[ci][s] starts with the bits of the rules component ci does not
+        # constrain and gains those of each port local state s enables
+        self.full = (1 << len(self.rules)) - 1
+        free = [self.full] * len(self.components)
+        for (ci, _), bits in port_bits.items():
+            free[ci] &= ~bits
+        rows = []
+        for ci, c in enumerate(model.components):
+            index = self.state_index[ci]
+            row = [free[ci]] * len(index)
+            for src, port, dst in sys.behaviors[c].transitions:
+                table = tables.get((ci, port))
+                if table is not None:
+                    s, t = index[src], index[dst]
+                    table[s] = tuple(sorted((*table[s], t))) if table[s] else (t,)
+                    row[s] |= port_bits[ci, port]
+            rows.append(row)
+        # a component whose rows are all ones never clears a bit: left out
+        self.rows = [
+            (ci, tuple(row))
+            for ci, row in enumerate(rows)
+            if row.count(self.full) < len(row)
+        ]
 
         self.initial = tuple(
             self.state_index[ci][sys.behaviors[c].initial]
@@ -138,32 +176,56 @@ class Engine:
             out.append((ci, si))
         return out
 
-    def parts(self, name: str) -> tuple[tuple[int, str], ...]:
-        """The (component index, port) participants of an interaction."""
+    def parts(self, name: str) -> Parts:
+        """The (component index, table) participants of an interaction."""
         parts = self.interactions.get(name)
         if parts is None:
             raise ModelError(f"no such interaction: {name!r}")
         return parts
 
-    def fire(
-        self, q: tuple[int, ...], parts: tuple[tuple[int, str], ...]
-    ) -> list[tuple[int, ...]]:
+    def fire(self, q: tuple[int, ...], parts: Parts) -> list[tuple[int, ...]]:
         """Every successor of q by the interaction with these participants,
         in canonical order (participants in component order, each one's
         targets ascending by state index); [] when some participant does not
         enable its port."""
-        choices = []
-        for ci, port in parts:
-            targets = self.moves[ci].get((q[ci], port))
-            if targets is None:
+        succ = list(q)
+        branching = False
+        for ci, table in parts:
+            targets = table[q[ci]]
+            if not targets:
                 return []
-            choices.append(targets)
+            if len(targets) > 1:
+                branching = True
+            succ[ci] = targets[0]
+        if not branching:
+            return [tuple(succ)]
+        # one copy per target of each branching participant, so the last
+        # participant's targets vary fastest
+        out = [succ]
+        for ci, table in parts:
+            targets = table[q[ci]]
+            if len(targets) > 1:
+                grown = []
+                for partial in out:
+                    for target in targets:
+                        copy = partial.copy()
+                        copy[ci] = target
+                        grown.append(copy)
+                out = grown
+        return [tuple(s) for s in out]
+
+    def enabled(self, q: tuple[int, ...]) -> list[tuple[str, Parts]]:
+        """The (name, parts) rules of the interactions enabled in q, in name
+        order: the set bits of the AND of q's mask rows, low to high."""
+        mask = self.full
+        for ci, row in self.rows:
+            mask &= row[q[ci]]
+        rules = self.rules
         out = []
-        for combo in itertools.product(*choices):
-            succ = list(q)
-            for (ci, _), target in zip(parts, combo):
-                succ[ci] = target
-            out.append(tuple(succ))
+        while mask:
+            low = mask & -mask
+            out.append(rules[low.bit_length() - 1])
+            mask ^= low
         return out
 
     def successors(self, q: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
@@ -171,7 +233,7 @@ class Engine:
         name, then as `fire` yields them."""
         return [
             (name, succ)
-            for name, parts in self.interactions.items()
+            for name, parts in self.enabled(q)
             for succ in self.fire(q, parts)
         ]
 
@@ -237,10 +299,7 @@ def compile_system(sys: InteractionSystem) -> Engine:
 def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:
     """Names of interactions whose every participant enables its port in q."""
     eng = compile_system(sys)
-    packed = eng.pack(q)
-    return frozenset(
-        name for name, parts in eng.interactions.items() if eng.fire(packed, parts)
-    )
+    return frozenset(name for name, _ in eng.enabled(eng.pack(q)))
 
 
 def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalState:
@@ -254,11 +313,7 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     parts = eng.parts(interaction)
     succs = eng.fire(packed, parts)
     if not succs:
-        blockers = [
-            eng.components[ci]
-            for ci, port in parts
-            if (packed[ci], port) not in eng.moves[ci]
-        ]
+        blockers = [eng.components[ci] for ci, table in parts if not table[packed[ci]]]
         raise ModelError(
             f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"
         )
@@ -323,10 +378,28 @@ def is_reachable(
     if not targets:
         raise ModelError("empty target disjunction")
     eng = compile_system(sys)
-    needs = [eng.resolve(t) for t in targets]
+    # each predicate filed under its first constraint, so a state costs one
+    # lookup per filed component; a predicate without constraints holds
+    # everywhere
+    filed: dict[int, dict[int, list[list[tuple[int, int]]]]] = {}
+    anywhere = False
+    for t in targets:
+        need = eng.resolve(t)
+        if need:
+            (ci, si), *rest = need
+            filed.setdefault(ci, {}).setdefault(si, []).append(rest)
+        else:
+            anywhere = True
+    groups = list(filed.items())
 
     def matches(q: tuple[int, ...]) -> bool:
-        return any(all(q[ci] == si for ci, si in need) for need in needs)
+        for ci, by_state in groups:
+            rests = by_state.get(q[ci])
+            if rests is not None and any(
+                all(q[cj] == sj for cj, sj in rest) for rest in rests
+            ):
+                return True
+        return anywhere
 
     parents, transitions, truncated, hit = eng.search(max_states, matches)
     if hit is None:

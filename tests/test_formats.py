@@ -96,23 +96,40 @@ class TestSystemRoundTrip:
         assert rules == ["duplicate-interaction", "duplicate-port", "duplicate-state"]
         again = parse_system(serialize_system(sys), validate=False)
         assert sorted(f.rule for f in validate_system(again).findings) == rules
-        # a behavior-component mismatch survives canonicalization, but a
-        # document states each behavior with its component, so none is written
+        # a behavior-component mismatch and a port family for an unknown
+        # component survive canonicalization, but a document states each
+        # behavior and port family with its component, so none is written
         base = client_server(1)
-        for behaviors, message in (
+        stray_family = InteractionModel(
+            base.model.components,
+            {**base.model.ports, "zz": ("a",)},
+            base.model.interactions,
+        )
+        for broken, rule, message in (
             (
-                {c: b for c, b in base.behaviors.items() if c != "c1"},
+                InteractionSystem(
+                    base.model,
+                    {c: b for c, b in base.behaviors.items() if c != "c1"},
+                ),
+                "behavior-component-mismatch",
                 "component c1 has no behavior",
             ),
             (
-                {**base.behaviors, "zz": base.behaviors["c1"]},
+                InteractionSystem(
+                    base.model, {**base.behaviors, "zz": base.behaviors["c1"]}
+                ),
+                "behavior-component-mismatch",
                 "component zz is not in the model",
             ),
+            (
+                InteractionSystem(stray_family, base.behaviors),
+                "unknown-component-ref",
+                "port family for component zz is not in the model",
+            ),
         ):
-            broken = InteractionSystem(base.model, behaviors)
             for checked in (broken, canonicalize_system(broken)):
                 rules = [f.rule for f in validate_system(checked).findings]
-                assert rules == ["behavior-component-mismatch"], message
+                assert rules == [rule], message
             with pytest.raises(ModelError, match=message):
                 serialize_system(broken)
 

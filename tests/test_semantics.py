@@ -1,8 +1,11 @@
 """Global semantics: enabledness, stepping, exploration, reachability."""
 
+import itertools
+
 import pytest
 
 from interax import (
+    DTM,
     Interaction,
     InteractionModel,
     InteractionSystem,
@@ -20,6 +23,7 @@ from interax import (
     successors,
 )
 from interax.fixtures import client_server, pipeline
+from interax.reduce_linear import compile_lsa
 from interax.formats import parse_system, serialize_system
 from interax.semantics import compile_system
 from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
@@ -96,6 +100,14 @@ class TestStep:
         q = ("busy", "connected", "idle")
         with pytest.raises(ModelError, match="disconnect_S_c2 blocked by c2"):
             step(sys, q, "disconnect_S_c2")
+        # every blocker, in component order: components are declared
+        # ("y", "x"), and "sync" needs y.p, which only "z" enables, and x.q,
+        # which only "n" enables
+        sys = index_order_system()
+        for q, blockers in ((("a", "m"), "y, x"), (("a", "n"), "y"), (("z", "m"), "x")):
+            with pytest.raises(ModelError) as caught:
+                step(sys, q, "sync")
+            assert str(caught.value) == f"interaction disabled: sync blocked by {blockers}"
 
     def test_pipeline_first_hop_frame_condition(self):
         sys = pipeline(3)
@@ -330,6 +342,79 @@ def test_search_entry_points_agree(seed):
         assert result.reachable
         assert len(result.trace) == depth[q]
         assert q in replay_trace(sys, result.trace)
+
+
+def palindrome() -> DTM:
+    """Erase the leftmost symbol, carry it to the right end, compare and
+    erase there, walk back.  Its 18 rules give a word of length n
+    18·(n+1) interactions, more than 64 from n = 3 on."""
+    delta = {
+        ("start", "a"): ("carry_a", "_", 1),
+        ("start", "b"): ("carry_b", "_", 1),
+        ("start", "_"): ("accept", "_", -1),
+        ("back", "a"): ("back", "a", -1),
+        ("back", "b"): ("back", "b", -1),
+        ("back", "_"): ("start", "_", 1),
+    }
+    for c, other in (("a", "b"), ("b", "a")):
+        delta[f"carry_{c}", "a"] = (f"carry_{c}", "a", 1)
+        delta[f"carry_{c}", "b"] = (f"carry_{c}", "b", 1)
+        delta[f"carry_{c}", "_"] = (f"check_{c}", "_", -1)
+        delta[f"check_{c}", c] = ("back", "_", -1)
+        delta[f"check_{c}", other] = ("reject", other, -1)
+        delta[f"check_{c}", "_"] = ("accept", "_", -1)
+    states = ("start", "carry_a", "carry_b", "check_a", "check_b", "back")
+    return DTM(
+        ("_", "a", "b"), ("a", "b"), "_", states + ("accept", "reject"),
+        "start", "accept", "reject", delta,
+    )
+
+
+def reference_successors(sys, q):
+    """The successors of q straight from the local behaviors: interactions
+    by name, each one's participants in component order with their targets
+    ascending by declared state index, the last participant's fastest."""
+    comps = sys.model.components
+    out = []
+    for a in sorted(sys.model.interactions, key=lambda a: a.name):
+        parts = sorted(a.ports, key=lambda p: comps.index(p.component))
+        choices = []
+        for p in parts:
+            b = sys.behaviors[p.component]
+            here = q[comps.index(p.component)]
+            targets = {dst for src, port, dst in b.transitions if (src, port) == (here, p.port)}
+            choices.append(sorted(targets, key=b.states.index))
+        for combo in itertools.product(*choices):
+            succ = dict(zip(comps, q))
+            succ.update(zip((p.component for p in parts), combo))
+            out.append((a.name, tuple(succ[c] for c in comps)))
+    return out
+
+
+def wide_systems():
+    """Systems with more interactions than one 64-bit machine word."""
+    for word in ("abba", "abab", "aabaa"):
+        yield compile_lsa(palindrome(), word)
+    for seed in range(60):
+        sys = gen_random_system(GenParams(seed, max_ports=8, max_interactions=100))
+        if len(sys.model.interactions) > 64:
+            yield sys
+
+
+def test_canonical_order_past_one_machine_word():
+    systems = list(wide_systems())
+    assert len(systems) >= 10
+    for sys in systems:
+        assert len(sys.model.interactions) > 64
+        for q in sorted(explore(sys).states):
+            expected = reference_successors(sys, q)
+            assert successors(sys, q) == expected
+            assert enabled_interactions(sys, q) == {name for name, _ in expected}
+            firsts = {}
+            for name, succ in expected:
+                firsts.setdefault(name, succ)
+            for name, succ in firsts.items():
+                assert step(sys, q, name) == succ
 
 
 class TestCompileOnce:
