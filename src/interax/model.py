@@ -159,7 +159,7 @@ def validate_model(im: InteractionModel) -> ValidationReport:
                     "unknown-component-ref",
                     f"interaction {a.name} references unknown component {p.component}",
                 )
-            elif p.port not in im.ports.get(p.component, ()):
+            elif p not in declared:
                 report.add(
                     "unknown-port-ref",
                     f"interaction {a.name} references unknown port {p}",

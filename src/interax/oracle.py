@@ -186,12 +186,15 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
 def _lockstep_check(
     machine: DTM, word: str, sys_m: InteractionSystem, steps: int
 ) -> tuple[bool, str]:
-    """Replay the run's first `steps` moves: each configuration before a move
-    must enable exactly one interaction, whose successor is the image of the
-    next configuration."""
+    """Replay the run's first `steps` moves from the compiled system's own
+    initial state, which must be the image of the initial configuration:
+    each state before a move must enable exactly one interaction, whose
+    successor is the image of the next configuration."""
     eng = compile_system(sys_m)
     config = initial_config(machine, word)
-    here = eng.pack(config_to_gstate(machine, word, config))
+    here = eng.initial
+    if eng.unpack(here) != config_to_gstate(machine, word, config):
+        return False, "initial state is not the image of the initial configuration"
     for step_no in range(steps):
         config = tm_step(machine, config)
         succs = eng.successors(here)
@@ -199,19 +202,19 @@ def _lockstep_check(
             return False, (
                 f"step {step_no}: {len(succs)} successors, expected 1"
             )
-        expected = eng.pack(config_to_gstate(machine, word, config))
-        if succs[0][1] != expected:
-            return False, f"step {step_no}: successor mismatch via {succs[0][0]}"
-        here = expected
+        name, here = succs[0]
+        if eng.unpack(here) != config_to_gstate(machine, word, config):
+            return False, f"step {step_no}: successor mismatch via {name}"
     return True, f"lockstep held for {steps} steps"
 
 
 def check_theorem1(machine: DTM, word: str) -> Verdict:
     """Machine acceptance of the word versus reachability of the accept
-    predicate in the compiled line system, plus the lockstep replay.  A
-    search cut off by its state bound says so in `details`."""
-    run = run_tm(machine, word)
+    predicate in the compiled line system, plus the lockstep replay.
+    `compile_lsa` validates the machine before `run_tm` runs it.  A search
+    cut off by its state bound says so in `details`."""
     sys_m = compile_lsa(machine, word)
+    run = run_tm(machine, word)
     reach = is_reachable(sys_m, accept_predicate(machine, word))
     lock_ok, lock_msg = _lockstep_check(machine, word, sys_m, run.steps)
     tm_accepts = run.outcome is Outcome.ACCEPT

@@ -77,28 +77,16 @@ def arrive_port(state: str, symbol: str) -> str:
     return f"A:{state}:{symbol}"
 
 
-def _non_halt_states(machine: DTM) -> list[str]:
-    halt = {machine.accept, machine.reject}
-    return [p for p in machine.states if p not in halt]
-
-
-def _delta_items(machine: DTM) -> list[tuple[str, str, str, str, int]]:
-    """Delta rules in declared (state, symbol) order: (p, g, p2, w, move)."""
-    out = []
-    for p in _non_halt_states(machine):
-        for g in machine.tape_alphabet:
-            p2, w, move = machine.delta[(p, g)]
-            out.append((p, g, p2, w, move))
-    return out
-
-
 def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
-    """Build the cell system for `machine` on `word`.
+    """Build the cell system for `machine` on `word`, raising `ModelError`
+    on a machine that fails `validate_dtm`.
 
     The result validates cleanly, classifies as a line, and steps in lockstep
     with the machine: mapping a non-halt configuration through
     `config_to_gstate` yields a global state with exactly one enabled
     interaction, whose successor is the image of the next configuration.
+    Interactions and port families follow delta's insertion order, which
+    neither `serialize_system` nor the engine (it orders rules by name) sees.
     """
     validate_dtm(machine).raise_if_failed("machine")
     initial = config_to_gstate(machine, word, initial_config(machine, word))
@@ -116,20 +104,23 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
     transitions: dict[str, set[tuple[str, str, str]]] = {cell: set() for cell in cells}
     interactions = []
     # rule (p, g) moves the head from cell i to cell j = i + move; the rule
-    # exists at i only where j stays on the tape
-    for p, g, p2, w, move in _delta_items(machine):
+    # exists at i only where j stays on the tape, and its transitions are
+    # the same at every such pair
+    for (p, g), (p2, w, move) in machine.delta.items():
         leave, arrive = leave_port(p, g), arrive_port(p, g)
+        left = (cell_state(p, g), leave, cell_state(marker, w))
+        arrived = {
+            (cell_state(marker, held), arrive, cell_state(p2, held))
+            for held in machine.tape_alphabet
+        }
         for i, src in enumerate(cells):
             if not 0 <= i + move < len(cells):
                 continue
             dst = cells[i + move]
             ports[src].append(leave)
-            transitions[src].add((cell_state(p, g), leave, cell_state(marker, w)))
+            transitions[src].add(left)
             ports[dst].append(arrive)
-            for held in machine.tape_alphabet:
-                transitions[dst].add(
-                    (cell_state(marker, held), arrive, cell_state(p2, held))
-                )
+            transitions[dst] |= arrived
             interactions.append(
                 Interaction(
                     f"mv:{p}:{g}:{src}:{dst}",

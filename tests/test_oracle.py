@@ -1,5 +1,7 @@
 """Brute-force oracle, random system generation, end-to-end checkers."""
 
+from dataclasses import replace
+
 import pytest
 
 from interax import (
@@ -161,6 +163,12 @@ class TestCheckTheorem1:
             "lockstep held for 11 steps"
         )
 
+    def test_machine_validated_before_it_runs(self):
+        m = even_a()
+        delta = {k: v for k, v in m.delta.items() if k != ("odd", "b")}
+        with pytest.raises(ModelError, match="invalid machine: delta-not-total"):
+            check_theorem1(replace(m, delta=delta), "a")
+
 
 def _retarget_arrival(extra):
     """compile_lsa(even_a(), "aa") with cell 2's arrival of the head's first
@@ -191,6 +199,16 @@ class TestLockstepCheck:
     def test_failure_branches(self, arrival, message):
         mutated = _retarget_arrival(arrival)
         assert _lockstep_check(even_a(), "aa", mutated, 3) == (False, message)
+
+    def test_initial_state_must_be_the_image(self):
+        sys_m = compile_lsa(even_a(), "aa")
+        b = sys_m.behaviors["0"]
+        cell = LocalBehavior(b.states, b.transitions, "s,a")
+        mutated = InteractionSystem(sys_m.model, {**sys_m.behaviors, "0": cell})
+        assert _lockstep_check(even_a(), "aa", mutated, 3) == (
+            False,
+            "initial state is not the image of the initial configuration",
+        )
 
 
 class TestCheckTheorem2:

@@ -1,6 +1,8 @@
 """Machine-to-line compilation: sizes, bijection, lockstep, halt cascade."""
 
 import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from interax import (
     StatePredicate,
     accept_predicate,
     brute_force_reachable,
+    check_theorem1,
     classify,
     compile_lsa,
     config_to_gstate,
@@ -24,7 +27,11 @@ from interax import (
     validate_system,
 )
 from interax.fixtures import even_a, first_last
+from interax.formats import parse_dtm, serialize_system
 from interax.turing import Configuration
+from test_semantics import palindrome
+
+PING_PONG = Path(__file__).resolve().parent.parent / "fixtures" / "ping_pong.json"
 
 
 class TestCompile:
@@ -191,6 +198,27 @@ class TestLockstep:
                 accepted = run_tm(m, word).outcome is Outcome.ACCEPT
                 reach = is_reachable(compile_lsa(m, word), accept_predicate(m, word))
                 assert accepted == reach.reachable, word
+
+
+class TestDeltaOrder:
+    """Compilation follows delta's insertion order, so reversing it must
+    change neither the serialized system nor the Theorem 1 verdict."""
+
+    @pytest.mark.parametrize(
+        "machine",
+        [even_a, first_last, lambda: parse_dtm(PING_PONG.read_text()), palindrome],
+        ids=["even_a", "first_last", "ping_pong", "palindrome"],
+    )
+    def test_reversed_delta_changes_nothing(self, machine):
+        m = machine()
+        flipped = replace(m, delta=dict(reversed(list(m.delta.items()))))
+        for k in range(5):
+            for letters in itertools.product(m.input_alphabet, repeat=k):
+                word = "".join(letters)
+                assert serialize_system(compile_lsa(flipped, word)) == (
+                    serialize_system(compile_lsa(m, word))
+                ), word
+                assert check_theorem1(flipped, word) == check_theorem1(m, word), word
 
 
 class TestHaltExtension:
