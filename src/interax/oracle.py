@@ -23,11 +23,7 @@ from .model import (
     LocalBehavior,
     PortId,
 )
-from .reduce_linear import (
-    accept_predicate,
-    compile_lsa,
-    config_to_gstate,
-)
+from .reduce_linear import accept_predicate, cell_state, compile_lsa, head_marker
 from .reduce_star import project_state, starify
 from .semantics import GlobalState, compile_system, is_reachable
 from .turing import DTM, Outcome, initial_config, run_tm, tm_step
@@ -189,21 +185,40 @@ def _lockstep_check(
     """Replay the run's first `steps` moves from the compiled system's own
     initial state, which must be the image of the initial configuration:
     each state before a move must enable exactly one interaction, whose
-    successor is the image of the next configuration."""
+    successor is the image of the next configuration.  The image is kept as
+    engine state indices, and a move changes it only at the cell the head
+    leaves and the cell it enters."""
     eng = compile_system(sys_m)
+    marker = head_marker(machine)
+    names = {
+        (p, g): cell_state(p, g)
+        for p in (*machine.states, marker)
+        for g in machine.tape_alphabet
+    }
+    # per cell, (marker or state, symbol) -> local state index; None where
+    # the cell lacks that state, so the image cannot match there
+    index = [
+        {key: eng.state_index[ci].get(name) for key, name in names.items()}
+        for ci in range(len(eng.components))
+    ]
     config = initial_config(machine, word)
+    image = [index[i][marker, g] for i, g in enumerate(config.tape)]
+    image[config.head] = index[config.head][config.state, config.tape[config.head]]
     here = eng.initial
-    if eng.unpack(here) != config_to_gstate(machine, word, config):
+    if tuple(image) != here:
         return False, "initial state is not the image of the initial configuration"
     for step_no in range(steps):
+        left = config.head
         config = tm_step(machine, config)
+        image[left] = index[left][marker, config.tape[left]]
+        image[config.head] = index[config.head][config.state, config.tape[config.head]]
         succs = eng.successors(here)
         if len(succs) != 1:
             return False, (
                 f"step {step_no}: {len(succs)} successors, expected 1"
             )
         name, here = succs[0]
-        if eng.unpack(here) != config_to_gstate(machine, word, config):
+        if tuple(image) != here:
             return False, f"step {step_no}: successor mismatch via {name}"
     return True, f"lockstep held for {steps} steps"
 

@@ -18,8 +18,8 @@ from .errors import ModelError
 from .model import InteractionSystem, validate_system
 
 GlobalState = tuple[str, ...]
-# an interaction's (component index, table) participants; see `Engine`
-Parts = tuple[tuple[int, list[tuple[int, ...]]], ...]
+# an interaction's (component index, table, weight) participants; see `Engine`
+Parts = tuple[tuple[int, list[tuple[int, ...]], int], ...]
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -66,20 +66,36 @@ class ReachResult:
 class Engine:
     """Index-packed view of a validated system.  `fire` is the one firing
     rule: successors, `step`, enabledness and trace replay are all read off
-    it, and `search` is the one breadth-first loop over `successors`.
-    `pack`, `unpack` and `resolve` are the only translation between the
-    system's component and state names and the engine's indices.
+    it, and `search` is the one breadth-first loop over it.  `pack`,
+    `unpack` and `resolve` are the only translation between the system's
+    component and state names and the engine's indices.
+
+    Codes: a state's digits are its local state indices, one per component,
+    and its code is the mixed-radix integer `Σ q_c·w_c`, where component 0
+    has weight 1 and each later weight is the one before times that
+    component's number of local states, so every state has exactly one
+    code.  A participant moving from `s` to `t` moves the code by
+    `(t − s)·w_c`, and `moved` reads a successor's digits back off its code
+    for the participants only.
 
     Rule tables: each interaction, in name order, is a rule `(name, parts)`
-    whose parts are `(component index, table)` pairs in component order;
-    `table[s]` is the ascending tuple of target indices the participant's
-    port leads to from local state `s`, empty when `s` disables the port.
-    Enabledness mask: rule `k` owns bit `k`, and each component with a
-    local state that disables some rule's port has a row of ints, where
-    `row[s]` has bit `k` set unless rule `k` needs a port that `s`
-    disables.  The AND of a state's rows is exactly its enabled set, and
-    walking its set bits from low to high visits the enabled rules in name
-    order, so the canonical order comes from generation, not sorting.
+    whose parts are `(component index, table, weight)` triples in component
+    order; `table[s]` is the ascending tuple of the code steps `(t − s)·w_c`
+    to the targets the participant's port leads to from local state `s`,
+    empty when `s` disables the port.  Enabledness mask: rule `k` owns bit
+    `k`, and each component with a local state that disables some rule's
+    port has a row of ints, where `row[s]` has bit `k` set unless rule `k`
+    needs a port that `s` disables.  The AND of a state's rows is exactly
+    its enabled set, and walking its set bits from low to high visits the
+    enabled rules in name order, so the canonical order comes from
+    generation, not sorting.
+
+    The search dedups on codes.  It carries each frontier state's digits in
+    a list parallel to the frontier's codes and builds a state's digit
+    tuple once, when its code is first seen, copying the parent's and
+    changing only the participants.  `explore` keeps a set of the codes it
+    has seen and decodes them to names once, at the end; `is_reachable`
+    keeps one int per parent link, `parent code·|rules| + rule index`.
 
     Get one through `compile_system`, which builds it once per system object
     and hands the same engine to every later call; its tables are shared and
@@ -93,42 +109,50 @@ class Engine:
             {s: k for k, s in enumerate(states)} for states in self.state_names
         ]
         self.comp_index = {c: k for k, c in enumerate(model.components)}
+        self.radices = [len(states) for states in self.state_names]
+        self.weights = []
+        weight = 1
+        for radix in self.radices:
+            self.weights.append(weight)
+            weight *= radix
 
-        # name -> (component index, table) participants in component order;
-        # names are validated unique, so name order is a total order, and
-        # rule k owns bit k of the mask.  A port some interaction uses gets
-        # one table, shared by its rules and filled from the transitions.
-        tables: dict[tuple[int, str], list[tuple[int, ...]]] = {}
-        port_bits: dict[tuple[int, str], int] = {}
+        # per component, port -> [table, bits] for every port some
+        # interaction uses: the table is shared by the port's rules and
+        # filled from the transitions.  Names are validated unique, so name
+        # order is a total order, and rule k owns bit k of the mask.
+        used: list[dict[str, list]] = [{} for _ in self.components]
         self.interactions: dict[str, Parts] = {}
         for k, a in enumerate(sorted(model.interactions, key=lambda a: a.name)):
             parts = []
-            ports = sorted((self.comp_index[p.component], p.port) for p in a.ports)
-            for key in ports:
-                if key not in tables:
-                    tables[key] = [()] * len(self.state_names[key[0]])
-                    port_bits[key] = 0
-                port_bits[key] |= 1 << k
-                parts.append((key[0], tables[key]))
+            keys = sorted([(self.comp_index[p.component], p.port) for p in a.ports])
+            for ci, port in keys:
+                entry = used[ci].get(port)
+                if entry is None:
+                    entry = used[ci][port] = [[()] * self.radices[ci], 0]
+                entry[1] |= 1 << k
+                parts.append((ci, entry[0], self.weights[ci]))
             self.interactions[a.name] = tuple(parts)
         self.rules = list(self.interactions.items())
+        self.every = range(len(self.rules))
 
         # rows[ci][s] starts with the bits of the rules component ci does not
         # constrain and gains those of each port local state s enables
         self.full = (1 << len(self.rules)) - 1
-        free = [self.full] * len(self.components)
-        for (ci, _), bits in port_bits.items():
-            free[ci] &= ~bits
         rows = []
         for ci, c in enumerate(model.components):
-            index = self.state_index[ci]
-            row = [free[ci]] * len(index)
+            index, weight, ports = self.state_index[ci], self.weights[ci], used[ci]
+            constrained = 0
+            for _, bits in ports.values():
+                constrained |= bits
+            row = [self.full ^ constrained] * len(index)
             for src, port, dst in sys.behaviors[c].transitions:
-                table = tables.get((ci, port))
-                if table is not None:
-                    s, t = index[src], index[dst]
-                    table[s] = tuple(sorted((*table[s], t))) if table[s] else (t,)
-                    row[s] |= port_bits[ci, port]
+                entry = ports.get(port)
+                if entry is not None:
+                    table, bits = entry
+                    s = index[src]
+                    step = (index[dst] - s) * weight
+                    table[s] = tuple(sorted((*table[s], step))) if table[s] else (step,)
+                    row[s] |= bits
             rows.append(row)
         # a component whose rows are all ones never clears a bit: left out
         self.rows = [
@@ -141,6 +165,7 @@ class Engine:
             self.state_index[ci][sys.behaviors[c].initial]
             for ci, c in enumerate(model.components)
         )
+        self.initial_code = sum(k * w for k, w in zip(self.initial, self.weights))
 
     def pack(self, q: GlobalState) -> tuple[int, ...]:
         if len(q) != len(self.components):
@@ -160,6 +185,24 @@ class Engine:
     def unpack(self, q: tuple[int, ...]) -> GlobalState:
         return tuple(self.state_names[ci][k] for ci, k in enumerate(q))
 
+    def decode(self, code: int) -> tuple[int, ...]:
+        """The digit tuple of a code."""
+        q = []
+        for radix in self.radices:
+            code, k = divmod(code, radix)
+            q.append(k)
+        return tuple(q)
+
+    def moved(self, q: tuple[int, ...], code: int, parts: Parts) -> tuple[int, ...]:
+        """The digits of `code`, a successor of q by the interaction with
+        these participants: q with each participant's digit read off the
+        code."""
+        succ = list(q)
+        radices = self.radices
+        for ci, _, w in parts:
+            succ[ci] = code // w % radices[ci]
+        return tuple(succ)
+
     def resolve(self, pred: StatePredicate) -> list[tuple[int, int]]:
         """The predicate's constraints as (component index, state index)
         pairs, rejecting names the system does not have."""
@@ -177,108 +220,133 @@ class Engine:
         return out
 
     def parts(self, name: str) -> Parts:
-        """The (component index, table) participants of an interaction."""
+        """The (component index, table, weight) participants of an
+        interaction."""
         parts = self.interactions.get(name)
         if parts is None:
             raise ModelError(f"no such interaction: {name!r}")
         return parts
 
-    def fire(self, q: tuple[int, ...], parts: Parts) -> list[tuple[int, ...]]:
-        """Every successor of q by the interaction with these participants,
-        in canonical order (participants in component order, each one's
-        targets ascending by state index); [] when some participant does not
-        enable its port."""
-        succ = list(q)
-        branching = False
-        for ci, table in parts:
-            targets = table[q[ci]]
-            if not targets:
+    def fire(self, code: int, q: tuple[int, ...], parts: Parts) -> list[int]:
+        """The codes of every successor of q, whose code is `code` (or the
+        participants' part of it, see `share`), by the interaction with
+        these participants, in canonical order (participants in component
+        order, each one's targets ascending by state index); [] when some
+        participant does not enable its port."""
+        succ = code
+        for ci, table, _ in parts:
+            steps = table[q[ci]]
+            if len(steps) != 1:
+                break
+            succ += steps[0]
+        else:
+            return [succ]
+        # some participant has no target or several: each participant
+        # multiplies the list by its steps, so the last one's vary fastest
+        out = [code]
+        for ci, table, _ in parts:
+            steps = table[q[ci]]
+            if not steps:
                 return []
-            if len(targets) > 1:
-                branching = True
-            succ[ci] = targets[0]
-        if not branching:
-            return [tuple(succ)]
-        # one copy per target of each branching participant, so the last
-        # participant's targets vary fastest
-        out = [succ]
-        for ci, table in parts:
-            targets = table[q[ci]]
-            if len(targets) > 1:
-                grown = []
-                for partial in out:
-                    for target in targets:
-                        copy = partial.copy()
-                        copy[ci] = target
-                        grown.append(copy)
-                out = grown
-        return [tuple(s) for s in out]
+            out = [c + step for c in out for step in steps]
+        return out
 
-    def enabled(self, q: tuple[int, ...]) -> list[tuple[str, Parts]]:
-        """The (name, parts) rules of the interactions enabled in q, in name
-        order: the set bits of the AND of q's mask rows, low to high."""
+    def enabled(self, q: tuple[int, ...]) -> Sequence[int]:
+        """The indices into `rules` of the interactions enabled in q, in name
+        order: the set bits of the AND of q's mask rows, low to high (every
+        rule, as on a ring, when no row clears a bit)."""
         mask = self.full
         for ci, row in self.rows:
             mask &= row[q[ci]]
-        rules = self.rules
+        if mask == self.full:
+            return self.every
         out = []
         while mask:
             low = mask & -mask
-            out.append(rules[low.bit_length() - 1])
+            out.append(low.bit_length() - 1)
             mask ^= low
         return out
 
+    def share(self, q: tuple[int, ...], parts: Parts) -> int:
+        """The participants' part of q's code.  `fire` and `moved` read and
+        change only the participants' digits, so it stands in for q's code
+        where only the successors' digits are wanted."""
+        code = 0
+        for ci, _, w in parts:
+            code += q[ci] * w
+        return code
+
     def successors(self, q: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
-        """All (interaction name, successor) pairs in canonical order: by
-        name, then as `fire` yields them."""
-        return [
-            (name, succ)
-            for name, parts in self.enabled(q)
-            for succ in self.fire(q, parts)
-        ]
+        """All (interaction name, successor digits) pairs in canonical
+        order: by name, then as `fire` yields them."""
+        out = []
+        for k in self.enabled(q):
+            name, parts = self.rules[k]
+            for succ in self.fire(self.share(q, parts), q, parts):
+                out.append((name, self.moved(q, succ, parts)))
+        return out
 
     def search(
         self,
         limit: int | None,
         matches: Callable[[tuple[int, ...]], bool] | None = None,
-    ) -> tuple[dict, int, bool, tuple[int, ...] | None]:
+    ) -> tuple[set[int] | dict[int, int | None], int, bool, int | None]:
         """Breadth-first search from the initial state in canonical order.
 
-        Returns (parents, transitions, truncated, hit).  `parents` maps every
-        discovered state to (predecessor, interaction), the initial state to
-        None, and is the visited set.  At most `limit` states (default
-        1,000,000) are discovered; `truncated` says a new state was dropped for
-        it.  The search stops at the first discovered state `matches` accepts,
-        returned as `hit` (None when there is none).
+        Returns (seen, transitions, truncated, hit).  `seen` holds the code
+        of every discovered state.  Without `matches` it is a set; with it,
+        a dict that maps each code to its parent link, `parent code·|rules|
+        + rule index`, and the initial code to None.  At most `limit` states
+        (default 1,000,000) are discovered; `truncated` says a new state was
+        dropped for it.  The search stops at the first discovered state whose
+        digits `matches` accepts, returned as the code `hit` (None when there
+        is none); `transitions` then counts every successor of the state
+        being expanded, as if it had been expanded in full.
         """
         limit = DEFAULT_MAX_STATES if limit is None else limit
         if limit < 1:
             raise ModelError(f"max_states must be at least 1, got {limit}")
-        parents: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {
-            self.initial: None
-        }
-        if matches is not None and matches(self.initial):
-            return parents, 0, False, self.initial
-        frontier = [self.initial]
+        start = self.initial_code
+        seen: set[int] | dict[int, int | None]
+        if matches is None:
+            seen = {start}
+        else:
+            seen = {start: None}
+            if matches(self.initial):
+                return seen, 0, False, start
+        rules, fire, moved = self.rules, self.fire, self.moved
+        n = len(rules)
+        codes, digits = [start], [self.initial]
         transitions = 0
         truncated = False
-        while frontier:
-            next_frontier: list[tuple[int, ...]] = []
-            for q1 in frontier:
-                succs = self.successors(q1)
-                transitions += len(succs)
-                for name, q2 in succs:
-                    if q2 in parents:
-                        continue
-                    if len(parents) >= limit:
-                        truncated = True
-                        continue
-                    parents[q2] = (q1, name)
-                    if matches is not None and matches(q2):
-                        return parents, transitions, truncated, q2
-                    next_frontier.append(q2)
-            frontier = next_frontier
-        return parents, transitions, truncated, None
+        while codes:
+            next_codes: list[int] = []
+            next_digits: list[tuple[int, ...]] = []
+            for code, q in zip(codes, digits):
+                enabled = self.enabled(q)
+                for k in enabled:
+                    parts = rules[k][1]
+                    succs = fire(code, q, parts)
+                    transitions += len(succs)
+                    for succ in succs:
+                        if succ in seen:
+                            continue
+                        if len(seen) >= limit:
+                            truncated = True
+                            continue
+                        q2 = moved(q, succ, parts)
+                        if matches is None:
+                            seen.add(succ)
+                        else:
+                            seen[succ] = code * n + k
+                            if matches(q2):
+                                for later in enabled[enabled.index(k) + 1:]:
+                                    transitions += len(fire(code, q, rules[later][1]))
+                                return seen, transitions, truncated, succ
+                        next_codes.append(succ)
+                        next_digits.append(q2)
+            codes, digits = next_codes, next_digits
+        return seen, transitions, truncated, None
 
 
 def compile_system(sys: InteractionSystem) -> Engine:
@@ -299,7 +367,7 @@ def compile_system(sys: InteractionSystem) -> Engine:
 def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:
     """Names of interactions whose every participant enables its port in q."""
     eng = compile_system(sys)
-    return frozenset(name for name, _ in eng.enabled(eng.pack(q)))
+    return frozenset(eng.rules[k][0] for k in eng.enabled(eng.pack(q)))
 
 
 def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalState:
@@ -311,13 +379,15 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     eng = compile_system(sys)
     packed = eng.pack(q)
     parts = eng.parts(interaction)
-    succs = eng.fire(packed, parts)
+    succs = eng.fire(eng.share(packed, parts), packed, parts)
     if not succs:
-        blockers = [eng.components[ci] for ci, table in parts if not table[packed[ci]]]
+        blockers = [
+            eng.components[ci] for ci, table, _ in parts if not table[packed[ci]]
+        ]
         raise ModelError(
             f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"
         )
-    return eng.unpack(succs[0])
+    return eng.unpack(eng.moved(packed, succs[0], parts))
 
 
 def successors(
@@ -335,9 +405,9 @@ def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableS
     `max_states` (default 1,000,000) is hit, discovery stops and the
     completion flag is False; a bound below 1 is rejected."""
     eng = compile_system(sys)
-    parents, transitions, truncated, _ = eng.search(max_states)
+    seen, transitions, truncated, _ = eng.search(max_states)
     return ReachableSet(
-        states={eng.unpack(q) for q in parents},
+        states={eng.unpack(eng.decode(code)) for code in seen},
         transitions=transitions,
         complete=not truncated,
     )
@@ -405,9 +475,11 @@ def is_reachable(
     if hit is None:
         return ReachResult(False, None, len(parents), transitions, not truncated)
     trace: list[str] = []
-    while parents[hit] is not None:
-        hit, via = parents[hit]
-        trace.append(via)
+    link = parents[hit]
+    while link is not None:
+        hit, k = divmod(link, len(eng.rules))
+        trace.append(eng.rules[k][0])
+        link = parents[hit]
     trace.reverse()
     return ReachResult(True, trace, len(parents), transitions, True)
 
@@ -420,11 +492,16 @@ def replay_trace(
     nondeterminism.  Raises on an unknown interaction name, or if some step is
     impossible from every state of the current set."""
     eng = compile_system(sys)
-    current = {eng.initial}
+    # code -> digits of every state the trace can be in
+    current = {eng.initial_code: eng.initial}
     for k, name in enumerate(trace):
         parts = eng.parts(name)
-        following = {q2 for q in current for q2 in eng.fire(q, parts)}
+        following: dict[int, tuple[int, ...]] = {}
+        for code, q in current.items():
+            for succ in eng.fire(code, q, parts):
+                if succ not in following:
+                    following[succ] = eng.moved(q, succ, parts)
         if not following:
             raise ModelError(f"trace step {k} ({name}) is not fireable")
         current = following
-    return {eng.unpack(q) for q in current}
+    return {eng.unpack(q) for q in current.values()}

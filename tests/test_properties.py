@@ -44,6 +44,7 @@ from interax.formats import (  # noqa: E402
 )
 from interax.oracle import GenParams, gen_random_system  # noqa: E402
 from interax.turing import canonicalize_dtm  # noqa: E402
+from test_semantics import assert_search_is_reference  # noqa: E402
 
 bound = st.integers(1, 4)
 
@@ -68,6 +69,18 @@ def test_one_port_list_is_one_port_family(seed, **bounds):
 random_systems = st.builds(GenParams, st.integers(0, 2**32 - 1), *[bound] * 5).map(
     gen_random_system
 )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(random_systems, st.data(), st.integers(1, 8))
+def test_search_is_the_reference_bfs(system, data, max_states):
+    # an exact-state target over a random subset of the components (none
+    # holds everywhere), under a bound that cuts most searches short
+    picked = data.draw(st.lists(st.sampled_from(system.model.components), unique=True))
+    target = StatePredicate.of(
+        {c: data.draw(st.sampled_from(system.behaviors[c].states)) for c in picked}
+    )
+    assert_search_is_reference(system, [target], max_states)
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Global semantics: enabledness, stepping, exploration, reachability."""
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -23,7 +25,7 @@ from interax import (
     successors,
 )
 from interax.fixtures import client_server, pipeline
-from interax.reduce_linear import compile_lsa
+from interax.reduce_linear import accept_predicate, compile_lsa
 from interax.formats import parse_system, serialize_system
 from interax.semantics import compile_system
 from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
@@ -342,6 +344,136 @@ def test_search_entry_points_agree(seed):
         assert result.reachable
         assert len(result.trace) == depth[q]
         assert q in replay_trace(sys, result.trace)
+
+
+def reference_search(sys, targets=None, max_states=None):
+    """Breadth-first search over the public `successors`, with a visited set
+    of name tuples.  Returns (parents, transitions, truncated, hit) with the
+    engine's rules: new states past `max_states` are dropped, and a hit
+    counts every successor of the state being expanded."""
+    comps = sys.model.components
+    limit = 1_000_000 if max_states is None else max_states
+
+    def holds(q):
+        return any(
+            all(q[comps.index(c)] == s for c, s in t.constraints) for t in targets or ()
+        )
+
+    start = sys.initial_state()
+    parents = {start: None}
+    if holds(start):
+        return parents, 0, False, start
+    frontier, transitions, truncated = [start], 0, False
+    while frontier:
+        following = []
+        for q in frontier:
+            succs = successors(sys, q)
+            transitions += len(succs)
+            for name, q2 in succs:
+                if q2 in parents:
+                    continue
+                if len(parents) >= limit:
+                    truncated = True
+                    continue
+                parents[q2] = (q, name)
+                if holds(q2):
+                    return parents, transitions, truncated, q2
+                following.append(q2)
+        frontier = following
+    return parents, transitions, truncated, None
+
+
+def reference_reach(sys, targets, max_states=None):
+    """`is_reachable`'s fields, from `reference_search`."""
+    parents, transitions, truncated, hit = reference_search(sys, targets, max_states)
+    if hit is None:
+        return False, None, len(parents), transitions, not truncated
+    trace = []
+    while parents[hit] is not None:
+        hit, name = parents[hit]
+        trace.append(name)
+    return True, trace[::-1], len(parents), transitions, True
+
+
+def assert_search_is_reference(sys, targets, max_states=None):
+    got = is_reachable(sys, targets, max_states)
+    assert (
+        got.reachable, got.trace, got.states_explored,
+        got.transitions_explored, got.complete,
+    ) == reference_reach(sys, targets, max_states)
+    parents, transitions, truncated, _ = reference_search(sys, None, max_states)
+    result = explore(sys, max_states)
+    assert (result.states, result.transitions, result.complete) == (
+        set(parents), transitions, not truncated,
+    )
+
+
+def ring(k, nondet):
+    """Components c0..c{k-1} with states q0..q2: `t_i` ticks c_i one state
+    on (or two, when `nondet`), and `s_i` is a handshake of c_i and c_{i+1}
+    in which neither moves."""
+    states = ("q0", "q1", "q2")
+    comps = tuple(f"c{i}" for i in range(k))
+    behaviors, ports, interactions = {}, {}, []
+    for i, c in enumerate(comps):
+        right = comps[(i + 1) % k]
+        moves = {(s, "tick", states[(j + 1) % 3]) for j, s in enumerate(states)}
+        if nondet:
+            moves |= {(s, "tick", states[(j + 2) % 3]) for j, s in enumerate(states)}
+        moves |= {(s, p, s) for s in states for p in ("left", "right")}
+        behaviors[c] = LocalBehavior(states, frozenset(moves), "q0")
+        ports[c] = ("tick", "left", "right")
+        interactions.append(Interaction(f"t_{i}", (PortId(c, "tick"),)))
+        pair = sorted([(i, PortId(c, "right")), ((i + 1) % k, PortId(right, "left"))])
+        interactions.append(Interaction(f"s_{i}", tuple(p for _, p in pair)))
+    model = InteractionModel(comps, ports, tuple(interactions))
+    return InteractionSystem(model, behaviors)
+
+
+@pytest.mark.parametrize("seed", ENGINE_EQUIVALENCE_SEEDS[:60])
+def test_search_is_the_reference_bfs(seed):
+    sys = gen_random_system(GenParams(seed=seed))
+    comps = sys.model.components
+    states = sorted(reference_search(sys)[0])
+    rng = random.Random(seed)
+    for _ in range(3):
+        q = rng.choice(states)
+        picked = rng.sample(range(len(comps)), rng.randint(1, len(comps)))
+        partial = StatePredicate.of({comps[i]: q[i] for i in picked})
+        exact = StatePredicate.of(dict(zip(comps, rng.choice(states))))
+        for bound in (None, 1, 3):
+            assert_search_is_reference(sys, [partial], bound)
+            assert_search_is_reference(sys, [exact, partial], bound)
+
+
+@pytest.mark.parametrize("nondet", [False, True], ids=["det", "nondet"])
+def test_search_on_a_ring_is_the_reference_bfs(nondet):
+    sys = ring(5, nondet)
+    deep = StatePredicate.of({f"c{i}": "q2" for i in range(5)})
+    mid = StatePredicate.of({"c3": "q1", "c4": "q2"})
+    for bound in (None, 2, 40, 200):
+        for targets in ([deep], [mid], [mid, deep]):
+            assert_search_is_reference(sys, targets, bound)
+
+
+def test_search_past_a_machine_word_is_the_reference_bfs():
+    # 14 cells of 27 local states each: codes need more than 64 bits
+    for word in ("abbaabbaabba", "abbaabbaabab"):
+        sys = compile_lsa(palindrome(), word)
+        assert math.prod(len(b.states) for b in sys.behaviors.values()) > 2**64
+        targets = accept_predicate(palindrome(), word)
+        for bound in (None, 30):
+            assert_search_is_reference(sys, targets, bound)
+
+
+def test_hit_counts_every_successor_of_its_parent():
+    # the target is the first of the initial state's two successors; the
+    # count at the hit still includes the second
+    sys = client_server(2)
+    result = is_reachable(sys, StatePredicate.of({"c1": "connected"}))
+    assert result.trace == ["connect_S_c1"]
+    assert (result.states_explored, result.transitions_explored) == (2, 2)
+    assert_search_is_reference(sys, [StatePredicate.of({"c1": "connected"})])
 
 
 def palindrome() -> DTM:
