@@ -53,7 +53,10 @@ def _say(message: str) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

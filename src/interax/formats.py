@@ -65,10 +65,20 @@ def _no_constant(name: str) -> Any:
     raise ParseError(f"{name} is not a JSON number")
 
 
+def _integer(literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError:
+        raise ParseError(f"integer literal too long: {len(literal)} characters") from None
+
+
 def _load(text: str) -> Any:
     try:
         return json.loads(
-            text, object_pairs_hook=_unique_keys, parse_constant=_no_constant
+            text,
+            object_pairs_hook=_unique_keys,
+            parse_constant=_no_constant,
+            parse_int=_integer,
         )
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None

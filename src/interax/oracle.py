@@ -23,7 +23,7 @@ from .model import (
     LocalBehavior,
     PortId,
 )
-from .reduce_linear import accept_predicate, cell_state, compile_lsa, head_marker
+from .reduce_linear import accept_predicate, cell_states, compile_lsa, head_marker
 from .reduce_star import project_state, starify
 from .semantics import GlobalState, compile_system, is_reachable
 from .turing import DTM, Outcome, initial_config, run_tm, tm_step
@@ -187,39 +187,35 @@ def _lockstep_check(
     each state before a move must enable exactly one interaction, whose
     successor is the image of the next configuration.  The image is kept as
     engine state indices, and a move changes it only at the cell the head
-    leaves and the cell it enters."""
+    leaves and the cell it enters; a successor matches by its code."""
     eng = compile_system(sys_m)
     marker = head_marker(machine)
-    names = {
-        (p, g): cell_state(p, g)
-        for p in (*machine.states, marker)
-        for g in machine.tape_alphabet
-    }
     # per cell, (marker or state, symbol) -> local state index; None where
     # the cell lacks that state, so the image cannot match there
-    index = [
-        {key: eng.state_index[ci].get(name) for key, name in names.items()}
-        for ci in range(len(eng.components))
-    ]
+    names = cell_states(machine).items()
+    index = [{key: at.get(name) for key, name in names} for at in eng.state_index]
     config = initial_config(machine, word)
     image = [index[i][marker, g] for i, g in enumerate(config.tape)]
     image[config.head] = index[config.head][config.state, config.tape[config.head]]
-    here = eng.initial
+    code, here = eng.initial_code, eng.initial
     if tuple(image) != here:
         return False, "initial state is not the image of the initial configuration"
     for step_no in range(steps):
         left = config.head
         config = tm_step(machine, config)
+        head = config.head
         image[left] = index[left][marker, config.tape[left]]
-        image[config.head] = index[config.head][config.state, config.tape[config.head]]
-        succs = eng.successors(here)
+        image[head] = index[head][config.state, config.tape[head]]
+        succs = eng.successors(code, here)
         if len(succs) != 1:
-            return False, (
-                f"step {step_no}: {len(succs)} successors, expected 1"
-            )
-        name, here = succs[0]
-        if tuple(image) != here:
+            return False, f"step {step_no}: {len(succs)} successors, expected 1"
+        name, succ = succs[0]
+        # the image's code is `code` moved at the two cells that changed
+        if None in (image[left], image[head]) or succ != code + sum(
+            (image[i] - here[i]) * eng.weights[i] for i in (left, head)
+        ):
             return False, f"step {step_no}: successor mismatch via {name}"
+        code, here = succ, tuple(image)
     return True, f"lockstep held for {steps} steps"
 
 

@@ -69,6 +69,16 @@ def cell_state(marker: str, symbol: str) -> str:
     return f"{marker},{symbol}"
 
 
+def cell_states(machine: DTM) -> dict[tuple[str, str], str]:
+    """Every cell's local state names, keyed by (marker or machine state,
+    symbol), in the order a cell lists them (the off-cell marker last)."""
+    return {
+        (p, g): cell_state(p, g)
+        for p in (*machine.states, head_marker(machine))
+        for g in machine.tape_alphabet
+    }
+
+
 def leave_port(state: str, symbol: str) -> str:
     return f"L:{state}:{symbol}"
 
@@ -91,11 +101,7 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
     validate_dtm(machine).raise_if_failed("machine")
     initial = config_to_gstate(machine, word, initial_config(machine, word))
     marker = head_marker(machine)
-    all_states = tuple(
-        cell_state(p, g)
-        for p in (*machine.states, marker)
-        for g in machine.tape_alphabet
-    )
+    all_states = tuple(cell_states(machine).values())
     if len(set(all_states)) != len(all_states):
         raise ModelError("ambiguous state naming: rendered cell states collide")
 
@@ -176,10 +182,7 @@ def gstate_to_config(machine: DTM, word: str, gstate: GlobalState) -> Configurat
             f"global state has {len(gstate)} entries, expected {n + 2}"
         )
     marker = head_marker(machine)
-    decode = {}
-    for p in (*machine.states, marker):
-        for g in machine.tape_alphabet:
-            decode[cell_state(p, g)] = (p, g)
+    decode = {name: key for key, name in cell_states(machine).items()}
     heads = []
     tape = []
     for i, name in enumerate(gstate):

@@ -66,9 +66,10 @@ class ReachResult:
 class Engine:
     """Index-packed view of a validated system.  `fire` is the one firing
     rule: successors, `step`, enabledness and trace replay are all read off
-    it, and `search` is the one breadth-first loop over it.  `pack`,
-    `unpack` and `resolve` are the only translation between the system's
-    component and state names and the engine's indices.
+    it, and `search` is the one breadth-first loop over it.  A global
+    state's names and its code translate through `pack` and `names` only,
+    and a predicate's names through `resolve`; the lockstep replay of
+    Theorem 1 builds its per-cell maps from `state_index`.
 
     Codes: a state's digits are its local state indices, one per component,
     and its code is the mixed-radix integer `Σ q_c·w_c`, where component 0
@@ -94,8 +95,8 @@ class Engine:
     a list parallel to the frontier's codes and builds a state's digit
     tuple once, when its code is first seen, copying the parent's and
     changing only the participants.  `explore` keeps a set of the codes it
-    has seen and decodes them to names once, at the end; `is_reachable`
-    keeps one int per parent link, `parent code·|rules| + rule index`.
+    has seen and names them once, at the end; `is_reachable` keeps one int
+    per parent link, `parent code·|rules| + rule index`.
 
     Get one through `compile_system`, which builds it once per system object
     and hands the same engine to every later call; its tables are shared and
@@ -161,36 +162,33 @@ class Engine:
             if row.count(self.full) < len(row)
         ]
 
-        self.initial = tuple(
-            self.state_index[ci][sys.behaviors[c].initial]
-            for ci, c in enumerate(model.components)
-        )
-        self.initial_code = sum(k * w for k, w in zip(self.initial, self.weights))
+        self.initial_code, self.initial = self.pack(sys.initial_state())
 
-    def pack(self, q: GlobalState) -> tuple[int, ...]:
+    def pack(self, q: GlobalState) -> tuple[int, tuple[int, ...]]:
+        """The code and digits of a global state, rejecting a state of the
+        wrong length or with a name its component lacks."""
         if len(q) != len(self.components):
             raise ModelError(
                 f"global state has {len(q)} entries, expected {len(self.components)}"
             )
-        packed = []
+        code = 0
+        digits = []
         for ci, s in enumerate(q):
             k = self.state_index[ci].get(s)
             if k is None:
                 raise ModelError(
                     f"no such state: {s!r} in component {self.components[ci]}"
                 )
-            packed.append(k)
-        return tuple(packed)
+            code += k * self.weights[ci]
+            digits.append(k)
+        return code, tuple(digits)
 
-    def unpack(self, q: tuple[int, ...]) -> GlobalState:
-        return tuple(self.state_names[ci][k] for ci, k in enumerate(q))
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        """The digit tuple of a code."""
+    def names(self, code: int) -> GlobalState:
+        """The global state, as local state names, whose code is `code`."""
         q = []
-        for radix in self.radices:
-            code, k = divmod(code, radix)
-            q.append(k)
+        for states in self.state_names:
+            code, k = divmod(code, len(states))
+            q.append(states[k])
         return tuple(q)
 
     def moved(self, q: tuple[int, ...], code: int, parts: Parts) -> tuple[int, ...]:
@@ -228,11 +226,10 @@ class Engine:
         return parts
 
     def fire(self, code: int, q: tuple[int, ...], parts: Parts) -> list[int]:
-        """The codes of every successor of q, whose code is `code` (or the
-        participants' part of it, see `share`), by the interaction with
-        these participants, in canonical order (participants in component
-        order, each one's targets ascending by state index); [] when some
-        participant does not enable its port."""
+        """The codes of every successor of q, whose code is `code`, by the
+        interaction with these participants, in canonical order
+        (participants in component order, each one's targets ascending by
+        state index); [] when some participant does not enable its port."""
         succ = code
         for ci, table, _ in parts:
             steps = table[q[ci]]
@@ -267,24 +264,14 @@ class Engine:
             mask ^= low
         return out
 
-    def share(self, q: tuple[int, ...], parts: Parts) -> int:
-        """The participants' part of q's code.  `fire` and `moved` read and
-        change only the participants' digits, so it stands in for q's code
-        where only the successors' digits are wanted."""
-        code = 0
-        for ci, _, w in parts:
-            code += q[ci] * w
-        return code
-
-    def successors(self, q: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
-        """All (interaction name, successor digits) pairs in canonical
-        order: by name, then as `fire` yields them."""
-        out = []
-        for k in self.enabled(q):
-            name, parts = self.rules[k]
-            for succ in self.fire(self.share(q, parts), q, parts):
-                out.append((name, self.moved(q, succ, parts)))
-        return out
+    def successors(self, code: int, q: tuple[int, ...]) -> list[tuple[str, int]]:
+        """All (interaction name, successor code) pairs of q, whose code is
+        `code`, in canonical order: by name, then as `fire` yields them."""
+        return [
+            (self.rules[k][0], succ)
+            for k in self.enabled(q)
+            for succ in self.fire(code, q, self.rules[k][1])
+        ]
 
     def search(
         self,
@@ -367,7 +354,7 @@ def compile_system(sys: InteractionSystem) -> Engine:
 def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:
     """Names of interactions whose every participant enables its port in q."""
     eng = compile_system(sys)
-    return frozenset(eng.rules[k][0] for k in eng.enabled(eng.pack(q)))
+    return frozenset(eng.rules[k][0] for k in eng.enabled(eng.pack(q)[1]))
 
 
 def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalState:
@@ -377,9 +364,9 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     keeps its state.  Raises when the interaction is disabled, naming the
     blocking components."""
     eng = compile_system(sys)
-    packed = eng.pack(q)
+    code, packed = eng.pack(q)
     parts = eng.parts(interaction)
-    succs = eng.fire(eng.share(packed, parts), packed, parts)
+    succs = eng.fire(code, packed, parts)
     if not succs:
         blockers = [
             eng.components[ci] for ci, table, _ in parts if not table[packed[ci]]
@@ -387,7 +374,7 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
         raise ModelError(
             f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"
         )
-    return eng.unpack(eng.moved(packed, succs[0], parts))
+    return eng.names(succs[0])
 
 
 def successors(
@@ -397,7 +384,7 @@ def successors(
     nondeterminism, in canonical order: by interaction name, then by
     successor (local state indices, in component order)."""
     eng = compile_system(sys)
-    return [(name, eng.unpack(s)) for name, s in eng.successors(eng.pack(q))]
+    return [(name, eng.names(code)) for name, code in eng.successors(*eng.pack(q))]
 
 
 def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableSet:
@@ -407,7 +394,7 @@ def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableS
     eng = compile_system(sys)
     seen, transitions, truncated, _ = eng.search(max_states)
     return ReachableSet(
-        states={eng.unpack(eng.decode(code)) for code in seen},
+        states={eng.names(code) for code in seen},
         transitions=transitions,
         complete=not truncated,
     )
@@ -429,7 +416,7 @@ def satisfies(sys: InteractionSystem, pred: StatePredicate, q: GlobalState) -> b
     Raises on a state, or a predicate, naming a component or state the
     system lacks."""
     eng = compile_system(sys)
-    packed = eng.pack(q)
+    _, packed = eng.pack(q)
     return all(packed[ci] == si for ci, si in eng.resolve(pred))
 
 
@@ -504,4 +491,4 @@ def replay_trace(
         if not following:
             raise ModelError(f"trace step {k} ({name}) is not fireable")
         current = following
-    return {eng.unpack(q) for q in current.values()}
+    return {eng.names(code) for code in current}

@@ -156,6 +156,19 @@ class TestValidate:
         assert (code, doc) == (2, None)
         assert err == "error: document nested too deeply\n"
 
+    def test_non_utf8_file_exits_two(self, files, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        for argv in (
+            ("validate", bad),
+            ("reach", bad, "--target", "s1=waiting"),
+            ("reach", files["pl3"], "--target", bad),
+            ("check-thm1", bad, "--input", ""),
+        ):
+            code, doc, err = run(capsys, *argv)
+            assert (code, doc) == (2, None), argv
+            assert err == f"error: {bad}: not UTF-8 (invalid start byte at byte 0)\n"
+
 
 class TestReach:
     def test_inline_target_with_trace(self, files, capsys):

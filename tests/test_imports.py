@@ -1,16 +1,20 @@
-"""Every module of the package references each name it imports.
+"""Every module of the package references each name it imports, parses as
+Python 3.10 and imports only the standard library and the package itself.
 
 No linter ships with the toolchain, so this reads the sources with `ast`.
-The package `__init__.py` is skipped: it imports names to re-export them.
+The package `__init__.py` is skipped by the unused-import check: it imports
+names to re-export them.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "interax"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -49,3 +53,36 @@ def test_checker_finds_only_the_unused_name():
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules the source imports from outside the standard
+    library and the package, after parsing it with Python 3.10's grammar
+    (a newer construct raises `SyntaxError`)."""
+    tree = ast.parse(source, feature_version=(3, 10))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    tops = [m.split(".")[0] for m in modules]
+    return [m for m in tops if m not in sys.stdlib_module_names and m != "interax"]
+
+
+def test_checker_finds_foreign_imports_and_newer_syntax():
+    source = (
+        "import json\n"
+        "import numpy as np\n"
+        "from os import path\n"
+        "from interax.model import PortId\n"
+        "from . import errors\n"
+    )
+    assert foreign_imports(source) == ["numpy"]
+    with pytest.raises(SyntaxError):
+        foreign_imports("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
+@pytest.mark.parametrize("module", SOURCES, ids=[p.name for p in SOURCES])
+def test_python_310_and_standard_library_only(module):
+    assert foreign_imports(module.read_text()) == []

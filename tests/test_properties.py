@@ -311,6 +311,11 @@ def mutated_fixtures(draw):
 documents = st.text(max_size=40) | json_values.map(json.dumps) | mutated_fixtures()
 
 
+# an integer literal longer than `int` converts from text by default
+TOO_LONG_INTEGER = '{"version": 1' + "0" * 5000 + "}"
+
+
+@example(TOO_LONG_INTEGER)
 @settings(max_examples=80, deadline=None, database=None)
 @given(documents)
 def test_parsers_return_or_raise_input_errors(text):
@@ -328,6 +333,7 @@ def _cli(*argv):
     return code, err.getvalue()
 
 
+@example(TOO_LONG_INTEGER)
 @settings(max_examples=20, deadline=None, database=None)
 @given(documents)
 def test_cli_answers_or_refuses_bad_documents(text):

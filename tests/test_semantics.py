@@ -435,6 +435,9 @@ def test_search_is_the_reference_bfs(seed):
     sys = gen_random_system(GenParams(seed=seed))
     comps = sys.model.components
     states = sorted(reference_search(sys)[0])
+    eng = compile_system(sys)
+    for q in states:
+        assert eng.names(eng.pack(q)[0]) == q
     rng = random.Random(seed)
     for _ in range(3):
         q = rng.choice(states)
@@ -538,7 +541,9 @@ def test_canonical_order_past_one_machine_word():
     assert len(systems) >= 10
     for sys in systems:
         assert len(sys.model.interactions) > 64
+        eng = compile_system(sys)
         for q in sorted(explore(sys).states):
+            assert eng.names(eng.pack(q)[0]) == q
             expected = reference_successors(sys, q)
             assert successors(sys, q) == expected
             assert enabled_interactions(sys, q) == {name for name, _ in expected}
