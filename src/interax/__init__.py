@@ -35,7 +35,6 @@ from .reduce_linear import (
     compile_lsa,
     config_to_gstate,
     extend_halt_propagation,
-    gstate_to_config,
 )
 from .reduce_star import lift_state, project_state, starify
 from .semantics import (
@@ -104,7 +103,6 @@ __all__ = [
     "export_dot",
     "extend_halt_propagation",
     "gen_random_system",
-    "gstate_to_config",
     "initial_config",
     "interaction_graph",
     "is_reachable",

@@ -1,8 +1,10 @@
 """Bit-exact JSON serialization for systems, machines, and predicates.
 
 Documents carry a required integer `version` (currently 1).  Parsing is
-strict: unknown fields, wrong types, and duplicate rule rows are rejected
-with the offending path; plain syntax errors carry the line and column; a
+strict: unknown fields, wrong types, and duplicate machine delta rows (one
+`(state, read)` twice) are rejected with the offending path, while a
+transition row repeated in a system document is one transition, since
+transitions form a set; plain syntax errors carry the line and column; a
 key repeated within one object, the constants NaN/Infinity/-Infinity, and
 nesting too deep to parse, are errors too.  Every other rule is checked by
 validation.  Serialization canonicalizes first and emits sorted keys with

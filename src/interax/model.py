@@ -15,8 +15,10 @@ can be inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ModelError
 from .validation import ValidationReport, repeated
@@ -105,9 +107,38 @@ class InteractionSystem:
         return tuple(self.behaviors[c].initial for c in self.model.components)
 
 
+def _all_strings(names: Iterable) -> bool:
+    """Whether every name is a string, in one pass over their types (a str
+    subclass fails it, so a caller then checks each name)."""
+    return set(map(type, names)) <= {str}
+
+
+def _non_strings(names: Iterable) -> list:
+    """The distinct names that are not strings, in first-seen order."""
+    out: list = []
+    for x in names:
+        if not isinstance(x, str) and x not in out:
+            out.append(x)
+    return out
+
+
 def validate_model(im: InteractionModel) -> ValidationReport:
-    """Check every interaction-model rule; findings are data, not failures."""
+    """Check every interaction-model rule; findings are data, not failures.
+    A name that is not a string is reported alone: every other rule compares
+    or sorts names, and no document can hold it."""
     report = ValidationReport()
+    ports = tuple(chain.from_iterable(im.ports.values()))
+    names = tuple(map(attrgetter("name"), im.interactions))
+    if not _all_strings(chain(im.components, ports, names)):
+        for kind, group in (
+            ("component", im.components),
+            ("port", ports),
+            ("interaction", names),
+        ):
+            for x in _non_strings(group):
+                report.add("non-string-name", f"{kind} name {x!r} is not a string")
+        if not report.ok:
+            return report
 
     seen_components: set[str] = set()
     for c in im.components:
@@ -192,8 +223,12 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     """Model findings plus behavior-level findings for each component."""
     report = validate_model(sys.model)
     im = sys.model
+    states_are_strings = _all_strings(
+        chain.from_iterable(b.states for b in sys.behaviors.values())
+    )
 
-    for c in sorted(set(sys.behaviors) - set(im.components)):
+    # key=str: a behavior key need not be a string
+    for c in sorted(set(sys.behaviors) - set(im.components), key=str):
         report.add(
             "behavior-component-mismatch",
             f"behavior given for component {c} absent from the model",
@@ -205,6 +240,14 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
             report.add(
                 "behavior-component-mismatch", f"component {c} has no behavior"
             )
+            continue
+
+        odd = [] if states_are_strings else _non_strings(b.states)
+        for s in odd:
+            report.add(
+                "non-string-name", f"component {c}: state name {s!r} is not a string"
+            )
+        if odd:
             continue
 
         for s in repeated(b.states):
@@ -220,7 +263,13 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
                 "missing-initial",
                 f"component {c}: missing initial state {b.initial}",
             )
-        for src, port, dst in sorted(b.transitions):
+        try:
+            rows = sorted(b.transitions)
+        except TypeError:
+            # a field that is not a string: no declared state equals it,
+            # and a port equal to it was reported with the model
+            rows = sorted(b.transitions, key=repr)
+        for src, port, dst in rows:
             if src not in states or dst not in states:
                 report.add(
                     "unknown-transition-state",

@@ -23,7 +23,13 @@ from .model import (
     LocalBehavior,
     PortId,
 )
-from .reduce_linear import accept_predicate, cell_states, compile_lsa, head_marker
+from .reduce_linear import (
+    accept_predicate,
+    cell_states,
+    compile_lsa,
+    config_to_gstate,
+    head_marker,
+)
 from .reduce_star import project_state, starify
 from .semantics import GlobalState, compile_system, is_reachable
 from .turing import DTM, Outcome, initial_config, run_tm, tm_step
@@ -183,39 +189,35 @@ def _lockstep_check(
     machine: DTM, word: str, sys_m: InteractionSystem, steps: int
 ) -> tuple[bool, str]:
     """Replay the run's first `steps` moves from the compiled system's own
-    initial state, which must be the image of the initial configuration:
-    each state before a move must enable exactly one interaction, whose
-    successor is the image of the next configuration.  The image is kept as
-    engine state indices, and a move changes it only at the cell the head
-    leaves and the cell it enters; a successor matches by its code."""
+    initial state, which must be the initial configuration's image,
+    `pack(config_to_gstate(...))`: each state before a move must enable
+    exactly one interaction, whose successor is the image of the next
+    configuration.  The image is kept as the engine's digits, and a move
+    changes it only at the cell the head leaves and the cell it enters; the
+    successor's digits are read off its code by `Engine.moved` and must
+    equal the image."""
     eng = compile_system(sys_m)
-    marker = head_marker(machine)
-    # per cell, (marker or state, symbol) -> local state index; None where
-    # the cell lacks that state, so the image cannot match there
-    names = cell_states(machine).items()
-    index = [{key: at.get(name) for key, name in names} for at in eng.state_index]
     config = initial_config(machine, word)
-    image = [index[i][marker, g] for i, g in enumerate(config.tape)]
-    image[config.head] = index[config.head][config.state, config.tape[config.head]]
-    code, here = eng.initial_code, eng.initial
-    if tuple(image) != here:
+    code, here = eng.pack(config_to_gstate(machine, word, config))
+    if code != eng.initial_code:
         return False, "initial state is not the image of the initial configuration"
+    marker = head_marker(machine)
+    states = cell_states(machine)
+    image = list(here)
     for step_no in range(steps):
         left = config.head
         config = tm_step(machine, config)
         head = config.head
-        image[left] = index[left][marker, config.tape[left]]
-        image[head] = index[head][config.state, config.tape[head]]
+        # None where the cell lacks the state, which no digit equals
+        image[left] = eng.state_index[left].get(states[marker, config.tape[left]])
+        image[head] = eng.state_index[head].get(states[config.state, config.tape[head]])
         succs = eng.successors(code, here)
         if len(succs) != 1:
             return False, f"step {step_no}: {len(succs)} successors, expected 1"
-        name, succ = succs[0]
-        # the image's code is `code` moved at the two cells that changed
-        if None in (image[left], image[head]) or succ != code + sum(
-            (image[i] - here[i]) * eng.weights[i] for i in (left, head)
-        ):
+        name, code = succs[0]
+        here = eng.moved(here, code, eng.parts(name))
+        if here != tuple(image):
             return False, f"step {step_no}: successor mismatch via {name}"
-        code, here = succ, tuple(image)
     return True, f"lockstep held for {steps} steps"
 
 

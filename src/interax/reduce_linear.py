@@ -174,32 +174,6 @@ def config_to_gstate(machine: DTM, word: str, config: Configuration) -> GlobalSt
     )
 
 
-def gstate_to_config(machine: DTM, word: str, gstate: GlobalState) -> Configuration:
-    """Inverse of `config_to_gstate`; requires exactly one on-cell marker."""
-    n = len(word)
-    if len(gstate) != n + 2:
-        raise ModelError(
-            f"global state has {len(gstate)} entries, expected {n + 2}"
-        )
-    marker = head_marker(machine)
-    decode = {name: key for key, name in cell_states(machine).items()}
-    heads = []
-    tape = []
-    for i, name in enumerate(gstate):
-        if name not in decode:
-            raise ModelError(f"not a cell state: {name!r}")
-        p, g = decode[name]
-        tape.append(g)
-        if p != marker:
-            heads.append((i, p))
-    if len(heads) != 1:
-        raise ModelError(
-            f"not a configuration state: {len(heads)} head markers present"
-        )
-    head, state = heads[0]
-    return Configuration(state, tuple(tape), head)
-
-
 def extend_halt_propagation(
     machine: DTM, word: str
 ) -> tuple[InteractionSystem, GlobalState]:

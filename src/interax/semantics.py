@@ -68,8 +68,7 @@ class Engine:
     rule: successors, `step`, enabledness and trace replay are all read off
     it, and `search` is the one breadth-first loop over it.  A global
     state's names and its code translate through `pack` and `names` only,
-    and a predicate's names through `resolve`; the lockstep replay of
-    Theorem 1 builds its per-cell maps from `state_index`.
+    and a predicate's names through `resolve`.
 
     Codes: a state's digits are its local state indices, one per component,
     and its code is the mixed-radix integer `Σ q_c·w_c`, where component 0

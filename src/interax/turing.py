@@ -109,7 +109,8 @@ def validate_dtm(machine: DTM) -> ValidationReport:
             report.add("delta-unknown-state", f"delta rule targets unknown state {p2}")
         if w not in tape:
             report.add("delta-unknown-symbol", f"delta rule writes unknown symbol {w}")
-        if move not in (-1, 1):
+        # a bool or a float can equal 1 but cannot be written as a move
+        if type(move) is not int or move not in (-1, 1):
             report.add("delta-bad-move", f"delta rule ({p}, {g}) has move {move}")
 
     return report

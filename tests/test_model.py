@@ -214,6 +214,71 @@ class TestDottedComponentName:
             starify(system)
 
 
+def one_port_system(component="k", port="p", states=("q",), transitions=None):
+    """One component with one port in one interaction, names as given; each
+    state's only transition is a self-loop on the port."""
+    if transitions is None:
+        transitions = {(q, port, q) for q in states}
+    b = LocalBehavior(states, frozenset(transitions), states[0])
+    model = InteractionModel(
+        (component,),
+        {component: (port,)},
+        (Interaction("i", (PortId(component, port),)),),
+    )
+    return InteractionSystem(model, {component: b})
+
+
+class TestNonStringName:
+    def test_int_component_is_a_finding(self):
+        report = validate_system(one_port_system(component=7))
+        assert [str(f) for f in report.findings] == [
+            "non-string-name: component name 7 is not a string"
+        ]
+
+    def test_behaviors_for_absent_components_of_mixed_types(self):
+        sys = one_port_system()
+        b = sys.behaviors["k"]
+        extra = InteractionSystem(sys.model, {"k": b, 7: b, "ghost": b})
+        assert [str(f) for f in validate_system(extra).findings] == [
+            "behavior-component-mismatch: behavior given for component 7 absent from the model",
+            "behavior-component-mismatch: behavior given for component ghost absent from the model",
+        ]
+
+    def test_int_states_are_findings(self):
+        # they used to validate clean, and their document did not parse
+        report = validate_system(one_port_system(states=(0, 1)))
+        assert [str(f) for f in report.findings] == [
+            "non-string-name: component k: state name 0 is not a string",
+            "non-string-name: component k: state name 1 is not a string",
+        ]
+        with pytest.raises(ModelError, match="non-string-name"):
+            starify(one_port_system(states=(0, 1)))
+
+    def test_port_and_interaction_names(self):
+        b = LocalBehavior(("q",), frozenset({("q", 5, "q")}), "q")
+        model = InteractionModel(
+            ("k",), {"k": (5, True)}, (Interaction(None, (PortId("k", 5),)),)
+        )
+        report = validate_system(InteractionSystem(model, {"k": b}))
+        assert [str(f) for f in report.findings] == [
+            "non-string-name: port name 5 is not a string",
+            "non-string-name: port name True is not a string",
+            "non-string-name: interaction name None is not a string",
+        ]
+
+    def test_undeclared_names_in_transitions_are_unknown(self):
+        # string states, but transitions that name an int state or port:
+        # they cannot be sorted with the others, so the rows go in the order
+        # of their text, and they are reported as unknown
+        system = one_port_system(
+            states=("q",), transitions={("q", "p", "q"), (0, "p", "q"), ("q", 1, "q")}
+        )
+        assert _rules(validate_system(system)) == [
+            "unknown-port",
+            "unknown-transition-state",
+        ]
+
+
 def doubled_port_system():
     """Component k's port family lists port a twice."""
     b = LocalBehavior(("q0",), frozenset({("q0", "a", "q0")}), "q0")

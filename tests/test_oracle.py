@@ -200,6 +200,31 @@ class TestLockstepCheck:
         mutated = _retarget_arrival(arrival)
         assert _lockstep_check(even_a(), "aa", mutated, 3) == (False, message)
 
+    def test_successor_moving_a_third_cell_mismatches(self):
+        # mv:even:a:1:2 also takes a new port of cell 3, which moves that
+        # cell from its initial s,b to s,a: the head cells match the image,
+        # cell 3 does not
+        sys_m = compile_lsa(even_a(), "aa")
+        model = sys_m.model
+        interactions = tuple(
+            replace(a, ports=(*a.ports, PortId("3", "X")))
+            if a.name == "mv:even:a:1:2"
+            else a
+            for a in model.interactions
+        )
+        ports = {**model.ports, "3": (*model.ports["3"], "X")}
+        b = sys_m.behaviors["3"]
+        cell = replace(b, transitions=b.transitions | {("s,b", "X", "s,a")})
+        mutated = InteractionSystem(
+            InteractionModel(model.components, ports, interactions),
+            {**sys_m.behaviors, "3": cell},
+        )
+        assert validate_system(mutated).ok
+        assert _lockstep_check(even_a(), "aa", mutated, 3) == (
+            False,
+            "step 0: successor mismatch via mv:even:a:1:2",
+        )
+
     def test_initial_state_must_be_the_image(self):
         sys_m = compile_lsa(even_a(), "aa")
         b = sys_m.behaviors["0"]

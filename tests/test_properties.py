@@ -155,6 +155,35 @@ def test_every_valid_system_round_trips(case):
         assert parse_system(serialize_system(s)) == canonicalize_system(s)
 
 
+# names of any JSON scalar type: a system whose names are not all strings
+# gets a `non-string-name` finding, and a clean one round-trips
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    renamed_systems(
+        st.one_of(
+            st.text("ab.", max_size=2),
+            st.integers(-2, 2),
+            st.booleans(),
+            st.none(),
+            st.floats(-1, 1),
+        )
+    )
+)
+def test_names_of_any_type_round_trip_or_are_findings(case):
+    _, system, _, _ = case
+    model = system.model
+    names = [
+        *model.components,
+        *(p for c in model.components for p in model.ports[c]),
+        *(a.name for a in model.interactions),
+        *(s for b in system.behaviors.values() for s in b.states),
+    ]
+    rules = {f.rule for f in validate_system(system).findings}
+    assert ("non-string-name" in rules) == any(not isinstance(x, str) for x in names)
+    if not rules:
+        assert parse_system(serialize_system(system)) == canonicalize_system(system)
+
+
 fresh_names = st.text("abxy_0", min_size=1, max_size=3)
 
 

@@ -18,7 +18,6 @@ from interax import (
     config_to_gstate,
     explore,
     extend_halt_propagation,
-    gstate_to_config,
     initial_config,
     is_reachable,
     run_tm,
@@ -137,7 +136,7 @@ class TestBijection:
         c1 = tm_step(m, initial_config(m, "aa"))
         assert config_to_gstate(m, "aa", c1) == ("s,b", "s,a", "odd,a", "s,b")
 
-    def test_round_trip_on_random_configurations(self):
+    def test_injective_on_random_configurations(self):
         import random
 
         rng = random.Random(7)
@@ -145,27 +144,17 @@ class TestBijection:
         word = "010"
         cells = len(word) + 2
         non_halt = [p for p in m.states if p not in (m.accept, m.reject)]
-        for _ in range(100):
-            config = Configuration(
+        # 100 draws, one of them a repeat: distinct configurations must
+        # give as many distinct global states
+        configs = {
+            Configuration(
                 rng.choice(non_halt),
                 tuple(rng.choice(m.tape_alphabet) for _ in range(cells)),
                 rng.randrange(cells),
             )
-            assert gstate_to_config(m, word, config_to_gstate(m, word, config)) == config
-
-    def test_all_marker_state_rejected(self):
-        m = even_a()
-        with pytest.raises(ModelError, match="0 head markers"):
-            gstate_to_config(m, "a", ("s,b", "s,a", "s,b"))
-        with pytest.raises(ModelError, match="global state has 2 entries, expected 3"):
-            gstate_to_config(m, "a", ("even,b", "s,a"))
-        with pytest.raises(ModelError, match="not a cell state: 'nope'"):
-            gstate_to_config(m, "a", ("even,b", "nope", "s,b"))
-
-    def test_two_head_markers_rejected(self):
-        m = even_a()
-        with pytest.raises(ModelError, match="2 head markers"):
-            gstate_to_config(m, "a", ("even,b", "odd,a", "s,b"))
+            for _ in range(100)
+        }
+        assert len({config_to_gstate(m, word, c) for c in configs}) == len(configs)
 
     def test_tape_length_mismatch_rejected(self):
         m = even_a()

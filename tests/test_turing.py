@@ -68,6 +68,16 @@ class TestValidateDtm:
         report = validate_dtm(DTM(m.tape_alphabet, m.input_alphabet, m.blank, m.states, m.initial, m.accept, m.reject, delta))
         assert any(f.rule == "delta-bad-move" for f in report.findings)
 
+    @pytest.mark.parametrize("move", [True, 1.0, -1.0], ids=repr)
+    def test_move_must_be_a_plain_int(self, move):
+        # True == 1 and 1.0 == 1, but no document can hold either as a move
+        m = even_a()
+        delta = {**m.delta, ("even", "a"): ("odd", "a", move)}
+        report = validate_dtm(dataclasses.replace(m, delta=delta))
+        assert [(f.rule, f.message) for f in report.findings] == [
+            ("delta-bad-move", f"delta rule (even, a) has move {move}")
+        ]
+
     @pytest.mark.parametrize(
         "change, rule, message",
         [
