@@ -30,6 +30,7 @@ Predicate document:
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .errors import ModelError, ParseError
@@ -43,6 +44,7 @@ from .model import (
     validate_system,
 )
 from .turing import DTM, canonicalize_dtm, validate_dtm
+from .validation import non_strings
 
 DOCUMENT_VERSION = 1
 
@@ -190,10 +192,27 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
 
 
 def serialize_system(sys: InteractionSystem) -> str:
-    """Canonical, byte-stable system document.  A document states each
-    component's behavior and port family with the component, so a component
-    without a behavior, or a behavior or port family without a component,
-    cannot be written."""
+    """Canonical, byte-stable system document.  A document holds only string
+    names, and it states each component's behavior and port family with the
+    component, so a name that is not a string, a component without a
+    behavior, or a behavior or port family without a component, cannot be
+    written."""
+    im = sys.model
+    behaviors = sys.behaviors.values()
+    names = chain(
+        im.components,
+        im.ports,
+        sys.behaviors,
+        chain.from_iterable(im.ports.values()),
+        (a.name for a in im.interactions),
+        chain.from_iterable(chain.from_iterable(a.ports for a in im.interactions)),
+        (b.initial for b in behaviors),
+        chain.from_iterable(b.states for b in behaviors),
+        chain.from_iterable(chain.from_iterable(b.transitions for b in behaviors)),
+    )
+    odd = non_strings(names)
+    if odd:
+        raise ModelError(f"cannot serialize: name {odd[0]!r} is not a string")
     canonical = canonicalize_system(sys)
     for c in canonical.model.components:
         if c not in canonical.behaviors:
@@ -289,7 +308,11 @@ def parse_dtm(text: str) -> DTM:
 
 
 def serialize_dtm(machine: DTM) -> str:
-    """Canonical, byte-stable machine document."""
+    """Canonical, byte-stable machine document; a machine with a name that
+    is not a string cannot be written."""
+    for finding in validate_dtm(machine).findings:
+        if finding.rule == "non-string-name":
+            raise ModelError(f"cannot serialize: {finding.message}")
     canonical = canonicalize_dtm(machine)
     doc = {
         "tape_alphabet": list(canonical.tape_alphabet),

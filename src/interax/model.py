@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import ModelError
-from .validation import ValidationReport, repeated
+from .validation import ValidationReport, non_strings, repeated
 
 
 class PortId(NamedTuple):
@@ -107,21 +107,6 @@ class InteractionSystem:
         return tuple(self.behaviors[c].initial for c in self.model.components)
 
 
-def _all_strings(names: Iterable) -> bool:
-    """Whether every name is a string, in one pass over their types (a str
-    subclass fails it, so a caller then checks each name)."""
-    return set(map(type, names)) <= {str}
-
-
-def _non_strings(names: Iterable) -> list:
-    """The distinct names that are not strings, in first-seen order."""
-    out: list = []
-    for x in names:
-        if not isinstance(x, str) and x not in out:
-            out.append(x)
-    return out
-
-
 def validate_model(im: InteractionModel) -> ValidationReport:
     """Check every interaction-model rule; findings are data, not failures.
     A name that is not a string is reported alone: every other rule compares
@@ -129,16 +114,15 @@ def validate_model(im: InteractionModel) -> ValidationReport:
     report = ValidationReport()
     ports = tuple(chain.from_iterable(im.ports.values()))
     names = tuple(map(attrgetter("name"), im.interactions))
-    if not _all_strings(chain(im.components, ports, names)):
+    if non_strings(chain(im.components, ports, names)):
         for kind, group in (
             ("component", im.components),
             ("port", ports),
             ("interaction", names),
         ):
-            for x in _non_strings(group):
+            for x in non_strings(group):
                 report.add("non-string-name", f"{kind} name {x!r} is not a string")
-        if not report.ok:
-            return report
+        return report
 
     seen_components: set[str] = set()
     for c in im.components:
@@ -223,7 +207,7 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     """Model findings plus behavior-level findings for each component."""
     report = validate_model(sys.model)
     im = sys.model
-    states_are_strings = _all_strings(
+    states_are_strings = not non_strings(
         chain.from_iterable(b.states for b in sys.behaviors.values())
     )
 
@@ -242,7 +226,7 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
             )
             continue
 
-        odd = [] if states_are_strings else _non_strings(b.states)
+        odd = [] if states_are_strings else non_strings(b.states)
         for s in odd:
             report.add(
                 "non-string-name", f"component {c}: state name {s!r} is not a string"

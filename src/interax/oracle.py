@@ -1,11 +1,12 @@
-"""Independent truth sources: brute-force reachability by sweeping the
-global transition relation, seeded random system generation, and the two
+"""Independent truth sources: brute-force reachability over the global
+transition relation, seeded random system generation, and the two
 end-to-end equivalence checkers.
 
 The brute-force fixpoint shares no machinery with `semantics.explore`: it
-recomputes interaction enabledness per state straight from the definitions
-and sweeps the whole reachable set until no new state appears.  A frontier
-or hashing bug in the engine therefore cannot hide here.
+recomputes enabledness per state from the definitions and expands each
+reachable state once, from its own depth-first stack of name tuples rather
+than the engine's breadth-first frontier of codes, so a frontier or hashing
+bug in the engine cannot hide here.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ class Verdict:
 
 def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
     """Least fixpoint of the global transition relation, guarded at 10,000
-    product states.  Every local initial state and transition target is
-    checked against its component's states up front, so every state the
-    sweep reaches lies in the product; an invalid system is refused even
-    when its bad transition never fires."""
+    product states, expanding each reachable state once.  Every local initial
+    state and transition target is checked against its component's states up
+    front, so every state the search reaches lies in the product; an invalid
+    system is refused even when its bad transition never fires."""
     components = sys.model.components
     behaviors = [sys.behaviors[c] for c in components]
     state_sets = [set(b.states) for b in behaviors]
@@ -96,28 +97,27 @@ def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
 
     initial = tuple(b.initial for b in behaviors)
     reachable = {initial}
-    changed = True
-    while changed:
-        changed = False
-        for q in sorted(reachable):
-            for parts in participant_lists:
-                options = []
-                for ci, port in parts:
-                    targets = local[ci].get((q[ci], port))
-                    if not targets:
-                        options = None
-                        break
-                    options.append((ci, targets))
-                if options is None:
-                    continue
-                for combo in itertools.product(*[t for _, t in options]):
-                    succ = list(q)
-                    for (ci, _), target in zip(options, combo):
-                        succ[ci] = target
-                    succ_t = tuple(succ)
-                    if succ_t not in reachable:
-                        reachable.add(succ_t)
-                        changed = True
+    todo = [initial]
+    while todo:
+        q = todo.pop()
+        for parts in participant_lists:
+            options = []
+            for ci, port in parts:
+                targets = local[ci].get((q[ci], port))
+                if not targets:
+                    options = None
+                    break
+                options.append((ci, targets))
+            if options is None:
+                continue
+            for combo in itertools.product(*[t for _, t in options]):
+                succ = list(q)
+                for (ci, _), target in zip(options, combo):
+                    succ[ci] = target
+                succ_t = tuple(succ)
+                if succ_t not in reachable:
+                    reachable.add(succ_t)
+                    todo.append(succ_t)
     return reachable
 
 

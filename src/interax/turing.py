@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import ModelError
-from .validation import ValidationReport, repeated
+from .validation import ValidationReport, non_strings, repeated
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,21 @@ class RunResult:
 
 
 def validate_dtm(machine: DTM) -> ValidationReport:
-    """Check alphabets, distinguished states, and delta totality/domain."""
+    """Check alphabets, distinguished states, and delta totality/domain.  A
+    state or symbol name that is not a string is reported alone: every other
+    rule sorts or compares names, and no document can hold it."""
     report = ValidationReport()
     m = machine
+    state_names = [*m.states, m.initial, m.accept, m.reject]
+    symbol_names = [*m.tape_alphabet, *m.input_alphabet, m.blank]
+    for (p, g), (p2, w, _) in m.delta.items():
+        state_names += (p, p2)
+        symbol_names += (g, w)
+    for kind, group in (("state", state_names), ("symbol", symbol_names)):
+        for x in non_strings(group):
+            report.add("non-string-name", f"{kind} name {x!r} is not a string")
+    if not report.ok:
+        return report
 
     for label, symbols in (("tape", m.tape_alphabet), ("input", m.input_alphabet)):
         for s in repeated(symbols):

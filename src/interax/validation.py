@@ -43,6 +43,20 @@ class ValidationReport:
         return "\n".join(str(f) for f in self.findings)
 
 
+def non_strings(names: Iterable) -> list:
+    """The distinct names that are not strings, in first-seen order.  One
+    pass over the names' types settles the usual case where all are (a str
+    subclass fails it, so then each name is checked)."""
+    names = tuple(names)
+    if set(map(type, names)) <= {str}:
+        return []
+    out: list = []
+    for x in names:
+        if not isinstance(x, str) and x not in out:
+            out.append(x)
+    return out
+
+
 def repeated(items: Iterable[Hashable]) -> list:
     """The items listed more than once, sorted, each named once."""
     return sorted(x for x, k in Counter(items).items() if k > 1)

@@ -22,6 +22,7 @@ from interax import (
     validate_system,
 )
 from interax.fixtures import client_server, even_a, pipeline
+from interax.formats import serialize_system
 
 
 def _rules(report):
@@ -265,6 +266,40 @@ class TestNonStringName:
             "non-string-name: port name True is not a string",
             "non-string-name: interaction name None is not a string",
         ]
+
+    @pytest.mark.parametrize(
+        "system, rules, name",
+        [
+            (
+                InteractionSystem(
+                    InteractionModel(
+                        ("a", 7),
+                        {"a": ("p",), 7: ("p",)},
+                        (
+                            Interaction("i", (PortId("a", "p"),)),
+                            Interaction("j", (PortId(7, "p"),)),
+                        ),
+                    ),
+                    {c: one_port_system(c).behaviors[c] for c in ("a", 7)},
+                ),
+                ["non-string-name"],
+                "7",
+            ),
+            (
+                one_port_system(transitions={("q", "p", "q"), (0, "p", "q")}),
+                ["unknown-transition-state"],
+                "0",
+            ),
+            (one_port_system(states=(0, 1)), ["non-string-name"] * 2, "0"),
+        ],
+        ids=["mixed-components", "transition-field", "int-states"],
+    )
+    def test_serialize_refuses_non_string_names(self, system, rules, name):
+        # the mixed ones used to raise TypeError from sorting; the int states
+        # were written to a document that does not parse
+        assert _rules(validate_system(system)) == rules
+        with pytest.raises(ModelError, match=f"^cannot serialize: name {name} is not a string$"):
+            serialize_system(system)
 
     def test_undeclared_names_in_transitions_are_unknown(self):
         # string states, but transitions that name an int state or port:

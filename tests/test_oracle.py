@@ -1,5 +1,6 @@
 """Brute-force oracle, random system generation, end-to-end checkers."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -18,11 +19,14 @@ from interax import (
     compile_lsa,
     explore,
     gen_random_system,
+    starify,
     validate_system,
 )
 from interax import semantics
 from interax.fixtures import client_server, even_a, first_last, pipeline
-from interax.oracle import _lockstep_check
+from interax.oracle import STAR_EQUIVALENCE_SEEDS, _lockstep_check
+
+from test_semantics import ring
 
 
 class TestBruteForce:
@@ -108,6 +112,110 @@ class TestBruteForce:
             assert before <= after, seed
             grown += 1
         assert grown >= 10  # the sample actually exercised the property
+
+
+def reference_sweep(sys):
+    """The oracle's former fixpoint, kept as a reference: sweep the whole
+    reachable set in sorted order, expanding every state again, until a
+    sweep adds no state."""
+    components = sys.model.components
+    local = []
+    for c in components:
+        table = {}
+        for src, port, dst in sys.behaviors[c].transitions:
+            table.setdefault((src, port), []).append(dst)
+        local.append({k: sorted(set(v)) for k, v in table.items()})
+    order = {c: k for k, c in enumerate(components)}
+    participant_lists = [
+        [(order[p.component], p.port) for p in a.ports] for a in sys.model.interactions
+    ]
+    reachable = {sys.initial_state()}
+    changed = True
+    while changed:
+        changed = False
+        for q in sorted(reachable):
+            for parts in participant_lists:
+                options = []
+                for ci, port in parts:
+                    targets = local[ci].get((q[ci], port))
+                    if not targets:
+                        options = None
+                        break
+                    options.append((ci, targets))
+                if options is None:
+                    continue
+                for combo in itertools.product(*[t for _, t in options]):
+                    succ = list(q)
+                    for (ci, _), target in zip(options, combo):
+                        succ[ci] = target
+                    succ_t = tuple(succ)
+                    if succ_t not in reachable:
+                        reachable.add(succ_t)
+                        changed = True
+    return reachable
+
+
+def assert_closed(sys, states):
+    """A closure certificate read off the transition triples: `states` holds
+    the initial state, and every successor of a member is a member."""
+    comps = sys.model.components
+    moves = {}
+    for i, c in enumerate(comps):
+        for src, port, dst in sys.behaviors[c].transitions:
+            moves.setdefault((i, src, port), []).append((i, dst))
+    parts = [[(comps.index(c), port) for c, port in a.ports] for a in sys.model.interactions]
+    assert sys.initial_state() in states
+    for q in states:
+        for ports in parts:
+            for combo in itertools.product(*(moves.get((i, q[i], p), ()) for i, p in ports)):
+                succ = list(q)
+                for i, dst in combo:
+                    succ[i] = dst
+                assert tuple(succ) in states, (q, combo)
+
+
+STARIFIED_SOURCES = [
+    *(pytest.param(("random", s), id=f"random-{s}") for s in STAR_EQUIVALENCE_SEEDS),
+    *(pytest.param(("pipeline", n), id=f"pipeline-{n}") for n in range(2, 6)),
+    *(pytest.param(("client_server", r), id=f"client_server-{r}") for r in range(1, 6)),
+    *(pytest.param(("ring", k), id=f"ring-{k}-nondet") for k in (3, 4)),
+]
+
+
+def _source(family, size):
+    if family == "random":
+        return gen_random_system(GenParams(seed=size))
+    if family == "ring":
+        return ring(size, nondet=True)
+    return {"pipeline": pipeline, "client_server": client_server}[family](size)
+
+
+class TestDifferential:
+    """The oracle against the engine, the former sweep and a closure
+    certificate, on starified systems (which the engine otherwise never
+    sees) and on plain random draws."""
+
+    @pytest.mark.parametrize("source", STARIFIED_SOURCES)
+    def test_starified(self, source):
+        star = starify(_source(*source))
+        got = brute_force_reachable(star)
+        assert got == explore(star).states
+        assert got == reference_sweep(star)
+        assert_closed(star, got)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_plain_random(self, seed):
+        sys = gen_random_system(GenParams(seed=seed))
+        got = brute_force_reachable(sys)
+        assert got == reference_sweep(sys)
+        assert_closed(sys, got)
+
+    def test_certificate_rejects_a_missing_successor(self):
+        sys = pipeline(3)
+        states = brute_force_reachable(sys)
+        states.discard(max(states - {sys.initial_state()}))
+        with pytest.raises(AssertionError):
+            assert_closed(sys, states)
 
 
 class TestGenRandomSystem:

@@ -156,7 +156,8 @@ def test_every_valid_system_round_trips(case):
 
 
 # names of any JSON scalar type: a system whose names are not all strings
-# gets a `non-string-name` finding, and a clean one round-trips
+# gets a `non-string-name` finding and is refused by the writer, and a clean
+# one round-trips
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     renamed_systems(
@@ -179,7 +180,11 @@ def test_names_of_any_type_round_trip_or_are_findings(case):
         *(s for b in system.behaviors.values() for s in b.states),
     ]
     rules = {f.rule for f in validate_system(system).findings}
-    assert ("non-string-name" in rules) == any(not isinstance(x, str) for x in names)
+    odd = any(not isinstance(x, str) for x in names)
+    assert ("non-string-name" in rules) == odd
+    if odd:
+        with pytest.raises(ModelError, match="^cannot serialize: name "):
+            serialize_system(system)
     if not rules:
         assert parse_system(serialize_system(system)) == canonicalize_system(system)
 

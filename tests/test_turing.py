@@ -16,7 +16,7 @@ from interax import (
     validate_dtm,
 )
 from interax.fixtures import even_a, first_last
-from interax.formats import parse_dtm
+from interax.formats import parse_dtm, serialize_dtm
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -95,6 +95,32 @@ class TestValidateDtm:
             change = {"delta": {**m.delta, **change["delta"]}}
         report = validate_dtm(dataclasses.replace(m, **change))
         assert (rule, message) in [(f.rule, f.message) for f in report.findings]
+
+    @pytest.mark.parametrize(
+        "change, messages",
+        [
+            ({"delta": {("even", "a"): ("odd", "a", 1), (0, "a"): ("odd", "a", 1)}},
+             ["state name 0 is not a string"]),
+            ({"states": ("even", "odd", "accept", "reject", 5),
+              "delta": {(5, "a"): ("even", "a", 1), (5, "b"): (5, "b", -1)}},
+             ["state name 5 is not a string"]),
+            ({"tape_alphabet": ("a", "b", "_", 2), "blank": None},
+             ["symbol name 2 is not a string", "symbol name None is not a string"]),
+        ],
+        ids=["delta-row", "state", "symbols"],
+    )
+    def test_non_string_names_are_findings(self, change, messages):
+        # they used to raise TypeError from sorting the rules
+        m = even_a()
+        if "delta" in change:
+            change = {**change, "delta": {**m.delta, **change["delta"]}}
+        machine = dataclasses.replace(m, **change)
+        report = validate_dtm(machine)
+        assert [(f.rule, f.message) for f in report.findings] == [
+            ("non-string-name", message) for message in messages
+        ]
+        with pytest.raises(ModelError, match=f"^cannot serialize: {messages[0]}$"):
+            serialize_dtm(machine)
 
     def test_accept_equals_reject(self):
         m = even_a()
