@@ -44,7 +44,7 @@ from .model import (
     validate_system,
 )
 from .turing import DTM, canonicalize_dtm, validate_dtm
-from .validation import non_strings
+from .validation import refuse_non_strings
 
 DOCUMENT_VERSION = 1
 
@@ -210,9 +210,7 @@ def serialize_system(sys: InteractionSystem) -> str:
         chain.from_iterable(b.states for b in behaviors),
         chain.from_iterable(chain.from_iterable(b.transitions for b in behaviors)),
     )
-    odd = non_strings(names)
-    if odd:
-        raise ModelError(f"cannot serialize: name {odd[0]!r} is not a string")
+    refuse_non_strings(names, "serialize")
     canonical = canonicalize_system(sys)
     for c in canonical.model.components:
         if c not in canonical.behaviors:
@@ -345,4 +343,4 @@ def parse_predicates(text: str) -> list[dict[str, str]]:
 
 
 def serialize_predicates(predicates: list[dict[str, str]]) -> str:
-    return dump_document({"predicates": [dict(sorted(p.items())) for p in predicates]})
+    return dump_document({"predicates": [dict(p) for p in predicates]})

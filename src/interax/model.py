@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import ModelError
-from .validation import ValidationReport, non_strings, repeated
+from .validation import ValidationReport, non_strings, refuse_non_strings, repeated
 
 
 class PortId(NamedTuple):
@@ -148,9 +148,7 @@ def validate_model(im: InteractionModel) -> ValidationReport:
         if "" in family:
             report.add("empty-name", f"component {c} declares an empty port name")
 
-    declared = {
-        PortId(c, p) for c in im.components for p in set(im.ports.get(c, ()))
-    }
+    declared = {PortId(c, p) for c in im.components for p in im.ports.get(c, ())}
     used: set[PortId] = set()
     seen_names: set[str] = set()
     seen_port_sets: dict[frozenset[PortId], str] = {}
@@ -207,9 +205,6 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     """Model findings plus behavior-level findings for each component."""
     report = validate_model(sys.model)
     im = sys.model
-    states_are_strings = not non_strings(
-        chain.from_iterable(b.states for b in sys.behaviors.values())
-    )
 
     # key=str: a behavior key need not be a string
     for c in sorted(set(sys.behaviors) - set(im.components), key=str):
@@ -226,7 +221,7 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
             )
             continue
 
-        odd = [] if states_are_strings else non_strings(b.states)
+        odd = non_strings(b.states)
         for s in odd:
             report.add(
                 "non-string-name", f"component {c}: state name {s!r} is not a string"
@@ -278,23 +273,45 @@ def enabled_ports(behavior: LocalBehavior, state: str) -> frozenset[str]:
 def canonicalize(im: InteractionModel) -> InteractionModel:
     """Sort components, port families, interactions (by name, then ports)
     and each interaction's ports.  Nothing is merged or dropped, so an
-    invalid model keeps every finding."""
-    components = tuple(sorted(im.components))
-    # a family for a component the model lacks is kept too
-    families = sorted({*components, *im.ports})
-    ports = {c: tuple(sorted(im.ports.get(c, ()))) for c in families}
-    interactions = sorted(
-        (Interaction(a.name, tuple(sorted(a.ports))) for a in im.interactions),
-        key=lambda a: (a.name, a.ports),
-    )
+    invalid model keeps every finding; names that cannot be sorted together
+    raise `ModelError` naming the first one that is not a string."""
+    try:
+        components = tuple(sorted(im.components))
+        # a family for a component the model lacks is kept too
+        families = sorted({*components, *im.ports})
+        ports = {c: tuple(sorted(im.ports.get(c, ()))) for c in families}
+        interactions = sorted(
+            (Interaction(a.name, tuple(sorted(a.ports))) for a in im.interactions),
+            key=lambda a: (a.name, a.ports),
+        )
+    except TypeError:
+        pids = chain.from_iterable(a.ports for a in im.interactions)
+        refuse_non_strings(
+            chain(
+                im.components,
+                im.ports,
+                chain.from_iterable(im.ports.values()),
+                (a.name for a in im.interactions),
+                chain.from_iterable(pids),
+            ),
+            "canonicalize",
+        )
+        raise
     return InteractionModel(components, ports, tuple(interactions))
 
 
 def canonicalize_system(sys: InteractionSystem) -> InteractionSystem:
     """Canonical model plus behaviors with sorted state lists, sorted by
-    component.  Every behavior given is kept, also one the model lacks."""
-    behaviors = {
-        c: replace(b, states=tuple(sorted(b.states)))
-        for c, b in sorted(sys.behaviors.items())
-    }
+    component.  Every behavior given is kept, also one the model lacks.
+    Names that cannot be sorted together raise `ModelError` naming the
+    first one that is not a string."""
+    try:
+        behaviors = {
+            c: replace(b, states=tuple(sorted(b.states)))
+            for c, b in sorted(sys.behaviors.items())
+        }
+    except TypeError:
+        states = chain.from_iterable(b.states for b in sys.behaviors.values())
+        refuse_non_strings(chain(sys.behaviors, states), "canonicalize")
+        raise
     return InteractionSystem(canonicalize(sys.model), behaviors)

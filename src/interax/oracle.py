@@ -88,7 +88,7 @@ def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
                     f"transition target of {c} outside its states (invalid system)"
                 )
             table.setdefault((src, port), []).append(dst)
-        local.append({k: sorted(set(v)) for k, v in table.items()})
+        local.append({k: sorted(v) for k, v in table.items()})
 
     order = {c: k for k, c in enumerate(components)}
     participant_lists = [

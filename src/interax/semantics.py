@@ -18,8 +18,8 @@ from .errors import ModelError
 from .model import InteractionSystem, validate_system
 
 GlobalState = tuple[str, ...]
-# an interaction's (component index, table, weight) participants; see `Engine`
-Parts = tuple[tuple[int, list[tuple[int, ...]], int], ...]
+# an interaction's (component index, table) participants; see `Engine`
+Parts = tuple[tuple[int, list[tuple[int, ...]]], ...]
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -79,16 +79,16 @@ class Engine:
     for the participants only.
 
     Rule tables: each interaction, in name order, is a rule `(name, parts)`
-    whose parts are `(component index, table, weight)` triples in component
-    order; `table[s]` is the ascending tuple of the code steps `(t − s)·w_c`
-    to the targets the participant's port leads to from local state `s`,
-    empty when `s` disables the port.  Enabledness mask: rule `k` owns bit
-    `k`, and each component with a local state that disables some rule's
-    port has a row of ints, where `row[s]` has bit `k` set unless rule `k`
-    needs a port that `s` disables.  The AND of a state's rows is exactly
-    its enabled set, and walking its set bits from low to high visits the
-    enabled rules in name order, so the canonical order comes from
-    generation, not sorting.
+    whose parts are `(component index, table)` pairs in component order;
+    `table[s]` is the ascending tuple of the code steps `(t − s)·w_c` to
+    the targets the participant's port leads to from local state `s`, empty
+    when `s` disables the port; the weight is `weights[ci]`.  Enabledness
+    mask: rule `k` owns bit `k`, and each component with a local state that
+    disables some rule's port has a row of ints, where `row[s]` has bit `k`
+    set unless rule `k` needs a port that `s` disables.  The AND of a
+    state's rows is exactly its enabled set, and walking its set bits from
+    low to high visits the enabled rules in name order, so the canonical
+    order comes from generation, not sorting.
 
     The search dedups on codes.  It carries each frontier state's digits in
     a list parallel to the frontier's codes and builds a state's digit
@@ -97,9 +97,10 @@ class Engine:
     has seen and names them once, at the end; `is_reachable` keeps one int
     per parent link, `parent code·|rules| + rule index`.
 
-    Get one through `compile_system`, which builds it once per system object
-    and hands the same engine to every later call; its tables are shared and
-    never change after construction."""
+    An engine is built only from a validated system, by `compile_system`,
+    which builds it once per system object and hands the same engine to
+    every later call; its tables are shared and never change after
+    construction."""
 
     def __init__(self, sys: InteractionSystem):
         model = sys.model
@@ -117,9 +118,10 @@ class Engine:
             weight *= radix
 
         # per component, port -> [table, bits] for every port some
-        # interaction uses: the table is shared by the port's rules and
-        # filled from the transitions.  Names are validated unique, so name
-        # order is a total order, and rule k owns bit k of the mask.
+        # interaction uses, which validation makes every port a transition
+        # uses: the table is shared by the port's rules and filled from the
+        # transitions.  Names are validated unique, so name order is a
+        # total order, and rule k owns bit k of the mask.
         used: list[dict[str, list]] = [{} for _ in self.components]
         self.interactions: dict[str, Parts] = {}
         for k, a in enumerate(sorted(model.interactions, key=lambda a: a.name)):
@@ -130,7 +132,7 @@ class Engine:
                 if entry is None:
                     entry = used[ci][port] = [[()] * self.radices[ci], 0]
                 entry[1] |= 1 << k
-                parts.append((ci, entry[0], self.weights[ci]))
+                parts.append((ci, entry[0]))
             self.interactions[a.name] = tuple(parts)
         self.rules = list(self.interactions.items())
         self.every = range(len(self.rules))
@@ -146,13 +148,11 @@ class Engine:
                 constrained |= bits
             row = [self.full ^ constrained] * len(index)
             for src, port, dst in sys.behaviors[c].transitions:
-                entry = ports.get(port)
-                if entry is not None:
-                    table, bits = entry
-                    s = index[src]
-                    step = (index[dst] - s) * weight
-                    table[s] = tuple(sorted((*table[s], step))) if table[s] else (step,)
-                    row[s] |= bits
+                table, bits = ports[port]
+                s = index[src]
+                step = (index[dst] - s) * weight
+                table[s] = tuple(sorted((*table[s], step))) if table[s] else (step,)
+                row[s] |= bits
             rows.append(row)
         # a component whose rows are all ones never clears a bit: left out
         self.rows = [
@@ -195,9 +195,9 @@ class Engine:
         these participants: q with each participant's digit read off the
         code."""
         succ = list(q)
-        radices = self.radices
-        for ci, _, w in parts:
-            succ[ci] = code // w % radices[ci]
+        radices, weights = self.radices, self.weights
+        for ci, _ in parts:
+            succ[ci] = code // weights[ci] % radices[ci]
         return tuple(succ)
 
     def resolve(self, pred: StatePredicate) -> list[tuple[int, int]]:
@@ -217,8 +217,7 @@ class Engine:
         return out
 
     def parts(self, name: str) -> Parts:
-        """The (component index, table, weight) participants of an
-        interaction."""
+        """The (component index, table) participants of an interaction."""
         parts = self.interactions.get(name)
         if parts is None:
             raise ModelError(f"no such interaction: {name!r}")
@@ -230,7 +229,7 @@ class Engine:
         (participants in component order, each one's targets ascending by
         state index); [] when some participant does not enable its port."""
         succ = code
-        for ci, table, _ in parts:
+        for ci, table in parts:
             steps = table[q[ci]]
             if len(steps) != 1:
                 break
@@ -240,10 +239,8 @@ class Engine:
         # some participant has no target or several: each participant
         # multiplies the list by its steps, so the last one's vary fastest
         out = [code]
-        for ci, table, _ in parts:
+        for ci, table in parts:
             steps = table[q[ci]]
-            if not steps:
-                return []
             out = [c + step for c in out for step in steps]
         return out
 
@@ -368,7 +365,7 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     succs = eng.fire(code, packed, parts)
     if not succs:
         blockers = [
-            eng.components[ci] for ci, table, _ in parts if not table[packed[ci]]
+            eng.components[ci] for ci, table in parts if not table[packed[ci]]
         ]
         raise ModelError(
             f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"

@@ -46,8 +46,6 @@ def interaction_graph(im: InteractionModel) -> InteractionGraph:
 
 
 def _connected(g: InteractionGraph) -> bool:
-    if not g.nodes:
-        return True
     adjacency: dict[str, set[str]] = {v: set() for v in g.nodes}
     for a, b in g.edges:
         adjacency[a].add(b)
@@ -69,8 +67,6 @@ def classify(im: InteractionModel) -> TopologyClass:
     exactly two nodes of degree 1, all others degree 2 (needs n >= 2)."""
     g = interaction_graph(im)
     n = len(g.nodes)
-    if n == 0:
-        return TopologyClass(False, False)
     deg = g.degrees()
 
     star_like = any(

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from typing import Mapping
 
 from .errors import ModelError
-from .validation import ValidationReport, non_strings, repeated
+from .validation import ValidationReport, non_strings, refuse_non_strings, repeated
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def validate_dtm(machine: DTM) -> ValidationReport:
             report.add("input-outside-tape", f"input symbol {s} not in tape alphabet")
     if m.blank not in tape:
         report.add("blank-missing", f"blank {m.blank} not in tape alphabet")
-    if m.blank in set(m.input_alphabet):
+    if m.blank in m.input_alphabet:
         report.add("blank-in-input", f"blank in input alphabet: {m.blank}")
 
     states = set(m.states)
@@ -193,11 +194,20 @@ def run_tm(machine: DTM, word: str, max_steps: int | None = None) -> RunResult:
 
 def canonicalize_dtm(machine: DTM) -> DTM:
     """Sorted alphabets and state list; the rule table is order-free.
-    Nothing is dropped, so an invalid machine keeps every finding."""
-    return replace(
-        machine,
-        tape_alphabet=tuple(sorted(machine.tape_alphabet)),
-        input_alphabet=tuple(sorted(machine.input_alphabet)),
-        states=tuple(sorted(machine.states)),
-        delta=dict(machine.delta),
-    )
+    Nothing is dropped, so an invalid machine keeps every finding; names
+    that cannot be sorted together raise `ModelError` naming the first one
+    that is not a string."""
+    try:
+        return replace(
+            machine,
+            tape_alphabet=tuple(sorted(machine.tape_alphabet)),
+            input_alphabet=tuple(sorted(machine.input_alphabet)),
+            states=tuple(sorted(machine.states)),
+            delta=dict(machine.delta),
+        )
+    except TypeError:
+        refuse_non_strings(
+            chain(machine.tape_alphabet, machine.input_alphabet, machine.states),
+            "canonicalize",
+        )
+        raise

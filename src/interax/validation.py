@@ -57,6 +57,14 @@ def non_strings(names: Iterable) -> list:
     return out
 
 
+def refuse_non_strings(names: Iterable, doing: str) -> None:
+    """Raise `ModelError("cannot <doing>: name ... is not a string")`,
+    naming the first name that is not a string; return when all are."""
+    odd = non_strings(names)
+    if odd:
+        raise ModelError(f"cannot {doing}: name {odd[0]!r} is not a string")
+
+
 def repeated(items: Iterable[Hashable]) -> list:
     """The items listed more than once, sorted, each named once."""
     return sorted(x for x, k in Counter(items).items() if k > 1)

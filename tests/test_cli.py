@@ -186,6 +186,21 @@ class TestReach:
         assert doc["complete"] is True
         assert "connect_S_c1" in err
 
+    def test_constraint_free_inline_target(self, capsys):
+        # "s1=*" constrains nothing, so the initial state is a witness
+        code = run_cli(["reach", str(FIXTURES / "pipeline_n3.json"), "--target", "s1=*"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out) == {
+            "complete": True,
+            "kind": "reach",
+            "reachable": True,
+            "states_explored": 1,
+            "trace": [],
+            "transitions_explored": 0,
+            "version": 1,
+        }
+
     def test_wildcard_inline(self, files, capsys):
         code, doc, _ = run(capsys, "reach", files["cs3"], "--target", "S=busy,c2=*")
         assert code == 0

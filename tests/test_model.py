@@ -14,6 +14,7 @@ from interax import (
     ModelError,
     PortId,
     canonicalize,
+    canonicalize_system,
     enabled_ports,
     explore,
     starify,
@@ -229,6 +230,21 @@ def one_port_system(component="k", port="p", states=("q",), transitions=None):
     return InteractionSystem(model, {component: b})
 
 
+def mixed_component_system():
+    """Components "a" and 7, which cannot be sorted together."""
+    return InteractionSystem(
+        InteractionModel(
+            ("a", 7),
+            {"a": ("p",), 7: ("p",)},
+            (
+                Interaction("i", (PortId("a", "p"),)),
+                Interaction("j", (PortId(7, "p"),)),
+            ),
+        ),
+        {c: one_port_system(c).behaviors[c] for c in ("a", 7)},
+    )
+
+
 class TestNonStringName:
     def test_int_component_is_a_finding(self):
         report = validate_system(one_port_system(component=7))
@@ -270,21 +286,7 @@ class TestNonStringName:
     @pytest.mark.parametrize(
         "system, rules, name",
         [
-            (
-                InteractionSystem(
-                    InteractionModel(
-                        ("a", 7),
-                        {"a": ("p",), 7: ("p",)},
-                        (
-                            Interaction("i", (PortId("a", "p"),)),
-                            Interaction("j", (PortId(7, "p"),)),
-                        ),
-                    ),
-                    {c: one_port_system(c).behaviors[c] for c in ("a", 7)},
-                ),
-                ["non-string-name"],
-                "7",
-            ),
+            (mixed_component_system(), ["non-string-name"], "7"),
             (
                 one_port_system(transitions={("q", "p", "q"), (0, "p", "q")}),
                 ["unknown-transition-state"],
@@ -300,6 +302,29 @@ class TestNonStringName:
         assert _rules(validate_system(system)) == rules
         with pytest.raises(ModelError, match=f"^cannot serialize: name {name} is not a string$"):
             serialize_system(system)
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [
+            (mixed_component_system().model, "7"),
+            (mixed_component_system(), "7"),
+            (one_port_system(states=("q", 0)), "0"),
+        ],
+        ids=["mixed-components-model", "mixed-components", "mixed-states"],
+    )
+    def test_canonicalize_refuses_mixed_names(self, value, name):
+        # sorting them used to raise TypeError
+        call = canonicalize if isinstance(value, InteractionModel) else canonicalize_system
+        with pytest.raises(ModelError, match=f"^cannot canonicalize: name {name} is not a string$"):
+            call(value)
+
+    def test_canonicalize_sorts_int_names_and_keeps_findings(self):
+        system = one_port_system(component=7, states=(1, 0))
+        canonical = canonicalize_system(system)
+        assert canonical.behaviors[7].states == (0, 1)
+        assert canonical.model.components == (7,)
+        findings = [sorted(map(str, validate_system(x).findings)) for x in (canonical, system)]
+        assert findings[0] == findings[1] != []
 
     def test_undeclared_names_in_transitions_are_unknown(self):
         # string states, but transitions that name an int state or port:

@@ -1,8 +1,14 @@
-"""The engine's mixed-radix format has one owner: no module of the package
+"""Ownership checks, read from the sources with `ast` (no linter ships
+with the toolchain).
+
+The engine's mixed-radix format has one owner: no module of the package
 but `semantics.py` reads an attribute named `weights` or `radices`.  Other
 modules translate states through `Engine.pack`, `names` and `moved`.
 
-No linter ships with the toolchain, so this reads the sources with `ast`.
+An engine has one builder: `Engine(...)` is called only inside
+`semantics.compile_system`, which validates the system first.  The engine
+build relies on that validation (every port a transition uses is used by
+some interaction), so no other caller may bypass it.
 """
 
 import ast
@@ -10,8 +16,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "interax"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "interax"
 OUTSIDE = sorted(p for p in PACKAGE.glob("*.py") if p.name != "semantics.py")
+SOURCES = sorted(
+    [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+)
 CODEC = {"weights", "radices"}
 
 
@@ -27,6 +37,27 @@ def codec_reads(source: str) -> list[str]:
     )
 
 
+def engine_builds(source: str) -> list[str]:
+    """Where `Engine(...)` or `x.Engine(...)` is called: the dotted name of
+    each call's enclosing functions and classes ("" at module level),
+    sorted."""
+    out = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == "Engine" or getattr(func, "attr", None) == "Engine":
+                    out.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
 def test_checker_finds_only_codec_reads():
     source = (
         "weights = [1]\n"
@@ -40,3 +71,26 @@ def test_checker_finds_only_codec_reads():
 @pytest.mark.parametrize("module", OUTSIDE, ids=[p.name for p in OUTSIDE])
 def test_only_semantics_reads_the_codec(module):
     assert codec_reads(module.read_text()) == []
+
+
+def test_checker_finds_every_engine_call():
+    source = (
+        "e = Engine(s)\n"
+        "def build(s) -> Engine:\n"
+        "    return [semantics.Engine(x) for x in s]\n"
+        "class Box:\n"
+        "    kind = Engine\n"
+        "    def make(self):\n"
+        "        def inner():\n"
+        "            return f(Engine(self.s))\n"
+        "        return inner\n"
+    )
+    assert engine_builds(source) == ["", "Box.make.inner", "build"]
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_only_compile_system_builds_an_engine(path):
+    expected = ["compile_system"] if path == PACKAGE / "semantics.py" else []
+    assert engine_builds(path.read_text()) == expected

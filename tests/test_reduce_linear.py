@@ -23,6 +23,7 @@ from interax import (
     run_tm,
     successors,
     tm_step,
+    validate_dtm,
     validate_system,
 )
 from interax.fixtures import even_a, first_last
@@ -269,6 +270,24 @@ class TestHaltExtension:
 
 
 class TestMarkerNamespacing:
+    def test_colliding_rendered_names_are_refused(self):
+        # ("p", "x,y") and ("p,x", "y") both render as "p,x,y"
+        machine = type(even_a())(
+            tape_alphabet=("y", "x,y"),
+            input_alphabet=("x,y",),
+            blank="y",
+            states=("p", "p,x", "accept", "reject"),
+            initial="p",
+            accept="accept",
+            reject="reject",
+            delta={
+                (p, g): ("accept", g, 1) for p in ("p", "p,x") for g in ("y", "x,y")
+            },
+        )
+        assert validate_dtm(machine).ok
+        with pytest.raises(ModelError, match="^ambiguous state naming: rendered cell states collide$"):
+            compile_lsa(machine, "")
+
     def test_marker_avoids_machine_state_names(self):
         m = even_a()
         clash = type(m)(

@@ -225,6 +225,12 @@ class TestIsReachable:
         assert result.reachable
         assert result.trace == []
 
+    def test_constraint_free_target_holds_at_the_initial_state(self):
+        result = is_reachable(pipeline(3), StatePredicate.of({}))
+        assert (result.reachable, result.trace) == (True, [])
+        assert (result.states_explored, result.transitions_explored) == (1, 0)
+        assert result.complete
+
     def test_unreachable_partial_target(self):
         # server back home while a client stays connected: never happens
         sys = client_server(2)

@@ -6,6 +6,7 @@ from interax import (
     InteractionSystem,
     LocalBehavior,
     PortId,
+    TopologyClass,
     classify,
     export_dot,
     interaction_graph,
@@ -70,6 +71,9 @@ class TestInteractionGraph:
 
 
 class TestClassify:
+    def test_empty_model_is_neither(self):
+        assert classify(InteractionModel((), {}, ())) == TopologyClass(False, False)
+
     def test_client_server_r3_star_not_linear(self):
         shape = classify(client_server(3).model)
         assert shape.star_like and not shape.linear

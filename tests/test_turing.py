@@ -17,6 +17,7 @@ from interax import (
 )
 from interax.fixtures import even_a, first_last
 from interax.formats import parse_dtm, serialize_dtm
+from interax.turing import canonicalize_dtm
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -122,6 +123,13 @@ class TestValidateDtm:
         with pytest.raises(ModelError, match=f"^cannot serialize: {messages[0]}$"):
             serialize_dtm(machine)
 
+    def test_canonicalize_refuses_mixed_names(self):
+        # sorting them used to raise TypeError
+        m = even_a()
+        machine = dataclasses.replace(m, states=(*m.states, 5))
+        with pytest.raises(ModelError, match="^cannot canonicalize: name 5 is not a string$"):
+            canonicalize_dtm(machine)
+
     def test_accept_equals_reject(self):
         m = even_a()
         report = validate_dtm(
@@ -145,6 +153,14 @@ class TestInitialConfig:
 
 
 class TestTmStep:
+    def test_missing_rule_is_refused(self):
+        m = even_a()
+        broken = dataclasses.replace(
+            m, delta={k: v for k, v in m.delta.items() if k != ("even", "a")}
+        )
+        with pytest.raises(ModelError, match=r"^delta has no rule for \('even', 'a'\)$"):
+            tm_step(broken, initial_config(broken, "a"))
+
     def test_first_step_on_aa(self):
         m = even_a()
         after = tm_step(m, initial_config(m, "aa"))
