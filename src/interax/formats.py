@@ -7,8 +7,11 @@ transition row repeated in a system document is one transition, since
 transitions form a set; plain syntax errors carry the line and column; a
 key repeated within one object, the constants NaN/Infinity/-Infinity, and
 nesting too deep to parse, are errors too.  Every other rule is checked by
-validation.  Serialization canonicalizes first and emits sorted keys with
-two-space indentation, so equal values produce identical bytes.
+validation.  Serialization canonicalizes first and emits sorted keys,
+two-space indentation, `\\uXXXX` escapes for non-ASCII and a trailing
+newline, so equal values produce identical bytes: those of `json.dumps(...,
+sort_keys=True, indent=2)` plus a newline, written without that call's
+pure-Python encoder.
 
 System document:
     {"version": 1,
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import ModelError, ParseError
@@ -47,13 +51,55 @@ from .turing import DTM, canonicalize_dtm, validate_dtm
 from .validation import refuse_non_strings
 
 DOCUMENT_VERSION = 1
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def dump_document(doc: dict) -> str:
-    """The one JSON writer: `doc` stamped with the document version, emitted
-    with sorted keys, two-space indentation and a trailing newline."""
-    stamped = {"version": DOCUMENT_VERSION, **doc}
-    return json.dumps(stamped, sort_keys=True, indent=2) + "\n"
+    """The one JSON writer: `doc` stamped with the document version, in the
+    bytes of `json.dumps(stamped, sort_keys=True, indent=2) + "\\n"`.
+    Values are strings, ints, bools, None, lists, tuples (written as lists)
+    and dicts with string keys; anything else raises `TypeError`."""
+    out: list[str] = []
+    _write({"version": DOCUMENT_VERSION, **doc}, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append `value`'s JSON to `out`; `newline` is a line break plus the
+    indentation of the line `value` starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -343,4 +389,8 @@ def parse_predicates(text: str) -> list[dict[str, str]]:
 
 
 def serialize_predicates(predicates: list[dict[str, str]]) -> str:
+    """Predicate document; a component or state name that is not a string
+    cannot be written."""
+    pairs = chain.from_iterable(p.items() for p in predicates)
+    refuse_non_strings(chain.from_iterable(pairs), "serialize")
     return dump_document({"predicates": [dict(p) for p in predicates]})

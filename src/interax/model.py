@@ -107,10 +107,19 @@ class InteractionSystem:
         return tuple(self.behaviors[c].initial for c in self.model.components)
 
 
+def _non_port_ids(im: InteractionModel) -> list[tuple[str, object]]:
+    """(interaction name, entry) for each entry of an interaction's ports
+    that is not a `PortId`, in order."""
+    return [
+        (a.name, p) for a in im.interactions for p in a.ports if not isinstance(p, PortId)
+    ]
+
+
 def validate_model(im: InteractionModel) -> ValidationReport:
     """Check every interaction-model rule; findings are data, not failures.
     A name that is not a string is reported alone: every other rule compares
-    or sorts names, and no document can hold it."""
+    or sorts names, and no document can hold it.  So is an interaction's port
+    entry that is not a `PortId`, since every other rule reads its fields."""
     report = ValidationReport()
     ports = tuple(chain.from_iterable(im.ports.values()))
     names = tuple(map(attrgetter("name"), im.interactions))
@@ -122,6 +131,11 @@ def validate_model(im: InteractionModel) -> ValidationReport:
         ):
             for x in non_strings(group):
                 report.add("non-string-name", f"{kind} name {x!r} is not a string")
+        return report
+    odd_ports = _non_port_ids(im)
+    for name, p in odd_ports:
+        report.add("non-port-id", f"interaction {name} lists {p!r}, which is not a PortId")
+    if odd_ports:
         return report
 
     seen_components: set[str] = set()
@@ -274,7 +288,8 @@ def canonicalize(im: InteractionModel) -> InteractionModel:
     """Sort components, port families, interactions (by name, then ports)
     and each interaction's ports.  Nothing is merged or dropped, so an
     invalid model keeps every finding; names that cannot be sorted together
-    raise `ModelError` naming the first one that is not a string."""
+    raise `ModelError` naming the first port entry that is not a `PortId`,
+    else the first name that is not a string."""
     try:
         components = tuple(sorted(im.components))
         # a family for a component the model lacks is kept too
@@ -285,6 +300,10 @@ def canonicalize(im: InteractionModel) -> InteractionModel:
             key=lambda a: (a.name, a.ports),
         )
     except TypeError:
+        for name, p in _non_port_ids(im):
+            raise ModelError(
+                f"cannot canonicalize: interaction {name!r} lists {p!r}, which is not a PortId"
+            ) from None
         pids = chain.from_iterable(a.ports for a in im.interactions)
         refuse_non_strings(
             chain(

@@ -4,6 +4,7 @@ and a seeded mutation fuzz asserting no invalid document slips through."""
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from interax import (
     ModelError,
     ParseError,
     PortId,
+    accept_predicate,
     canonicalize_system,
     compile_lsa,
     extend_halt_propagation,
@@ -22,8 +24,11 @@ from interax import (
     validate_dtm,
     validate_system,
 )
+from interax import cli, formats
+from interax.cli import run_cli
 from interax.fixtures import client_server, even_a, first_last, pipeline
 from interax.formats import (
+    dump_document,
     parse_dtm,
     parse_predicates,
     parse_system,
@@ -274,6 +279,136 @@ class TestParseErrors:
         assert parse_predicates(text) == [{"S": "busy", "c1": "*"}]
         with pytest.raises(ParseError, match="unknown field"):
             parse_predicates('{"version": 1, "predicates": [], "junk": 0}')
+
+
+@pytest.mark.parametrize(
+    "predicates",
+    [[{1: "x"}], [{1: "x", "c": "y"}], [{"c": "y"}, {"c": 1}]],
+    ids=["int-component", "mixed-components", "int-state"],
+)
+def test_predicates_with_names_that_are_not_strings_are_refused(predicates):
+    # the first was written as "1", so its round trip changed the value; the
+    # second raised the sorting TypeError
+    with pytest.raises(ModelError, match="^cannot serialize: name 1 is not a string$"):
+        serialize_predicates(predicates)
+
+
+class Shown(int):
+    """An int whose text is not its number; JSON writes the number."""
+
+    def __repr__(self):
+        return "shown"
+
+    __str__ = __repr__
+
+
+class Named(str):
+    """A str subclass; JSON writes its text."""
+
+
+FIXTURE_PATHS = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+
+
+def reference(doc):
+    """The bytes `dump_document(doc)` must equal, as the standard library's
+    encoder writes them."""
+    return json.dumps({"version": 1, **doc}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every document written while the test runs, each checked against
+    `reference` as it is written."""
+    docs = []
+
+    def checked(doc):
+        text = dump_document(doc)
+        assert text == reference(doc)
+        docs.append(doc)
+        return text
+
+    monkeypatch.setattr(formats, "dump_document", checked)
+    monkeypatch.setattr(cli, "dump_document", checked)
+    return docs
+
+
+def fixture_values():
+    """(path, value) pairs for the systems and for the machines under
+    fixtures/."""
+    systems, machines = [], []
+    for path in FIXTURE_PATHS:
+        text = path.read_text()
+        if "components" in json.loads(text):
+            systems.append((path, parse_system(text)))
+        else:
+            machines.append((path, parse_dtm(text)))
+    return systems, machines
+
+
+class TestWriter:
+    def test_fixture_documents(self, written):
+        systems, machines = fixture_values()
+        for _, system in systems:
+            serialize_system(system)
+        for _, machine in machines:
+            serialize_dtm(machine)
+        assert len(written) == len(FIXTURE_PATHS)
+
+    def test_starified_fixture_systems(self, written):
+        systems, _ = fixture_values()
+        for _, system in systems:
+            serialize_system(starify(system))
+        assert len(written) == len(systems)
+
+    def test_compiled_fixture_machines(self, written):
+        _, machines = fixture_values()
+        for _, machine in machines:
+            for word in ("", machine.input_alphabet[-1] * 3):
+                serialize_system(compile_lsa(machine, word))
+                serialize_predicates([p.as_dict() for p in accept_predicate(machine, word)])
+        assert len(written) == 4 * len(machines)
+
+    def test_cli_documents(self, written, capsys):
+        systems, machines = fixture_values()
+        argvs = [("gen-random", "--seed", 1)]
+        for path, system in systems:
+            c = system.model.components[0]
+            argvs.append(("reach", path, "--target", f"{c}={system.behaviors[c].initial}"))
+            for command in ("validate", "classify", "starify", "check-thm2"):
+                argvs.append((command, path))
+        for path, machine in machines:
+            word = machine.input_alphabet[-1] * 2
+            for command in ("tm-run", "tm-compile", "check-thm1"):
+                argvs.append((command, path, "--input", word))
+        # a refused command (check-thm2 past the brute-force guard) writes nothing
+        codes = [run_cli([str(a) for a in argv]) for argv in argvs]
+        assert set(codes) == {0, 2}
+        assert len(written) == codes.count(0)
+        assert capsys.readouterr().out == "".join(map(reference, written))
+
+    def test_edge_values(self):
+        doc = {
+            "empty": [[], {}, ()],
+            "text": ["é\x00\n\"\\", "\ud800", "\U0001f600", ""],
+            "ints": [-(10**40), 0, True, False, None],
+            "tuple": ("a", ("b", {"é": ()})),
+            "subclasses": [Shown(3), Named("x"), {Named("k"): Shown(4)}],
+        }
+        assert dump_document(doc) == reference(doc)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0.5, "Object of type float is not JSON serializable"),
+            ({"a"}, "Object of type set is not JSON serializable"),
+            ([{"k": b"x"}], "Object of type bytes is not JSON serializable"),
+            ({1: "x"}, "keys must be str, not int"),
+        ],
+        ids=["float", "set", "nested-bytes", "int-key"],
+    )
+    def test_other_values_raise_type_error(self, value, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            dump_document({"value": value})
 
 
 # mutation operators: each takes a parsed document and returns a broken copy

@@ -339,6 +339,49 @@ class TestNonStringName:
         ]
 
 
+def plain_port_model(*entries):
+    """Component "a" with port "p" in one interaction "i" listing `entries`."""
+    return InteractionModel(("a",), {"a": ("p",)}, (Interaction("i", entries),))
+
+
+class TestNonPortId:
+    def test_plain_string_port_is_a_finding(self):
+        # it used to raise AttributeError from reading `p.component`
+        model = plain_port_model("a.p", PortId("a", "p"))
+        assert [str(f) for f in validate_model(model).findings] == [
+            "non-port-id: interaction i lists 'a.p', which is not a PortId"
+        ]
+
+    def test_reported_alone_for_every_entry(self):
+        # a lone string would also leave port a.p uncovered; that is not reported
+        model = plain_port_model("a.p", ("a", "p"), 5)
+        assert [str(f) for f in validate_model(model).findings] == [
+            "non-port-id: interaction i lists 'a.p', which is not a PortId",
+            "non-port-id: interaction i lists ('a', 'p'), which is not a PortId",
+            "non-port-id: interaction i lists 5, which is not a PortId",
+        ]
+
+    def test_system_with_a_plain_port_is_refused(self):
+        b = LocalBehavior(("q",), frozenset({("q", "p", "q")}), "q")
+        system = InteractionSystem(plain_port_model("a.p"), {"a": b})
+        assert _rules(validate_system(system)) == ["non-port-id"]
+        with pytest.raises(ModelError, match="non-port-id"):
+            explore(system)
+
+    @pytest.mark.parametrize(
+        "entries, shown",
+        [(("a.p", PortId("a", "p")), "'a.p'"), ((PortId("a", "p"), 5), "5")],
+        ids=["string", "int"],
+    )
+    def test_canonicalize_refuses_entries_it_cannot_sort(self, entries, shown):
+        # sorting them used to raise TypeError
+        with pytest.raises(
+            ModelError,
+            match=rf"^cannot canonicalize: interaction 'i' lists {shown}, which is not a PortId$",
+        ):
+            canonicalize(plain_port_model(*entries))
+
+
 def doubled_port_system():
     """Component k's port family lists port a twice."""
     b = LocalBehavior(("q0",), frozenset({("q0", "a", "q0")}), "q0")

@@ -9,6 +9,10 @@ An engine has one builder: `Engine(...)` is called only inside
 `semantics.compile_system`, which validates the system first.  The engine
 build relies on that validation (every port a transition uses is used by
 some interaction), so no other caller may bypass it.
+
+The package has one JSON writer: no module of the package calls `json.dump`
+or `json.dumps`, so `formats.dump_document` writes every document and the
+bytes of every document have one owner.
 """
 
 import ast
@@ -23,6 +27,7 @@ SOURCES = sorted(
     [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
 )
 CODEC = {"weights", "radices"}
+JSON_WRITERS = {"dump", "dumps"}
 
 
 def codec_reads(source: str) -> list[str]:
@@ -94,3 +99,49 @@ def test_checker_finds_every_engine_call():
 def test_only_compile_system_builds_an_engine(path):
     expected = ["compile_system"] if path == PACKAGE / "semantics.py" else []
     assert engine_builds(path.read_text()) == expected
+
+
+def json_writes(source: str) -> list[str]:
+    """Calls of `json.dump` or `json.dumps` (also under an alias of the
+    module) and imports of either name from `json`, as sorted source text."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json"
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            out.extend(f"from json import {a.name}" for a in node.names if a.name in JSON_WRITERS)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in JSON_WRITERS
+            and getattr(node.func.value, "id", None) in aliases
+        ):
+            out.append(ast.unparse(node.func))
+    return sorted(out)
+
+
+def test_checker_finds_every_json_write():
+    source = (
+        "import json\n"
+        "import json as j\n"
+        "from json import dumps, loads\n"
+        "def f(x, fp, out):\n"
+        "    out.dumps(json.loads(x))\n"
+        "    j.dump(x, fp)\n"
+        "    return json.dumps(x, indent=2) + dumps(x)\n"
+    )
+    assert json_writes(source) == ["from json import dumps", "j.dump", "json.dumps"]
+
+
+PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES, ids=[p.name for p in PACKAGE_MODULES])
+def test_dump_document_is_the_only_json_writer(module):
+    assert json_writes(module.read_text()) == []
