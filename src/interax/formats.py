@@ -45,6 +45,7 @@ from .model import (
     LocalBehavior,
     PortId,
     canonicalize_system,
+    refuse_untyped,
     validate_system,
 )
 from .turing import DTM, canonicalize_dtm, validate_dtm
@@ -239,24 +240,12 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
 
 def serialize_system(sys: InteractionSystem) -> str:
     """Canonical, byte-stable system document.  A document holds only string
-    names, and it states each component's behavior and port family with the
-    component, so a name that is not a string, a component without a
-    behavior, or a behavior or port family without a component, cannot be
-    written."""
-    im = sys.model
-    behaviors = sys.behaviors.values()
-    names = chain(
-        im.components,
-        im.ports,
-        sys.behaviors,
-        chain.from_iterable(im.ports.values()),
-        (a.name for a in im.interactions),
-        chain.from_iterable(chain.from_iterable(a.ports for a in im.interactions)),
-        (b.initial for b in behaviors),
-        chain.from_iterable(b.states for b in behaviors),
-        chain.from_iterable(chain.from_iterable(b.transitions for b in behaviors)),
-    )
-    refuse_non_strings(names, "serialize")
+    names and `component.port` references, and it states each component's
+    behavior and port family with the component, so an interaction port
+    entry that is not a `PortId`, a name that is not a string, a component
+    without a behavior, or a behavior or port family without a component,
+    cannot be written."""
+    refuse_untyped(sys, "serialize")
     canonical = canonicalize_system(sys)
     for c in canonical.model.components:
         if c not in canonical.behaviors:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -115,27 +114,54 @@ def _non_port_ids(im: InteractionModel) -> list[tuple[str, object]]:
     ]
 
 
+def refuse_untyped(value: InteractionModel | InteractionSystem, doing: str) -> None:
+    """Raise `ModelError("cannot <doing>: ...")` naming the first interaction
+    port entry that is not a `PortId`, else the first name that is not a
+    string, from the one list of a model's names (components, port-family
+    keys, port names, interaction names, `PortId` fields) and, for a system,
+    then its behavior keys, states, initials and transition fields."""
+    im = value if isinstance(value, InteractionModel) else value.model
+    for name, p in _non_port_ids(im):
+        raise ModelError(
+            f"cannot {doing}: interaction {name!r} lists {p!r}, which is not a PortId"
+        )
+    names = chain(
+        im.components,
+        im.ports,
+        chain.from_iterable(im.ports.values()),
+        (a.name for a in im.interactions),
+        chain.from_iterable(chain.from_iterable(a.ports for a in im.interactions)),
+    )
+    if isinstance(value, InteractionSystem):
+        behaviors = value.behaviors.values()
+        names = chain(
+            names,
+            value.behaviors,
+            chain.from_iterable(b.states for b in behaviors),
+            (b.initial for b in behaviors),
+            chain.from_iterable(chain.from_iterable(b.transitions for b in behaviors)),
+        )
+    refuse_non_strings(names, doing)
+
+
 def validate_model(im: InteractionModel) -> ValidationReport:
     """Check every interaction-model rule; findings are data, not failures.
     A name that is not a string is reported alone: every other rule compares
     or sorts names, and no document can hold it.  So is an interaction's port
     entry that is not a `PortId`, since every other rule reads its fields."""
     report = ValidationReport()
-    ports = tuple(chain.from_iterable(im.ports.values()))
-    names = tuple(map(attrgetter("name"), im.interactions))
-    if non_strings(chain(im.components, ports, names)):
-        for kind, group in (
-            ("component", im.components),
-            ("port", ports),
-            ("interaction", names),
-        ):
-            for x in non_strings(group):
-                report.add("non-string-name", f"{kind} name {x!r} is not a string")
+    for kind, group in (
+        ("component", im.components),
+        ("port", chain.from_iterable(im.ports.values())),
+        ("interaction", (a.name for a in im.interactions)),
+    ):
+        for x in non_strings(group):
+            report.add("non-string-name", f"{kind} name {x!r} is not a string")
+    if not report.ok:
         return report
-    odd_ports = _non_port_ids(im)
-    for name, p in odd_ports:
+    for name, p in _non_port_ids(im):
         report.add("non-port-id", f"interaction {name} lists {p!r}, which is not a PortId")
-    if odd_ports:
+    if not report.ok:
         return report
 
     seen_components: set[str] = set()
@@ -288,8 +314,7 @@ def canonicalize(im: InteractionModel) -> InteractionModel:
     """Sort components, port families, interactions (by name, then ports)
     and each interaction's ports.  Nothing is merged or dropped, so an
     invalid model keeps every finding; names that cannot be sorted together
-    raise `ModelError` naming the first port entry that is not a `PortId`,
-    else the first name that is not a string."""
+    raise `ModelError` through `refuse_untyped`."""
     try:
         components = tuple(sorted(im.components))
         # a family for a component the model lacks is kept too
@@ -300,21 +325,7 @@ def canonicalize(im: InteractionModel) -> InteractionModel:
             key=lambda a: (a.name, a.ports),
         )
     except TypeError:
-        for name, p in _non_port_ids(im):
-            raise ModelError(
-                f"cannot canonicalize: interaction {name!r} lists {p!r}, which is not a PortId"
-            ) from None
-        pids = chain.from_iterable(a.ports for a in im.interactions)
-        refuse_non_strings(
-            chain(
-                im.components,
-                im.ports,
-                chain.from_iterable(im.ports.values()),
-                (a.name for a in im.interactions),
-                chain.from_iterable(pids),
-            ),
-            "canonicalize",
-        )
+        refuse_untyped(im, "canonicalize")
         raise
     return InteractionModel(components, ports, tuple(interactions))
 
@@ -322,15 +333,14 @@ def canonicalize(im: InteractionModel) -> InteractionModel:
 def canonicalize_system(sys: InteractionSystem) -> InteractionSystem:
     """Canonical model plus behaviors with sorted state lists, sorted by
     component.  Every behavior given is kept, also one the model lacks.
-    Names that cannot be sorted together raise `ModelError` naming the
-    first one that is not a string."""
+    Names that cannot be sorted together raise `ModelError` through
+    `refuse_untyped`."""
     try:
         behaviors = {
             c: replace(b, states=tuple(sorted(b.states)))
             for c, b in sorted(sys.behaviors.items())
         }
     except TypeError:
-        states = chain.from_iterable(b.states for b in sys.behaviors.values())
-        refuse_non_strings(chain(sys.behaviors, states), "canonicalize")
+        refuse_untyped(sys, "canonicalize")
         raise
     return InteractionSystem(canonicalize(sys.model), behaviors)

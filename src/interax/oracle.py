@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ModelError
 from .model import (
@@ -128,19 +128,13 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
     the interactions use, so every port is covered by construction.  Local
     relations are sometimes nondeterministic and some ports may never be
     enabled; both are legal."""
-    for name in (
-        "max_components",
-        "max_states",
-        "max_ports",
-        "max_interactions",
-        "max_interaction_size",
-    ):
-        if getattr(params, name) < 1:
-            raise ModelError(f"{name} must be >= 1")
+    for f in fields(params)[1:]:
+        # the bounds after `seed`
+        if getattr(params, f.name) < 1:
+            raise ModelError(f"{f.name} must be >= 1")
     rng = random.Random(params.seed)
     n_comp = rng.randint(1, params.max_components)
     comps = [f"k{j}" for j in range(n_comp)]
-    pool = [f"p{j}" for j in range(params.max_ports)]
 
     interactions: list[Interaction] = []
     seen: set[frozenset[PortId]] = set()
@@ -150,7 +144,7 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
         members = rng.sample(comps, size)
         pids = tuple(
             sorted(
-                (PortId(c, rng.choice(pool)) for c in members),
+                (PortId(c, f"p{rng.randrange(params.max_ports)}") for c in members),
                 key=lambda p: order[p.component],
             )
         )

@@ -61,18 +61,24 @@ class RunResult:
     final: Configuration
 
 
+def _names(machine: DTM) -> tuple[list, list]:
+    """(state names, symbol names): every name the machine holds, by kind."""
+    m = machine
+    states = [*m.states, m.initial, m.accept, m.reject]
+    symbols = [*m.tape_alphabet, *m.input_alphabet, m.blank]
+    for (p, g), (p2, w, _) in m.delta.items():
+        states += (p, p2)
+        symbols += (g, w)
+    return states, symbols
+
+
 def validate_dtm(machine: DTM) -> ValidationReport:
     """Check alphabets, distinguished states, and delta totality/domain.  A
     state or symbol name that is not a string is reported alone: every other
     rule sorts or compares names, and no document can hold it."""
     report = ValidationReport()
     m = machine
-    state_names = [*m.states, m.initial, m.accept, m.reject]
-    symbol_names = [*m.tape_alphabet, *m.input_alphabet, m.blank]
-    for (p, g), (p2, w, _) in m.delta.items():
-        state_names += (p, p2)
-        symbol_names += (g, w)
-    for kind, group in (("state", state_names), ("symbol", symbol_names)):
+    for kind, group in zip(("state", "symbol"), _names(m)):
         for x in non_strings(group):
             report.add("non-string-name", f"{kind} name {x!r} is not a string")
     if not report.ok:
@@ -206,8 +212,5 @@ def canonicalize_dtm(machine: DTM) -> DTM:
             delta=dict(machine.delta),
         )
     except TypeError:
-        refuse_non_strings(
-            chain(machine.tape_alphabet, machine.input_alphabet, machine.states),
-            "canonicalize",
-        )
+        refuse_non_strings(chain(*_names(machine)), "canonicalize")
         raise

@@ -381,6 +381,29 @@ class TestNonPortId:
         ):
             canonicalize(plain_port_model(*entries))
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [("a.p", "'a.p'"), (("a", "p"), r"\('a', 'p'\)"), (5, "5")],
+        ids=["string", "tuple", "int"],
+    )
+    def test_serialize_refuses_every_entry(self, entry, shown):
+        # the string was written as "a.p", the tuple as "('a', 'p')", which
+        # does not parse, and the int raised TypeError
+        b = LocalBehavior(("q",), frozenset({("q", "p", "q")}), "q")
+        system = InteractionSystem(plain_port_model(entry), {"a": b})
+        with pytest.raises(
+            ModelError,
+            match=rf"^cannot serialize: interaction 'i' lists {shown}, which is not a PortId$",
+        ):
+            serialize_system(system)
+
+    def test_serialize_names_the_entry_before_any_name(self):
+        # component 7 and state 0 are named only once every entry is a PortId
+        b = LocalBehavior((0,), frozenset(), 0)
+        model = InteractionModel((7,), {7: ("p",)}, (Interaction("i", ("7.p",)),))
+        with pytest.raises(ModelError, match="lists '7.p', which is not a PortId$"):
+            serialize_system(InteractionSystem(model, {7: b}))
+
 
 def doubled_port_system():
     """Component k's port family lists port a twice."""

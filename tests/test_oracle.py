@@ -1,7 +1,8 @@
 """Brute-force oracle, random system generation, end-to-end checkers."""
 
 import itertools
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 
@@ -242,6 +243,22 @@ class TestGenRandomSystem:
     def test_bad_params_rejected(self):
         with pytest.raises(ModelError, match="max_components"):
             gen_random_system(GenParams(seed=0, max_components=0))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(GenParams)[1:]])
+    def test_every_bound_is_checked(self, name):
+        with pytest.raises(ModelError, match=f"^{name} must be >= 1$"):
+            gen_random_system(GenParams(seed=0, **{name: 0}))
+
+    def test_port_bound_allocates_no_port_list(self):
+        # the port names used to be listed up front: 12.7 MB of peak here
+        tracemalloc.start()
+        try:
+            sys = gen_random_system(GenParams(seed=1, max_ports=200_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert validate_system(sys).ok
+        assert peak < 1_000_000
 
 
 class TestCheckTheorem1:

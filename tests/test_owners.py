@@ -10,6 +10,13 @@ An engine has one builder: `Engine(...)` is called only inside
 build relies on that validation (every port a transition uses is used by
 some interaction), so no other caller may bypass it.
 
+A value's names are listed once per kind, and the refusals read those
+lists: `refuse_non_strings` is called only by the model gate
+`model.refuse_untyped` (over a model's or system's names),
+`turing.canonicalize_dtm` (over `turing._names`) and
+`formats.serialize_predicates`, and `_non_port_ids` only by
+`model.validate_model` and the gate.
+
 The package has one JSON writer: no module of the package calls `json.dump`
 or `json.dumps`, so `formats.dump_document` writes every document and the
 bytes of every document have one owner.
@@ -42,10 +49,9 @@ def codec_reads(source: str) -> list[str]:
     )
 
 
-def engine_builds(source: str) -> list[str]:
-    """Where `Engine(...)` or `x.Engine(...)` is called: the dotted name of
-    each call's enclosing functions and classes ("" at module level),
-    sorted."""
+def callers(source: str, name: str) -> list[str]:
+    """Where `name(...)` or `x.name(...)` is called: the dotted name of each
+    call's enclosing functions and classes ("" at module level), sorted."""
     out = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -55,7 +61,7 @@ def engine_builds(source: str) -> list[str]:
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "id", None) == "Engine" or getattr(func, "attr", None) == "Engine":
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
                     out.append(where)
             visit(child, where)
 
@@ -90,7 +96,7 @@ def test_checker_finds_every_engine_call():
         "            return f(Engine(self.s))\n"
         "        return inner\n"
     )
-    assert engine_builds(source) == ["", "Box.make.inner", "build"]
+    assert callers(source, "Engine") == ["", "Box.make.inner", "build"]
 
 
 @pytest.mark.parametrize(
@@ -98,7 +104,7 @@ def test_checker_finds_every_engine_call():
 )
 def test_only_compile_system_builds_an_engine(path):
     expected = ["compile_system"] if path == PACKAGE / "semantics.py" else []
-    assert engine_builds(path.read_text()) == expected
+    assert callers(path.read_text(), "Engine") == expected
 
 
 def json_writes(source: str) -> list[str]:
@@ -145,3 +151,37 @@ PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 @pytest.mark.parametrize("module", PACKAGE_MODULES, ids=[p.name for p in PACKAGE_MODULES])
 def test_dump_document_is_the_only_json_writer(module):
     assert json_writes(module.read_text()) == []
+
+
+NAME_GATES = {
+    "refuse_non_strings": [
+        "formats.serialize_predicates",
+        "model.refuse_untyped",
+        "turing.canonicalize_dtm",
+    ],
+    "_non_port_ids": ["model.refuse_untyped", "model.validate_model"],
+}
+
+
+def test_checker_finds_calls_by_name_only():
+    source = (
+        "from .validation import refuse_non_strings\n"
+        "def gate(v):\n"
+        "    refuse_non_strings(v, 'x')\n"
+        "    return validation.refuse_non_strings\n"
+        "class Writer:\n"
+        "    def write(self, v):\n"
+        "        validation.refuse_non_strings(v, 'y')\n"
+        "        refuse_non_strings_later(v)\n"
+    )
+    assert callers(source, "refuse_non_strings") == ["Writer.write", "gate"]
+
+
+@pytest.mark.parametrize("name", sorted(NAME_GATES))
+def test_names_are_refused_through_their_gates(name):
+    found = sorted(
+        f"{path.stem}.{where}"
+        for path in SOURCES
+        for where in callers(path.read_text(), name)
+    )
+    assert found == NAME_GATES[name]
