@@ -22,7 +22,7 @@ from .formats import (
     serialize_predicates,
     serialize_system,
 )
-from .model import validate_system
+from .model import InteractionSystem, validate_system
 from .oracle import (
     GenParams,
     Verdict,
@@ -59,7 +59,7 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> None:
     system = parse_system(_read(args.system), validate=False)
     report = validate_system(system)
     _emit(
@@ -68,10 +68,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         findings=[{"rule": f.rule, "message": f.message} for f in report.findings],
     )
     _say("ok" if report.ok else f"{len(report.findings)} finding(s)")
-    return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> None:
     system = parse_system(_read(args.system))
     graph = interaction_graph(system.model)
     shape = classify(system.model)
@@ -86,7 +85,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         edges=len(graph.edges),
     )
     _say(f"star_like={shape.star_like} linear={shape.linear}")
-    return 0
 
 
 def _parse_inline_target(text: str) -> list[dict[str, str]]:
@@ -102,7 +100,7 @@ def _parse_inline_target(text: str) -> list[dict[str, str]]:
     return [constraints]
 
 
-def _cmd_reach(args: argparse.Namespace) -> int:
+def _cmd_reach(args: argparse.Namespace) -> None:
     # compile_system validates, as starify does in starify and check-thm2
     system = parse_system(_read(args.system), validate=False)
     compile_system(system)
@@ -134,18 +132,23 @@ def _cmd_reach(args: argparse.Namespace) -> int:
     else:
         suffix = "" if result.complete else " (search truncated)"
         _say(f"unreachable{suffix}")
-    return 0
 
 
-def _cmd_tm_run(args: argparse.Namespace) -> int:
+def _cmd_tm_run(args: argparse.Namespace) -> None:
     machine = parse_dtm(_read(args.dtm))
     result = run_tm(machine, args.input, max_steps=args.max_steps)
     _emit(args.output, "tm-run", outcome=result.outcome.value, steps=result.steps)
     _say(f"{result.outcome.value} after {result.steps} step(s)")
-    return 0
 
 
-def _cmd_tm_compile(args: argparse.Namespace) -> int:
+def _write_system(system: InteractionSystem, out: str | None) -> str:
+    """Write the system document; return the summary line for stderr."""
+    _write(serialize_system(system), out)
+    model = system.model
+    return f"{len(model.components)} components, {len(model.interactions)} interactions"
+
+
+def _cmd_tm_compile(args: argparse.Namespace) -> None:
     machine = parse_dtm(_read(args.dtm))
     if args.halt_extension:
         system, distinguished = extend_halt_propagation(machine, args.input)
@@ -153,49 +156,36 @@ def _cmd_tm_compile(args: argparse.Namespace) -> int:
     else:
         system = compile_lsa(machine, args.input)
         targets = [p.as_dict() for p in accept_predicate(machine, args.input)]
-    _write(serialize_system(system), args.output)
+    summary = _write_system(system, args.output)
     if args.target_out is not None:
         Path(args.target_out).write_text(serialize_predicates(targets))
-    model = system.model
-    _say(
-        f"{len(model.components)} components, {len(model.interactions)} interactions"
-        + (f"; target written to {args.target_out}" if args.target_out else "")
-    )
-    return 0
+        summary += f"; target written to {args.target_out}"
+    _say(summary)
 
 
-def _cmd_starify(args: argparse.Namespace) -> int:
+def _cmd_starify(args: argparse.Namespace) -> None:
     system = parse_system(_read(args.system), validate=False)
-    transformed = starify(system)
-    _write(serialize_system(transformed), args.output)
-    model = transformed.model
-    _say(f"{len(model.components)} components, {len(model.interactions)} interactions")
-    return 0
+    _say(_write_system(starify(system), args.output))
 
 
-def _report_verdict(verdict: Verdict, out: str | None) -> int:
+def _report_verdict(verdict: Verdict, out: str | None) -> None:
     _emit(out, "verdict", agree=verdict.agree, details=verdict.details)
     _say(("agree: " if verdict.agree else "DISAGREE: ") + verdict.details)
-    return 0
 
 
-def _cmd_check_thm1(args: argparse.Namespace) -> int:
+def _cmd_check_thm1(args: argparse.Namespace) -> None:
     machine = parse_dtm(_read(args.dtm))
-    return _report_verdict(check_theorem1(machine, args.input), args.output)
+    _report_verdict(check_theorem1(machine, args.input), args.output)
 
 
-def _cmd_check_thm2(args: argparse.Namespace) -> int:
+def _cmd_check_thm2(args: argparse.Namespace) -> None:
     system = parse_system(_read(args.system), validate=False)
-    return _report_verdict(check_theorem2(system), args.output)
+    _report_verdict(check_theorem2(system), args.output)
 
 
-def _cmd_gen_random(args: argparse.Namespace) -> int:
+def _cmd_gen_random(args: argparse.Namespace) -> None:
     params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams)})
-    system = gen_random_system(params)
-    _write(serialize_system(system), args.output)
-    model = system.model
-    _say(f"{len(model.components)} components, {len(model.interactions)} interactions")
-    return 0
+    _say(_write_system(gen_random_system(params), args.output))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,22 +198,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-o", "--output", help="write the result here instead of stdout")
+    def command(name: str, handler, takes: str | None, help: str) -> argparse.ArgumentParser:
+        # takes "system" (a system file), "dtm" (a machine file and --input) or None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=handler)
+        if takes is not None:
+            p.add_argument(takes)
+        if takes == "dtm":
+            p.add_argument("--input", required=True)
+        return p
 
-    p = sub.add_parser("validate", help="report validation findings for a system file")
-    p.add_argument("system")
-    with_output(p)
-    p.set_defaults(func=_cmd_validate)
+    command("validate", _cmd_validate, "system",
+            "report validation findings for a system file")
 
-    p = sub.add_parser("classify", help="classify the communication topology")
-    p.add_argument("system")
+    p = command("classify", _cmd_classify, "system",
+                "classify the communication topology")
     p.add_argument("--dot", help="also write the interaction graph as DOT")
-    with_output(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("reach", help="decide reachability of a target predicate")
-    p.add_argument("system")
+    p = command("reach", _cmd_reach, "system",
+                "decide reachability of a target predicate")
     p.add_argument(
         "--target",
         required=True,
@@ -235,25 +228,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"stop after this many states (default {DEFAULT_MAX_STATES:,}; at least 1)",
     )
     p.add_argument("--trace", action="store_true", help="print the witness trace")
-    with_output(p)
-    p.set_defaults(func=_cmd_reach)
 
-    p = sub.add_parser("tm-run", help="run a machine on an input word")
-    p.add_argument("dtm")
-    p.add_argument("--input", required=True)
+    p = command("tm-run", _cmd_tm_run, "dtm", "run a machine on an input word")
     p.add_argument(
         "--max-steps",
         type=int,
         help="at least 1; if omitted, the run ends in accept, reject, bound_violation or loop",
     )
-    with_output(p)
-    p.set_defaults(func=_cmd_tm_run)
 
-    p = sub.add_parser(
-        "tm-compile", help="compile machine + word into a line-shaped system"
-    )
-    p.add_argument("dtm")
-    p.add_argument("--input", required=True)
+    p = command("tm-compile", _cmd_tm_compile, "dtm",
+                "compile machine + word into a line-shaped system")
     p.add_argument(
         "--halt-extension",
         action="store_true",
@@ -263,56 +247,42 @@ def _build_parser() -> argparse.ArgumentParser:
         "--target-out",
         help="also write the matching reachability target as a predicate file",
     )
-    with_output(p)
-    p.set_defaults(func=_cmd_tm_compile)
 
-    p = sub.add_parser("starify", help="transform a system into hub-and-spokes form")
-    p.add_argument("system")
-    with_output(p)
-    p.set_defaults(func=_cmd_starify)
+    command("starify", _cmd_starify, "system",
+            "transform a system into hub-and-spokes form")
+    command("check-thm1", _cmd_check_thm1, "dtm",
+            "machine acceptance vs. reachability in the compiled line system")
+    command("check-thm2", _cmd_check_thm2, "system",
+            "reachable set vs. hub-idle projection of the starified system")
 
-    p = sub.add_parser(
-        "check-thm1",
-        help="machine acceptance vs. reachability in the compiled line system",
-    )
-    p.add_argument("dtm")
-    p.add_argument("--input", required=True)
-    with_output(p)
-    p.set_defaults(func=_cmd_check_thm1)
-
-    p = sub.add_parser(
-        "check-thm2",
-        help="reachable set vs. hub-idle projection of the starified system",
-    )
-    p.add_argument("system")
-    with_output(p)
-    p.set_defaults(func=_cmd_check_thm2)
-
-    p = sub.add_parser("gen-random", help="generate a seeded random system")
+    p = command("gen-random", _cmd_gen_random, None, "generate a seeded random system")
     p.add_argument("--seed", type=int, required=True)
     for f in fields(GenParams)[1:]:
         # the bounds after `seed`; GenParams states their defaults
         p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
-    with_output(p)
-    p.set_defaults(func=_cmd_gen_random)
 
+    # last, so every help screen lists -o after the command's own options
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", help="write the result here instead of stdout")
     return parser
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
+    """Run one command; return its exit code (0, 2 or 1, as above)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except (ParseError, ModelError, OSError) as e:
         _say(f"error: {e}")
         return 2
     except Exception as e:  # pragma: no cover - defensive
         _say(f"internal error: {type(e).__name__}: {e}")
         return 1
+    return 0
 
 
 def main() -> None:

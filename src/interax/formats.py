@@ -48,7 +48,7 @@ from .model import (
     refuse_untyped,
     validate_system,
 )
-from .turing import DTM, canonicalize_dtm, validate_dtm
+from .turing import DTM, _names, canonicalize_dtm, validate_dtm
 from .validation import refuse_non_strings
 
 DOCUMENT_VERSION = 1
@@ -182,6 +182,18 @@ def _port_ref(value: Any, path: str) -> PortId:
     return PortId(component, port)
 
 
+def _reference(name: str, p: PortId) -> str:
+    """The `component.port` text that `_port_ref` reads back as `p`, which
+    interaction `name` lists; refused where no text does."""
+    component, port = p
+    if not component or not port or "." in component:
+        raise ModelError(
+            f"cannot serialize: interaction {name!r} lists {p!r}, "
+            f"whose reference {str(p)!r} does not read back as it"
+        )
+    return f"{component}.{port}"
+
+
 def parse_system(text: str, validate: bool = True) -> InteractionSystem:
     """Parse a system document.  With validate=True (the default) any
     validation finding is raised; validate=False returns the value so the
@@ -242,9 +254,10 @@ def serialize_system(sys: InteractionSystem) -> str:
     """Canonical, byte-stable system document.  A document holds only string
     names and `component.port` references, and it states each component's
     behavior and port family with the component, so an interaction port
-    entry that is not a `PortId`, a name that is not a string, a component
-    without a behavior, or a behavior or port family without a component,
-    cannot be written."""
+    entry that is not a `PortId`, a name that is not a string, a port whose
+    reference would not read back as that port (an empty component or port
+    name, or a component name with a `.`), a component without a behavior,
+    or a behavior or port family without a component, cannot be written."""
     refuse_untyped(sys, "serialize")
     canonical = canonicalize_system(sys)
     for c in canonical.model.components:
@@ -273,7 +286,7 @@ def serialize_system(sys: InteractionSystem) -> str:
             for c in canonical.model.components
         ],
         "interactions": [
-            {"name": a.name, "ports": [str(p) for p in a.ports]}
+            {"name": a.name, "ports": [_reference(a.name, p) for p in a.ports]}
             for a in canonical.model.interactions
         ],
     }
@@ -343,9 +356,7 @@ def parse_dtm(text: str) -> DTM:
 def serialize_dtm(machine: DTM) -> str:
     """Canonical, byte-stable machine document; a machine with a name that
     is not a string cannot be written."""
-    for finding in validate_dtm(machine).findings:
-        if finding.rule == "non-string-name":
-            raise ModelError(f"cannot serialize: {finding.message}")
+    refuse_non_strings(chain(*_names(machine)), "serialize")
     canonical = canonicalize_dtm(machine)
     doc = {
         "tape_alphabet": list(canonical.tape_alphabet),

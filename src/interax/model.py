@@ -144,12 +144,16 @@ def refuse_untyped(value: InteractionModel | InteractionSystem, doing: str) -> N
     refuse_non_strings(names, doing)
 
 
-def validate_model(im: InteractionModel) -> ValidationReport:
-    """Check every interaction-model rule; findings are data, not failures.
-    A name that is not a string is reported alone: every other rule compares
-    or sorts names, and no document can hold it.  So is an interaction's port
-    entry that is not a `PortId`, since every other rule reads its fields."""
+def _typing_findings(im: InteractionModel) -> ValidationReport:
+    """The model's typing findings, in `refuse_untyped`'s order: each
+    interaction port entry that is not a `PortId`, else each name that is not
+    a string.  Every other rule reads those fields and compares or sorts
+    those names, and no document can hold them, so they are reported alone."""
     report = ValidationReport()
+    for name, p in _non_port_ids(im):
+        report.add("non-port-id", f"interaction {name} lists {p!r}, which is not a PortId")
+    if not report.ok:
+        return report
     for kind, group in (
         ("component", im.components),
         ("port", chain.from_iterable(im.ports.values())),
@@ -157,13 +161,20 @@ def validate_model(im: InteractionModel) -> ValidationReport:
     ):
         for x in non_strings(group):
             report.add("non-string-name", f"{kind} name {x!r} is not a string")
-    if not report.ok:
-        return report
-    for name, p in _non_port_ids(im):
-        report.add("non-port-id", f"interaction {name} lists {p!r}, which is not a PortId")
-    if not report.ok:
-        return report
+    return report
 
+
+def validate_model(im: InteractionModel) -> ValidationReport:
+    """Check every interaction-model rule; findings are data, not failures.
+    Typing findings (an interaction port entry that is not a `PortId`, else a
+    name that is not a string) are reported alone."""
+    report = _typing_findings(im)
+    return _model_rules(im) if report.ok else report
+
+
+def _model_rules(im: InteractionModel) -> ValidationReport:
+    """The findings of every model rule but typing, on a typed model."""
+    report = ValidationReport()
     seen_components: set[str] = set()
     for c in im.components:
         if c in seen_components:
@@ -242,9 +253,13 @@ def validate_model(im: InteractionModel) -> ValidationReport:
 
 
 def validate_system(sys: InteractionSystem) -> ValidationReport:
-    """Model findings plus behavior-level findings for each component."""
-    report = validate_model(sys.model)
+    """Model findings plus behavior-level findings for each component.  The
+    model's typing findings are reported alone, as `validate_model` does."""
     im = sys.model
+    report = _typing_findings(im)
+    if not report.ok:
+        return report
+    report = _model_rules(im)
 
     # key=str: a behavior key need not be a string
     for c in sorted(set(sys.behaviors) - set(im.components), key=str):

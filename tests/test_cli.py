@@ -53,6 +53,20 @@ def run_child(*argv):
     return proc.returncode, json.loads(proc.stdout)
 
 
+def reading(path):
+    """The argv of each subcommand that reads an input file, reading `path`."""
+    return [
+        ("validate", path),
+        ("classify", path),
+        ("reach", path, "--target", "s1=waiting"),
+        ("tm-run", path, "--input", ""),
+        ("tm-compile", path, "--input", ""),
+        ("starify", path),
+        ("check-thm1", path, "--input", ""),
+        ("check-thm2", path),
+    ]
+
+
 def duplicated_documents(tmp_path):
     """Each fixture system with its first component, or its first
     interaction, listed twice; yields (path, the rule that reports it)."""
@@ -142,12 +156,13 @@ class TestValidate:
         assert [f["rule"] for f in out["findings"]] == ["duplicate-port"]
         assert "1 finding(s)" in err
 
-    def test_schema_error_exits_two(self, files, tmp_path, capsys):
+    def test_schema_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
-        code, _, err = run(capsys, "validate", bad)
-        assert code == 2
-        assert "error:" in err
+        for argv in reading(bad):
+            code, doc, err = run(capsys, *argv)
+            assert (code, doc) == (2, None), argv
+            assert err.startswith("error: "), argv
 
     def test_deep_nesting_exits_two(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
@@ -159,12 +174,7 @@ class TestValidate:
     def test_non_utf8_file_exits_two(self, files, tmp_path, capsys):
         bad = tmp_path / "utf16.json"
         bad.write_bytes(b"\xff\xfe{\x00}\x00")
-        for argv in (
-            ("validate", bad),
-            ("reach", bad, "--target", "s1=waiting"),
-            ("reach", files["pl3"], "--target", bad),
-            ("check-thm1", bad, "--input", ""),
-        ):
+        for argv in (*reading(bad), ("reach", files["pl3"], "--target", bad)):
             code, doc, err = run(capsys, *argv)
             assert (code, doc) == (2, None), argv
             assert err == f"error: {bad}: not UTF-8 (invalid start byte at byte 0)\n"
@@ -262,10 +272,11 @@ class TestReach:
         assert code == 0
         assert doc["reachable"] is True
 
-    def test_missing_file_exits_two(self, capsys):
-        code, _, err = run(capsys, "reach", "nowhere.json", "--target", "a=b")
-        assert code == 2
-        assert "error:" in err
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        for argv in reading(tmp_path / "nowhere.json"):
+            code, doc, err = run(capsys, *argv)
+            assert (code, doc) == (2, None), argv
+            assert err.startswith("error: "), argv
 
     def test_unknown_component_exits_two(self, files, capsys):
         code, _, _ = run(capsys, "reach", files["cs1"], "--target", "ghost=here")

@@ -3,6 +3,7 @@ and a seeded mutation fuzz asserting no invalid document slips through."""
 
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -137,6 +138,23 @@ class TestSystemRoundTrip:
                 assert rules == [rule], message
             with pytest.raises(ModelError, match=message):
                 serialize_system(broken)
+
+    @pytest.mark.parametrize(
+        "port, reference",
+        [(PortId("s1", ""), "s1."), (PortId("", "p"), ".p"), (PortId("a.b", "p"), "a.b.p")],
+        ids=["empty-port", "empty-component", "dotted-component"],
+    )
+    def test_unreadable_port_reference_is_refused(self, port, reference):
+        # "s1." and ".p" do not parse, and "a.b.p" reads back as port "b.p" of "a"
+        base = pipeline(2)
+        interactions = (*base.model.interactions, Interaction("i", (port,)))
+        system = InteractionSystem(replace(base.model, interactions=interactions), base.behaviors)
+        message = (
+            f"cannot serialize: interaction 'i' lists {port!r}, "
+            f"whose reference {reference!r} does not read back as it"
+        )
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            serialize_system(system)
 
 
 class TestDtmRoundTrip:

@@ -368,6 +368,24 @@ class TestNonPortId:
         with pytest.raises(ModelError, match="non-port-id"):
             explore(system)
 
+    def test_reported_before_and_without_other_findings(self):
+        # a component 9 used to be reported first, with its missing behavior
+        base = pipeline(2)
+        model = InteractionModel(
+            (*base.model.components, 9),
+            base.model.ports,
+            (*base.model.interactions, Interaction("i", ("s1.x",))),
+        )
+        system = InteractionSystem(model, base.behaviors)
+        message = "interaction i lists 's1.x', which is not a PortId"
+        for report in (validate_model(model), validate_system(system)):
+            assert [str(f) for f in report.findings] == [f"non-port-id: {message}"]
+        with pytest.raises(
+            ModelError,
+            match="^cannot serialize: interaction 'i' lists 's1.x', which is not a PortId$",
+        ):
+            serialize_system(system)
+
     @pytest.mark.parametrize(
         "entries, shown",
         [(("a.p", PortId("a", "p")), "'a.p'"), ((PortId("a", "p"), 5), "5")],

@@ -13,9 +13,9 @@ some interaction), so no other caller may bypass it.
 A value's names are listed once per kind, and the refusals read those
 lists: `refuse_non_strings` is called only by the model gate
 `model.refuse_untyped` (over a model's or system's names),
-`turing.canonicalize_dtm` (over `turing._names`) and
-`formats.serialize_predicates`, and `_non_port_ids` only by
-`model.validate_model` and the gate.
+`turing.canonicalize_dtm` and `formats.serialize_dtm` (over
+`turing._names`) and `formats.serialize_predicates`, and `_non_port_ids`
+only by the validation gate `model._typing_findings` and the refusal gate.
 
 The package has one JSON writer: no module of the package calls `json.dump`
 or `json.dumps`, so `formats.dump_document` writes every document and the
@@ -155,11 +155,12 @@ def test_dump_document_is_the_only_json_writer(module):
 
 NAME_GATES = {
     "refuse_non_strings": [
+        "formats.serialize_dtm",
         "formats.serialize_predicates",
         "model.refuse_untyped",
         "turing.canonicalize_dtm",
     ],
-    "_non_port_ids": ["model.refuse_untyped", "model.validate_model"],
+    "_non_port_ids": ["model._typing_findings", "model.refuse_untyped"],
 }
 
 

@@ -190,6 +190,21 @@ def test_names_of_any_type_round_trip_or_are_findings(case):
         assert parse_system(serialize_system(system)) == canonicalize_system(system)
 
 
+# "" and dotted names: the writer refuses a port reference that would not
+# read back as the same port, and any other system keeps every finding
+# through its document, valid or not
+@settings(max_examples=300, deadline=None, database=None)
+@given(renamed_systems(st.text("ab.", max_size=2)))
+def test_a_written_system_keeps_every_finding(case):
+    _, system, _, _ = case
+    try:
+        text = serialize_system(system)
+    except ModelError:
+        return
+    again = parse_system(text, validate=False)
+    assert validate_system(again) == validate_system(canonicalize_system(system))
+
+
 fresh_names = st.text("abxy_0", min_size=1, max_size=3)
 
 
