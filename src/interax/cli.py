@@ -259,7 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     for f in fields(GenParams)[1:]:
         # the bounds after `seed`; GenParams states their defaults
-        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=int,
+            default=f.default,
+            help=f"1 to {f.metadata['cap']:,} (default {f.default})",
+        )
 
     # last, so every help screen lists -o after the command's own options
     for p in sub.choices.values():

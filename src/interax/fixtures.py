@@ -2,6 +2,11 @@
 
 `client_server(r)` is the hub-shaped system of one server and r clients;
 `pipeline(n)` is the line-shaped message/acknowledge relay of n stations.
+Every component of both is a cycle through its ports: the k-th port of its
+family moves its k-th state to the next, the last port leads back to the
+first state, and the first state is initial.  `client_server(r)` reaches
+r+1 global states over 2r transitions; `pipeline(n)` reaches 2(n-1) states
+over 2(n-1) transitions.
 `even_a` and `first_last` are small linear-bounded machines with obvious
 closed-form languages, handy as independent ground truth.
 """
@@ -18,49 +23,31 @@ from .model import (
 from .turing import DTM
 
 
+def _cycle(states: tuple[str, ...], ports: tuple[str, ...]) -> LocalBehavior:
+    """Port k moves state k to state k+1; the last port leads back to the
+    first state, which is initial."""
+    following = states[1:] + states[:1]
+    return LocalBehavior(states, frozenset(zip(states, ports, following)), states[0])
+
+
 def client_server(r: int) -> InteractionSystem:
     """One server S and clients c1..cr; each client connects to and
     disconnects from the server in a two-party interaction."""
     if r < 1:
         raise ValueError("need at least one client")
     clients = [f"c{i}" for i in range(1, r + 1)]
-    components = ("S", *clients)
     ports = {"S": ("connect", "disconnect")}
-    behaviors = {
-        "S": LocalBehavior(
-            states=("free", "busy"),
-            transitions=frozenset(
-                {("free", "connect", "busy"), ("busy", "disconnect", "free")}
-            ),
-            initial="free",
-        )
-    }
-    interactions = []
-    for i, c in enumerate(clients, start=1):
-        ports[c] = (f"connect_{i}", f"disconnect_{i}")
-        behaviors[c] = LocalBehavior(
-            states=("idle", "connected"),
-            transitions=frozenset(
-                {
-                    ("idle", f"connect_{i}", "connected"),
-                    ("connected", f"disconnect_{i}", "idle"),
-                }
-            ),
-            initial="idle",
-        )
-        interactions.append(
-            Interaction(
-                f"connect_S_{c}",
-                (PortId("S", "connect"), PortId(c, f"connect_{i}")),
-            )
-        )
-        interactions.append(
-            Interaction(
-                f"disconnect_S_{c}",
-                (PortId("S", "disconnect"), PortId(c, f"disconnect_{i}")),
-            )
-        )
-    model = InteractionModel(components, ports, tuple(interactions))
+    ports.update(
+        {c: (f"connect_{i}", f"disconnect_{i}") for i, c in enumerate(clients, start=1)}
+    )
+    behaviors = {"S": _cycle(("free", "busy"), ports["S"])}
+    behaviors.update({c: _cycle(("idle", "connected"), ports[c]) for c in clients})
+    interactions = tuple(
+        Interaction(f"{kind}_S_{c}", (PortId("S", kind), PortId(c, port)))
+        for c in clients
+        for kind, port in zip(ports["S"], ports[c])
+    )
+    model = InteractionModel(("S", *clients), ports, interactions)
     return InteractionSystem(model, behaviors)
 
 
@@ -74,65 +61,26 @@ def pipeline(n: int) -> InteractionSystem:
     behaviors: dict[str, LocalBehavior] = {}
     for i, s in enumerate(stations, start=1):
         if i == 1:
-            ports[s] = (f"send_m_{i}", f"rec_a_{i}")
-            behaviors[s] = LocalBehavior(
-                states=("ready", "waiting"),
-                transitions=frozenset(
-                    {
-                        ("ready", f"send_m_{i}", "waiting"),
-                        ("waiting", f"rec_a_{i}", "ready"),
-                    }
-                ),
-                initial="ready",
-            )
+            states, roles = ("ready", "waiting"), ("send_m", "rec_a")
         elif i == n:
-            ports[s] = (f"rec_m_{i}", f"send_a_{i}")
-            behaviors[s] = LocalBehavior(
-                states=("idle", "replying"),
-                transitions=frozenset(
-                    {
-                        ("idle", f"rec_m_{i}", "replying"),
-                        ("replying", f"send_a_{i}", "idle"),
-                    }
-                ),
-                initial="idle",
-            )
+            states, roles = ("idle", "replying"), ("rec_m", "send_a")
         else:
-            ports[s] = (f"rec_m_{i}", f"send_m_{i}", f"rec_a_{i}", f"send_a_{i}")
-            behaviors[s] = LocalBehavior(
-                states=("idle", "holding", "passed", "acked"),
-                transitions=frozenset(
-                    {
-                        ("idle", f"rec_m_{i}", "holding"),
-                        ("holding", f"send_m_{i}", "passed"),
-                        ("passed", f"rec_a_{i}", "acked"),
-                        ("acked", f"send_a_{i}", "idle"),
-                    }
-                ),
-                initial="idle",
-            )
-    interactions = []
-    for i in range(1, n):
-        interactions.append(
-            Interaction(
-                f"send_message_{i}",
-                (
-                    PortId(f"s{i}", f"send_m_{i}"),
-                    PortId(f"s{i + 1}", f"rec_m_{i + 1}"),
-                ),
-            )
-        )
-    for i in range(2, n + 1):
-        interactions.append(
-            Interaction(
-                f"send_acknowledge_{i}",
-                (
-                    PortId(f"s{i - 1}", f"rec_a_{i - 1}"),
-                    PortId(f"s{i}", f"send_a_{i}"),
-                ),
-            )
-        )
-    model = InteractionModel(tuple(stations), ports, tuple(interactions))
+            states = ("idle", "holding", "passed", "acked")
+            roles = ("rec_m", "send_m", "rec_a", "send_a")
+        ports[s] = tuple(f"{role}_{i}" for role in roles)
+        behaviors[s] = _cycle(states, ports[s])
+
+    def hop(i: int, left: str, right: str) -> tuple[PortId, PortId]:
+        # station i's `left` port with station i+1's `right` port
+        return PortId(f"s{i}", f"{left}_{i}"), PortId(f"s{i + 1}", f"{right}_{i + 1}")
+
+    interactions = tuple(
+        Interaction(f"send_message_{i}", hop(i, "send_m", "rec_m")) for i in range(1, n)
+    ) + tuple(
+        Interaction(f"send_acknowledge_{i + 1}", hop(i, "rec_a", "send_a"))
+        for i in range(1, n)
+    )
+    model = InteractionModel(tuple(stations), ports, interactions)
     return InteractionSystem(model, behaviors)
 
 

@@ -263,11 +263,12 @@ def serialize_system(sys: InteractionSystem) -> str:
     for c in canonical.model.components:
         if c not in canonical.behaviors:
             raise ModelError(f"cannot serialize: component {c} has no behavior")
+    components = set(canonical.model.components)
     for c in canonical.behaviors:
-        if c not in canonical.model.components:
+        if c not in components:
             raise ModelError(f"cannot serialize: component {c} is not in the model")
     for c in canonical.model.ports:
-        if c not in canonical.model.components:
+        if c not in components:
             raise ModelError(
                 f"cannot serialize: port family for component {c} is not in the model"
             )

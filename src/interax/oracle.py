@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ModelError
 from .model import (
@@ -42,16 +42,26 @@ STAR_EQUIVALENCE_SEEDS = tuple(range(100))
 ENGINE_EQUIVALENCE_SEEDS = tuple(range(200))
 
 
+def _bound(default: int, cap: int):
+    """A `GenParams` bound with its default and its inclusive cap."""
+    return field(default=default, metadata={"cap": cap})
+
+
 @dataclass(frozen=True)
 class GenParams:
-    """Knobs for `gen_random_system`; every bound is inclusive and >= 1."""
+    """Knobs for `gen_random_system`; every bound is inclusive, at least 1
+    and at most its cap: 32 components, 32 states, 1,000,000 ports, 128
+    interactions and 32 ports per interaction.  A draw's time and memory
+    grow with the bounds themselves, not with what it keeps (the
+    interaction loop runs up to `max_interactions` times even when most
+    draws repeat), so the caps keep every draw small."""
 
     seed: int
-    max_components: int = 4
-    max_states: int = 3
-    max_ports: int = 4
-    max_interactions: int = 6
-    max_interaction_size: int = 3
+    max_components: int = _bound(4, cap=32)
+    max_states: int = _bound(3, cap=32)
+    max_ports: int = _bound(4, cap=1_000_000)
+    max_interactions: int = _bound(6, cap=128)
+    max_interaction_size: int = _bound(3, cap=32)
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,11 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
     enabled; both are legal."""
     for f in fields(params)[1:]:
         # the bounds after `seed`
-        if getattr(params, f.name) < 1:
+        value, cap = getattr(params, f.name), f.metadata["cap"]
+        if value < 1:
             raise ModelError(f"{f.name} must be >= 1")
+        if value > cap:
+            raise ModelError(f"{f.name} must be at most {cap}")
     rng = random.Random(params.seed)
     n_comp = rng.randint(1, params.max_components)
     comps = [f"k{j}" for j in range(n_comp)]

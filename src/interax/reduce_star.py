@@ -37,7 +37,6 @@ from .model import (
     InteractionSystem,
     LocalBehavior,
     PortId,
-    enabled_ports,
     validate_system,
 )
 from .semantics import GlobalState, compile_system
@@ -90,33 +89,32 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
         family = model.ports.get(comp, ())
         base = set(family)
         lifted = list(family) or [_ok(LINK)]
+        enabled = {(src, port) for src, port, _ in b.transitions}
+        transitions = set(b.transitions)
         for port in family:
-            for variant in (_ok(port), _nok(port)):
+            ok, nok = _ok(port), _nok(port)
+            for variant in (ok, nok):
                 if variant in base:
                     raise ModelError(
                         f"port name collision: {comp}.{variant} already exists"
                     )
-                lifted.append(variant)
+            lifted += (ok, nok)
+            transitions.update(
+                (state, ok if (state, port) in enabled else nok, state)
+                for state in b.states
+            )
+            pid = PortId(comp, port)
+            link(comp, ok, _ok(pid))
+            link(comp, nok, _nok(pid))
+            link(comp, port, f"fire:{pid}")
+        if not family:
+            link(comp, _ok(LINK), _ok(PortId(comp, LINK)))
         ports[comp] = tuple(lifted)
-        transitions = set(b.transitions)
-        for state in b.states:
-            can = enabled_ports(b, state)
-            for port in family:
-                loop = _ok(port) if port in can else _nok(port)
-                transitions.add((state, loop, state))
         behaviors[comp] = LocalBehavior(
             states=b.states,
             transitions=frozenset(transitions),
             initial=b.initial,
         )
-
-        if not family:
-            link(comp, _ok(LINK), _ok(PortId(comp, LINK)))
-        for port in family:
-            pid = PortId(comp, port)
-            link(comp, _ok(port), _ok(pid))
-            link(comp, _nok(port), _nok(pid))
-            link(comp, port, f"fire:{pid}")
 
     states = [IDLE]
     hub_transitions: set[tuple[str, str, str]] = set()

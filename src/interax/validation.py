@@ -37,11 +37,6 @@ class ValidationReport:
             details = "; ".join(str(f) for f in self.findings)
             raise ModelError(f"invalid {what}: {details}")
 
-    def __str__(self) -> str:
-        if not self.findings:
-            return "ok"
-        return "\n".join(str(f) for f in self.findings)
-
 
 def non_strings(names: Iterable) -> list:
     """The distinct names that are not strings, in first-seen order.  One

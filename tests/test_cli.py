@@ -426,6 +426,11 @@ class TestTransformsAndCheckers:
         code, doc, _ = run(capsys, "validate", a)
         assert code == 0 and doc["findings"] == []
 
+    def test_gen_random_bound_over_cap_exits_two(self, capsys):
+        code, doc, err = run(capsys, "gen-random", "--seed", "1", "--max-components", "33")
+        assert (code, doc) == (2, None)
+        assert err == "error: max_components must be at most 32\n"
+
 
 class TestOneValidation:
     COMMANDS = [

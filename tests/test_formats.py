@@ -4,6 +4,7 @@ and a seeded mutation fuzz asserting no invalid document slips through."""
 import json
 import random
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -138,6 +139,19 @@ class TestSystemRoundTrip:
                 assert rules == [rule], message
             with pytest.raises(ModelError, match=message):
                 serialize_system(broken)
+
+    def test_many_components_write_in_linear_time(self):
+        # membership tests against the component tuple made this quadratic (about 8 s)
+        components = tuple(f"k{j}" for j in range(20_000))
+        behavior = LocalBehavior(("q0",), frozenset(), "q0")
+        system = InteractionSystem(
+            InteractionModel(components, {c: () for c in components}, ()),
+            dict.fromkeys(components, behavior),
+        )
+        t0 = time.monotonic()
+        text = serialize_system(system)
+        assert time.monotonic() - t0 < 2.0
+        assert parse_system(text) == canonicalize_system(system)
 
     @pytest.mark.parametrize(
         "port, reference",

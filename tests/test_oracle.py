@@ -248,6 +248,9 @@ class TestGenRandomSystem:
     def test_every_bound_is_checked(self, name):
         with pytest.raises(ModelError, match=f"^{name} must be >= 1$"):
             gen_random_system(GenParams(seed=0, **{name: 0}))
+        cap = next(f.metadata["cap"] for f in fields(GenParams) if f.name == name)
+        with pytest.raises(ModelError, match=f"^{name} must be at most {cap}$"):
+            gen_random_system(GenParams(seed=0, **{name: cap + 1}))
 
     def test_port_bound_allocates_no_port_list(self):
         # the port names used to be listed up front: 12.7 MB of peak here

@@ -161,19 +161,24 @@ class TestSuccessors:
 
 
 class TestExplore:
-    def test_client_server_r2_three_states(self):
-        result = explore(client_server(2))
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_client_server_closed_form(self, r):
+        # r+1 states: all idle, or busy with client i connected; 2r transitions
+        result = explore(client_server(r))
         assert result.complete
-        assert result.states == {
-            ("free", "idle", "idle"),
-            ("busy", "connected", "idle"),
-            ("busy", "idle", "connected"),
+        idle = ("idle",) * r
+        assert result.states == {("free", *idle)} | {
+            ("busy", *idle[:i], "connected", *idle[i + 1 :]) for i in range(r)
         }
+        assert result.transitions == 2 * r
 
-    def test_pipeline_n3_four_states(self):
-        result = explore(pipeline(3))
-        assert len(result.states) == 4
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_pipeline_closed_form(self, n):
+        # the token walks up and back: 2(n-1) states, one move out of each
+        result = explore(pipeline(n))
         assert result.complete
+        assert len(result.states) == 2 * (n - 1)
+        assert result.transitions == 2 * (n - 1)
 
     def test_initial_deadlock_single_state(self):
         b = LocalBehavior(("q0", "q1"), frozenset({("q1", "p", "q0")}), "q0")
