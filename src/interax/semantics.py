@@ -88,14 +88,19 @@ class Engine:
     set unless rule `k` needs a port that `s` disables.  The AND of a
     state's rows is exactly its enabled set, and walking its set bits from
     low to high visits the enabled rules in name order, so the canonical
-    order comes from generation, not sorting.
+    order comes from generation, not sorting.  A rule none of whose ports
+    has a moving transition is *still*, and `still` holds the still rules'
+    indices: where one is enabled, every participant's table entry is
+    `(0,)`, so firing it gives back the state it fired from.
 
-    The search dedups on codes.  It carries each frontier state's digits in
-    a list parallel to the frontier's codes and builds a state's digit
-    tuple once, when its code is first seen, copying the parent's and
-    changing only the participants.  `explore` keeps a set of the codes it
-    has seen and names them once, at the end; `is_reachable` keeps one int
-    per parent link, `parent code·|rules| + rule index`.
+    The search counts an enabled still rule as one transition without
+    firing it, since it can never discover a state; every other caller
+    fires it.  The search dedups on codes.  It carries each frontier
+    state's digits in a list parallel to the frontier's codes and builds a
+    state's digit tuple once, when its code is first seen, copying the
+    parent's and changing only the participants.  `explore` keeps a set of
+    the codes it has seen and names them once, at the end; `is_reachable`
+    keeps one int per parent link, `parent code·|rules| + rule index`.
 
     An engine is built only from a validated system, by `compile_system`,
     which builds it once per system object and hands the same engine to
@@ -141,6 +146,7 @@ class Engine:
         # constrain and gains those of each port local state s enables
         self.full = (1 << len(self.rules)) - 1
         rows = []
+        moves = 0
         for ci, c in enumerate(model.components):
             index, weight, ports = self.state_index[ci], self.weights[ci], used[ci]
             constrained = 0
@@ -153,6 +159,8 @@ class Engine:
                 step = (index[dst] - s) * weight
                 table[s] = tuple(sorted((*table[s], step))) if table[s] else (step,)
                 row[s] |= bits
+                if step:
+                    moves |= bits
             rows.append(row)
         # a component whose rows are all ones never clears a bit: left out
         self.rows = [
@@ -160,6 +168,8 @@ class Engine:
             for ci, row in enumerate(rows)
             if row.count(self.full) < len(row)
         ]
+        # rules none of whose ports has a transition that moves a code
+        self.still = frozenset(k for k in self.every if not moves >> k & 1)
 
         self.initial_code, self.initial = self.pack(sys.initial_state())
 
@@ -297,7 +307,7 @@ class Engine:
             seen = {start: None}
             if matches(self.initial):
                 return seen, 0, False, start
-        rules, fire, moved = self.rules, self.fire, self.moved
+        rules, fire, moved, still = self.rules, self.fire, self.moved, self.still
         n = len(rules)
         codes, digits = [start], [self.initial]
         transitions = 0
@@ -308,6 +318,9 @@ class Engine:
             for code, q in zip(codes, digits):
                 enabled = self.enabled(q)
                 for k in enabled:
+                    if k in still:
+                        transitions += 1
+                        continue
                     parts = rules[k][1]
                     succs = fire(code, q, parts)
                     transitions += len(succs)

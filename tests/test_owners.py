@@ -17,6 +17,12 @@ lists: `refuse_non_strings` is called only by the model gate
 `turing._names`) and `formats.serialize_predicates`, and `_non_port_ids`
 only by the validation gate `model._typing_findings` and the refusal gate.
 
+Still rules are skipped in one place: only `Engine.search` reads an
+attribute named `still`, the engine's rules that can never move a state.
+It counts each enabled one as one transition without firing it, while
+the per-state calls (`successors`, `step`, `replay_trace`) fire every rule
+through `Engine.fire`.
+
 The package has one JSON writer: no module of the package calls `json.dump`
 or `json.dumps`, so `formats.dump_document` writes every document and the
 bytes of every document have one owner.
@@ -24,6 +30,7 @@ bytes of every document have one owner.
 
 import ast
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -49,9 +56,9 @@ def codec_reads(source: str) -> list[str]:
     )
 
 
-def callers(source: str, name: str) -> list[str]:
-    """Where `name(...)` or `x.name(...)` is called: the dotted name of each
-    call's enclosing functions and classes ("" at module level), sorted."""
+def places(source: str, hit: Callable[[ast.AST], bool]) -> list[str]:
+    """Where a node that `hit` accepts occurs: the dotted name of each one's
+    enclosing functions and classes ("" at module level), sorted."""
     out = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -59,14 +66,31 @@ def callers(source: str, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                    out.append(where)
+            if hit(child):
+                out.append(where)
             visit(child, where)
 
     visit(ast.parse(source), "")
     return sorted(out)
+
+
+def callers(source: str, name: str) -> list[str]:
+    """Where `name(...)` or `x.name(...)` is called."""
+    return places(
+        source,
+        lambda node: isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)),
+    )
+
+
+def readers(source: str, attr: str) -> list[str]:
+    """Where `x.attr` is read."""
+    return places(
+        source,
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.ctx, ast.Load),
+    )
 
 
 def test_checker_finds_only_codec_reads():
@@ -105,6 +129,32 @@ def test_checker_finds_every_engine_call():
 def test_only_compile_system_builds_an_engine(path):
     expected = ["compile_system"] if path == PACKAGE / "semantics.py" else []
     assert callers(path.read_text(), "Engine") == expected
+
+
+def test_checker_finds_every_attribute_read():
+    source = (
+        "def build(eng):\n"
+        "    eng.still = frozenset()\n"
+        "    still = 1\n"
+        "class Engine:\n"
+        "    def search(self):\n"
+        "        rules, still = self.rules, self.still\n"
+        "        return [k for k in rules if k in self.engine.still]\n"
+        "    def fire(self, still):\n"
+        "        return getattr(self, 'still'), still\n"
+        "    stillness = Engine.stillness\n"
+    )
+    assert readers(source, "still") == ["Engine.search", "Engine.search"]
+
+
+def test_only_the_search_skips_still_rules():
+    # the per-state calls keep firing every rule through `fire`
+    found = sorted(
+        f"{path.stem}.{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in readers(path.read_text(), "still")
+    )
+    assert found == ["semantics.Engine.search"]
 
 
 def json_writes(source: str) -> list[str]:

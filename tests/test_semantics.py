@@ -24,7 +24,7 @@ from interax import (
     step,
     successors,
 )
-from interax.fixtures import client_server, pipeline
+from interax.fixtures import client_server, even_a, pipeline
 from interax.reduce_linear import accept_predicate, compile_lsa
 from interax.formats import parse_system, serialize_system
 from interax.semantics import compile_system
@@ -171,6 +171,24 @@ class TestExplore:
             ("busy", *idle[:i], "connected", *idle[i + 1 :]) for i in range(r)
         }
         assert result.transitions == 2 * r
+
+    @pytest.mark.parametrize("nondet", [False, True], ids=["det", "nondet"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_ring_closed_form(self, k, nondet):
+        # every digit string is reachable; out of each state every c_i ticks
+        # to one or two targets and every handshake fires once
+        sys = ring(k, nondet)
+        result = explore(sys)
+        assert result.complete
+        assert result.states == set(itertools.product(("q0", "q1", "q2"), repeat=k))
+        assert result.transitions == k * 3**k * (3 if nondet else 2)
+        top = [StatePredicate.of({f"c{i}": "q2" for i in range(k)})]
+        got = is_reachable(sys, top)
+        assert got.reachable and got.complete
+        assert len(got.trace) == (k if nondet else 2 * k)
+        assert (got.states_explored, got.transitions_explored) == reference_reach(
+            sys, top
+        )[2:4]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_pipeline_closed_form(self, n):
@@ -488,6 +506,117 @@ def test_hit_counts_every_successor_of_its_parent():
     assert result.trace == ["connect_S_c1"]
     assert (result.states_explored, result.transitions_explored) == (2, 2)
     assert_search_is_reference(sys, [StatePredicate.of({"c1": "connected"})])
+
+
+def still_names(sys):
+    """The names of the engine's still rules."""
+    eng = compile_system(sys)
+    return {eng.rules[k][0] for k in eng.still}
+
+
+def small_system(behaviors, interactions):
+    """A system from {component: (states, transitions)}, initial state the
+    first listed, and {interaction name: [(component, port), ...]}."""
+    comps = tuple(behaviors)
+    ports = {
+        c: tuple(sorted({port for _, port, _ in moves}))
+        for c, (_, moves) in behaviors.items()
+    }
+    model = InteractionModel(
+        comps,
+        ports,
+        tuple(
+            Interaction(name, tuple(PortId(c, p) for c, p in parts))
+            for name, parts in interactions.items()
+        ),
+    )
+    return InteractionSystem(
+        model,
+        {
+            c: LocalBehavior(states, frozenset(moves), states[0])
+            for c, (states, moves) in behaviors.items()
+        },
+    )
+
+
+class TestStillRules:
+    """A still rule is one none of whose ports has a moving transition: the
+    search counts it without firing it."""
+
+    @pytest.mark.parametrize("nondet", [False, True], ids=["det", "nondet"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_ring_handshakes_are_still(self, k, nondet):
+        assert still_names(ring(k, nondet)) == {f"s_{i}" for i in range(k)}
+
+    def test_fixtures_have_none(self):
+        systems = [client_server(r) for r in range(1, 5)]
+        systems += [pipeline(n) for n in range(2, 6)]
+        systems += [compile_lsa(even_a(), w) for w in ("", "a", "aa", "aaa")]
+        systems += [compile_lsa(palindrome(), w) for w in ("", "ab", "abba", "aab")]
+        for sys in systems:
+            assert still_names(sys) == set()
+
+    def test_a_port_that_moves_somewhere_is_not_still(self):
+        sys = small_system(
+            {"x": (("q0", "q1"), {("q0", "p", "q0"), ("q1", "p", "q0")})},
+            {"a": [("x", "p")]},
+        )
+        assert still_names(sys) == set()
+
+    def test_a_still_port_beside_a_moving_one_is_not_still(self):
+        sys = small_system(
+            {
+                "x": (("q0", "q1"), {("q0", "p", "q0"), ("q1", "p", "q1")}),
+                "y": (("r0", "r1"), {("r0", "m", "r1")}),
+            },
+            {"a": [("x", "p"), ("y", "m")]},
+        )
+        assert still_names(sys) == set()
+
+    def test_rules_sharing_a_still_port_are_both_still(self):
+        sys = small_system(
+            {
+                "x": (("q0", "q1"), {("q0", "p", "q0"), ("q0", "go", "q1")}),
+                "y": (("r0",), {("r0", "h", "r0")}),
+            },
+            {"a": [("x", "p")], "b": [("x", "p"), ("y", "h")], "c": [("x", "go")]},
+        )
+        assert still_names(sys) == {"a", "b"}
+
+    def test_a_rule_still_where_enabled_is_still(self):
+        # q1 disables p; where p is enabled it only self-loops
+        sys = small_system(
+            {"x": (("q0", "q1"), {("q0", "p", "q0"), ("q0", "go", "q1")})},
+            {"a": [("x", "p")], "b": [("x", "go")]},
+        )
+        assert still_names(sys) == {"a"}
+        assert enabled_interactions(sys, ("q1",)) == set()
+        result = explore(sys)
+        assert (result.states, result.transitions) == ({("q0",), ("q1",)}, 2)
+        assert_search_is_reference(sys, [StatePredicate.of({"x": "q1"})])
+
+
+def test_enough_random_systems_have_a_still_rule():
+    # still rules are common among these draws (117 of 200, 33 of the
+    # first 60), so the reference-BFS tests over them exercise the skip
+    engines = [
+        compile_system(gen_random_system(GenParams(seed=seed)))
+        for seed in ENGINE_EQUIVALENCE_SEEDS
+    ]
+    assert sum(bool(eng.still) for eng in engines) >= 100
+
+
+@pytest.mark.parametrize("seed", ENGINE_EQUIVALENCE_SEEDS)
+def test_a_still_rule_fires_back_to_its_state(seed):
+    # the skip rests on this: firing an enabled still rule from any
+    # reachable state gives exactly that state back
+    sys = gen_random_system(GenParams(seed=seed))
+    eng = compile_system(sys)
+    for q in reference_search(sys)[0]:
+        code, digits = eng.pack(q)
+        for k in eng.enabled(digits):
+            if k in eng.still:
+                assert eng.fire(code, digits, eng.rules[k][1]) == [code]
 
 
 def palindrome() -> DTM:
