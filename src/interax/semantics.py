@@ -89,18 +89,26 @@ class Engine:
     state's rows is exactly its enabled set, and walking its set bits from
     low to high visits the enabled rules in name order, so the canonical
     order comes from generation, not sorting.  A rule none of whose ports
-    has a moving transition is *still*, and `still` holds the still rules'
-    indices: where one is enabled, every participant's table entry is
-    `(0,)`, so firing it gives back the state it fired from.
+    has a moving transition is *still*, and `still` has bit `k` set when
+    rule `k` is: where one is enabled, every participant's table entry is
+    `(0,)`, so it can only fire back to the state it fired from.
 
-    The search counts an enabled still rule as one transition without
-    firing it, since it can never discover a state; every other caller
-    fires it.  The search dedups on codes.  It carries each frontier
-    state's digits in a list parallel to the frontier's codes and builds a
-    state's digit tuple once, when its code is first seen, copying the
-    parent's and changing only the participants.  `explore` keeps a set of
-    the codes it has seen and names them once, at the end; `is_reachable`
-    keeps one int per parent link, `parent code·|rules| + rule index`.
+    `fire` returns the code steps to a state's successors, not their
+    codes; a caller adds the state's code.  A one-participant rule's steps
+    are its table entry, and several participants with one step each sum
+    to a 1-tuple, so most transitions allocate nothing.  The search keeps,
+    per search, a dict from each enabledness mask it meets to the mask's
+    split: the number of enabled still rules, which it counts as one
+    transition each without firing them, and the enabled moving rules as
+    `(index, parts)` pairs in name order, the only ones it fires.  A ring
+    has one mask, so every state reuses one split.  Every other caller
+    fires every enabled rule.  The search dedups on codes.  It carries
+    each frontier state's digits in a list parallel to the frontier's
+    codes and builds a state's digit tuple once, when its code is first
+    seen, copying the parent's and changing only the participants.
+    `explore` keeps a set of the codes it has seen and names them once, at
+    the end; `is_reachable` keeps one int per parent link, `parent
+    code·|rules| + rule index`.
 
     An engine is built only from a validated system, by `compile_system`,
     which builds it once per system object and hands the same engine to
@@ -169,7 +177,7 @@ class Engine:
             if row.count(self.full) < len(row)
         ]
         # rules none of whose ports has a transition that moves a code
-        self.still = frozenset(k for k in self.every if not moves >> k & 1)
+        self.still = self.full & ~moves
 
         self.initial_code, self.initial = self.pack(sys.initial_state())
 
@@ -233,22 +241,26 @@ class Engine:
             raise ModelError(f"no such interaction: {name!r}")
         return parts
 
-    def fire(self, code: int, q: tuple[int, ...], parts: Parts) -> list[int]:
-        """The codes of every successor of q, whose code is `code`, by the
+    def fire(self, q: tuple[int, ...], parts: Parts) -> Sequence[int]:
+        """The code steps from q to each of its successors by the
         interaction with these participants, in canonical order
         (participants in component order, each one's targets ascending by
-        state index); [] when some participant does not enable its port."""
-        succ = code
+        state index); empty when some participant does not enable its
+        port.  A successor's code is q's code plus its step."""
+        if len(parts) == 1:
+            ci, table = parts[0]
+            return table[q[ci]]
+        total = 0
         for ci, table in parts:
             steps = table[q[ci]]
             if len(steps) != 1:
                 break
-            succ += steps[0]
+            total += steps[0]
         else:
-            return [succ]
+            return (total,)
         # some participant has no target or several: each participant
         # multiplies the list by its steps, so the last one's vary fastest
-        out = [code]
+        out = [0]
         for ci, table in parts:
             steps = table[q[ci]]
             out = [c + step for c in out for step in steps]
@@ -272,11 +284,12 @@ class Engine:
 
     def successors(self, code: int, q: tuple[int, ...]) -> list[tuple[str, int]]:
         """All (interaction name, successor code) pairs of q, whose code is
-        `code`, in canonical order: by name, then as `fire` yields them."""
+        `code`, in canonical order: by name, then as `fire` yields their
+        steps."""
         return [
-            (self.rules[k][0], succ)
+            (self.rules[k][0], code + step)
             for k in self.enabled(q)
-            for succ in self.fire(code, q, self.rules[k][1])
+            for step in self.fire(q, self.rules[k][1])
         ]
 
     def search(
@@ -307,8 +320,12 @@ class Engine:
             seen = {start: None}
             if matches(self.initial):
                 return seen, 0, False, start
-        rules, fire, moved, still = self.rules, self.fire, self.moved, self.still
+        rules, rows, fire, moved = self.rules, self.rows, self.fire, self.moved
+        full, still = self.full, self.still
         n = len(rules)
+        # enabledness mask -> (enabled still rules, enabled moving rules as
+        # (index, parts) pairs in name order)
+        splits: dict[int, tuple[int, list[tuple[int, Parts]]]] = {}
         codes, digits = [start], [self.initial]
         transitions = 0
         truncated = False
@@ -316,15 +333,28 @@ class Engine:
             next_codes: list[int] = []
             next_digits: list[tuple[int, ...]] = []
             for code, q in zip(codes, digits):
-                enabled = self.enabled(q)
-                for k in enabled:
-                    if k in still:
-                        transitions += 1
-                        continue
-                    parts = rules[k][1]
-                    succs = fire(code, q, parts)
-                    transitions += len(succs)
-                    for succ in succs:
+                mask = full
+                for ci, row in rows:
+                    mask &= row[q[ci]]
+                split = splits.get(mask)
+                if split is None:
+                    # the set bits of the moving rules, low to high, as in
+                    # `enabled`
+                    moving = []
+                    bits = mask & ~still
+                    while bits:
+                        low = bits & -bits
+                        k = low.bit_length() - 1
+                        moving.append((k, rules[k][1]))
+                        bits ^= low
+                    split = splits[mask] = ((mask & still).bit_count(), moving)
+                stills, moving = split
+                transitions += stills
+                for k, parts in moving:
+                    steps = fire(q, parts)
+                    transitions += len(steps)
+                    for step in steps:
+                        succ = code + step
                         if succ in seen:
                             continue
                         if len(seen) >= limit:
@@ -336,8 +366,10 @@ class Engine:
                         else:
                             seen[succ] = code * n + k
                             if matches(q2):
-                                for later in enabled[enabled.index(k) + 1:]:
-                                    transitions += len(fire(code, q, rules[later][1]))
+                                # the still rules are already counted
+                                for later, others in moving:
+                                    if later > k:
+                                        transitions += len(fire(q, others))
                                 return seen, transitions, truncated, succ
                         next_codes.append(succ)
                         next_digits.append(q2)
@@ -375,15 +407,15 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     eng = compile_system(sys)
     code, packed = eng.pack(q)
     parts = eng.parts(interaction)
-    succs = eng.fire(code, packed, parts)
-    if not succs:
+    steps = eng.fire(packed, parts)
+    if not steps:
         blockers = [
             eng.components[ci] for ci, table in parts if not table[packed[ci]]
         ]
         raise ModelError(
             f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"
         )
-    return eng.names(succs[0])
+    return eng.names(code + steps[0])
 
 
 def successors(
@@ -494,7 +526,8 @@ def replay_trace(
         parts = eng.parts(name)
         following: dict[int, tuple[int, ...]] = {}
         for code, q in current.items():
-            for succ in eng.fire(code, q, parts):
+            for step in eng.fire(q, parts):
+                succ = code + step
                 if succ not in following:
                     following[succ] = eng.moved(q, succ, parts)
         if not following:

@@ -23,6 +23,10 @@ It counts each enabled one as one transition without firing it, while
 the per-state calls (`successors`, `step`, `replay_trace`) fire every rule
 through `Engine.fire`.
 
+The engine has one firing rule: a rule table is subscripted only in
+`Engine.__init__`, which fills the tables, in `Engine.fire` and in the
+blocker message of `step`, so no caller inlines a second firing rule.
+
 The package has one JSON writer: no module of the package calls `json.dump`
 or `json.dumps`, so `formats.dump_document` writes every document and the
 bytes of every document have one owner.
@@ -36,12 +40,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "interax"
+PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 OUTSIDE = sorted(p for p in PACKAGE.glob("*.py") if p.name != "semantics.py")
 SOURCES = sorted(
     [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
 )
 CODEC = {"weights", "radices"}
 JSON_WRITERS = {"dump", "dumps"}
+TABLE_SOURCES = {"parts", "ports"}
 
 
 def codec_reads(source: str) -> list[str]:
@@ -157,6 +163,70 @@ def test_only_the_search_skips_still_rules():
     assert found == ["semantics.Engine.search"]
 
 
+def table_subscripts(source: str) -> list[str]:
+    """Where a rule table is subscripted.  A table is reached from a
+    rule's participants or a port entry: a name unpacked from a pair whose
+    source mentions `parts` or `ports` (`for ci, t in parts`, `ci, t =
+    parts[0]`, `t, bits = ports[port]`), or three subscripts down from
+    `parts` (`parts[0][1][s]`)."""
+    tables = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            target, value = node.target, node.iter
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        else:
+            continue
+        if isinstance(target, ast.Tuple) and any(
+            name in TABLE_SOURCES
+            for sub in ast.walk(value)
+            for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
+        ):
+            tables.update(elt.id for elt in target.elts if isinstance(elt, ast.Name))
+
+    def deep(node: ast.AST, depth: int) -> bool:
+        while depth and isinstance(node, ast.Subscript):
+            node, depth = node.value, depth - 1
+        return not depth and "parts" in (
+            getattr(node, "id", None), getattr(node, "attr", None)
+        )
+
+    return places(
+        source,
+        lambda node: isinstance(node, ast.Subscript)
+        and (getattr(node.value, "id", None) in tables or deep(node.value, 2)),
+    )
+
+
+def test_checker_finds_every_table_subscript():
+    source = (
+        "def fill(ports, port, s):\n"
+        "    table, bits = ports[port]\n"
+        "    table[s] = bits\n"
+        "class Engine:\n"
+        "    def fire(self, q, parts):\n"
+        "        ci, first = parts[0]\n"
+        "        return first[q[ci]], [t[q[c]] for c, t in parts]\n"
+        "    def search(self, q, k, rows):\n"
+        "        parts = self.rules[k][1]\n"
+        "        for ci, row in rows:\n"
+        "            row[q[ci]]\n"
+        "        return parts[0][1][q[0]], parts[0][1], self.parts(k)[0][0]\n"
+    )
+    assert table_subscripts(source) == [
+        "Engine.fire", "Engine.fire", "Engine.search", "fill",
+    ]
+
+
+def test_only_fire_subscripts_a_rule_table():
+    found = sorted({
+        f"{path.stem}.{where}"
+        for path in PACKAGE_MODULES
+        for where in table_subscripts(path.read_text())
+    })
+    assert found == ["semantics.Engine.__init__", "semantics.Engine.fire", "semantics.step"]
+
+
 def json_writes(source: str) -> list[str]:
     """Calls of `json.dump` or `json.dumps` (also under an alias of the
     module) and imports of either name from `json`, as sorted source text."""
@@ -193,9 +263,6 @@ def test_checker_finds_every_json_write():
         "    return json.dumps(x, indent=2) + dumps(x)\n"
     )
     assert json_writes(source) == ["from json import dumps", "j.dump", "json.dumps"]
-
-
-PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES, ids=[p.name for p in PACKAGE_MODULES])

@@ -511,7 +511,7 @@ def test_hit_counts_every_successor_of_its_parent():
 def still_names(sys):
     """The names of the engine's still rules."""
     eng = compile_system(sys)
-    return {eng.rules[k][0] for k in eng.still}
+    return {name for k, (name, _) in enumerate(eng.rules) if eng.still >> k & 1}
 
 
 def small_system(behaviors, interactions):
@@ -609,14 +609,43 @@ def test_enough_random_systems_have_a_still_rule():
 @pytest.mark.parametrize("seed", ENGINE_EQUIVALENCE_SEEDS)
 def test_a_still_rule_fires_back_to_its_state(seed):
     # the skip rests on this: firing an enabled still rule from any
-    # reachable state gives exactly that state back
+    # reachable state has one step, 0, back to that state
     sys = gen_random_system(GenParams(seed=seed))
     eng = compile_system(sys)
     for q in reference_search(sys)[0]:
-        code, digits = eng.pack(q)
+        _, digits = eng.pack(q)
         for k in eng.enabled(digits):
-            if k in eng.still:
-                assert eng.fire(code, digits, eng.rules[k][1]) == [code]
+            if eng.still >> k & 1:
+                assert eng.fire(digits, eng.rules[k][1]) == (0,)
+
+
+def test_hit_counts_each_later_successor_once():
+    # from the initial state: `a` (two participants, x with two targets)
+    # gives 2 successors, then `b` reaches the target, then the still `c`
+    # and the moving `d` give 1 each; the split counts `c` before any rule
+    # fires, so the hit adds only `d`
+    sys = small_system(
+        {
+            "x": (("x0", "x1", "x2"), {("x0", "p", "x1"), ("x0", "p", "x2")}),
+            "y": (("y0", "y1", "y2"), {("y0", "p", "y1"), ("y0", "m", "y2")}),
+            "z": (("z0", "z1"), {("z0", "go", "z1"), ("z0", "h", "z0"), ("z1", "h", "z1")}),
+        },
+        {
+            "a": [("x", "p"), ("y", "p")],
+            "b": [("z", "go")],
+            "c": [("z", "h")],
+            "d": [("y", "m")],
+        },
+    )
+    assert still_names(sys) == {"c"}
+    target = StatePredicate.of({"z": "z1"})
+    got = is_reachable(sys, target)
+    assert got.trace == ["b"]
+    assert got.transitions_explored == len(successors(sys, ("x0", "y0", "z0"))) == 5
+    assert (
+        got.reachable, got.trace, got.states_explored,
+        got.transitions_explored, got.complete,
+    ) == reference_reach(sys, [target]) == (True, ["b"], 4, 5, True)
 
 
 def palindrome() -> DTM:
