@@ -6,7 +6,10 @@ The brute-force fixpoint shares no machinery with `semantics.explore`: it
 recomputes enabledness per state from the definitions and expands each
 reachable state once, from its own depth-first stack of name tuples rather
 than the engine's breadth-first frontier of codes, so a frontier or hashing
-bug in the engine cannot hide here.
+bug in the engine cannot hide here.  Its only tables are its own: one
+`port -> {local state -> targets}` dict per component, read by state name,
+and per interaction its participants ordered by how few local states enable
+their port, fewest first.
 """
 
 from __future__ import annotations
@@ -72,11 +75,18 @@ class Verdict:
 
 def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
     """Least fixpoint of the global transition relation, guarded at 10,000
-    product states, expanding each reachable state once.  Every local initial
-    state and transition target is checked against its component's states up
-    front, so every state the search reaches lies in the product; an invalid
-    system is refused even when its bad transition never fires."""
+    product states, expanding each reachable state once.  Every component's
+    behavior, local initial state and transition target, and every
+    interaction's components, are checked up front, so every state the
+    search reaches lies in the product; an invalid system is refused even
+    when its bad transition never fires.  Each component keeps one
+    `port -> {local state -> targets}` dict, and each interaction checks its
+    participants in order of how few local states enable their port, so
+    that a disabled interaction tends to be refused at its first lookup."""
     components = sys.model.components
+    for c in components:
+        if c not in sys.behaviors:
+            raise ModelError(f"component {c} has no behavior (invalid system)")
     behaviors = [sys.behaviors[c] for c in components]
     state_sets = [set(b.states) for b in behaviors]
     product_size = math.prod(len(states) for states in state_sets)
@@ -85,49 +95,55 @@ def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
             f"product too large for brute force: {product_size} > {BRUTE_FORCE_LIMIT}"
         )
 
-    local: list[dict[tuple[str, str], list[str]]] = []
+    local: list[dict[str, dict[str, list[str]]]] = []
     for c, b, states in zip(components, behaviors, state_sets):
         if b.initial not in states:
             raise ModelError(
                 f"initial state of {c} outside its states (invalid system)"
             )
-        table: dict[tuple[str, str], list[str]] = {}
+        by_port: dict[str, dict[str, list[str]]] = {}
         for src, port, dst in b.transitions:
             if dst not in states:
                 raise ModelError(
                     f"transition target of {c} outside its states (invalid system)"
                 )
-            table.setdefault((src, port), []).append(dst)
-        local.append({k: sorted(v) for k, v in table.items()})
+            by_port.setdefault(port, {}).setdefault(src, []).append(dst)
+        local.append(by_port)
 
     order = {c: k for k, c in enumerate(components)}
-    participant_lists = [
-        [(order[p.component], p.port) for p in a.ports] for a in sys.model.interactions
-    ]
+    # per interaction, (component index, port's state dict) pairs, fewest
+    # enabling states first; the stable sort keeps `a.ports` order on ties
+    needs = []
+    for a in sys.model.interactions:
+        need = []
+        for p in a.ports:
+            ci = order.get(p.component)
+            if ci is None:
+                raise ModelError(
+                    f"interaction {a.name} names component {p.component}, "
+                    "which the model lacks (invalid system)"
+                )
+            need.append((ci, local[ci].get(p.port, {})))
+        needs.append(sorted(need, key=lambda pair: len(pair[1])))
 
     initial = tuple(b.initial for b in behaviors)
     reachable = {initial}
     todo = [initial]
     while todo:
         q = todo.pop()
-        for parts in participant_lists:
-            options = []
-            for ci, port in parts:
-                targets = local[ci].get((q[ci], port))
-                if not targets:
-                    options = None
+        for need in needs:
+            for ci, table in need:
+                if q[ci] not in table:
                     break
-                options.append((ci, targets))
-            if options is None:
-                continue
-            for combo in itertools.product(*[t for _, t in options]):
-                succ = list(q)
-                for (ci, _), target in zip(options, combo):
-                    succ[ci] = target
-                succ_t = tuple(succ)
-                if succ_t not in reachable:
-                    reachable.add(succ_t)
-                    todo.append(succ_t)
+            else:
+                for combo in itertools.product(*[table[q[ci]] for ci, table in need]):
+                    succ = list(q)
+                    for (ci, _), target in zip(need, combo):
+                        succ[ci] = target
+                    succ_t = tuple(succ)
+                    if succ_t not in reachable:
+                        reachable.add(succ_t)
+                        todo.append(succ_t)
     return reachable
 
 

@@ -13,6 +13,8 @@ from interax.cli import run_cli
 from interax.fixtures import client_server, even_a, pipeline
 from interax.formats import parse_system, serialize_dtm, serialize_system
 
+from test_semantics import ring
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
@@ -415,6 +417,15 @@ class TestTransformsAndCheckers:
         code, doc, _ = run(capsys, "check-thm2", files["cs1"])
         assert code == 0
         assert doc["agree"] is True
+
+    def test_check_thm2_product_guard_exits_two(self, tmp_path, capsys):
+        # the nondeterministic ring(6) has 729 states; its starification
+        # has 3^6 * 37 = 26,973 product states
+        path = tmp_path / "ring6.json"
+        path.write_text(serialize_system(ring(6, nondet=True)))
+        code, doc, err = run(capsys, "check-thm2", path)
+        assert (code, doc) == (2, None)
+        assert err == "error: product too large for brute force: 26973 > 10000\n"
 
     def test_gen_random_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -75,6 +75,26 @@ class TestBruteForce:
         with pytest.raises(ModelError, match="initial state of k outside"):
             brute_force_reachable(sys)
 
+    def test_component_without_behavior_refused(self):
+        b = LocalBehavior(("q0",), frozenset({("q0", "p", "q0")}), "q0")
+        model = InteractionModel(
+            ("k", "b"),
+            {"k": ("p",), "b": ("p",)},
+            (Interaction("a", (PortId("k", "p"), PortId("b", "p"))),),
+        )
+        sys = InteractionSystem(model, {"k": b})
+        with pytest.raises(ModelError, match="^component b has no behavior"):
+            brute_force_reachable(sys)
+
+    def test_interaction_on_unknown_component_refused(self):
+        b = LocalBehavior(("q0",), frozenset({("q0", "p", "q0")}), "q0")
+        model = InteractionModel(
+            ("k",), {"k": ("p",)}, (Interaction("a", (PortId("c", "p"),)),)
+        )
+        sys = InteractionSystem(model, {"k": b})
+        with pytest.raises(ModelError, match="^interaction a names component c,"):
+            brute_force_reachable(sys)
+
     def test_matches_engine_on_random_systems(self):
         for seed in range(60):
             sys = gen_random_system(GenParams(seed=seed))
@@ -217,6 +237,105 @@ class TestDifferential:
         states.discard(max(states - {sys.initial_state()}))
         with pytest.raises(AssertionError):
             assert_closed(sys, states)
+
+
+def reversed_order(sys):
+    """The same system with each interaction's ports, and the tuple of
+    interactions, listed backwards."""
+    model = sys.model
+    interactions = tuple(
+        Interaction(a.name, a.ports[::-1]) for a in reversed(model.interactions)
+    )
+    return InteractionSystem(
+        InteractionModel(model.components, model.ports, interactions), sys.behaviors
+    )
+
+
+def closure_by_successors(sys):
+    """The reachable set read off `semantics.successors`, state by state."""
+    seen = {sys.initial_state()}
+    todo = [*seen]
+    while todo:
+        for _, succ in semantics.successors(sys, todo.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                todo.append(succ)
+    return seen
+
+
+def two_component_system(k_moves, m_moves, interactions):
+    """Components k (states a, b, c) and m (states u, v, w), each starting
+    in its first state; `interactions` maps a name to its (component, port)
+    pairs, and each component's family is the ports they name."""
+    model = InteractionModel(
+        ("k", "m"),
+        {
+            c: tuple(sorted({p for ps in interactions.values() for d, p in ps if d == c}))
+            for c in ("k", "m")
+        },
+        tuple(
+            Interaction(name, tuple(PortId(c, port) for c, port in ports))
+            for name, ports in interactions.items()
+        ),
+    )
+    behaviors = {
+        "k": LocalBehavior(("a", "b", "c"), frozenset(k_moves), "a"),
+        "m": LocalBehavior(("u", "v", "w"), frozenset(m_moves), "u"),
+    }
+    return InteractionSystem(model, behaviors)
+
+
+class TestCheckOrder:
+    """The oracle checks each interaction's participants fewest enabling
+    states first; neither that order nor the listing order changes what it
+    reaches."""
+
+    @pytest.mark.parametrize("seed", STAR_EQUIVALENCE_SEEDS)
+    def test_reversed_listing_random(self, seed):
+        sys = gen_random_system(GenParams(seed=seed))
+        for s in (sys, starify(sys)):
+            assert brute_force_reachable(reversed_order(s)) == brute_force_reachable(s)
+
+    @pytest.mark.parametrize("k", (3, 4))
+    def test_reversed_listing_ring(self, k):
+        sys = ring(k, nondet=True)
+        assert brute_force_reachable(reversed_order(sys)) == brute_force_reachable(sys)
+        assert len(brute_force_reachable(sys)) == 3**k
+
+    def test_port_without_transitions_never_fires(self):
+        # m declares `dead` but no transition is labelled with it
+        sys = two_component_system(
+            {("a", "p", "b")},
+            {("u", "go", "v")},
+            {"x": [("k", "p"), ("m", "dead")], "g": [("m", "go")]},
+        )
+        assert validate_system(sys).ok
+        assert semantics.successors(sys, ("a", "u")) == [("g", ("a", "v"))]
+        assert brute_force_reachable(sys) == closure_by_successors(sys)
+        assert brute_force_reachable(sys) == {("a", "u"), ("a", "v")}
+
+    def test_two_targets_on_each_side_give_four_successors(self):
+        sys = two_component_system(
+            {("a", "p", "b"), ("a", "p", "c")},
+            {("u", "r", "v"), ("u", "r", "w")},
+            {"h": [("k", "p"), ("m", "r")]},
+        )
+        assert validate_system(sys).ok
+        succs = {q for _, q in semantics.successors(sys, ("a", "u"))}
+        assert succs == {("b", "v"), ("b", "w"), ("c", "v"), ("c", "w")}
+        assert brute_force_reachable(sys) == closure_by_successors(sys)
+        assert brute_force_reachable(sys) == {("a", "u"), *succs}
+
+    def test_most_selective_participant_listed_last(self):
+        # k enables p in all three states, m enables r only in u
+        sys = two_component_system(
+            {("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a")},
+            {("u", "r", "v"), ("v", "back", "w")},
+            {"h": [("k", "p"), ("m", "r")], "back": [("m", "back")]},
+        )
+        assert validate_system(sys).ok
+        assert brute_force_reachable(sys) == closure_by_successors(sys)
+        assert brute_force_reachable(sys) == {("a", "u"), ("b", "v"), ("b", "w")}
 
 
 class TestGenRandomSystem:
