@@ -32,7 +32,7 @@ from .oracle import (
 )
 from .reduce_linear import accept_predicate, compile_lsa, extend_halt_propagation
 from .reduce_star import starify
-from .semantics import DEFAULT_MAX_STATES, StatePredicate, compile_system, is_reachable
+from .semantics import DEFAULT_MAX_STATES, StatePredicate, is_reachable
 from .topology import classify, export_dot, interaction_graph
 from .turing import run_tm
 
@@ -101,9 +101,7 @@ def _parse_inline_target(text: str) -> list[dict[str, str]]:
 
 
 def _cmd_reach(args: argparse.Namespace) -> None:
-    # compile_system validates, as starify does in starify and check-thm2
-    system = parse_system(_read(args.system), validate=False)
-    compile_system(system)
+    system = parse_system(_read(args.system))
     if "=" in args.target:
         raw = _parse_inline_target(args.target)
     else:
@@ -164,7 +162,7 @@ def _cmd_tm_compile(args: argparse.Namespace) -> None:
 
 
 def _cmd_starify(args: argparse.Namespace) -> None:
-    system = parse_system(_read(args.system), validate=False)
+    system = parse_system(_read(args.system))
     _say(_write_system(starify(system), args.output))
 
 
@@ -179,7 +177,7 @@ def _cmd_check_thm1(args: argparse.Namespace) -> None:
 
 
 def _cmd_check_thm2(args: argparse.Namespace) -> None:
-    system = parse_system(_read(args.system), validate=False)
+    system = parse_system(_read(args.system))
     _report_verdict(check_theorem2(system), args.output)
 
 

@@ -14,6 +14,7 @@ can be inspected.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 from types import MappingProxyType
@@ -86,10 +87,10 @@ class InteractionSystem:
 
     A system never changes after construction: `behaviors` is stored as a
     read-only copy of the mapping given, and the model and behaviors are
-    frozen.  That lets `semantics.compile_system` validate a system and build
-    its engine once per system object and keep the engine on the object, as
-    a private attribute outside the dataclass fields (so `==` and `repr`
-    ignore it)."""
+    frozen.  That lets `validate_system` remember a clean verdict, and
+    `semantics.compile_system` the engine it builds, once per system object,
+    each as a private attribute outside the dataclass fields (so `==` and
+    `repr` ignore them)."""
 
     model: InteractionModel
     behaviors: Mapping[str, LocalBehavior]
@@ -98,7 +99,7 @@ class InteractionSystem:
         object.__setattr__(self, "behaviors", MappingProxyType(dict(self.behaviors)))
 
     def __reduce__(self):
-        # as InteractionModel's; a copy starts without the cached engine
+        # as InteractionModel's; a copy starts unvalidated and without an engine
         return type(self), (self.model, dict(self.behaviors))
 
     def initial_state(self) -> tuple[str, ...]:
@@ -199,7 +200,8 @@ def _model_rules(im: InteractionModel) -> ValidationReport:
         if "" in family:
             report.add("empty-name", f"component {c} declares an empty port name")
 
-    declared = {PortId(c, p) for c in im.components for p in im.ports.get(c, ())}
+    # plain pairs: a PortId hashes and compares as its pair
+    declared = {(c, p) for c in im.components for p in im.ports.get(c, ())}
     used: set[PortId] = set()
     seen_names: set[str] = set()
     seen_port_sets: dict[frozenset[PortId], str] = {}
@@ -215,9 +217,7 @@ def _model_rules(im: InteractionModel) -> ValidationReport:
             report.add("empty-interaction", f"interaction {a.name} has no ports")
             continue
 
-        by_component: dict[str, list[str]] = {}
         for p in a.ports:
-            by_component.setdefault(p.component, []).append(p.port)
             if p.component not in seen_components:
                 report.add(
                     "unknown-component-ref",
@@ -230,12 +230,13 @@ def _model_rules(im: InteractionModel) -> ValidationReport:
                 )
             else:
                 used.add(p)
-        for c, names in by_component.items():
-            if len(names) > 1:
-                report.add(
-                    "multi-port-component",
-                    f"interaction {a.name} has two ports of one component ({c})",
-                )
+        if len({p.component for p in a.ports}) < len(a.ports):
+            for c, count in Counter(p.component for p in a.ports).items():
+                if count > 1:
+                    report.add(
+                        "multi-port-component",
+                        f"interaction {a.name} has two ports of one component ({c})",
+                    )
 
         key = a.port_set()
         if key in seen_port_sets:
@@ -247,14 +248,22 @@ def _model_rules(im: InteractionModel) -> ValidationReport:
             seen_port_sets[key] = a.name
 
     for p in sorted(declared - used):
-        report.add("uncovered-port", f"uncovered port {p}")
+        report.add("uncovered-port", f"uncovered port {PortId(*p)}")
 
     return report
 
 
 def validate_system(sys: InteractionSystem) -> ValidationReport:
     """Model findings plus behavior-level findings for each component.  The
-    model's typing findings are reported alone, as `validate_model` does."""
+    model's typing findings are reported alone, as `validate_model` does.
+
+    A clean verdict is remembered on the system object, as a private
+    attribute outside the dataclass fields, so every later call on that
+    object returns a fresh empty report without checking again.  Systems
+    are immutable, so the verdict can never go stale.  An invalid system is
+    never remembered: every call reports all of its findings again."""
+    if getattr(sys, "_validated", False):
+        return ValidationReport()
     im = sys.model
     report = _typing_findings(im)
     if not report.ok:
@@ -284,19 +293,26 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
         if odd:
             continue
 
-        for s in repeated(b.states):
-            report.add("duplicate-state", f"component {c} declares state {s} twice")
-        if "*" in b.states:
+        states = set(b.states)
+        if len(states) < len(b.states):
+            for s in repeated(b.states):
+                report.add("duplicate-state", f"component {c} declares state {s} twice")
+        if "*" in states:
             # predicate text reads "*" as any state, so no target can name it
             report.add("wildcard-state", f"component {c} declares the state name *")
 
         ports = set(im.ports.get(c, ()))
-        states = set(b.states)
         if b.initial not in states:
             report.add(
                 "missing-initial",
                 f"component {c}: missing initial state {b.initial}",
             )
+        # the rows are sorted for the messages only, when some row is bad
+        for src, port, dst in b.transitions:
+            if src not in states or dst not in states or port not in ports:
+                break
+        else:
+            continue
         try:
             rows = sorted(b.transitions)
         except TypeError:
@@ -315,6 +331,8 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
                     f"component {c}: transition {src} --{port}--> {dst} uses unknown port {port}",
                 )
 
+    if report.ok:
+        object.__setattr__(sys, "_validated", True)
     return report
 
 

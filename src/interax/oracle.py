@@ -73,6 +73,16 @@ class Verdict:
     details: str
 
 
+def _refuse_large(state_sets: list[set[str]]) -> None:
+    """Raise the brute-force guard's `ModelError` when the product of the
+    state sets exceeds `BRUTE_FORCE_LIMIT`."""
+    product_size = math.prod(map(len, state_sets))
+    if product_size > BRUTE_FORCE_LIMIT:
+        raise ModelError(
+            f"product too large for brute force: {product_size} > {BRUTE_FORCE_LIMIT}"
+        )
+
+
 def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
     """Least fixpoint of the global transition relation, guarded at 10,000
     product states, expanding each reachable state once.  Every component's
@@ -89,11 +99,7 @@ def brute_force_reachable(sys: InteractionSystem) -> set[GlobalState]:
             raise ModelError(f"component {c} has no behavior (invalid system)")
     behaviors = [sys.behaviors[c] for c in components]
     state_sets = [set(b.states) for b in behaviors]
-    product_size = math.prod(len(states) for states in state_sets)
-    if product_size > BRUTE_FORCE_LIMIT:
-        raise ModelError(
-            f"product too large for brute force: {product_size} > {BRUTE_FORCE_LIMIT}"
-        )
+    _refuse_large(state_sets)
 
     local: list[dict[str, dict[str, list[str]]]] = []
     for c, b, states in zip(components, behaviors, state_sets):
@@ -267,8 +273,11 @@ def check_theorem2(sys: InteractionSystem) -> Verdict:
     of the brute-force reachable set of its starification.  `starify` runs
     first: it validates the system, so every lifted state has the source
     system's components plus the hub, and `project_state` checks no more
-    than that length."""
+    than that length.  Both products are checked against the brute-force
+    guard before either search runs, the source's first."""
     transformed = starify(sys)
+    for system in (sys, transformed):
+        _refuse_large([set(b.states) for b in system.behaviors.values()])
     base = brute_force_reachable(sys)
     lifted = brute_force_reachable(transformed)
     projected = set()

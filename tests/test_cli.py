@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from interax import GenParams, formats, gen_random_system, reduce_star, semantics
+from interax import GenParams, gen_random_system
 from interax.cli import run_cli
 from interax.fixtures import client_server, even_a, pipeline
 from interax.formats import parse_system, serialize_dtm, serialize_system
 
+from test_model import count_rule_checks
 from test_semantics import ring
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -452,15 +453,9 @@ class TestOneValidation:
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_system_is_validated_once(self, command, monkeypatch, capsys):
-        calls = []
-        for module in (formats, semantics, reduce_star):
-            original = module.validate_system
-
-            def counted(sys, original=original):
-                calls.append(sys)
-                return original(sys)
-
-            monkeypatch.setattr(module, "validate_system", counted)
+        # every later validation of the parsed system is remembered, so the
+        # rule checks run once
+        calls = count_rule_checks(monkeypatch)
         name, *rest = command
         code, _, _ = run(capsys, name, FIXTURES / "pipeline_n3.json", *rest)
         assert code == 0

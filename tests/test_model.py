@@ -22,8 +22,11 @@ from interax import (
     validate_model,
     validate_system,
 )
+from interax import model as model_module
 from interax.fixtures import client_server, even_a, pipeline
-from interax.formats import serialize_system
+from interax.formats import parse_system, serialize_system
+from interax.oracle import check_theorem2
+from interax.semantics import compile_system
 
 
 def _rules(report):
@@ -166,6 +169,234 @@ class TestValidateSystem:
         report = validate_system(InteractionSystem(sys.model, extra))
         assert _rules(report) == ["behavior-component-mismatch"]
         assert "component ghost absent from the model" in report.findings[0].message
+
+
+def _loops(*ports):
+    """A behavior with the one state q and a self-loop on each port."""
+    return LocalBehavior(("q",), frozenset(("q", p, "q") for p in ports), "q")
+
+
+def uncovered_ports_system():
+    """Ports a.x, a.z and b.u are in no interaction; b is declared first."""
+    model = InteractionModel(
+        ("b", "a"),
+        {"b": ("v", "u"), "a": ("z", "y", "x")},
+        (Interaction("i", (PortId("b", "v"), PortId("a", "y"))),),
+    )
+    return InteractionSystem(model, {"b": _loops("v", "u"), "a": _loops("z", "y", "x")})
+
+
+def repeated_components_system():
+    """Interaction i lists three ports of b and two of a, b first; j lists
+    two of a, one undeclared, and a component the model lacks."""
+    model = InteractionModel(
+        ("a", "b", "c"),
+        {"a": ("x", "y"), "b": ("u", "v", "w"), "c": ("p",)},
+        (
+            Interaction(
+                "i",
+                tuple(
+                    PortId(c, port)
+                    for c, port in (
+                        ("b", "u"), ("a", "x"), ("c", "p"), ("b", "v"), ("a", "y"), ("b", "w"),
+                    )
+                ),
+            ),
+            Interaction("j", (PortId("a", "x"), PortId("a", "zz"), PortId("d", "p"))),
+        ),
+    )
+    return InteractionSystem(
+        model, {"a": _loops("x", "y"), "b": _loops("u", "v", "w"), "c": _loops("p")}
+    )
+
+
+def repeated_states_system():
+    """k lists q2 and q1 twice each; m lists the wildcard * twice."""
+    model = InteractionModel(
+        ("k", "m"),
+        {"k": ("a",), "m": ("a",)},
+        (Interaction("i", (PortId("k", "a"), PortId("m", "a"))),),
+    )
+    return InteractionSystem(
+        model,
+        {
+            "k": LocalBehavior(("q2", "q1", "q0", "q1", "q2", "q3"), frozenset(), "q0"),
+            "m": LocalBehavior(("*", "q", "*"), frozenset({("q", "a", "q")}), "q"),
+        },
+    )
+
+
+def bad_rows_system():
+    """Eight rows of one behavior, six of them bad, listed unsorted."""
+    model = InteractionModel(
+        ("k",),
+        {"k": ("p", "r")},
+        (Interaction("i", (PortId("k", "p"),)), Interaction("j", (PortId("k", "r"),))),
+    )
+    rows = [
+        ("q1", "p", "q0"), ("zz", "p", "q0"), ("q0", "bad", "q1"), ("q1", "r", "nowhere"),
+        ("a", "worse", "q9"), ("q0", "r", "q0"), ("q0", "bad", "b"), ("m", "p", "q1"),
+    ]
+    return InteractionSystem(model, {"k": LocalBehavior(("q0", "q1"), frozenset(rows), "q0")})
+
+
+def untyped_rows_system():
+    """Rows with an int or None field cannot be sorted with the others, so
+    their messages go in the order of the rows' text."""
+    rows = {("q", "p", "q"), (0, "p", "q"), ("q", 1, "q"), ("q", "p", None)}
+    model = InteractionModel(("k",), {"k": ("p",)}, (Interaction("i", (PortId("k", "p"),)),))
+    return InteractionSystem(model, {"k": LocalBehavior(("q",), frozenset(rows), "q")})
+
+
+def mixed_findings_system():
+    """Model and behavior findings of most rules in one system."""
+    model = InteractionModel(
+        ("s", "t", "u", "w"),
+        {"s": ("a", "b", "a"), "t": ("c", ""), "u": (), "ghost": ("g",)},
+        (
+            Interaction("i", (PortId("s", "a"), PortId("t", "c"))),
+            Interaction("i", (PortId("t", "c"), PortId("s", "a"))),
+            Interaction("none", ()),
+            Interaction("j", (PortId("t", "d"), PortId("x", "e"))),
+        ),
+    )
+    behaviors = {
+        "s": LocalBehavior(
+            ("s0", "s1", "s0"), frozenset({("s0", "a", "s1"), ("s1", "c", "s0")}), "s9"
+        ),
+        "t": LocalBehavior(("t0", 1, 2), frozenset({("t0", "c", "t0")}), "t0"),
+        "v": LocalBehavior(("v0",), frozenset(), "v0"),
+        "u": LocalBehavior(("u0",), frozenset({("u0", "a", "x")}), "u0"),
+    }
+    return InteractionSystem(model, behaviors)
+
+
+# (rule, message) in report order, as captured before validation made one
+# pass over its rules: the findings, their wording and their order are kept
+GOLDEN_FINDINGS = {
+    uncovered_ports_system: [
+        ("uncovered-port", "uncovered port a.x"),
+        ("uncovered-port", "uncovered port a.z"),
+        ("uncovered-port", "uncovered port b.u"),
+    ],
+    repeated_components_system: [
+        ("multi-port-component", "interaction i has two ports of one component (b)"),
+        ("multi-port-component", "interaction i has two ports of one component (a)"),
+        ("unknown-port-ref", "interaction j references unknown port a.zz"),
+        ("unknown-component-ref", "interaction j references unknown component d"),
+        ("multi-port-component", "interaction j has two ports of one component (a)"),
+    ],
+    repeated_states_system: [
+        ("duplicate-state", "component k declares state q1 twice"),
+        ("duplicate-state", "component k declares state q2 twice"),
+        ("duplicate-state", "component m declares state * twice"),
+        ("wildcard-state", "component m declares the state name *"),
+    ],
+    bad_rows_system: [
+        ("unknown-transition-state", "component k: transition a --worse--> q9 uses an unknown state"),
+        ("unknown-port", "component k: transition a --worse--> q9 uses unknown port worse"),
+        ("unknown-transition-state", "component k: transition m --p--> q1 uses an unknown state"),
+        ("unknown-transition-state", "component k: transition q0 --bad--> b uses an unknown state"),
+        ("unknown-port", "component k: transition q0 --bad--> b uses unknown port bad"),
+        ("unknown-port", "component k: transition q0 --bad--> q1 uses unknown port bad"),
+        ("unknown-transition-state", "component k: transition q1 --r--> nowhere uses an unknown state"),
+        ("unknown-transition-state", "component k: transition zz --p--> q0 uses an unknown state"),
+    ],
+    untyped_rows_system: [
+        ("unknown-transition-state", "component k: transition q --p--> None uses an unknown state"),
+        ("unknown-port", "component k: transition q --1--> q uses unknown port 1"),
+        ("unknown-transition-state", "component k: transition 0 --p--> q uses an unknown state"),
+    ],
+    mixed_findings_system: [
+        ("unknown-component-ref", "port family for unknown component ghost"),
+        ("duplicate-port", "component s declares port a twice"),
+        ("empty-name", "component t declares an empty port name"),
+        ("duplicate-interaction-name", "interaction name i used more than once"),
+        ("duplicate-interaction", "interactions i and i have identical port sets"),
+        ("empty-interaction", "interaction none has no ports"),
+        ("unknown-port-ref", "interaction j references unknown port t.d"),
+        ("unknown-component-ref", "interaction j references unknown component x"),
+        ("uncovered-port", "uncovered port s.b"),
+        ("uncovered-port", "uncovered port t."),
+        ("behavior-component-mismatch", "behavior given for component v absent from the model"),
+        ("duplicate-state", "component s declares state s0 twice"),
+        ("missing-initial", "component s: missing initial state s9"),
+        ("unknown-port", "component s: transition s1 --c--> s0 uses unknown port c"),
+        ("non-string-name", "component t: state name 1 is not a string"),
+        ("non-string-name", "component t: state name 2 is not a string"),
+        ("unknown-transition-state", "component u: transition u0 --a--> x uses an unknown state"),
+        ("unknown-port", "component u: transition u0 --a--> x uses unknown port a"),
+        ("behavior-component-mismatch", "component w has no behavior"),
+    ],
+}
+
+
+@pytest.mark.parametrize("build", GOLDEN_FINDINGS, ids=lambda f: f.__name__)
+def test_golden_findings(build):
+    system = build()
+    for _ in range(2):
+        # an invalid system is checked afresh on every call
+        findings = [(f.rule, f.message) for f in validate_system(system).findings]
+        assert findings == GOLDEN_FINDINGS[build]
+
+
+def count_rule_checks(monkeypatch):
+    """Record the model of every run of the model rules, the first check
+    of a full validation."""
+    calls = []
+    original = model_module._model_rules
+
+    def counted(im):
+        calls.append(im)
+        return original(im)
+
+    monkeypatch.setattr(model_module, "_model_rules", counted)
+    return calls
+
+
+class TestValidationMemo:
+    def test_one_object_through_every_stage_is_checked_once(self, monkeypatch):
+        calls = count_rule_checks(monkeypatch)
+        system = parse_system(serialize_system(pipeline(3)))
+        starify(system)
+        assert check_theorem2(system).agree
+        compile_system(system)
+        assert len(calls) == 1 and calls[0] is system.model
+
+    def test_later_calls_return_a_fresh_empty_report(self):
+        system = pipeline(2)
+        first = validate_system(system)
+        again = validate_system(system)
+        assert first.ok and again.ok and again is not first
+        again.add("x", "a finding added by the caller")
+        assert validate_system(system).ok
+
+    def test_invalid_system_raises_the_same_error_every_call(self, monkeypatch):
+        calls = count_rule_checks(monkeypatch)
+        system = mixed_findings_system()
+        messages = []
+        for call in (starify, compile_system, starify):
+            with pytest.raises(ModelError) as raised:
+                call(system)
+            messages.append(str(raised.value))
+        assert len(set(messages)) == 1
+        assert messages[0].startswith("invalid system: unknown-component-ref: ")
+        assert len(calls) == 3
+
+    def test_copies_are_validated_afresh(self, monkeypatch):
+        system = client_server(2)
+        assert validate_system(system).ok
+        calls = count_rule_checks(monkeypatch)
+        copies = [
+            pickle.loads(pickle.dumps(system)),
+            copy.deepcopy(system),
+            dataclasses.replace(system),
+        ]
+        for twin in copies:
+            assert twin == system
+            assert validate_system(twin).ok and validate_system(twin).ok
+        assert validate_system(system).ok
+        assert len(calls) == len(copies)
 
 
 def dotted_system():

@@ -23,7 +23,7 @@ from interax import (
     starify,
     validate_system,
 )
-from interax import semantics
+from interax import oracle, semantics
 from interax.fixtures import client_server, even_a, first_last, pipeline
 from interax.oracle import STAR_EQUIVALENCE_SEEDS, _lockstep_check
 
@@ -496,3 +496,29 @@ class TestCheckTheorem2:
             sys = gen_random_system(GenParams(seed=seed))
             verdict = check_theorem2(sys)
             assert verdict.agree, (seed, verdict.details)
+
+    @pytest.mark.parametrize(
+        "k, nondet, product",
+        # the source's 3^9 states, else the starification's 3^6 * 37
+        [(9, False, 19_683), (6, True, 26_973)],
+        ids=["source-too-large", "starified-too-large"],
+    )
+    def test_product_guard_names_the_refused_product(self, k, nondet, product):
+        with pytest.raises(
+            ModelError, match=f"^product too large for brute force: {product} > 10000$"
+        ):
+            check_theorem2(ring(k, nondet))
+
+    def test_refused_before_either_search(self, monkeypatch):
+        # the source's 729 states fit under the guard, its starification's not
+        returned = []
+
+        def counted(sys):
+            result = brute_force_reachable(sys)
+            returned.append(len(result))
+            return result
+
+        monkeypatch.setattr(oracle, "brute_force_reachable", counted)
+        with pytest.raises(ModelError, match="26973 > 10000"):
+            check_theorem2(ring(6, nondet=True))
+        assert returned == []

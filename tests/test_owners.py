@@ -23,6 +23,10 @@ It counts each enabled one as one transition without firing it, while
 the per-state calls (`successors`, `step`, `replay_trace`) fire every rule
 through `Engine.fire`.
 
+A clean validation verdict has one owner: only `model.validate_system`
+reads or writes the attribute that remembers it on a system object, so no
+caller can skip validation by setting it or trust it where a copy lacks it.
+
 The engine has one firing rule: a rule table is subscripted only in
 `Engine.__init__`, which fills the tables, in `Engine.fire` and in the
 blocker message of `step`, so no caller inlines a second firing rule.
@@ -47,6 +51,7 @@ SOURCES = sorted(
 )
 CODEC = {"weights", "radices"}
 JSON_WRITERS = {"dump", "dumps"}
+MEMO = "_validated"
 TABLE_SOURCES = {"parts", "ports"}
 
 
@@ -161,6 +166,45 @@ def test_only_the_search_skips_still_rules():
         for where in readers(path.read_text(), "still")
     )
     assert found == ["semantics.Engine.search"]
+
+
+def memo_touches(source: str) -> list[str]:
+    """Where the remembered-verdict attribute is touched: `x._validated`
+    in any context, or the string "_validated" (as `getattr` and
+    `object.__setattr__` name it)."""
+    return places(
+        source,
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == MEMO)
+        or (isinstance(node, ast.Constant) and node.value == MEMO),
+    )
+
+
+def test_checker_finds_every_memo_touch():
+    source = (
+        "def validate(s):\n"
+        "    if getattr(s, '_validated', False):\n"
+        "        return\n"
+        "    object.__setattr__(s, '_validated', True)\n"
+        "class Cli:\n"
+        "    def run(self, s):\n"
+        "        s._validated = hasattr(s, '_validated_too')\n"
+        "        del s._validated\n"
+        "    def skip(self, s):\n"
+        "        return s.validated, '_valid', s._validated.x\n"
+    )
+    assert memo_touches(source) == [
+        "Cli.run", "Cli.run", "Cli.skip", "validate", "validate",
+    ]
+
+
+def test_only_validate_system_remembers_a_verdict():
+    found = sorted({
+        f"{path.stem}.{where}"
+        for path in SOURCES
+        if path != Path(__file__).resolve()
+        for where in memo_touches(path.read_text())
+    })
+    assert found == ["model.validate_system"]
 
 
 def table_subscripts(source: str) -> list[str]:
