@@ -63,6 +63,16 @@ class ReachResult:
     complete: bool
 
 
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, low to high."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Engine:
     """Index-packed view of a validated system.  `fire` is the one firing
     rule: successors, `step`, enabledness and trace replay are all read off
@@ -82,13 +92,15 @@ class Engine:
     whose parts are `(component index, table)` pairs in component order;
     `table[s]` is the ascending tuple of the code steps `(t − s)·w_c` to
     the targets the participant's port leads to from local state `s`, empty
-    when `s` disables the port; the weight is `weights[ci]`.  Enabledness
-    mask: rule `k` owns bit `k`, and each component with a local state that
-    disables some rule's port has a row of ints, where `row[s]` has bit `k`
-    set unless rule `k` needs a port that `s` disables.  The AND of a
-    state's rows is exactly its enabled set, and walking its set bits from
-    low to high visits the enabled rules in name order, so the canonical
-    order comes from generation, not sorting.  A rule none of whose ports
+    when `s` disables the port; the weight is `weights[ci]`.  Only the
+    build and `fire` read a table.  Enabledness mask: rule `k` owns bit
+    `k`, and each component with a local state that disables some rule's
+    port has a row of ints, where `row[s]` has bit `k` set unless rule `k`
+    needs a port that `s` disables.  The AND of a state's rows is exactly
+    its enabled set, and walking its set bits from low to high visits the
+    enabled rules in name order, so the canonical order comes from
+    generation, not sorting.  One walker, `_set_bits`, serves both
+    `enabled` and the search's split below.  A rule none of whose ports
     has a moving transition is *still*, and `still` has bit `k` set when
     rule `k` is: where one is enabled, every participant's table entry is
     `(0,)`, so it can only fire back to the state it fired from.
@@ -273,14 +285,7 @@ class Engine:
         mask = self.full
         for ci, row in self.rows:
             mask &= row[q[ci]]
-        if mask == self.full:
-            return self.every
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return self.every if mask == self.full else _set_bits(mask)
 
     def successors(self, code: int, q: tuple[int, ...]) -> list[tuple[str, int]]:
         """All (interaction name, successor code) pairs of q, whose code is
@@ -338,15 +343,7 @@ class Engine:
                     mask &= row[q[ci]]
                 split = splits.get(mask)
                 if split is None:
-                    # the set bits of the moving rules, low to high, as in
-                    # `enabled`
-                    moving = []
-                    bits = mask & ~still
-                    while bits:
-                        low = bits & -bits
-                        k = low.bit_length() - 1
-                        moving.append((k, rules[k][1]))
-                        bits ^= low
+                    moving = [(k, rules[k][1]) for k in _set_bits(mask & ~still)]
                     split = splits[mask] = ((mask & still).bit_count(), moving)
                 stills, moving = split
                 transitions += stills
@@ -410,7 +407,7 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     steps = eng.fire(packed, parts)
     if not steps:
         blockers = [
-            eng.components[ci] for ci, table in parts if not table[packed[ci]]
+            eng.components[ci] for ci, table in parts if not eng.fire(packed, ((ci, table),))
         ]
         raise ModelError(
             f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import InteractionModel
+from .model import InteractionModel, refuse_untyped
+from .validation import refuse_non_strings
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,20 @@ class TopologyClass:
 
 
 def interaction_graph(im: InteractionModel) -> InteractionGraph:
-    """Build the communication graph; isolated components are kept as nodes."""
-    nodes = tuple(sorted(set(im.components)))
-    edges: set[tuple[str, str]] = set()
-    for a in im.interactions:
-        participants = sorted({p.component for p in a.ports})
-        for u, v in itertools.combinations(participants, 2):
-            edges.add((u, v))
-    return InteractionGraph(nodes, tuple(sorted(edges)))
+    """Build the communication graph; isolated components are kept as nodes.
+    Names that cannot be sorted together, or a port entry that is not a
+    `PortId`, raise `ModelError` through `refuse_untyped`."""
+    try:
+        nodes = tuple(sorted(set(im.components)))
+        edges: set[tuple[str, str]] = set()
+        for a in im.interactions:
+            participants = sorted({p.component for p in a.ports})
+            for u, v in itertools.combinations(participants, 2):
+                edges.add((u, v))
+        return InteractionGraph(nodes, tuple(sorted(edges)))
+    except (TypeError, AttributeError):
+        refuse_untyped(im, "build the interaction graph")
+        raise
 
 
 def _connected(g: InteractionGraph) -> bool:
@@ -80,7 +87,9 @@ def classify(im: InteractionModel) -> TopologyClass:
 
 
 def export_dot(g: InteractionGraph) -> str:
-    """Byte-stable DOT document for the (undirected) interaction graph."""
+    """Byte-stable DOT document for the (undirected) interaction graph;
+    a name that is not a string raises `ModelError`."""
+    refuse_non_strings(itertools.chain(g.nodes, *g.edges), "export DOT")
 
     def quote(name: str) -> str:
         return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from interax import GenParams, gen_random_system
+from interax import GenParams, cli, gen_random_system
 from interax.cli import run_cli
 from interax.fixtures import client_server, even_a, pipeline
 from interax.formats import parse_system, serialize_dtm, serialize_system
@@ -53,7 +53,7 @@ def run_child(*argv):
         timeout=30,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
-    return proc.returncode, json.loads(proc.stdout)
+    return proc.returncode, json.loads(proc.stdout) if proc.stdout.strip() else None
 
 
 def reading(path):
@@ -488,3 +488,28 @@ class TestArgumentHandling:
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run_cli(["transmogrify"]) == 2
+
+    def test_internal_error_exits_one(self, files, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("handler broke")
+
+        monkeypatch.setattr(cli, "_cmd_classify", broken)
+        code, out, err = run(capsys, "classify", files["cs1"])
+        assert (code, out) == (1, None)
+        assert err == "internal error: RuntimeError: handler broke\n"
+
+    def test_main_exits_with_the_code(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["interax", "classify", str(files["cs1"])])
+        with pytest.raises(SystemExit) as raised:
+            cli.main()
+        assert raised.value.code == 0
+        assert json.loads(capsys.readouterr().out)["star_like"] is True
+        monkeypatch.setattr(sys, "argv", ["interax", "transmogrify"])
+        with pytest.raises(SystemExit) as raised:
+            cli.main()
+        assert raised.value.code == 2
+
+    def test_module_entry_point_exits_with_the_code(self, files):
+        code, doc = run_child("classify", files["pl3"])
+        assert code == 0 and doc["linear"] is True
+        assert run_child("transmogrify") == (2, None)

@@ -30,3 +30,10 @@ def test_machine_files_current():
     # no builder in the package: the file itself is the machine's definition
     text = (FIXTURES / "ping_pong.json").read_text()
     assert serialize_dtm(parse_dtm(text)) == text
+
+
+def test_builders_refuse_too_few_members():
+    with pytest.raises(ValueError, match="^need at least one client$"):
+        client_server(0)
+    with pytest.raises(ValueError, match="^need at least two stations$"):
+        pipeline(1)

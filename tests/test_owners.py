@@ -14,8 +14,9 @@ A value's names are listed once per kind, and the refusals read those
 lists: `refuse_non_strings` is called only by the model gate
 `model.refuse_untyped` (over a model's or system's names),
 `turing.canonicalize_dtm` and `formats.serialize_dtm` (over
-`turing._names`) and `formats.serialize_predicates`, and `_non_port_ids`
-only by the validation gate `model._typing_findings` and the refusal gate.
+`turing._names`), `formats.serialize_predicates` and `topology.export_dot`
+(over a graph's names), and `_non_port_ids` only by the validation gate
+`model._typing_findings` and the refusal gate.
 
 Still rules are skipped in one place: only `Engine.search` reads an
 attribute named `still`, the engine's rules that can never move a state.
@@ -28,8 +29,13 @@ reads or writes the attribute that remembers it on a system object, so no
 caller can skip validation by setting it or trust it where a copy lacks it.
 
 The engine has one firing rule: a rule table is subscripted only in
-`Engine.__init__`, which fills the tables, in `Engine.fire` and in the
-blocker message of `step`, so no caller inlines a second firing rule.
+`Engine.__init__`, which fills the tables, and in `Engine.fire`, so no
+caller inlines a second firing rule; `step` names its blockers by firing
+each participant alone.
+
+A mask's set bits are walked in one place: only `semantics._set_bits`
+takes a lowest set bit (`x & -x`), and both `Engine.enabled` and the
+search's still/moving split read their rules off it.
 
 The package has one JSON writer: no module of the package calls `json.dump`
 or `json.dumps`, so `formats.dump_document` writes every document and the
@@ -268,7 +274,47 @@ def test_only_fire_subscripts_a_rule_table():
         for path in PACKAGE_MODULES
         for where in table_subscripts(path.read_text())
     })
-    assert found == ["semantics.Engine.__init__", "semantics.Engine.fire", "semantics.step"]
+    assert found == ["semantics.Engine.__init__", "semantics.Engine.fire"]
+
+
+def lowest_bit_takes(source: str) -> list[str]:
+    """Where a lowest set bit is taken: `x & -x` or `-x & x`, for the same
+    expression `x` on both sides."""
+
+    def hit(node: ast.AST) -> bool:
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+            return False
+        for neg, other in ((node.right, node.left), (node.left, node.right)):
+            if (
+                isinstance(neg, ast.UnaryOp)
+                and isinstance(neg.op, ast.USub)
+                and ast.dump(neg.operand) == ast.dump(other)
+            ):
+                return True
+        return False
+
+    return places(source, hit)
+
+
+def test_checker_finds_every_lowest_bit():
+    source = (
+        "def walk(mask, m, other, x):\n"
+        "    low = mask & -mask\n"
+        "    return (-m) & m, mask & -other, m & ~m, -(x.y) & x.y, m & -1\n"
+        "class Engine:\n"
+        "    def enabled(self, bits):\n"
+        "        return [b & -b for b in bits if b & b - 1]\n"
+    )
+    assert lowest_bit_takes(source) == ["Engine.enabled", "walk", "walk", "walk"]
+
+
+def test_one_function_walks_a_masks_set_bits():
+    found = sorted(
+        f"{path.stem}.{where}"
+        for path in PACKAGE_MODULES
+        for where in lowest_bit_takes(path.read_text())
+    )
+    assert found == ["semantics._set_bits"]
 
 
 def json_writes(source: str) -> list[str]:
@@ -319,6 +365,7 @@ NAME_GATES = {
         "formats.serialize_dtm",
         "formats.serialize_predicates",
         "model.refuse_untyped",
+        "topology.export_dot",
         "turing.canonicalize_dtm",
     ],
     "_non_port_ids": ["model._typing_findings", "model.refuse_untyped"],

@@ -307,6 +307,12 @@ class TestIsReachable:
             q = step(sys, q, name)
         assert satisfies(sys, target, q)
 
+    def test_resolve_predicate_returns_the_predicate(self):
+        sys = client_server(2)
+        constraints = {"c2": "connected", "S": "busy"}
+        assert resolve_predicate(sys, constraints) == StatePredicate.of(constraints)
+        assert resolve_predicate(sys, {}) == StatePredicate(())
+
     def test_unknown_predicate_names_rejected(self):
         sys = client_server(1)
         with pytest.raises(ModelError, match="unknown component"):

@@ -1,10 +1,14 @@
 """Interaction graphs, star/line classification, DOT export."""
 
+import pytest
+
 from interax import (
     Interaction,
+    InteractionGraph,
     InteractionModel,
     InteractionSystem,
     LocalBehavior,
+    ModelError,
     PortId,
     TopologyClass,
     classify,
@@ -149,3 +153,42 @@ class TestExportDot:
     def test_byte_stable(self):
         g = interaction_graph(pipeline(4).model)
         assert export_dot(g) == export_dot(g)
+
+
+class TestUntypedNames:
+    """Names that are not strings are refused through the model's gates,
+    as `canonicalize` refuses them, never with a bare `TypeError` or
+    `AttributeError`."""
+
+    @pytest.mark.parametrize("build", [interaction_graph, classify])
+    def test_mixed_names(self, build):
+        im = small_model(("a", 2), [("a", 2)])
+        with pytest.raises(
+            ModelError, match="^cannot build the interaction graph: name 2 is not a string$"
+        ):
+            build(im)
+
+    @pytest.mark.parametrize("build", [interaction_graph, classify])
+    def test_entry_that_is_not_a_port_id(self, build):
+        im = InteractionModel(
+            ("a", "b"),
+            {"a": ("x",), "b": ("x",)},
+            (Interaction("i", ("a.x", PortId("b", "x"))),),
+        )
+        with pytest.raises(
+            ModelError,
+            match="^cannot build the interaction graph: "
+            "interaction 'i' lists 'a.x', which is not a PortId$",
+        ):
+            build(im)
+
+    def test_int_names_are_not_exported(self):
+        g = interaction_graph(small_model((1, 2), [(1, 2)]))
+        assert g == InteractionGraph((1, 2), ((1, 2),))
+        with pytest.raises(ModelError, match="^cannot export DOT: name 1 is not a string$"):
+            export_dot(g)
+
+    def test_int_name_on_an_edge_only(self):
+        g = InteractionGraph(("a", "b"), (("a", 3),))
+        with pytest.raises(ModelError, match="^cannot export DOT: name 3 is not a string$"):
+            export_dot(g)
