@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
+import traceback
 from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
@@ -41,7 +42,7 @@ def _write(text: str, out: str | None) -> None:
     if out is None:
         _sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _emit(out: str | None, kind: str, **fields) -> None:
@@ -75,7 +76,7 @@ def _cmd_classify(args: argparse.Namespace) -> None:
     graph = interaction_graph(system.model)
     shape = classify(system.model)
     if args.dot is not None:
-        Path(args.dot).write_text(export_dot(graph))
+        _write(export_dot(graph), args.dot)
     _emit(
         args.output,
         "topology",
@@ -156,7 +157,7 @@ def _cmd_tm_compile(args: argparse.Namespace) -> None:
         targets = [p.as_dict() for p in accept_predicate(machine, args.input)]
     summary = _write_system(system, args.output)
     if args.target_out is not None:
-        Path(args.target_out).write_text(serialize_predicates(targets))
+        _write(serialize_predicates(targets), args.target_out)
         summary += f"; target written to {args.target_out}"
     _say(summary)
 
@@ -282,7 +283,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ModelError, OSError) as e:
         _say(f"error: {e}")
         return 2
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
+        traceback.print_exc()
         _say(f"internal error: {type(e).__name__}: {e}")
         return 1
     return 0

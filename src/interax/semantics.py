@@ -118,9 +118,9 @@ class Engine:
     each frontier state's digits in a list parallel to the frontier's
     codes and builds a state's digit tuple once, when its code is first
     seen, copying the parent's and changing only the participants.
-    `explore` keeps a set of the codes it has seen and names them once, at
-    the end; `is_reachable` keeps one int per parent link, `parent
-    code·|rules| + rule index`.
+    Every search keeps one int per parent link, `parent code·|rules| + rule
+    index`: `is_reachable` follows the links back, and `explore` names the
+    codes once, at the end.
 
     An engine is built only from a validated system, by `compile_system`,
     which builds it once per system object and hands the same engine to
@@ -301,13 +301,12 @@ class Engine:
         self,
         limit: int | None,
         matches: Callable[[tuple[int, ...]], bool] | None = None,
-    ) -> tuple[set[int] | dict[int, int | None], int, bool, int | None]:
+    ) -> tuple[dict[int, int | None], int, bool, int | None]:
         """Breadth-first search from the initial state in canonical order.
 
-        Returns (seen, transitions, truncated, hit).  `seen` holds the code
-        of every discovered state.  Without `matches` it is a set; with it,
-        a dict that maps each code to its parent link, `parent code·|rules|
-        + rule index`, and the initial code to None.  At most `limit` states
+        Returns (seen, transitions, truncated, hit).  `seen` maps the code of
+        every discovered state to its parent link, `parent code·|rules| +
+        rule index`, and the initial code to None.  At most `limit` states
         (default 1,000,000) are discovered; `truncated` says a new state was
         dropped for it.  The search stops at the first discovered state whose
         digits `matches` accepts, returned as the code `hit` (None when there
@@ -318,13 +317,9 @@ class Engine:
         if limit < 1:
             raise ModelError(f"max_states must be at least 1, got {limit}")
         start = self.initial_code
-        seen: set[int] | dict[int, int | None]
-        if matches is None:
-            seen = {start}
-        else:
-            seen = {start: None}
-            if matches(self.initial):
-                return seen, 0, False, start
+        seen: dict[int, int | None] = {start: None}
+        if matches is not None and matches(self.initial):
+            return seen, 0, False, start
         rules, rows, fire, moved = self.rules, self.rows, self.fire, self.moved
         full, still = self.full, self.still
         n = len(rules)
@@ -358,16 +353,13 @@ class Engine:
                             truncated = True
                             continue
                         q2 = moved(q, succ, parts)
-                        if matches is None:
-                            seen.add(succ)
-                        else:
-                            seen[succ] = code * n + k
-                            if matches(q2):
-                                # the still rules are already counted
-                                for later, others in moving:
-                                    if later > k:
-                                        transitions += len(fire(q, others))
-                                return seen, transitions, truncated, succ
+                        seen[succ] = code * n + k
+                        if matches is not None and matches(q2):
+                            # the still rules are already counted
+                            for later, others in moving:
+                                if later > k:
+                                    transitions += len(fire(q, others))
+                            return seen, transitions, truncated, succ
                         next_codes.append(succ)
                         next_digits.append(q2)
             codes, digits = next_codes, next_digits

@@ -21,13 +21,6 @@ class InteractionGraph:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def degrees(self) -> dict[str, int]:
-        deg = {v: 0 for v in self.nodes}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
 
 @dataclass(frozen=True)
 class TopologyClass:
@@ -52,20 +45,17 @@ def interaction_graph(im: InteractionModel) -> InteractionGraph:
         raise
 
 
-def _connected(g: InteractionGraph) -> bool:
-    adjacency: dict[str, set[str]] = {v: set() for v in g.nodes}
-    for a, b in g.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {g.nodes[0]}
-    stack = [g.nodes[0]]
+def _connected(adjacency: dict[str, set[str]]) -> bool:
+    start = next(iter(adjacency))
+    seen = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for w in adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(g.nodes)
+    return len(seen) == len(adjacency)
 
 
 def classify(im: InteractionModel) -> TopologyClass:
@@ -74,7 +64,11 @@ def classify(im: InteractionModel) -> TopologyClass:
     exactly two nodes of degree 1, all others degree 2 (needs n >= 2)."""
     g = interaction_graph(im)
     n = len(g.nodes)
-    deg = g.degrees()
+    adjacency: dict[str, set[str]] = {v: set() for v in g.nodes}
+    for a, b in g.edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    deg = {v: len(adjacency[v]) for v in g.nodes}
 
     star_like = any(
         deg[hub] == n - 1 and all(deg[v] == 1 for v in g.nodes if v != hub)
@@ -82,7 +76,7 @@ def classify(im: InteractionModel) -> TopologyClass:
     )
     ones = sum(1 for v in g.nodes if deg[v] == 1)
     twos = sum(1 for v in g.nodes if deg[v] == 2)
-    linear = ones == 2 and ones + twos == n and _connected(g)
+    linear = ones == 2 and ones + twos == n and _connected(adjacency)
     return TopologyClass(star_like, linear)
 
 

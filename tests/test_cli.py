@@ -42,16 +42,16 @@ def run(capsys, *argv):
     return code, doc, captured.err
 
 
-def run_child(*argv):
+def run_child(*argv, **env):
     """Run the CLI in a child process, so a hang fails after 30 s instead of
-    stalling the suite."""
+    stalling the suite; `env` adds to the child's environment."""
     path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, "-m", "interax", *map(str, argv)],
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(path)},
     )
     return proc.returncode, json.loads(proc.stdout) if proc.stdout.strip() else None
 
@@ -103,6 +103,17 @@ class TestClassify:
         text = dot.read_text()
         assert text.startswith("graph interaction {")
         assert text.count("--") == doc["edges"] == 2
+
+    def test_dot_output_is_utf8_under_an_ascii_locale(self, tmp_path):
+        system = tmp_path / "cafe.json"
+        system.write_text(
+            serialize_system(pipeline(2)).replace("s1", "café"), encoding="utf-8"
+        )
+        dot = tmp_path / "graph.dot"
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        code, doc = run_child("classify", system, "--dot", dot, **ascii_locale)
+        assert code == 0 and doc["nodes"] == 2
+        assert '"café";' in dot.read_bytes().decode("utf-8")
 
 
 class TestValidate:
@@ -496,7 +507,9 @@ class TestArgumentHandling:
         monkeypatch.setattr(cli, "_cmd_classify", broken)
         code, out, err = run(capsys, "classify", files["cs1"])
         assert (code, out) == (1, None)
-        assert err == "internal error: RuntimeError: handler broke\n"
+        assert err.splitlines()[-1] == "internal error: RuntimeError: handler broke"
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert ", in broken\n" in err
 
     def test_main_exits_with_the_code(self, files, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["interax", "classify", str(files["cs1"])])

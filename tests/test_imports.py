@@ -1,5 +1,6 @@
 """Every module of the package references each name it imports, parses as
-Python 3.10 and imports only the standard library and the package itself.
+Python 3.10, imports only the standard library and the package itself, and
+names the encoding of every file it reads or writes as text.
 
 No linter ships with the toolchain, so this reads the sources with `ast`.
 The package `__init__.py` is skipped by the unused-import check: it imports
@@ -86,3 +87,39 @@ def test_checker_finds_foreign_imports_and_newer_syntax():
 @pytest.mark.parametrize("module", SOURCES, ids=[p.name for p in SOURCES])
 def test_python_310_and_standard_library_only(module):
     assert foreign_imports(module.read_text()) == []
+
+
+TEXT_FILE_CALLS = {"open", "read_text", "write_text"}
+
+
+def unnamed_encodings(source: str) -> list[str]:
+    """Calls of `open`, `read_text` or `write_text` (as a name or a method)
+    that pass no `encoding=`, as source text.  Without one, the file is read
+    or written in the locale's encoding, which need not be UTF-8."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in TEXT_FILE_CALLS
+        and not any(k.arg == "encoding" for k in node.keywords)
+    ]
+
+
+def test_checker_finds_calls_without_an_encoding():
+    source = (
+        "from pathlib import Path\n"
+        "def f(path, text):\n"
+        "    Path(path).write_text(text)\n"
+        "    Path(path).write_text(text, encoding='utf-8')\n"
+        "    with open(path, encoding='utf-8') as fp, path.open() as fq:\n"
+        "        return fp.read() + fq.read() + Path(path).read_text()\n"
+    )
+    assert unnamed_encodings(source) == [
+        "Path(path).write_text(text)", "path.open()", "Path(path).read_text()",
+    ]
+
+
+@pytest.mark.parametrize("module", SOURCES, ids=[p.name for p in SOURCES])
+def test_text_files_name_their_encoding(module):
+    assert unnamed_encodings(module.read_text(encoding="utf-8")) == []

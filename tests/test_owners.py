@@ -24,6 +24,10 @@ It counts each enabled one as one transition without firing it, while
 the per-state calls (`successors`, `step`, `replay_trace`) fire every rule
 through `Engine.fire`.
 
+Every search keeps one container: `Engine.search` makes no `.add` call,
+so `explore` and `is_reachable` read the same dict of parent links and no
+caller gets a set of codes of its own.
+
 A clean validation verdict has one owner: only `model.validate_system`
 reads or writes the attribute that remembers it on a system object, so no
 caller can skip validation by setting it or trust it where a copy lacks it.
@@ -172,6 +176,25 @@ def test_only_the_search_skips_still_rules():
         for where in readers(path.read_text(), "still")
     )
     assert found == ["semantics.Engine.search"]
+
+
+def test_checker_finds_every_add_call():
+    source = (
+        "class Engine:\n"
+        "    def search(self, seen, code):\n"
+        "        seen[code] = None\n"
+        "        if code not in seen:\n"
+        "            seen.add(code)\n"
+        "        return self.adder(code), add_all(seen)\n"
+        "    def explore(self, seen):\n"
+        "        return {add(c) for c in seen}\n"
+    )
+    assert callers(source, "add") == ["Engine.explore", "Engine.search"]
+
+
+def test_the_search_keeps_one_container():
+    source = (PACKAGE / "semantics.py").read_text()
+    assert "Engine.search" not in callers(source, "add")
 
 
 def memo_touches(source: str) -> list[str]:
