@@ -8,6 +8,7 @@ summary goes to stderr.  Exit codes: 0 for any computed answer (including
 from __future__ import annotations
 
 import argparse
+import os
 import sys as _sys
 import traceback
 from dataclasses import fields
@@ -86,6 +87,27 @@ def _cmd_classify(args: argparse.Namespace) -> None:
         edges=len(graph.edges),
     )
     _say(f"star_like={shape.star_like} linear={shape.linear}")
+
+
+def _argv_text(arg: str) -> str:
+    """A command-line word as UTF-8 text, as the files spell names.  Python
+    decodes argv in the locale's encoding, so under an ASCII locale a UTF-8
+    name arrives as escaped bytes; this reads those bytes back as UTF-8."""
+    try:
+        raw = os.fsencode(arg)
+    except UnicodeEncodeError:
+        return arg  # not from argv (a caller's own string): already text
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise argparse.ArgumentTypeError(
+            f"not UTF-8 ({e.reason} at byte {e.start})"
+        ) from None
+
+
+def _target_arg(arg: str) -> str:
+    # inline constraints name components and states; a path stays a path
+    return _argv_text(arg) if "=" in arg else arg
 
 
 def _parse_inline_target(text: str) -> list[dict[str, str]]:
@@ -204,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if takes is not None:
             p.add_argument(takes)
         if takes == "dtm":
-            p.add_argument("--input", required=True)
+            p.add_argument("--input", required=True, type=_argv_text)
         return p
 
     command("validate", _cmd_validate, "system",
@@ -219,6 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target",
         required=True,
+        type=_target_arg,
         help="inline 'comp=state,comp2=*' (a '=' marks it inline) or a predicate file",
     )
     p.add_argument(

@@ -329,6 +329,7 @@ class Engine:
         codes, digits = [start], [self.initial]
         transitions = 0
         truncated = False
+        room = limit - 1  # new states the bound still admits
         while codes:
             next_codes: list[int] = []
             next_digits: list[tuple[int, ...]] = []
@@ -349,9 +350,10 @@ class Engine:
                         succ = code + step
                         if succ in seen:
                             continue
-                        if len(seen) >= limit:
+                        if not room:
                             truncated = True
                             continue
+                        room -= 1
                         q2 = moved(q, succ, parts)
                         seen[succ] = code * n + k
                         if matches is not None and matches(q2):
@@ -466,8 +468,10 @@ def is_reachable(
         raise ModelError("empty target disjunction")
     eng = compile_system(sys)
     # each predicate filed under its first constraint, so a state costs one
-    # lookup per filed component; a predicate without constraints holds
-    # everywhere
+    # lookup per filed component, and a list found there holds predicates
+    # whose first constraint q meets: `matches` checks only their rests,
+    # breaking at the first constraint that fails, so an empty rest holds
+    # at once.  A predicate without constraints holds everywhere.
     filed: dict[int, dict[int, list[list[tuple[int, int]]]]] = {}
     anywhere = False
     for t in targets:
@@ -482,10 +486,13 @@ def is_reachable(
     def matches(q: tuple[int, ...]) -> bool:
         for ci, by_state in groups:
             rests = by_state.get(q[ci])
-            if rests is not None and any(
-                all(q[cj] == sj for cj, sj in rest) for rest in rests
-            ):
-                return True
+            if rests is not None:
+                for rest in rests:
+                    for cj, sj in rest:
+                        if q[cj] != sj:
+                            break
+                    else:
+                        return True
         return anywhere
 
     parents, transitions, truncated, hit = eng.search(max_states, matches)

@@ -56,6 +56,25 @@ def run_child(*argv, **env):
     return proc.returncode, json.loads(proc.stdout) if proc.stdout.strip() else None
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def utf8_word(text):
+    """The argv word whose bytes are text's UTF-8, whatever this process's
+    locale: a child under `ASCII_LOCALE` gets the bytes a UTF-8 shell
+    passes."""
+    return os.fsdecode(text.encode("utf-8"))
+
+
+def cafe_system(tmp_path):
+    """A two-stage pipeline whose first component is named `café`."""
+    system = tmp_path / "cafe.json"
+    system.write_text(
+        serialize_system(pipeline(2)).replace("s1", "café"), encoding="utf-8"
+    )
+    return system
+
+
 def reading(path):
     """The argv of each subcommand that reads an input file, reading `path`."""
     return [
@@ -105,13 +124,9 @@ class TestClassify:
         assert text.count("--") == doc["edges"] == 2
 
     def test_dot_output_is_utf8_under_an_ascii_locale(self, tmp_path):
-        system = tmp_path / "cafe.json"
-        system.write_text(
-            serialize_system(pipeline(2)).replace("s1", "café"), encoding="utf-8"
-        )
+        system = cafe_system(tmp_path)
         dot = tmp_path / "graph.dot"
-        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-        code, doc = run_child("classify", system, "--dot", dot, **ascii_locale)
+        code, doc = run_child("classify", system, "--dot", dot, **ASCII_LOCALE)
         assert code == 0 and doc["nodes"] == 2
         assert '"café";' in dot.read_bytes().decode("utf-8")
 
@@ -510,6 +525,43 @@ class TestArgumentHandling:
         assert err.splitlines()[-1] == "internal error: RuntimeError: handler broke"
         assert err.startswith("Traceback (most recent call last):\n")
         assert ", in broken\n" in err
+
+    def test_names_on_the_command_line_are_utf8_under_an_ascii_locale(self, tmp_path):
+        system = cafe_system(tmp_path)
+        dtm = tmp_path / "even_e.json"
+        dtm.write_text(serialize_dtm(even_a()).replace('"a"', '"é"'), encoding="utf-8")
+        for env in ({}, ASCII_LOCALE):
+            code, doc = run_child("reach", system, "--target", utf8_word("café=waiting"), **env)
+            assert code == 0 and doc["trace"] == ["send_message_1"], env
+            code, doc = run_child("tm-run", dtm, "--input", utf8_word("éé"), **env)
+            assert code == 0 and doc["outcome"] == "accept", env
+
+    def test_a_callers_own_names_stay_text_under_an_ascii_locale(self, tmp_path):
+        # run_cli's argv may hold text that never was argv bytes, which the
+        # locale's encoding cannot encode
+        system = cafe_system(tmp_path)
+        argv = ["reach", str(system), "--target", "café=waiting"]
+        program = f"from interax.cli import run_cli; raise SystemExit(run_cli({argv!r}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", program.encode("ascii", "backslashreplace").decode()],
+            capture_output=True,
+            timeout=30,
+            env={**os.environ, **ASCII_LOCALE, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["trace"] == ["send_message_1"]
+
+    def test_names_that_are_not_utf8_exit_two(self, tmp_path):
+        # "\udcff" passes the byte 0xff, which starts no UTF-8 character
+        system = tmp_path / "pl2.json"
+        system.write_text(serialize_system(pipeline(2)))
+        dtm = FIXTURES / "even_a.json"
+        for env in ({}, ASCII_LOCALE):
+            code, doc = run_child("reach", system, "--target", "s\udcff=waiting", **env)
+            assert (code, doc) == (2, None), env
+            for command in ("tm-run", "tm-compile", "check-thm1"):
+                code, doc = run_child(command, dtm, "--input", "a\udcff", **env)
+                assert (code, doc) == (2, None), (command, env)
 
     def test_main_exits_with_the_code(self, files, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["interax", "classify", str(files["cs1"])])

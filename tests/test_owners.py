@@ -28,6 +28,12 @@ Every search keeps one container: `Engine.search` makes no `.add` call,
 so `explore` and `is_reachable` read the same dict of parent links and no
 caller gets a set of codes of its own.
 
+The per-state path builds no generator: no generator expression occurs in
+`Engine.search` or in a function nested in `Engine.search` or
+`is_reachable`, whose `matches` tests almost every state the search
+discovers.  A generator there costs a frame per state; plain loops that
+break at the first failing constraint give the same answers.
+
 A clean validation verdict has one owner: only `model.validate_system`
 reads or writes the attribute that remembers it on a system object, so no
 caller can skip validation by setting it or trust it where a copy lacks it.
@@ -195,6 +201,48 @@ def test_checker_finds_every_add_call():
 def test_the_search_keeps_one_container():
     source = (PACKAGE / "semantics.py").read_text()
     assert "Engine.search" not in callers(source, "add")
+
+
+def generators(source: str) -> list[str]:
+    """Where a generator expression is built."""
+    return places(source, lambda node: isinstance(node, ast.GeneratorExp))
+
+
+def on_the_per_state_path(where: str) -> bool:
+    """Is `where` `Engine.search`, or a function nested in it or in
+    `is_reachable` (its `matches` test)?"""
+    return where == "Engine.search" or where.startswith(("Engine.search.", "is_reachable."))
+
+
+def test_checker_finds_every_generator_on_the_per_state_path():
+    source = (
+        "class Engine:\n"
+        "    def search(self, q):\n"
+        "        total = sum(x for x in q)\n"
+        "        def inner():\n"
+        "            return set(x for x in q)\n"
+        "        return [x for x in q], {x: 1 for x in q}, total, inner\n"
+        "    def enabled(self, q):\n"
+        "        return all(x for x in q)\n"
+        "def is_reachable(sys, targets):\n"
+        "    names = tuple(t for t in targets)\n"
+        "    def matches(q):\n"
+        "        return any(all(q[c] == s for c, s in r) for r in names)\n"
+        "    return matches\n"
+    )
+    assert generators(source) == [
+        "Engine.enabled", "Engine.search", "Engine.search.inner", "is_reachable",
+        "is_reachable.matches", "is_reachable.matches",
+    ]
+    assert [w for w in generators(source) if on_the_per_state_path(w)] == [
+        "Engine.search", "Engine.search.inner",
+        "is_reachable.matches", "is_reachable.matches",
+    ]
+
+
+def test_the_per_state_path_builds_no_generator():
+    source = (PACKAGE / "semantics.py").read_text()
+    assert [w for w in generators(source) if on_the_per_state_path(w)] == []
 
 
 def memo_touches(source: str) -> list[str]:

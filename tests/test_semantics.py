@@ -489,9 +489,25 @@ def test_search_on_a_ring_is_the_reference_bfs(nondet):
     sys = ring(5, nondet)
     deep = StatePredicate.of({f"c{i}": "q2" for i in range(5)})
     mid = StatePredicate.of({"c3": "q1", "c4": "q2"})
-    for bound in (None, 2, 40, 200):
+    # 242, 243 and 244 straddle the ring's 243 states
+    for bound in (None, 2, 40, 200, 242, 243, 244):
         for targets in ([deep], [mid], [mid, deep]):
             assert_search_is_reference(sys, targets, bound)
+    assert [explore(sys, bound).complete for bound in (242, 243, 244)] == [
+        False, True, True,
+    ]
+
+
+def test_a_later_predicate_filed_with_a_failing_one_still_matches():
+    # both predicates are filed under c0=q0; at the hit (q0, q0, q1) the
+    # first one fails at c1 and the second one holds
+    sys = ring(3, False)
+    fails = StatePredicate.of({"c0": "q0", "c1": "q2", "c2": "q1"})
+    holds = StatePredicate.of({"c0": "q0", "c2": "q1"})
+    assert is_reachable(sys, [fails, holds]).trace == ["t_2"]
+    for bound in (None, 1, 3):
+        assert_search_is_reference(sys, [fails, holds], bound)
+        assert_search_is_reference(sys, [holds, fails], bound)
 
 
 def test_search_past_a_machine_word_is_the_reference_bfs():
