@@ -11,7 +11,10 @@ validation.  Serialization canonicalizes first and emits sorted keys,
 two-space indentation, `\\uXXXX` escapes for non-ASCII and a trailing
 newline, so equal values produce identical bytes: those of `json.dumps(...,
 sort_keys=True, indent=2)` plus a newline, written without that call's
-pure-Python encoder.
+pure-Python encoder.  There are two writers of those bytes, and both quote
+every string with the standard library's `encode_basestring_ascii`:
+`serialize_system` renders the system document from templates of its fixed
+shape, and `dump_document` writes every other document from a dict.
 
 System document:
     {"version": 1,
@@ -54,10 +57,21 @@ from .validation import refuse_non_strings
 DOCUMENT_VERSION = 1
 _LITERALS = {None: "null", True: "true", False: "false"}
 
+# The system document's objects, keys in sorted order, each at the
+# indentation it has in the document; `_items` fills their lists.
+_SYSTEM = '{\n  "components": %s,\n  "interactions": %s,\n  "version": %d\n}\n'
+_COMPONENT = (
+    '{\n      "initial": %s,\n      "name": %s,\n      "ports": %s,'
+    '\n      "states": %s,\n      "transitions": %s\n    }'
+)
+_TRANSITION = '{\n          "from": %s,\n          "port": %s,\n          "to": %s\n        }'
+_INTERACTION = '{\n      "name": %s,\n      "ports": %s\n    }'
+
 
 def dump_document(doc: dict) -> str:
-    """The one JSON writer: `doc` stamped with the document version, in the
-    bytes of `json.dumps(stamped, sort_keys=True, indent=2) + "\\n"`.
+    """The writer of every document but the system's: `doc` stamped with
+    the document version, in the bytes of `json.dumps(stamped,
+    sort_keys=True, indent=2) + "\\n"`.
     Values are strings, ints, bools, None, lists, tuples (written as lists)
     and dicts with string keys; anything else raises `TypeError`."""
     out: list[str] = []
@@ -101,6 +115,16 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _items(rendered: list[str], newline: str) -> str:
+    """A JSON list of already rendered items, on a line whose break and
+    indentation are `newline`: `[]` when empty, else one item per line two
+    spaces deeper."""
+    if not rendered:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(rendered) + newline + "]"
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -257,7 +281,12 @@ def serialize_system(sys: InteractionSystem) -> str:
     entry that is not a `PortId`, a name that is not a string, a port whose
     reference would not read back as that port (an empty component or port
     name, or a component name with a `.`), a component without a behavior,
-    or a behavior or port family without a component, cannot be written."""
+    or a behavior or port family without a component, cannot be written.
+
+    The text is rendered straight from the document's fixed shape, one
+    template per object, with no dict in between; its bytes are those that
+    `dump_document` writes for the same document, and `json.dumps(...,
+    sort_keys=True, indent=2)` plus a newline."""
     refuse_untyped(sys, "serialize")
     canonical = canonicalize_system(sys)
     for c in canonical.model.components:
@@ -272,26 +301,36 @@ def serialize_system(sys: InteractionSystem) -> str:
             raise ModelError(
                 f"cannot serialize: port family for component {c} is not in the model"
             )
-    doc = {
-        "components": [
-            {
-                "name": c,
-                "ports": list(canonical.model.ports[c]),
-                "states": list(canonical.behaviors[c].states),
-                "initial": canonical.behaviors[c].initial,
-                "transitions": [
-                    {"from": src, "port": port, "to": dst}
-                    for src, port, dst in sorted(canonical.behaviors[c].transitions)
-                ],
-            }
-            for c in canonical.model.components
-        ],
-        "interactions": [
-            {"name": a.name, "ports": [_reference(a.name, p) for p in a.ports]}
-            for a in canonical.model.interactions
-        ],
-    }
-    return dump_document(doc)
+    rendered = []
+    for c in canonical.model.components:
+        b = canonical.behaviors[c]
+        transitions = [
+            _TRANSITION % (_quote(src), _quote(port), _quote(dst))
+            for src, port, dst in sorted(b.transitions)
+        ]
+        rendered.append(
+            _COMPONENT
+            % (
+                _quote(b.initial),
+                _quote(c),
+                _items([_quote(p) for p in canonical.model.ports[c]], "\n      "),
+                _items([_quote(q) for q in b.states], "\n      "),
+                _items(transitions, "\n      "),
+            )
+        )
+    interactions = [
+        _INTERACTION
+        % (
+            _quote(a.name),
+            _items([_quote(_reference(a.name, p)) for p in a.ports], "\n      "),
+        )
+        for a in canonical.model.interactions
+    ]
+    return _SYSTEM % (
+        _items(rendered, "\n  "),
+        _items(interactions, "\n  "),
+        DOCUMENT_VERSION,
+    )
 
 
 def parse_dtm(text: str) -> DTM:
@@ -355,10 +394,19 @@ def parse_dtm(text: str) -> DTM:
 
 
 def serialize_dtm(machine: DTM) -> str:
-    """Canonical, byte-stable machine document; a machine with a name that
-    is not a string cannot be written."""
+    """Canonical, byte-stable machine document.  A machine with a name that
+    is not a string, or with a move that is not an `int`, cannot be written:
+    `parse_dtm` reads a move only as a JSON integer.  An `int` move that
+    validation rejects is written, so its finding survives the round trip."""
     refuse_non_strings(chain(*_names(machine)), "serialize")
     canonical = canonicalize_dtm(machine)
+    rules = sorted(canonical.delta.items())
+    for (p, g), (_, _, move) in rules:
+        if type(move) is not int:
+            raise ModelError(
+                f"cannot serialize: delta rule ({p}, {g}) has move {move!r}, "
+                "which is not an int"
+            )
     doc = {
         "tape_alphabet": list(canonical.tape_alphabet),
         "input_alphabet": list(canonical.input_alphabet),
@@ -369,7 +417,7 @@ def serialize_dtm(machine: DTM) -> str:
         "reject": canonical.reject,
         "delta": [
             {"state": p, "read": g, "next": p2, "write": w, "move": move}
-            for (p, g), (p2, w, move) in sorted(canonical.delta.items())
+            for (p, g), (p2, w, move) in rules
         ],
     }
     return dump_document(doc)

@@ -38,6 +38,7 @@ from interax.formats import (
     serialize_predicates,
     serialize_system,
 )
+from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
 from interax.turing import canonicalize_dtm
 
 
@@ -193,6 +194,33 @@ class TestDtmRoundTrip:
     def test_serialize_deterministic(self):
         assert serialize_dtm(even_a()) == serialize_dtm(even_a())
 
+    @staticmethod
+    def with_move(move):
+        """even_a with its first rule's move replaced, and that rule."""
+        machine = even_a()
+        rule = min(machine.delta)
+        state, symbol, _ = machine.delta[rule]
+        return replace(machine, delta={**machine.delta, rule: (state, symbol, move)}), rule
+
+    @pytest.mark.parametrize("move", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
+    def test_move_that_is_not_an_int_is_refused(self, move):
+        # true, "1" and null were written and then refused by parse_dtm, and
+        # 1.0 raised the encoder's TypeError
+        machine, (state, symbol) = self.with_move(move)
+        message = (
+            f"cannot serialize: delta rule ({state}, {symbol}) has move {move!r}, "
+            "which is not an int"
+        )
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            serialize_dtm(machine)
+
+    @pytest.mark.parametrize("move", [0, 2])
+    def test_int_move_out_of_range_keeps_its_finding(self, move):
+        machine, (state, symbol) = self.with_move(move)
+        message = f"invalid machine: delta-bad-move: delta rule ({state}, {symbol}) has move {move}"
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            parse_dtm(serialize_dtm(machine))
+
 
 class TestParseErrors:
     def test_empty_document(self):
@@ -338,6 +366,35 @@ class Named(str):
     """A str subclass; JSON writes its text."""
 
 
+def _edge_system(names: dict, interactions: bool = True):
+    """Component `c` with port `p`, states `q` and `r` and a transition
+    `q --p--> r`; interaction `i` over `c.p` unless `interactions` is false;
+    and component `e` with an empty port family, one state and no
+    transitions.  `names` renames any of c, p, q, r and i."""
+    c, p, q, r, i = (names.get(k, k) for k in "cpqri")
+    return InteractionSystem(
+        InteractionModel(
+            (c, "e"),
+            {c: (p,), "e": ()},
+            (Interaction(i, (PortId(c, p),)),) if interactions else (),
+        ),
+        {
+            c: LocalBehavior((q, r), frozenset({(q, p, r)}), q),
+            "e": LocalBehavior(("s",), frozenset(), "s"),
+        },
+    )
+
+
+EDGE_SYSTEMS = {
+    "no-interactions": _edge_system({}, interactions=False),
+    "escapes": _edge_system(
+        {"c": "caf\u00e9", "p": 'q"uote', "q": "back\\slash", "r": "bell\x07", "i": "\u2028"}
+    ),
+    "lone-surrogate": _edge_system({"q": "\ud800", "i": "\udfff\ud83d"}),
+    "str-subclass": _edge_system({k: Named(k) for k in "cpqri"}),
+}
+
+
 FIXTURE_PATHS = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
 
@@ -347,10 +404,36 @@ def reference(doc):
     return json.dumps({"version": 1, **doc}, sort_keys=True, indent=2) + "\n"
 
 
+def system_doc(sys):
+    """The system document of `sys` as a dict, for `reference`: the bytes
+    `serialize_system(sys)` must equal are `reference(system_doc(sys))`."""
+    canonical = canonicalize_system(sys)
+    return {
+        "components": [
+            {
+                "name": c,
+                "ports": list(canonical.model.ports[c]),
+                "states": list(canonical.behaviors[c].states),
+                "initial": canonical.behaviors[c].initial,
+                "transitions": [
+                    {"from": src, "port": port, "to": dst}
+                    for src, port, dst in sorted(canonical.behaviors[c].transitions)
+                ],
+            }
+            for c in canonical.model.components
+        ],
+        "interactions": [
+            {"name": a.name, "ports": [f"{p.component}.{p.port}" for p in a.ports]}
+            for a in canonical.model.interactions
+        ],
+    }
+
+
 @pytest.fixture
 def written(monkeypatch):
-    """Every document written while the test runs, each checked against
-    `reference` as it is written."""
+    """Every document written while the test runs, through `dump_document`
+    or `serialize_system`, each checked against `reference` as it is
+    written."""
     docs = []
 
     def checked(doc):
@@ -359,8 +442,17 @@ def written(monkeypatch):
         docs.append(doc)
         return text
 
+    def checked_system(sys):
+        text = serialize_system(sys)
+        doc = system_doc(sys)
+        assert text == reference(doc)
+        docs.append(doc)
+        return text
+
     monkeypatch.setattr(formats, "dump_document", checked)
     monkeypatch.setattr(cli, "dump_document", checked)
+    monkeypatch.setattr(formats, "serialize_system", checked_system)
+    monkeypatch.setattr(cli, "serialize_system", checked_system)
     return docs
 
 
@@ -381,7 +473,7 @@ class TestWriter:
     def test_fixture_documents(self, written):
         systems, machines = fixture_values()
         for _, system in systems:
-            serialize_system(system)
+            formats.serialize_system(system)
         for _, machine in machines:
             serialize_dtm(machine)
         assert len(written) == len(FIXTURE_PATHS)
@@ -389,14 +481,14 @@ class TestWriter:
     def test_starified_fixture_systems(self, written):
         systems, _ = fixture_values()
         for _, system in systems:
-            serialize_system(starify(system))
+            formats.serialize_system(starify(system))
         assert len(written) == len(systems)
 
     def test_compiled_fixture_machines(self, written):
         _, machines = fixture_values()
         for _, machine in machines:
             for word in ("", machine.input_alphabet[-1] * 3):
-                serialize_system(compile_lsa(machine, word))
+                formats.serialize_system(compile_lsa(machine, word))
                 serialize_predicates([p.as_dict() for p in accept_predicate(machine, word)])
         assert len(written) == 4 * len(machines)
 
@@ -427,6 +519,22 @@ class TestWriter:
             "subclasses": [Shown(3), Named("x"), {Named("k"): Shown(4)}],
         }
         assert dump_document(doc) == reference(doc)
+
+    def test_system_documents(self):
+        systems, machines = fixture_values()
+        corpus = [system for _, system in systems]
+        corpus += [starify(system) for system in corpus]
+        for _, machine in machines:
+            for word in ("", machine.input_alphabet[-1] * 3):
+                corpus.append(compile_lsa(machine, word))
+        draws = [gen_random_system(GenParams(seed=seed)) for seed in ENGINE_EQUIVALENCE_SEEDS]
+        corpus += draws + [starify(draw) for draw in draws]
+        for system in corpus:
+            assert serialize_system(system) == reference(system_doc(system))
+
+    @pytest.mark.parametrize("system", EDGE_SYSTEMS.values(), ids=EDGE_SYSTEMS.keys())
+    def test_edge_systems(self, system):
+        assert serialize_system(system) == reference(system_doc(system))
 
     @pytest.mark.parametrize(
         "value, message",

@@ -47,9 +47,12 @@ A mask's set bits are walked in one place: only `semantics._set_bits`
 takes a lowest set bit (`x & -x`), and both `Engine.enabled` and the
 search's still/moving split read their rules off it.
 
-The package has one JSON writer: no module of the package calls `json.dump`
-or `json.dumps`, so `formats.dump_document` writes every document and the
-bytes of every document have one owner.
+`formats` is the only writer of documents: no module of the package calls
+`json.dump` or `json.dumps`, and only `formats` imports `json.encoder` (or
+any name from it), whose `encode_basestring_ascii` quotes every string.
+`formats.serialize_system` writes the system document and
+`formats.dump_document` writes all the others, so the bytes of every
+document have one owner.
 """
 
 import ast
@@ -388,17 +391,22 @@ def test_one_function_walks_a_masks_set_bits():
     assert found == ["semantics._set_bits"]
 
 
-def json_writes(source: str) -> list[str]:
-    """Calls of `json.dump` or `json.dumps` (also under an alias of the
-    module) and imports of either name from `json`, as sorted source text."""
-    tree = ast.parse(source)
-    aliases = {
+def json_aliases(tree: ast.AST) -> set[str]:
+    """The names an `import json` (with or without `as`) binds."""
+    return {
         alias.asname or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.Import)
         for alias in node.names
         if alias.name == "json"
     }
+
+
+def json_writes(source: str) -> list[str]:
+    """Calls of `json.dump` or `json.dumps` (also under an alias of the
+    module) and imports of either name from `json`, as sorted source text."""
+    tree = ast.parse(source)
+    aliases = json_aliases(tree)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "json":
@@ -429,6 +437,63 @@ def test_checker_finds_every_json_write():
 @pytest.mark.parametrize("module", PACKAGE_MODULES, ids=[p.name for p in PACKAGE_MODULES])
 def test_dump_document_is_the_only_json_writer(module):
     assert json_writes(module.read_text()) == []
+
+
+def encoder_imports(source: str) -> list[str]:
+    """Imports of `json.encoder` or of any name from it, and reads of
+    `encoder` off the `json` module (also under an alias), as sorted source
+    text."""
+    tree = ast.parse(source)
+    aliases = json_aliases(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend(
+                f"import {a.name}"
+                for a in node.names
+                if a.name == "json.encoder" or a.name.startswith("json.encoder.")
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "json.encoder":
+            out.extend(f"from json.encoder import {a.name}" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            out.extend(f"from json import {a.name}" for a in node.names if a.name == "encoder")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "encoder"
+            and getattr(node.value, "id", None) in aliases
+        ):
+            out.append(ast.unparse(node))
+    return sorted(out)
+
+
+def test_checker_finds_every_encoder_import():
+    source = (
+        "import json\n"
+        "import json as j\n"
+        "import json.encoder\n"
+        "import json.decoder\n"
+        "from json import encoder, loads\n"
+        "from json.encoder import encode_basestring_ascii as quote\n"
+        "from json.decoder import JSONDecoder\n"
+        "def f(x, out):\n"
+        "    out.encoder(json.loads(x))\n"
+        "    return j.encoder.encode_basestring(x)\n"
+    )
+    assert encoder_imports(source) == [
+        "from json import encoder",
+        "from json.encoder import encode_basestring_ascii",
+        "import json.encoder",
+        "j.encoder",
+    ]
+
+
+def test_only_formats_imports_the_encoder():
+    found = sorted(
+        f"{path.stem}: {hit}"
+        for path in PACKAGE_MODULES
+        for hit in encoder_imports(path.read_text())
+    )
+    assert found == ["formats: from json.encoder import encode_basestring_ascii"]
 
 
 NAME_GATES = {
