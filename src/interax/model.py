@@ -195,8 +195,9 @@ def _model_rules(im: InteractionModel) -> ValidationReport:
             )
     for c in im.components:
         family = im.ports.get(c, ())
-        for p in repeated(family):
-            report.add("duplicate-port", f"component {c} declares port {p} twice")
+        if len(set(family)) < len(family):
+            for p in repeated(family):
+                report.add("duplicate-port", f"component {c} declares port {p} twice")
         if "" in family:
             report.add("empty-name", f"component {c} declares an empty port name")
 

@@ -19,7 +19,9 @@ Size, for a machine with states P, tape alphabet Gamma and delta rules delta
   |Int| = (n+1)*|delta|      one interaction per rule and neighbour pair, so
                              each pair (i, i+1) carries |delta| <= |P|*|Gamma|
 The total grows with n: a head move changes both cells it joins, so each of
-the n+1 boundaries needs interactions of its own.
+the n+1 boundaries needs interactions of its own.  The cells themselves come
+in three kinds: cell 0, the inner cells and cell n+1 each share one port
+family and one transition set, so a compilation builds three of each.
 
 Naming grammar (fixed so serialized systems are diffable):
   local states    "<marker>,<symbol>"
@@ -96,7 +98,8 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
     `config_to_gstate` yields a global state with exactly one enabled
     interaction, whose successor is the image of the next configuration.
     Interactions and port families follow delta's insertion order, which
-    neither `serialize_system` nor the engine (it orders rules by name) sees.
+    neither `serialize_system` nor the engine (it orders rules by name) sees;
+    each interaction lists its two ports in cell order.
     """
     validate_dtm(machine).raise_if_failed("machine")
     initial = config_to_gstate(machine, word, initial_config(machine, word))
@@ -106,12 +109,13 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
         raise ModelError("ambiguous state naming: rendered cell states collide")
 
     cells = cell_names(len(word))
-    ports: dict[str, list[str]] = {cell: [] for cell in cells}
-    transitions: dict[str, set[tuple[str, str, str]]] = {cell: set() for cell in cells}
-    interactions = []
-    # rule (p, g) moves the head from cell i to cell j = i + move; the rule
-    # exists at i only where j stays on the tape, and its transitions are
-    # the same at every such pair
+    # the port families and transition sets of cell 0, the inner cells and
+    # cell n+1: a right move leaves every cell but n+1 and arrives at every
+    # cell but 0, a left move the mirror image
+    first, inner, last = [], [], []
+    first_t, inner_t, last_t = set(), set(), set()
+    neighbours = list(zip(cells, cells[1:]))
+    interactions: list[Interaction] = []
     for (p, g), (p2, w, move) in machine.delta.items():
         leave, arrive = leave_port(p, g), arrive_port(p, g)
         left = (cell_state(p, g), leave, cell_state(marker, w))
@@ -119,32 +123,42 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
             (cell_state(marker, held), arrive, cell_state(p2, held))
             for held in machine.tape_alphabet
         }
-        for i, src in enumerate(cells):
-            if not 0 <= i + move < len(cells):
-                continue
-            dst = cells[i + move]
-            ports[src].append(leave)
-            transitions[src].add(left)
-            ports[dst].append(arrive)
-            transitions[dst] |= arrived
-            interactions.append(
-                Interaction(
-                    f"mv:{p}:{g}:{src}:{dst}",
-                    tuple(sorted((PortId(src, leave), PortId(dst, arrive)))),
-                )
-            )
+        inner_t.add(left)
+        inner_t |= arrived
+        name = f"mv:{p}:{g}"
+        # one interaction per neighbour pair (a, b), its ports in cell order
+        if move == 1:
+            first.append(leave)
+            first_t.add(left)
+            inner += (arrive, leave)
+            last.append(arrive)
+            last_t |= arrived
+            interactions += [
+                Interaction(f"{name}:{a}:{b}", (PortId(a, leave), PortId(b, arrive)))
+                for a, b in neighbours
+            ]
+        else:
+            first.append(arrive)
+            first_t |= arrived
+            inner += (leave, arrive)
+            last.append(leave)
+            last_t.add(left)
+            interactions += [
+                Interaction(f"{name}:{b}:{a}", (PortId(a, arrive), PortId(b, leave)))
+                for a, b in neighbours
+            ]
 
-    behaviors = {
-        cell: LocalBehavior(
-            states=all_states,
-            transitions=frozenset(transitions[cell]),
-            initial=initial[i],
-        )
-        for i, cell in enumerate(cells)
-    }
-    model = InteractionModel(
-        cells, {cell: tuple(ports[cell]) for cell in cells}, tuple(interactions)
-    )
+    kinds = [
+        (tuple(first), frozenset(first_t)),
+        *[(tuple(inner), frozenset(inner_t))] * (len(cells) - 2),
+        (tuple(last), frozenset(last_t)),
+    ]
+    ports: dict[str, tuple[str, ...]] = {}
+    behaviors: dict[str, LocalBehavior] = {}
+    for cell, (family, transitions), q in zip(cells, kinds, initial):
+        ports[cell] = family
+        behaviors[cell] = LocalBehavior(all_states, transitions, q)
+    model = InteractionModel(cells, ports, tuple(interactions))
     return InteractionSystem(model, behaviors)
 
 

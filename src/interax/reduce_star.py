@@ -43,6 +43,7 @@ from .semantics import GlobalState, compile_system
 
 IDLE = "idle"
 LINK = "link"
+LINK_PORT = f"ok:{LINK}"
 
 
 def _hub_name(model: InteractionModel) -> str:
@@ -50,14 +51,6 @@ def _hub_name(model: InteractionModel) -> str:
     while name in model.components:
         name += "_"
     return name
-
-
-def _ok(port: object) -> str:
-    return f"ok:{port}"
-
-
-def _nok(port: object) -> str:
-    return f"nok:{port}"
 
 
 def starify(sys: InteractionSystem) -> InteractionSystem:
@@ -78,21 +71,19 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
     ports: dict[str, tuple[str, ...]] = {}
     behaviors: dict[str, LocalBehavior] = {}
     interactions: list[Interaction] = []
-
-    def link(comp: str, port: str, hub_port: str) -> None:
-        interactions.append(
-            Interaction(hub_port, (PortId(comp, port), PortId(hub, hub_port)))
-        )
+    hub_ports: list[str] = []
+    # the hub sides "ok:<comp>.<port>", "nok:..." and "fire:..." of each port
+    sides: dict[PortId, tuple[str, str, str]] = {}
 
     for comp in model.components:
         b = sys.behaviors[comp]
         family = model.ports.get(comp, ())
         base = set(family)
-        lifted = list(family) or [_ok(LINK)]
+        lifted = list(family) or [LINK_PORT]
         enabled = {(src, port) for src, port, _ in b.transitions}
         transitions = set(b.transitions)
         for port in family:
-            ok, nok = _ok(port), _nok(port)
+            ok, nok = f"ok:{port}", f"nok:{port}"
             for variant in (ok, nok):
                 if variant in base:
                     raise ModelError(
@@ -103,12 +94,23 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
                 (state, ok if (state, port) in enabled else nok, state)
                 for state in b.states
             )
-            pid = PortId(comp, port)
-            link(comp, ok, _ok(pid))
-            link(comp, nok, _nok(pid))
-            link(comp, port, f"fire:{pid}")
+            name = f"{comp}.{port}"
+            hub_side = sides[PortId(comp, port)] = (
+                f"ok:{name}",
+                f"nok:{name}",
+                f"fire:{name}",
+            )
+            for own, side in zip((ok, nok, port), hub_side):
+                interactions.append(
+                    Interaction(side, (PortId(comp, own), PortId(hub, side)))
+                )
+            hub_ports += hub_side
         if not family:
-            link(comp, _ok(LINK), _ok(PortId(comp, LINK)))
+            side = f"ok:{comp}.{LINK}"
+            interactions.append(
+                Interaction(side, (PortId(comp, LINK_PORT), PortId(hub, side)))
+            )
+            hub_ports.append(side)
         ports[comp] = tuple(lifted)
         behaviors[comp] = LocalBehavior(
             states=b.states,
@@ -122,6 +124,7 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
     for a in model.interactions:
         start = f"start:{a.name}"
         interactions.append(Interaction(start, (PortId(hub, start),)))
+        hub_ports.append(start)
         walk = sorted(a.ports, key=lambda p: order[p.component])
         k = len(walk)
         chk = [f"chk:{a.name}:{m}" for m in range(1, k + 1)]
@@ -130,14 +133,14 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
         states.extend(fire)
         hub_transitions.add((IDLE, start, chk[0]))
         for m, pid in enumerate(walk):
+            ok, nok, fire_port = sides[pid]
             after_check = chk[m + 1] if m + 1 < k else fire[0]
-            hub_transitions.add((chk[m], _ok(pid), after_check))
-            hub_transitions.add((chk[m], _nok(pid), IDLE))
+            hub_transitions.add((chk[m], ok, after_check))
+            hub_transitions.add((chk[m], nok, IDLE))
             after_fire = fire[m + 1] if m + 1 < k else IDLE
-            hub_transitions.add((fire[m], f"fire:{pid}", after_fire))
+            hub_transitions.add((fire[m], fire_port, after_fire))
 
-    # the hub is the last party of every interaction built above
-    ports[hub] = tuple(a.ports[-1].port for a in interactions)
+    ports[hub] = tuple(hub_ports)
     behaviors[hub] = LocalBehavior(
         states=tuple(states),
         transitions=frozenset(hub_transitions),

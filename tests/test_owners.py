@@ -53,6 +53,10 @@ any name from it), whose `encode_basestring_ascii` quotes every string.
 `formats.serialize_system` writes the system document and
 `formats.dump_document` writes all the others, so the bytes of every
 document have one owner.
+
+Every public function has a caller: each function in the package's
+`__all__` is called in `src/` outside its own definition, or in `bench/`,
+or is on an allow-list that gives the reason it has no such caller.
 """
 
 import ast
@@ -530,3 +534,88 @@ def test_names_are_refused_through_their_gates(name):
         for where in callers(path.read_text(), name)
     )
     assert found == NAME_GATES[name]
+
+
+# public functions without a caller in src/ or bench/, and why they stay
+UNCALLED = {
+    "validate_model": "the model-level entry point of the rule tests in tests/test_model.py",
+    "enabled_ports": "ROADMAP item 12 deletes it",
+    "lift_state": "ROADMAP item 12 deletes it",
+    "satisfies": "ROADMAP item 12 deletes it",
+}
+
+
+def public_functions(init_source: str, modules: dict[str, str]) -> dict[str, str]:
+    """Each name in `init_source`'s `__all__` that a module of `modules`
+    (key -> source) defines with a top-level `def`, mapped to that key."""
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    return {
+        node.name: key
+        for key, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in exported
+    }
+
+
+def uncalled(functions: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """The functions of `functions` (name -> key of the defining module)
+    that no source of `sources` (key -> source) calls outside the
+    function's own definition, sorted."""
+
+    def elsewhere(name: str, key: str, where: str) -> bool:
+        return key != functions[name] or not (where == name or where.startswith(f"{name}."))
+
+    return sorted(
+        name
+        for name in functions
+        if not any(
+            elsewhere(name, key, where)
+            for key, source in sources.items()
+            for where in callers(source, name)
+        )
+    )
+
+
+def test_checker_finds_every_uncalled_function():
+    init = "from .a import *\n__all__ = ['K', 'helper', 'loop', 'nested', 'unused', 'used']\n"
+    a = (
+        "def used():\n"
+        "    pass\n"
+        "def loop(n):\n"
+        "    return loop(n - 1)\n"
+        "def nested():\n"
+        "    def inner():\n"
+        "        nested()\n"
+        "def helper():\n"
+        "    used()\n"
+        "def unused():\n"
+        "    pass\n"
+        "def private():\n"
+        "    pass\n"
+        "class K:\n"
+        "    def method(self):\n"
+        "        pass\n"
+    )
+    b = "import a\ndef main():\n    a.helper()\n    return a.unused\n"
+    functions = public_functions(init, {"a": a, "b": b})
+    assert functions == dict.fromkeys(["used", "loop", "nested", "helper", "unused"], "a")
+    assert uncalled(functions, {"a": a, "b": b}) == ["loop", "nested", "unused"]
+    # a call by name from a module that does not define the function counts
+    assert uncalled(functions, {"a": a, "b": b, "c": "def loop():\n    loop()\n"}) == [
+        "nested",
+        "unused",
+    ]
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    package = {p.relative_to(ROOT).as_posix(): p.read_text() for p in PACKAGE_MODULES}
+    bench = {p.relative_to(ROOT).as_posix(): p.read_text() for p in (ROOT / "bench").glob("*.py")}
+    functions = public_functions((PACKAGE / "__init__.py").read_text(), package)
+    assert set(UNCALLED) <= set(functions)
+    assert all(UNCALLED.values())
+    assert uncalled(functions, {**package, **bench}) == sorted(UNCALLED)

@@ -28,10 +28,74 @@ from interax import (
 )
 from interax.fixtures import even_a, first_last
 from interax.formats import parse_dtm, serialize_system
+from interax.model import Interaction, InteractionModel, InteractionSystem, LocalBehavior, PortId
+from interax.reduce_linear import (
+    arrive_port,
+    cell_names,
+    cell_state,
+    cell_states,
+    head_marker,
+    leave_port,
+)
 from interax.turing import Configuration
 from test_semantics import palindrome
 
 PING_PONG = Path(__file__).resolve().parent.parent / "fixtures" / "ping_pong.json"
+MACHINES = pytest.mark.parametrize(
+    "machine",
+    [even_a, first_last, lambda: parse_dtm(PING_PONG.read_text()), palindrome],
+    ids=["even_a", "first_last", "ping_pong", "palindrome"],
+)
+
+
+def words(m, longest):
+    """Every word over `m`'s input alphabet up to `longest` letters, the
+    empty word first."""
+    for k in range(longest + 1):
+        for letters in itertools.product(m.input_alphabet, repeat=k):
+            yield "".join(letters)
+
+
+def _reference_compile_lsa(machine, word):
+    """`compile_lsa` cell by cell: each rule at each cell it can leave,
+    appending the leave and arrive ports and transitions to the two cells it
+    joins, with each interaction's ports sorted."""
+    initial = config_to_gstate(machine, word, initial_config(machine, word))
+    marker = head_marker(machine)
+    all_states = tuple(cell_states(machine).values())
+    cells = cell_names(len(word))
+    ports = {cell: [] for cell in cells}
+    transitions = {cell: set() for cell in cells}
+    interactions = []
+    for (p, g), (p2, w, move) in machine.delta.items():
+        leave, arrive = leave_port(p, g), arrive_port(p, g)
+        left = (cell_state(p, g), leave, cell_state(marker, w))
+        arrived = {
+            (cell_state(marker, held), arrive, cell_state(p2, held))
+            for held in machine.tape_alphabet
+        }
+        for i, src in enumerate(cells):
+            if not 0 <= i + move < len(cells):
+                continue
+            dst = cells[i + move]
+            ports[src].append(leave)
+            transitions[src].add(left)
+            ports[dst].append(arrive)
+            transitions[dst] |= arrived
+            interactions.append(
+                Interaction(
+                    f"mv:{p}:{g}:{src}:{dst}",
+                    tuple(sorted((PortId(src, leave), PortId(dst, arrive)))),
+                )
+            )
+    behaviors = {
+        cell: LocalBehavior(all_states, frozenset(transitions[cell]), initial[i])
+        for i, cell in enumerate(cells)
+    }
+    model = InteractionModel(
+        cells, {cell: tuple(ports[cell]) for cell in cells}, tuple(interactions)
+    )
+    return InteractionSystem(model, behaviors)
 
 
 class TestCompile:
@@ -96,6 +160,15 @@ class TestCompile:
                             sides[pid.component].append(pid.port)
                     for c, ports in sides.items():
                         assert sorted(ports) == sorted(sys_m.model.ports[c])
+
+    def test_inner_cells_share_their_family_and_transitions(self):
+        sys_m = compile_lsa(palindrome(), "abab")
+        inner = sys_m.model.components[1:-1]
+        assert len(inner) == 4
+        assert len({id(sys_m.model.ports[c]) for c in inner}) == 1
+        assert len({id(sys_m.behaviors[c].transitions) for c in inner}) == 1
+        # each keeps its own initial state
+        assert len({sys_m.behaviors[c].initial for c in inner}) == 3
 
     def test_initial_states_from_word(self):
         sys_m = compile_lsa(even_a(), "aa")
@@ -194,21 +267,25 @@ class TestDeltaOrder:
     """Compilation follows delta's insertion order, so reversing it must
     change neither the serialized system nor the Theorem 1 verdict."""
 
-    @pytest.mark.parametrize(
-        "machine",
-        [even_a, first_last, lambda: parse_dtm(PING_PONG.read_text()), palindrome],
-        ids=["even_a", "first_last", "ping_pong", "palindrome"],
-    )
+    @MACHINES
     def test_reversed_delta_changes_nothing(self, machine):
         m = machine()
         flipped = replace(m, delta=dict(reversed(list(m.delta.items()))))
-        for k in range(5):
-            for letters in itertools.product(m.input_alphabet, repeat=k):
-                word = "".join(letters)
-                assert serialize_system(compile_lsa(flipped, word)) == (
-                    serialize_system(compile_lsa(m, word))
-                ), word
-                assert check_theorem1(flipped, word) == check_theorem1(m, word), word
+        for word in words(m, 4):
+            assert serialize_system(compile_lsa(flipped, word)) == (
+                serialize_system(compile_lsa(m, word))
+            ), word
+            assert check_theorem1(flipped, word) == check_theorem1(m, word), word
+
+    @MACHINES
+    def test_equals_the_cell_by_cell_construction(self, machine):
+        # `==` sees what serialization canonicalizes away: the order of the
+        # interactions, of each port family and of each interaction's ports
+        m = machine()
+        flipped = replace(m, delta=dict(reversed(list(m.delta.items()))))
+        for word in words(m, 4):
+            for dtm in (m, flipped):
+                assert compile_lsa(dtm, word) == _reference_compile_lsa(dtm, word), word
 
 
 class TestHaltExtension:

@@ -314,6 +314,21 @@ class TestTopologyOfResult:
         assert validate_system(star).ok
 
 
+def grammar_order(sys):
+    """The interaction names of starify(sys) as the module docstring's
+    naming grammar gives them: per component in model order, per port, its
+    ok, nok and fire hub sides (the ok side of the link for a component
+    with no ports), then one start per original interaction."""
+    names = []
+    for c in sys.model.components:
+        family = sys.model.ports.get(c, ())
+        for p in family:
+            names += [f"ok:{c}.{p}", f"nok:{c}.{p}", f"fire:{c}.{p}"]
+        if not family:
+            names.append(f"ok:{c}.link")
+    return [*names, *(f"start:{a.name}" for a in sys.model.interactions)]
+
+
 def invariant_systems():
     yield from (client_server(r) for r in range(1, 7))
     yield from (pipeline(n) for n in range(2, 7))
@@ -334,3 +349,22 @@ class TestSinglePass:
             starts = [f"start:{a.name}" for a in sys.model.interactions]
             assert star.model.ports[hub] == (*links, *starts)
             assert validate_system(star).ok
+
+    def test_interactions_and_hub_ports_follow_the_naming_grammar(self):
+        randoms = [gen_random_system(GenParams(seed=seed)) for seed in range(50)]
+        assert any(
+            not sys.model.ports.get(c) for sys in randoms for c in sys.model.components
+        )
+        fixtures = [
+            single_port_system(),
+            *map(client_server, (1, 2, 3)),
+            *map(pipeline, (2, 3, 4)),
+        ]
+        for sys in [*fixtures, *randoms]:
+            star = starify(sys)
+            hub = star.model.components[-1]
+            names = grammar_order(sys)
+            assert [a.name for a in star.model.interactions] == names
+            assert star.model.ports[hub] == tuple(names)
+            # each interaction's hub side is the last party and bears its name
+            assert all(a.ports[-1] == PortId(hub, a.name) for a in star.model.interactions)
