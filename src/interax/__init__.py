@@ -18,7 +18,6 @@ from .model import (
     PortId,
     canonicalize,
     canonicalize_system,
-    enabled_ports,
     validate_model,
     validate_system,
 )
@@ -36,7 +35,7 @@ from .reduce_linear import (
     config_to_gstate,
     extend_halt_propagation,
 )
-from .reduce_star import lift_state, project_state, starify
+from .reduce_star import project_state, starify
 from .semantics import (
     GlobalState,
     ReachResult,
@@ -47,7 +46,6 @@ from .semantics import (
     is_reachable,
     replay_trace,
     resolve_predicate,
-    satisfies,
     step,
     successors,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "compile_lsa",
     "config_to_gstate",
     "enabled_interactions",
-    "enabled_ports",
     "explore",
     "export_dot",
     "extend_halt_propagation",
@@ -106,12 +103,10 @@ __all__ = [
     "initial_config",
     "interaction_graph",
     "is_reachable",
-    "lift_state",
     "project_state",
     "replay_trace",
     "resolve_predicate",
     "run_tm",
-    "satisfies",
     "starify",
     "step",
     "successors",

@@ -130,7 +130,12 @@ def _cmd_reach(args: argparse.Namespace) -> None:
     else:
         raw = parse_predicates(_read(args.target))
     # "*" means any state in predicate text only; validation bars it as a
-    # state name.  is_reachable rejects unknown names and an empty list.
+    # state name.  is_reachable rejects unknown names and an empty list, so
+    # only a wildcard's component is checked before the wildcard is dropped.
+    for constraints in raw:
+        for c, s in constraints.items():
+            if s == "*" and c not in system.model.components:
+                raise ModelError(f"predicate names unknown component {c!r}")
     predicates = [
         StatePredicate.of({c: s for c, s in constraints.items() if s != "*"})
         for constraints in raw
@@ -151,7 +156,8 @@ def _cmd_reach(args: argparse.Namespace) -> None:
             for k, name in enumerate(result.trace or []):
                 _say(f"  {k + 1}. {name}")
     else:
-        suffix = "" if result.complete else " (search truncated)"
+        bound = DEFAULT_MAX_STATES if args.max_states is None else args.max_states
+        suffix = "" if result.complete else f" (search stopped at {bound} states)"
         _say(f"unreachable{suffix}")
 
 

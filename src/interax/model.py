@@ -337,13 +337,6 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     return report
 
 
-def enabled_ports(behavior: LocalBehavior, state: str) -> frozenset[str]:
-    """Ports labeling at least one outgoing transition of `state`."""
-    if state not in behavior.states:
-        raise ModelError(f"no such state: {state!r}")
-    return frozenset(port for src, port, _ in behavior.transitions if src == state)
-
-
 def canonicalize(im: InteractionModel) -> InteractionModel:
     """Sort components, port families, interactions (by name, then ports)
     and each interaction's ports.  Nothing is merged or dropped, so an

@@ -39,7 +39,7 @@ from .model import (
     PortId,
     validate_system,
 )
-from .semantics import GlobalState, compile_system
+from .semantics import GlobalState
 
 IDLE = "idle"
 LINK = "link"
@@ -151,18 +151,11 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
     return InteractionSystem(new_model, behaviors)
 
 
-def lift_state(sys: InteractionSystem, q: GlobalState) -> GlobalState:
-    """The state of starify(sys) matching q: q with an idle hub appended.
-    Raises on a state `sys` does not have."""
-    compile_system(sys).pack(q)
-    return (*q, IDLE)
-
-
 def project_state(sys: InteractionSystem, q: GlobalState) -> GlobalState | None:
     """The state of `sys` that q, a state of starify(sys), stands for: q
     without its hub coordinate when the hub is idle, None mid-protocol.
-    Like `lift_state` it takes the source system; it checks only the length
-    of q, so it never builds an engine."""
+    It takes the source system; it checks only the length of q, so it never
+    builds an engine."""
     expected = len(sys.model.components) + 1
     if len(q) != expected:
         raise ModelError(f"global state has {len(q)} entries, expected {expected}")

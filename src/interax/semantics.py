@@ -443,15 +443,6 @@ def resolve_predicate(
     return pred
 
 
-def satisfies(sys: InteractionSystem, pred: StatePredicate, q: GlobalState) -> bool:
-    """Does the global state meet every exact constraint of the predicate?
-    Raises on a state, or a predicate, naming a component or state the
-    system lacks."""
-    eng = compile_system(sys)
-    _, packed = eng.pack(q)
-    return all(packed[ci] == si for ci, si in eng.resolve(pred))
-
-
 def is_reachable(
     sys: InteractionSystem,
     target: StatePredicate | Sequence[StatePredicate],

@@ -105,5 +105,5 @@ def test_check_theorem2_calls_through_module_globals(monkeypatch):
     verdict = oracle.check_theorem2(system)
     assert verdict.details == "|reach|=4 |reach'|=34 |projected|=4"
     assert (len(starify), len(brute), len(project), len(validate)) == (1, 2, 34, 1)
-    # every projection takes the source system, as `lift_state` does
+    # every projection takes the source system, not its starification
     assert all(args[0] is system for args in project)

@@ -279,7 +279,7 @@ class TestReach:
         assert "unreachable" in err
 
     def test_truncation_reported_in_document(self, files, capsys):
-        code, doc, _ = run(
+        code, doc, err = run(
             capsys,
             "reach",
             files["pl3"],
@@ -291,6 +291,8 @@ class TestReach:
         assert code == 0
         assert doc["reachable"] is False
         assert doc["complete"] is False
+        # the summary names the bound, as check-thm1's verdict does
+        assert err == "unreachable (search stopped at 1 states)\n"
 
     def test_predicate_file_target(self, files, tmp_path, capsys):
         target = tmp_path / "target.json"
@@ -321,6 +323,15 @@ class TestReach:
             assert code == 2
             assert doc is None
             assert "expected comp=state" in err
+
+    def test_wildcard_on_unknown_component_exits_two(self, files, tmp_path, capsys):
+        # "*" constrains no state, but its component must still exist
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"version": 1, "predicates": [{"nope": "*"}]}))
+        for argv in (("--target", "nope=*"), ("--target", "S=busy,nope=*"), ("--target", target)):
+            code, doc, err = run(capsys, "reach", files["cs1"], *argv)
+            assert (code, doc) == (2, None), argv
+            assert err == "error: predicate names unknown component 'nope'\n", argv
 
     def test_empty_predicate_document_exits_two(self, files, tmp_path, capsys):
         target = tmp_path / "target.json"

@@ -1,4 +1,4 @@
-"""Model layer: validation rules, enabled ports, canonicalization."""
+"""Model layer: validation rules, canonicalization."""
 
 import copy
 import dataclasses
@@ -15,7 +15,6 @@ from interax import (
     PortId,
     canonicalize,
     canonicalize_system,
-    enabled_ports,
     explore,
     starify,
     validate_dtm,
@@ -748,25 +747,6 @@ class TestImmutable:
             assert not hasattr(twin, "_engine")
             with pytest.raises(TypeError):
                 twin.behaviors["c1"] = sys.behaviors["c1"]
-
-
-class TestEnabledPorts:
-    def test_server_initial_enables_connect(self):
-        sys = client_server(2)
-        assert enabled_ports(sys.behaviors["S"], "free") == {"connect"}
-
-    def test_middle_station_initial_enables_receive(self):
-        sys = pipeline(4)
-        assert enabled_ports(sys.behaviors["s2"], "idle") == {"rec_m_2"}
-
-    def test_state_without_outgoing(self):
-        b = LocalBehavior(("q0", "dead"), frozenset({("q0", "p", "dead")}), "q0")
-        assert enabled_ports(b, "dead") == frozenset()
-
-    def test_unknown_state(self):
-        b = LocalBehavior(("q0",), frozenset(), "q0")
-        with pytest.raises(ModelError, match="no such state"):
-            enabled_ports(b, "q1")
 
 
 class TestCanonicalize:

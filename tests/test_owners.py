@@ -539,26 +539,17 @@ def test_names_are_refused_through_their_gates(name):
 # public functions without a caller in src/ or bench/, and why they stay
 UNCALLED = {
     "validate_model": "the model-level entry point of the rule tests in tests/test_model.py",
-    "enabled_ports": "ROADMAP item 12 deletes it",
-    "lift_state": "ROADMAP item 12 deletes it",
-    "satisfies": "ROADMAP item 12 deletes it",
 }
 
 
-def public_functions(init_source: str, modules: dict[str, str]) -> dict[str, str]:
-    """Each name in `init_source`'s `__all__` that a module of `modules`
-    (key -> source) defines with a top-level `def`, mapped to that key."""
-    exported = next(
-        ast.literal_eval(node.value)
-        for node in ast.parse(init_source).body
-        if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-    )
+def public_functions(modules: dict[str, str]) -> dict[str, str]:
+    """Each public (not underscored) top-level `def` of `modules`
+    (key -> source), mapped to the key of its module."""
     return {
         node.name: key
         for key, source in modules.items()
         for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and node.name in exported
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
 
 
@@ -582,7 +573,6 @@ def uncalled(functions: dict[str, str], sources: dict[str, str]) -> list[str]:
 
 
 def test_checker_finds_every_uncalled_function():
-    init = "from .a import *\n__all__ = ['K', 'helper', 'loop', 'nested', 'unused', 'used']\n"
     a = (
         "def used():\n"
         "    pass\n"
@@ -595,18 +585,22 @@ def test_checker_finds_every_uncalled_function():
         "    used()\n"
         "def unused():\n"
         "    pass\n"
-        "def private():\n"
+        "def _private():\n"
         "    pass\n"
         "class K:\n"
         "    def method(self):\n"
         "        pass\n"
     )
     b = "import a\ndef main():\n    a.helper()\n    return a.unused\n"
-    functions = public_functions(init, {"a": a, "b": b})
-    assert functions == dict.fromkeys(["used", "loop", "nested", "helper", "unused"], "a")
-    assert uncalled(functions, {"a": a, "b": b}) == ["loop", "nested", "unused"]
+    functions = public_functions({"a": a, "b": b})
+    assert functions == {
+        **dict.fromkeys(["used", "loop", "nested", "helper", "unused"], "a"),
+        "main": "b",
+    }
+    assert uncalled(functions, {"a": a, "b": b}) == ["loop", "main", "nested", "unused"]
     # a call by name from a module that does not define the function counts
     assert uncalled(functions, {"a": a, "b": b, "c": "def loop():\n    loop()\n"}) == [
+        "main",
         "nested",
         "unused",
     ]
@@ -615,7 +609,7 @@ def test_checker_finds_every_uncalled_function():
 def test_every_public_function_has_a_caller_or_a_reason():
     package = {p.relative_to(ROOT).as_posix(): p.read_text() for p in PACKAGE_MODULES}
     bench = {p.relative_to(ROOT).as_posix(): p.read_text() for p in (ROOT / "bench").glob("*.py")}
-    functions = public_functions((PACKAGE / "__init__.py").read_text(), package)
+    functions = public_functions(package)
     assert set(UNCALLED) <= set(functions)
     assert all(UNCALLED.values())
     assert uncalled(functions, {**package, **bench}) == sorted(UNCALLED)

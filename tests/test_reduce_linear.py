@@ -21,6 +21,7 @@ from interax import (
     initial_config,
     is_reachable,
     run_tm,
+    starify,
     successors,
     tm_step,
     validate_dtm,
@@ -286,6 +287,31 @@ class TestDeltaOrder:
         for word in words(m, 4):
             for dtm in (m, flipped):
                 assert compile_lsa(dtm, word) == _reference_compile_lsa(dtm, word), word
+
+
+class TestStarifiedLine:
+    """Both reductions in one chain: the machine's own run is the truth
+    for a starified line system, which has far more interactions than the
+    random draws `starify` is otherwise checked on."""
+
+    @MACHINES
+    def test_starify_keeps_acceptance_reachable_set_and_shape(self, machine):
+        m = machine()
+        for word in words(m, 3):
+            line = compile_lsa(m, word)
+            star = starify(line)
+            hub = star.model.components[-1]
+            # the hub must be idle: a half-done fire walk has moved only
+            # some participants, so it stands for no state of the line
+            targets = [
+                StatePredicate.of({**p.as_dict(), hub: "idle"})
+                for p in accept_predicate(m, word)
+            ]
+            accepts = run_tm(m, word).outcome is Outcome.ACCEPT
+            assert is_reachable(star, targets).reachable == accepts, word
+            projected = {q[:-1] for q in explore(star).states if q[-1] == "idle"}
+            assert projected == explore(line).states, word
+            assert classify(star.model).star_like, word
 
 
 class TestHaltExtension:

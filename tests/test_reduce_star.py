@@ -14,9 +14,7 @@ from interax import (
     check_theorem2,
     classify,
     enabled_interactions,
-    enabled_ports,
     gen_random_system,
-    lift_state,
     project_state,
     starify,
     step,
@@ -101,7 +99,7 @@ class TestCcBehavior:
         assert len(cc.states) == 9
         assert cc.initial == "idle"
         # idle enables one start port per interaction
-        assert enabled_ports(cc, "idle") == {
+        assert {p for s, p, _ in cc.transitions if s == "idle"} == {
             "start:connect_S_c1",
             "start:disconnect_S_c1",
         }
@@ -113,7 +111,7 @@ class TestCcBehavior:
         for state in cc.states:
             if state == "idle":
                 continue
-            enabled = enabled_ports(cc, state)
+            enabled = {p for s, p, _ in cc.transitions if s == state}
             if state.startswith("chk:"):
                 assert len(enabled) == 2
                 bases = {p.split(":", 1)[1] for p in enabled}
@@ -146,7 +144,7 @@ class TestProtocol:
         for c in sys.model.components:
             b0, b1 = sys.behaviors[c], star.behaviors[c]
             for state in b0.states:
-                can = enabled_ports(b0, state)
+                can = {p for s, p, _ in b0.transitions if s == state}
                 for port in sys.model.ports[c]:
                     ok, nok = f"ok:{port}", f"nok:{port}"
                     have_ok = (state, ok, state) in b1.transitions
@@ -181,16 +179,16 @@ class TestProtocol:
         star = starify(sys)
         # from the lifted initial, try the disconnect protocol: the check
         # fails at the first port and returns without touching anyone
-        q = lift_state(sys, sys.initial_state())
+        q = (*sys.initial_state(), "idle")
         q = step(star, q, "start:disconnect_S_c1")
         (only,) = successors(star, q)
         assert only[0] == "nok:S.disconnect"
-        assert only[1] == lift_state(sys, sys.initial_state())
+        assert only[1] == (*sys.initial_state(), "idle")
 
     def test_successful_protocol_simulates_one_interaction(self):
         sys = client_server(1)
         star = starify(sys)
-        q = lift_state(sys, sys.initial_state())
+        q = (*sys.initial_state(), "idle")
         q = step(star, q, "start:connect_S_c1")
         seen = []
         while q[-1] != "idle":
@@ -202,28 +200,15 @@ class TestProtocol:
             "fire:S.connect",
             "fire:c1.connect_1",
         ]
-        assert q == lift_state(sys, step(sys, sys.initial_state(), "connect_S_c1"))
+        assert q == (*step(sys, sys.initial_state(), "connect_S_c1"), "idle")
 
 
 class TestLiftProject:
-    def test_lift_appends_idle_hub(self):
-        sys = client_server(2)
-        star = starify(sys)
-        assert lift_state(sys, sys.initial_state()) == star.initial_state()
-        assert len(lift_state(sys, sys.initial_state())) == 4
-
-    def test_lift_rejects_foreign_state(self):
-        sys = client_server(1)
-        with pytest.raises(ModelError, match="global state has 1 entries, expected 2"):
-            lift_state(sys, ("free",))
-        with pytest.raises(ModelError, match="no such state: 'gone' in component c1"):
-            lift_state(sys, ("free", "gone"))
-
     def test_project_inverts_lift(self):
         randoms = [gen_random_system(GenParams(seed=seed)) for seed in range(10)]
         for sys in (client_server(2), pipeline(3), *randoms):
             for q in brute_force_reachable(sys):
-                assert project_state(sys, lift_state(sys, q)) == q
+                assert project_state(sys, (*q, "idle")) == q
 
     def test_mid_protocol_state_not_projectable(self):
         sys = client_server(1)
