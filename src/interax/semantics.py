@@ -11,6 +11,7 @@ order comes from generation itself, never from sorting afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -77,16 +78,21 @@ class Engine:
     """Index-packed view of a validated system.  `fire` is the one firing
     rule: successors, `step`, enabledness and trace replay are all read off
     it, and `search` is the one breadth-first loop over it.  A global
-    state's names and its code translate through `pack` and `names` only,
-    and a predicate's names through `resolve`.
+    state's names become its code through `pack`, and a predicate's names
+    through `resolve`; a code becomes names through `names`, `renamed` and
+    `decode` only.
 
     Codes: a state's digits are its local state indices, one per component,
     and its code is the mixed-radix integer `Σ q_c·w_c`, where component 0
     has weight 1 and each later weight is the one before times that
     component's number of local states, so every state has exactly one
     code.  A participant moving from `s` to `t` moves the code by
-    `(t − s)·w_c`, and `moved` reads a successor's digits back off its code
-    for the participants only.
+    `(t − s)·w_c`.  Two readers take a successor's participants only off
+    its code and copy the rest from its predecessor: `moved` reads their
+    digits, for the search, and `renamed` their names, for `successors`
+    and `step`.  `decode` names a whole set of codes for `explore`: it
+    splits each code at the weight of the middle component, names each
+    distinct low half and each distinct high half once, and joins them.
 
     Rule tables: each interaction, in name order, is a rule `(name, parts)`
     whose parts are `(component index, table)` pairs in component order;
@@ -119,8 +125,8 @@ class Engine:
     codes and builds a state's digit tuple once, when its code is first
     seen, copying the parent's and changing only the participants.
     Every search keeps one int per parent link, `parent code·|rules| + rule
-    index`: `is_reachable` follows the links back, and `explore` names the
-    codes once, at the end.
+    index`: `is_reachable` follows the links back, and `explore` decodes
+    the codes once, at the end.
 
     An engine is built only from a validated system, by `compile_system`,
     which builds it once per system object and hands the same engine to
@@ -203,7 +209,10 @@ class Engine:
         code = 0
         digits = []
         for ci, s in enumerate(q):
-            k = self.state_index[ci].get(s)
+            try:
+                k = self.state_index[ci].get(s)
+            except TypeError:  # unhashable: no state's name
+                k = None
             if k is None:
                 raise ModelError(
                     f"no such state: {s!r} in component {self.components[ci]}"
@@ -212,13 +221,34 @@ class Engine:
             digits.append(k)
         return code, tuple(digits)
 
-    def names(self, code: int) -> GlobalState:
-        """The global state, as local state names, whose code is `code`."""
+    def names(self, code: int, start: int = 0, stop: int | None = None) -> GlobalState:
+        """The global state, as local state names, whose code is `code`; or,
+        given a range of components, the names `code` spells for them when
+        component `start` has weight 1."""
         q = []
-        for states in self.state_names:
+        for states in self.state_names[start:stop]:
             code, k = divmod(code, len(states))
             q.append(states[k])
         return tuple(q)
+
+    def decode(self, codes: Iterable[int]) -> set[GlobalState]:
+        """The global states whose codes are `codes`, naming each distinct
+        low half and high half of a code once."""
+        mid = len(self.radices) // 2
+        weight = math.prod(self.radices[:mid])
+        lows: dict[int, GlobalState] = {}
+        highs: dict[int, GlobalState] = {}
+        out = set()
+        for code in codes:
+            high, low = divmod(code, weight)
+            front = lows.get(low)
+            if front is None:
+                front = lows[low] = self.names(low, 0, mid)
+            back = highs.get(high)
+            if back is None:
+                back = highs[high] = self.names(high, mid)
+            out.add(front + back)
+        return out
 
     def moved(self, q: tuple[int, ...], code: int, parts: Parts) -> tuple[int, ...]:
         """The digits of `code`, a successor of q by the interaction with
@@ -230,6 +260,16 @@ class Engine:
             succ[ci] = code // weights[ci] % radices[ci]
         return tuple(succ)
 
+    def renamed(self, q: GlobalState, code: int, parts: Parts) -> GlobalState:
+        """The names of `code`, a successor of the state named q by the
+        interaction with these participants: q with each participant's
+        state read off the code."""
+        succ = list(q)
+        names, radices, weights = self.state_names, self.radices, self.weights
+        for ci, _ in parts:
+            succ[ci] = names[ci][code // weights[ci] % radices[ci]]
+        return tuple(succ)
+
     def resolve(self, pred: StatePredicate) -> list[tuple[int, int]]:
         """The predicate's constraints as (component index, state index)
         pairs, rejecting names the system does not have."""
@@ -238,7 +278,10 @@ class Engine:
             ci = self.comp_index.get(comp)
             if ci is None:
                 raise ModelError(f"predicate names unknown component {comp!r}")
-            si = self.state_index[ci].get(state)
+            try:
+                si = self.state_index[ci].get(state)
+            except TypeError:  # unhashable: no state's name
+                si = None
             if si is None:
                 raise ModelError(
                     f"predicate names unknown state {state!r} of component {comp}"
@@ -287,15 +330,21 @@ class Engine:
             mask &= row[q[ci]]
         return self.every if mask == self.full else _set_bits(mask)
 
-    def successors(self, code: int, q: tuple[int, ...]) -> list[tuple[str, int]]:
-        """All (interaction name, successor code) pairs of q, whose code is
+    def successors(
+        self, code: int, q: tuple[int, ...], names: GlobalState | None = None
+    ) -> list[tuple[str, int]] | list[tuple[str, GlobalState]]:
+        """All (interaction name, successor) pairs of q, whose code is
         `code`, in canonical order: by name, then as `fire` yields their
-        steps."""
-        return [
-            (self.rules[k][0], code + step)
-            for k in self.enabled(q)
-            for step in self.fire(q, self.rules[k][1])
-        ]
+        steps.  A successor is its code, or, given q's names, its names as
+        `renamed` reads them."""
+        out: list = []
+        rules, fire, renamed = self.rules, self.fire, self.renamed
+        for k in self.enabled(q):
+            name, parts = rules[k]
+            for step in fire(q, parts):
+                succ = code + step
+                out.append((name, succ if names is None else renamed(names, succ, parts)))
+        return out
 
     def search(
         self,
@@ -394,7 +443,8 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     participants move along their local transition (lowest target-state
     index when the local relation is nondeterministic) and everyone else
     keeps its state.  Raises when the interaction is disabled, naming the
-    blocking components."""
+    blocking components.  Only the participants' names are read off the
+    successor's code; the others are q's."""
     eng = compile_system(sys)
     code, packed = eng.pack(q)
     parts = eng.parts(interaction)
@@ -406,7 +456,7 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
         raise ModelError(
             f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"
         )
-    return eng.names(code + steps[0])
+    return eng.renamed(q, code + steps[0], parts)
 
 
 def successors(
@@ -414,19 +464,21 @@ def successors(
 ) -> list[tuple[str, GlobalState]]:
     """All global transitions out of q, including every resolution of local
     nondeterminism, in canonical order: by interaction name, then by
-    successor (local state indices, in component order)."""
+    successor (local state indices, in component order).  Each successor
+    is q with its participants' names read off its code."""
     eng = compile_system(sys)
-    return [(name, eng.names(code)) for name, code in eng.successors(*eng.pack(q))]
+    return eng.successors(*eng.pack(q), q)
 
 
 def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableSet:
     """Breadth-first fixpoint from the global initial state.  When
     `max_states` (default 1,000,000) is hit, discovery stops and the
-    completion flag is False; a bound below 1 is rejected."""
+    completion flag is False; a bound below 1 is rejected.  The states are
+    named by halves: each distinct low and high half of a code once."""
     eng = compile_system(sys)
     seen, transitions, truncated, _ = eng.search(max_states)
     return ReachableSet(
-        states={eng.names(code) for code in seen},
+        states=eng.decode(seen),
         transitions=transitions,
         complete=not truncated,
     )

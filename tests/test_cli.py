@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output documents."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -456,15 +457,6 @@ class TestTransformsAndCheckers:
         assert code == 0
         assert doc["agree"] is True
 
-    def test_check_thm2_product_guard_exits_two(self, tmp_path, capsys):
-        # the nondeterministic ring(6) has 729 states; its starification
-        # has 3^6 * 37 = 26,973 product states
-        path = tmp_path / "ring6.json"
-        path.write_text(serialize_system(ring(6, nondet=True)))
-        code, doc, err = run(capsys, "check-thm2", path)
-        assert (code, doc) == (2, None)
-        assert err == "error: product too large for brute force: 26973 > 10000\n"
-
     def test_gen_random_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(["gen-random", "--seed", "7", "-o", str(a)]) == 0
@@ -475,10 +467,88 @@ class TestTransformsAndCheckers:
         code, doc, _ = run(capsys, "validate", a)
         assert code == 0 and doc["findings"] == []
 
-    def test_gen_random_bound_over_cap_exits_two(self, capsys):
-        code, doc, err = run(capsys, "gen-random", "--seed", "1", "--max-components", "33")
-        assert (code, doc) == (2, None)
-        assert err == "error: max_components must be at most 32\n"
+
+def adversarial_inputs(tmp_path):
+    """The files `BOUNDS` reads, by name."""
+    # s1 already has a port that starify would name "ok:send_m_1"
+    collision = json.loads(serialize_system(pipeline(2)))
+    collision["components"][0]["ports"].append("ok:send_m_1")
+    collision["interactions"].append({"name": "extra", "ports": ["s1.ok:send_m_1"]})
+    texts = {
+        "long_int": '{"version": ' + "1" * 5000 + "}",
+        "deep": "[" * 100000 + "]" * 100000,
+        "pl3": serialize_system(pipeline(3)),
+        "even_a": serialize_dtm(even_a()),
+        "collision": json.dumps(collision),
+        # the nondeterministic ring(6) has 729 states; its starification
+        # has 3^6 * 37 = 26,973 product states
+        "ring6": serialize_system(ring(6, nondet=True)),
+        "ping_pong": (FIXTURES / "ping_pong.json").read_text(),
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return {name: tmp_path / f"{name}.json" for name in texts}
+
+
+# one row per subcommand: argv (with `{name}` for a file of
+# `adversarial_inputs`), the exit code, the fields the output document has
+# (None: no document) and stderr, which names the bound or the refusal
+BOUNDS = {
+    "validate": (
+        ["validate", "{long_int}"], 2, None,
+        "error: integer literal too long: 5000 characters\n",
+    ),
+    "classify": (["classify", "{deep}"], 2, None, "error: document nested too deeply\n"),
+    "reach": (
+        ["reach", "{pl3}", "--target", "s3=replying", "--max-states", "1"], 0,
+        {"reachable": False, "trace": None, "states_explored": 1, "complete": False},
+        "unreachable (search stopped at 1 states)\n",
+    ),
+    "tm-run": (
+        ["tm-run", "{even_a}", "--input", "aaaa", "--max-steps", "1"], 0,
+        {"outcome": "step_limit", "steps": 1}, "step_limit after 1 step(s)\n",
+    ),
+    "tm-compile": (
+        ["tm-compile", "{even_a}", "--input", "ax"], 2, None,
+        "error: input symbol 'x' outside the input alphabet\n",
+    ),
+    "starify": (
+        ["starify", "{collision}"], 2, None,
+        "error: port name collision: s1.ok:send_m_1 already exists\n",
+    ),
+    "check-thm1": (
+        ["check-thm1", "{ping_pong}", "--input", "a"], 0,
+        {"agree": True, "details": "tm=loop in 3 steps; reachable=False; lockstep held for 3 steps"},
+        "agree: tm=loop in 3 steps; reachable=False; lockstep held for 3 steps\n",
+    ),
+    "check-thm2": (
+        ["check-thm2", "{ring6}"], 2, None,
+        "error: product too large for brute force: 26973 > 10000\n",
+    ),
+    "gen-random": (
+        ["gen-random", "--seed", "1", "--max-components", "33"], 2, None,
+        "error: max_components must be at most 32\n",
+    ),
+}
+
+
+def test_every_command_has_a_bounds_row():
+    sub = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(BOUNDS) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("command", BOUNDS)
+def test_each_command_names_its_bound_or_refusal(command, tmp_path, capsys):
+    argv, expected_code, fields, expected_err = BOUNDS[command]
+    paths = adversarial_inputs(tmp_path)
+    code, doc, err = run(capsys, *(word.format(**paths) for word in argv))
+    assert (code, err) == (expected_code, expected_err)
+    if fields is None:
+        assert doc is None
+    else:
+        assert {key: doc[key] for key in fields} == fields
 
 
 class TestOneValidation:

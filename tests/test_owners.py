@@ -2,8 +2,12 @@
 with the toolchain).
 
 The engine's mixed-radix format has one owner: no module of the package
-but `semantics.py` reads an attribute named `weights` or `radices`.  Other
-modules translate states through `Engine.pack`, `names` and `moved`.
+but `semantics.py` reads an attribute named `weights`, `radices` or
+`state_names`.  Other modules translate states through `Engine.pack`,
+`names` and `moved`.  Inside `semantics.py` the code is read only where it
+is built, by `Engine.__init__` and `Engine.pack`, and where it is read
+back, by `Engine.names`, `moved`, `renamed` (a successor's participants'
+names) and `decode` (a set of codes by halves).
 
 An engine has one builder: `Engine(...)` is called only inside
 `semantics.compile_system`, which validates the system first.  The engine
@@ -72,7 +76,7 @@ OUTSIDE = sorted(p for p in PACKAGE.glob("*.py") if p.name != "semantics.py")
 SOURCES = sorted(
     [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
 )
-CODEC = {"weights", "radices"}
+CODEC = {"weights", "radices", "state_names"}
 JSON_WRITERS = {"dump", "dumps"}
 MEMO = "_validated"
 TABLE_SOURCES = {"parts", "ports"}
@@ -140,6 +144,39 @@ def test_checker_finds_only_codec_reads():
 @pytest.mark.parametrize("module", OUTSIDE, ids=[p.name for p in OUTSIDE])
 def test_only_semantics_reads_the_codec(module):
     assert codec_reads(module.read_text()) == []
+
+
+def codec_readers(source: str) -> list[str]:
+    """Where a codec attribute is read, each place once."""
+    return sorted({where for attr in CODEC for where in readers(source, attr)})
+
+
+def test_checker_finds_every_codec_reader():
+    source = (
+        "radices = [3]\n"
+        "class Engine:\n"
+        "    def pack(self, q):\n"
+        "        self.weights = [1]\n"
+        "        return self.weights[0] * len(radices)\n"
+        "    def names(self, code):\n"
+        "        def inner():\n"
+        "            return self.state_names\n"
+        "        return self.radices, self.engine.radices, inner\n"
+        "    def fire(self, weights):\n"
+        "        return weights, getattr(self, 'radices')\n"
+        "def decode(eng):\n"
+        "    return eng.state_names\n"
+    )
+    assert codec_readers(source) == [
+        "Engine.names", "Engine.names.inner", "Engine.pack", "decode",
+    ]
+
+
+def test_only_the_codecs_readers_read_it():
+    assert codec_readers((PACKAGE / "semantics.py").read_text()) == [
+        "Engine.__init__", "Engine.decode", "Engine.moved",
+        "Engine.names", "Engine.pack", "Engine.renamed",
+    ]
 
 
 def test_checker_finds_every_engine_call():

@@ -97,6 +97,41 @@ class TestEnabledInteractions:
             enabled_interactions(sys, ("busy", "gone"))
 
 
+# an unhashable name is refused as a foreign one is, by every entry point
+UNHASHABLE_NAMES = [["x"], {"x": 1}]
+
+
+@pytest.mark.parametrize("name", UNHASHABLE_NAMES, ids=["list", "dict"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        successors,
+        enabled_interactions,
+        lambda sys, q: step(sys, q, "connect_S_c1"),
+    ],
+    ids=["successors", "enabled_interactions", "step"],
+)
+def test_an_unhashable_state_name_is_no_such_state(call, name):
+    with pytest.raises(ModelError) as caught:
+        call(client_server(2), (name, "idle", "idle"))
+    assert str(caught.value) == f"no such state: {name!r} in component S"
+
+
+@pytest.mark.parametrize("name", UNHASHABLE_NAMES, ids=["list", "dict"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sys, name: is_reachable(sys, StatePredicate.of({"S": name})),
+        lambda sys, name: resolve_predicate(sys, {"S": name}),
+    ],
+    ids=["is_reachable", "resolve_predicate"],
+)
+def test_an_unhashable_predicate_name_is_an_unknown_state(call, name):
+    with pytest.raises(ModelError) as caught:
+        call(client_server(2), name)
+    assert str(caught.value) == f"predicate names unknown state {name!r} of component S"
+
+
 class TestStep:
     def test_connect_moves_both_participants(self):
         sys = client_server(1)
@@ -737,6 +772,48 @@ def test_canonical_order_past_one_machine_word():
                 firsts.setdefault(name, succ)
             for name, succ in firsts.items():
                 assert step(sys, q, name) == succ
+
+
+def decoder_systems():
+    """(id, system) pairs for the decoders: no component, one, rings of
+    both kinds, random systems, and line systems whose codes pass 2**64."""
+    yield "empty", InteractionSystem(InteractionModel((), {}, ()), {})
+    yield "one", nondet_system()
+    for k in range(3, 9):
+        for nondet in (False, True):
+            yield f"ring({k},{'nondet' if nondet else 'det'})", ring(k, nondet)
+    for seed in ENGINE_EQUIVALENCE_SEEDS[:60]:
+        yield f"random({seed})", gen_random_system(GenParams(seed=seed))
+    for word in ("abbaabbaabba", "abbaabbaabab"):
+        yield f"palindrome({word})", compile_lsa(palindrome(), word)
+
+
+DECODER_SYSTEMS = dict(decoder_systems())
+
+
+@pytest.mark.parametrize("label", DECODER_SYSTEMS)
+def test_the_decoders_agree_with_names(label):
+    # `decode` (explore's, by halves) and `renamed` (successors' and
+    # step's, at the participants) read what `names` reads off a code
+    sys = DECODER_SYSTEMS[label]
+    eng = compile_system(sys)
+    seen = eng.search(None)[0]
+    states = {eng.names(code) for code in seen}
+    assert explore(sys).states == states
+    codes = list(seen)
+    for given in (seen, set(codes), codes + codes[::-1]):
+        assert eng.decode(given) == states
+    for code in codes:
+        q = eng.names(code)
+        by_code = eng.successors(code, eng.pack(q)[1])
+        expected = [(name, eng.names(succ)) for name, succ in by_code]
+        assert successors(sys, q) == expected
+        firsts = {}
+        for name, succ in expected:
+            firsts.setdefault(name, succ)
+        assert set(firsts) == enabled_interactions(sys, q)
+        for name, succ in firsts.items():
+            assert step(sys, q, name) == succ
 
 
 class TestCompileOnce:
