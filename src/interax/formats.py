@@ -10,11 +10,11 @@ nesting too deep to parse, are errors too.  Every other rule is checked by
 validation.  Serialization canonicalizes first and emits sorted keys,
 two-space indentation, `\\uXXXX` escapes for non-ASCII and a trailing
 newline, so equal values produce identical bytes: those of `json.dumps(...,
-sort_keys=True, indent=2)` plus a newline, written without that call's
-pure-Python encoder.  There are two writers of those bytes, and both quote
-every string with the standard library's `encode_basestring_ascii`:
-`serialize_system` renders the system document from templates of its fixed
-shape, and `dump_document` writes every other document from a dict.
+sort_keys=True, indent=2)` plus a newline.  `dump_document` writes every
+document but the system's (machines, predicates and the CLI's verdicts)
+with that call.  `serialize_system` renders the system document, the one
+that grows large, from templates of its fixed shape instead, quoting every
+string with the standard library's `encode_basestring_ascii`.
 
 System document:
     {"version": 1,
@@ -55,7 +55,6 @@ from .turing import DTM, _names, canonicalize_dtm, validate_dtm
 from .validation import refuse_non_strings
 
 DOCUMENT_VERSION = 1
-_LITERALS = {None: "null", True: "true", False: "false"}
 
 # The system document's objects, keys in sorted order, each at the
 # indentation it has in the document; `_items` fills their lists.
@@ -70,51 +69,9 @@ _INTERACTION = '{\n      "name": %s,\n      "ports": %s\n    }'
 
 def dump_document(doc: dict) -> str:
     """The writer of every document but the system's: `doc` stamped with
-    the document version, in the bytes of `json.dumps(stamped,
-    sort_keys=True, indent=2) + "\\n"`.
-    Values are strings, ints, bools, None, lists, tuples (written as lists)
-    and dicts with string keys; anything else raises `TypeError`."""
-    out: list[str] = []
-    _write({"version": DOCUMENT_VERSION, **doc}, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(value: Any, newline: str, out: list[str]) -> None:
-    """Append `value`'s JSON to `out`; `newline` is a line break plus the
-    indentation of the line `value` starts on."""
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None or value is True or value is False:
-        out.append(_LITERALS[value])
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            _write(value[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    the document version, written by `json.dumps` with sorted keys and
+    two-space indentation, plus a newline."""
+    return json.dumps({"version": DOCUMENT_VERSION, **doc}, sort_keys=True, indent=2) + "\n"
 
 
 def _items(rendered: list[str], newline: str) -> str:

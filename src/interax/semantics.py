@@ -291,7 +291,10 @@ class Engine:
 
     def parts(self, name: str) -> Parts:
         """The (component index, table) participants of an interaction."""
-        parts = self.interactions.get(name)
+        try:
+            parts = self.interactions.get(name)
+        except TypeError:  # unhashable: no interaction's name
+            parts = None
         if parts is None:
             raise ModelError(f"no such interaction: {name!r}")
         return parts
@@ -363,6 +366,8 @@ class Engine:
         being expanded, as if it had been expanded in full.
         """
         limit = DEFAULT_MAX_STATES if limit is None else limit
+        if not isinstance(limit, int):
+            raise ModelError(f"max_states must be an integer, got {limit!r}")
         if limit < 1:
             raise ModelError(f"max_states must be at least 1, got {limit}")
         start = self.initial_code
@@ -473,8 +478,9 @@ def successors(
 def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableSet:
     """Breadth-first fixpoint from the global initial state.  When
     `max_states` (default 1,000,000) is hit, discovery stops and the
-    completion flag is False; a bound below 1 is rejected.  The states are
-    named by halves: each distinct low and high half of a code once."""
+    completion flag is False; a bound that is not an integer, or is below
+    1, is rejected.  The states are named by halves: each distinct low and
+    high half of a code once."""
     eng = compile_system(sys)
     seen, transitions, truncated, _ = eng.search(max_states)
     return ReachableSet(
@@ -504,7 +510,8 @@ def is_reachable(
     given) is reachable, returning a shortest witness trace when it is.
 
     Truncated searches that found nothing report reachable=False with
-    complete=False; a `max_states` below 1 is rejected.
+    complete=False; a `max_states` that is not an integer, or is below 1,
+    is rejected.
     """
     targets = [target] if isinstance(target, StatePredicate) else list(target)
     if not targets:
@@ -518,6 +525,8 @@ def is_reachable(
     filed: dict[int, dict[int, list[list[tuple[int, int]]]]] = {}
     anywhere = False
     for t in targets:
+        if not isinstance(t, StatePredicate):
+            raise ModelError(f"target member {t!r} is not a StatePredicate")
         need = eng.resolve(t)
         if need:
             (ci, si), *rest = need

@@ -107,3 +107,13 @@ def test_check_theorem2_calls_through_module_globals(monkeypatch):
     assert (len(starify), len(brute), len(project), len(validate)) == (1, 2, 34, 1)
     # every projection takes the source system, not its starification
     assert all(args[0] is system for args in project)
+
+
+def test_the_bench_emits_the_bytes_the_cli_writes(bench_run):
+    # the CLI writes a verdict through `formats.dump_document`, which stamps
+    # the version; the bench's call table writes the stamped document itself
+    modules, api, work = bench_run.set_up("line-thm1", 1)
+    doc, _ = work.warmup[0].run(api)
+    assert doc["kind"] == "verdict"
+    unstamped = {key: value for key, value in doc.items() if key != "version"}
+    assert api.emit(doc) == modules["formats"].dump_document(unstamped)

@@ -539,12 +539,10 @@ class TestWriter:
     @pytest.mark.parametrize(
         "value, message",
         [
-            (0.5, "Object of type float is not JSON serializable"),
             ({"a"}, "Object of type set is not JSON serializable"),
             ([{"k": b"x"}], "Object of type bytes is not JSON serializable"),
-            ({1: "x"}, "keys must be str, not int"),
         ],
-        ids=["float", "set", "nested-bytes", "int-key"],
+        ids=["set", "nested-bytes"],
     )
     def test_other_values_raise_type_error(self, value, message):
         with pytest.raises(TypeError, match=f"^{message}$"):

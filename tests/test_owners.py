@@ -51,12 +51,13 @@ A mask's set bits are walked in one place: only `semantics._set_bits`
 takes a lowest set bit (`x & -x`), and both `Engine.enabled` and the
 search's still/moving split read their rules off it.
 
-`formats` is the only writer of documents: no module of the package calls
-`json.dump` or `json.dumps`, and only `formats` imports `json.encoder` (or
-any name from it), whose `encode_basestring_ascii` quotes every string.
-`formats.serialize_system` writes the system document and
-`formats.dump_document` writes all the others, so the bytes of every
-document have one owner.
+`formats` is the only writer of documents: the package calls `json.dumps`
+exactly once, in `formats.dump_document`, which writes every document but
+the system's, and `json.dump` nowhere.  `formats.serialize_system` renders
+the system document from templates, and only `formats` imports
+`json.encoder` (or any name from it), whose `encode_basestring_ascii`
+quotes that document's strings.  So the bytes of every document have one
+owner.
 
 Every public function has a caller: each function in the package's
 `__all__` is called in `src/` outside its own definition, or in `bench/`,
@@ -94,9 +95,9 @@ def codec_reads(source: str) -> list[str]:
     )
 
 
-def places(source: str, hit: Callable[[ast.AST], bool]) -> list[str]:
-    """Where a node that `hit` accepts occurs: the dotted name of each one's
-    enclosing functions and classes ("" at module level), sorted."""
+def located(source: str, hit: Callable[[ast.AST], bool]) -> list[tuple[str, ast.AST]]:
+    """Each node that `hit` accepts, after the dotted name of its enclosing
+    functions and classes ("" at module level)."""
     out = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -105,11 +106,17 @@ def places(source: str, hit: Callable[[ast.AST], bool]) -> list[str]:
                 visit(child, f"{where}.{child.name}".lstrip("."))
                 continue
             if hit(child):
-                out.append(where)
+                out.append((where, child))
             visit(child, where)
 
     visit(ast.parse(source), "")
-    return sorted(out)
+    return out
+
+
+def places(source: str, hit: Callable[[ast.AST], bool]) -> list[str]:
+    """Where a node that `hit` accepts occurs: the dotted name of each one's
+    enclosing functions and classes ("" at module level), sorted."""
+    return sorted(where for where, _ in located(source, hit))
 
 
 def callers(source: str, name: str) -> list[str]:
@@ -445,20 +452,26 @@ def json_aliases(tree: ast.AST) -> set[str]:
 
 def json_writes(source: str) -> list[str]:
     """Calls of `json.dump` or `json.dumps` (also under an alias of the
-    module) and imports of either name from `json`, as sorted source text."""
-    tree = ast.parse(source)
-    aliases = json_aliases(tree)
+    module) and imports of either name from `json`, each as `where: source
+    text`, where `where` names the enclosing functions and classes
+    (`<module>` at module level), sorted."""
+    aliases = json_aliases(ast.parse(source))
     out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "json":
-            out.extend(f"from json import {a.name}" for a in node.names if a.name in JSON_WRITERS)
+    for where, node in located(source, lambda n: isinstance(n, (ast.ImportFrom, ast.Call))):
+        where = where or "<module>"
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "json":
+                out.extend(
+                    f"{where}: from json import {a.name}"
+                    for a in node.names
+                    if a.name in JSON_WRITERS
+                )
         elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+            isinstance(node.func, ast.Attribute)
             and node.func.attr in JSON_WRITERS
             and getattr(node.func.value, "id", None) in aliases
         ):
-            out.append(ast.unparse(node.func))
+            out.append(f"{where}: {ast.unparse(node.func)}")
     return sorted(out)
 
 
@@ -471,13 +484,22 @@ def test_checker_finds_every_json_write():
         "    out.dumps(json.loads(x))\n"
         "    j.dump(x, fp)\n"
         "    return json.dumps(x, indent=2) + dumps(x)\n"
+        "class Writer:\n"
+        "    def write(self, x):\n"
+        "        return json.dumps(x)\n"
     )
-    assert json_writes(source) == ["from json import dumps", "j.dump", "json.dumps"]
+    assert json_writes(source) == [
+        "<module>: from json import dumps",
+        "Writer.write: json.dumps",
+        "f: j.dump",
+        "f: json.dumps",
+    ]
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES, ids=[p.name for p in PACKAGE_MODULES])
 def test_dump_document_is_the_only_json_writer(module):
-    assert json_writes(module.read_text()) == []
+    expected = ["dump_document: json.dumps"] if module.name == "formats.py" else []
+    assert json_writes(module.read_text()) == expected
 
 
 def encoder_imports(source: str) -> list[str]:

@@ -35,7 +35,6 @@ from interax import (  # noqa: E402
 from interax.cli import run_cli  # noqa: E402
 from interax.errors import ModelError, ParseError  # noqa: E402
 from interax.formats import (  # noqa: E402
-    dump_document,
     parse_dtm,
     parse_predicates,
     parse_system,
@@ -306,30 +305,6 @@ def test_machine_documents_round_trip(case):
 @given(st.lists(st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=4)))
 def test_predicate_documents_round_trip(predicates):
     assert parse_predicates(serialize_predicates(predicates)) == predicates
-
-
-# every code point, control characters included; lone surrogates are drawn
-# on their own too, since they are rare among all code points
-any_char = st.characters(exclude_categories=()) | st.characters(
-    min_codepoint=0xD800, max_codepoint=0xDFFF
-)
-any_text = st.text(any_char, max_size=8)
-document_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | any_text,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(any_text, inner, max_size=4),
-    max_leaves=16,
-)
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(st.dictionaries(any_text, document_values, max_size=4))
-@example({"big": [-(10**40), 10**40], "empty": [(), [], {}], "s": "\ud800\x00\u00e9"})
-def test_writer_matches_json_dumps(doc):
-    # the standard library's encoder is the reference, in tests only
-    expected = json.dumps({"version": 1, **doc}, sort_keys=True, indent=2) + "\n"
-    assert dump_document(doc) == expected
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

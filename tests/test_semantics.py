@@ -99,6 +99,7 @@ class TestEnabledInteractions:
 
 # an unhashable name is refused as a foreign one is, by every entry point
 UNHASHABLE_NAMES = [["x"], {"x": 1}]
+NON_INTEGER_BOUNDS = [2.5, 3.0, "3"]
 
 
 @pytest.mark.parametrize("name", UNHASHABLE_NAMES, ids=["list", "dict"])
@@ -130,6 +131,21 @@ def test_an_unhashable_predicate_name_is_an_unknown_state(call, name):
     with pytest.raises(ModelError) as caught:
         call(client_server(2), name)
     assert str(caught.value) == f"predicate names unknown state {name!r} of component S"
+
+
+@pytest.mark.parametrize("name", UNHASHABLE_NAMES, ids=["list", "dict"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sys, name: step(sys, sys.initial_state(), name),
+        lambda sys, name: replay_trace(sys, [name]),
+    ],
+    ids=["step", "replay_trace"],
+)
+def test_an_unhashable_interaction_name_is_no_such_interaction(call, name):
+    with pytest.raises(ModelError) as caught:
+        call(client_server(2), name)
+    assert str(caught.value) == f"no such interaction: {name!r}"
 
 
 class TestStep:
@@ -257,6 +273,13 @@ class TestExplore:
             with pytest.raises(ModelError, match="max_states must be at least 1"):
                 explore(pipeline(3), max_states=bound)
 
+    @pytest.mark.parametrize("bound", NON_INTEGER_BOUNDS, ids=repr)
+    def test_non_integer_bound_rejected(self, bound):
+        # a fractional bound never counts down to 0, so it would not bound
+        with pytest.raises(ModelError) as caught:
+            explore(client_server(6), max_states=bound)
+        assert str(caught.value) == f"max_states must be an integer, got {bound!r}"
+
     def test_frame_and_participation_conditions(self):
         # every produced edge: participants move along a local transition,
         # non-participants keep their state
@@ -375,6 +398,19 @@ class TestIsReachable:
         for bound in (0, -1):
             with pytest.raises(ModelError, match="max_states must be at least 1"):
                 is_reachable(sys, target, max_states=bound)
+
+    @pytest.mark.parametrize("bound", NON_INTEGER_BOUNDS, ids=repr)
+    def test_non_integer_bound_rejected(self, bound):
+        target = StatePredicate.of({"s3": "replying"})
+        with pytest.raises(ModelError) as caught:
+            is_reachable(pipeline(3), target, max_states=bound)
+        assert str(caught.value) == f"max_states must be an integer, got {bound!r}"
+
+    @pytest.mark.parametrize("target", [{"S": "busy"}, ["S"]], ids=["dict", "list-of-str"])
+    def test_a_target_member_that_is_no_predicate_is_refused(self, target):
+        with pytest.raises(ModelError) as caught:
+            is_reachable(client_server(2), target)
+        assert str(caught.value) == "target member 'S' is not a StatePredicate"
 
 
 def bfs_depths(sys):
