@@ -173,9 +173,48 @@ def validate_model(im: InteractionModel) -> ValidationReport:
     return _model_rules(im) if report.ok else report
 
 
+def _clean_in_bulk(im: InteractionModel) -> bool:
+    """Whether the set-level tests of `_model_rules` all pass."""
+    components, families, interactions = im.components, im.ports, im.interactions
+    known = set(components)
+    declared = {(c, p) for c in components for p in families.get(c, ())}
+    refs = list(chain.from_iterable(a.ports for a in interactions))
+    used = set(refs)
+    return (
+        len(known) == len(components)
+        and "" not in known
+        and "." not in "".join(components)
+        and known.issuperset(families)
+        and len(declared) == sum(map(len, families.values()))
+        and not any("" in family for family in families.values())
+        and len({a.name for a in interactions}) == len(interactions)
+        and used == declared
+        and all(
+            a.ports and len({p.component for p in a.ports}) == len(a.ports)
+            for a in interactions
+        )
+        # when no port is in two interactions, no two port sets can be equal
+        and (
+            len(used) == len(refs)
+            or len(set(map(Interaction.port_set, interactions))) == len(interactions)
+        )
+    )
+
+
 def _model_rules(im: InteractionModel) -> ValidationReport:
-    """The findings of every model rule but typing, on a typed model."""
+    """The findings of every model rule but typing, on a typed model.
+
+    Set-level tests over the whole model settle the clean case: component
+    names are unique, non-empty and contain no "."; every port family
+    belongs to a component and lists unique, non-empty ports; interaction
+    names are unique; the ports the interactions reference are exactly the
+    declared ones; each interaction has ports, all on distinct components;
+    and no two interactions have the same port set.  Only when one of them
+    fails are the components, families and interactions checked one by one,
+    which yields the findings in their order."""
     report = ValidationReport()
+    if _clean_in_bulk(im):
+        return report
     seen_components: set[str] = set()
     for c in im.components:
         if c in seen_components:
@@ -258,6 +297,11 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     """Model findings plus behavior-level findings for each component.  The
     model's typing findings are reported alone, as `validate_model` does.
 
+    A component whose states tuple, transition set and port family are the
+    very objects (`is`) of a component found clean earlier in the same call,
+    as the inner cells of a `compile_lsa` system share them, is checked for
+    its initial state only: every other check would read the same objects.
+
     A clean verdict is remembered on the system object, as a private
     attribute outside the dataclass fields, so every later call on that
     object returns a fresh empty report without checking again.  Systems
@@ -278,6 +322,9 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
             f"behavior given for component {c} absent from the model",
         )
 
+    # the state set of each (states, transitions, port family) found clean,
+    # by the ids of those objects
+    clean: dict[tuple[int, int, int], set] = {}
     for c in im.components:
         b = sys.behaviors.get(c)
         if b is None:
@@ -286,33 +333,41 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
             )
             continue
 
-        odd = non_strings(b.states)
-        for s in odd:
-            report.add(
-                "non-string-name", f"component {c}: state name {s!r} is not a string"
-            )
-        if odd:
-            continue
+        family = im.ports.get(c, ())
+        shared = (id(b.states), id(b.transitions), id(family))
+        states = clean.get(shared)
+        if states is None:
+            odd = non_strings(b.states)
+            for s in odd:
+                report.add(
+                    "non-string-name", f"component {c}: state name {s!r} is not a string"
+                )
+            if odd:
+                continue
 
-        states = set(b.states)
-        if len(states) < len(b.states):
-            for s in repeated(b.states):
-                report.add("duplicate-state", f"component {c} declares state {s} twice")
-        if "*" in states:
-            # predicate text reads "*" as any state, so no target can name it
-            report.add("wildcard-state", f"component {c} declares the state name *")
+            states = set(b.states)
+            if len(states) < len(b.states):
+                for s in repeated(b.states):
+                    report.add("duplicate-state", f"component {c} declares state {s} twice")
+            if "*" in states:
+                # predicate text reads "*" as any state, so no target can name it
+                report.add("wildcard-state", f"component {c} declares the state name *")
 
-        ports = set(im.ports.get(c, ()))
         if b.initial not in states:
             report.add(
                 "missing-initial",
                 f"component {c}: missing initial state {b.initial}",
             )
+        if shared in clean:
+            continue
+        ports = set(family)
         # the rows are sorted for the messages only, when some row is bad
         for src, port, dst in b.transitions:
             if src not in states or dst not in states or port not in ports:
                 break
         else:
+            if len(states) == len(b.states) and "*" not in states:
+                clean[shared] = states
             continue
         try:
             rows = sorted(b.transitions)

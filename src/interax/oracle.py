@@ -37,6 +37,7 @@ from .reduce_linear import (
 from .reduce_star import project_state, starify
 from .semantics import GlobalState, compile_system, is_reachable
 from .turing import DTM, Outcome, initial_config, run_tm, tm_step
+from .validation import bound
 
 BRUTE_FORCE_LIMIT = 10_000
 
@@ -162,9 +163,7 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
     enabled; both are legal."""
     for f in fields(params)[1:]:
         # the bounds after `seed`
-        value, cap = getattr(params, f.name), f.metadata["cap"]
-        if value < 1:
-            raise ModelError(f"{f.name} must be >= 1")
+        value, cap = bound(getattr(params, f.name), f.name), f.metadata["cap"]
         if value > cap:
             raise ModelError(f"{f.name} must be at most {cap}")
     rng = random.Random(params.seed)

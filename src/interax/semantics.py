@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModelError
 from .model import InteractionSystem, validate_system
+from .validation import bound
 
 GlobalState = tuple[str, ...]
 # an interaction's (component index, table) participants; see `Engine`
@@ -365,11 +366,7 @@ class Engine:
         is none); `transitions` then counts every successor of the state
         being expanded, as if it had been expanded in full.
         """
-        limit = DEFAULT_MAX_STATES if limit is None else limit
-        if not isinstance(limit, int):
-            raise ModelError(f"max_states must be an integer, got {limit!r}")
-        if limit < 1:
-            raise ModelError(f"max_states must be at least 1, got {limit}")
+        limit = DEFAULT_MAX_STATES if limit is None else bound(limit, "max_states")
         start = self.initial_code
         seen: dict[int, int | None] = {start: None}
         if matches is not None and matches(self.initial):

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Mapping
 
 from .errors import ModelError
-from .validation import ValidationReport, non_strings, refuse_non_strings, repeated
+from .validation import ValidationReport, bound, non_strings, refuse_non_strings, repeated
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,8 @@ def run_tm(machine: DTM, word: str, max_steps: int | None = None) -> RunResult:
     `max_steps=None` means no cap; an explicit cap, at least 1, yields
     STEP_LIMIT.
     """
-    if max_steps is not None and max_steps < 1:
-        raise ModelError(f"max_steps must be at least 1, got {max_steps}")
+    if max_steps is not None:
+        bound(max_steps, "max_steps")
     config = initial_config(machine, word)
     saved, saved_at, power = config, 0, 1
     steps = 0

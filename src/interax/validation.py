@@ -60,6 +60,16 @@ def refuse_non_strings(names: Iterable, doing: str) -> None:
         raise ModelError(f"cannot {doing}: name {odd[0]!r} is not a string")
 
 
+def bound(value: object, name: str) -> int:
+    """`value` as the bound `name`: raise `ModelError` unless it is an int,
+    and not a bool, of at least 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ModelError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def repeated(items: Iterable[Hashable]) -> list:
     """The items listed more than once, sorted, each named once."""
     return sorted(x for x, k in Counter(items).items() if k > 1)

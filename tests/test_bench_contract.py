@@ -61,6 +61,11 @@ def spy(monkeypatch, module, attr):
 
 
 def test_check_theorem1_searches_through_module_global(monkeypatch):
+    # bench/tracing.py wraps this call (MODULE_SPANS) in the span that
+    # line-thm1's states_per_s divides by (Workload.rate_span): were
+    # check_theorem1 to drop the search and read the answer off the
+    # lockstep, that metric would read 0.0 and fail the no-regression rule,
+    # so such a change waits for a benchmark change that times the lockstep
     calls = spy(monkeypatch, oracle, "is_reachable")
     assert oracle.check_theorem1(even_a(), "aa").agree
     assert len(calls) == 1

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -24,7 +25,8 @@ from interax import (
 from interax import model as model_module
 from interax.fixtures import client_server, even_a, pipeline
 from interax.formats import parse_system, serialize_system
-from interax.oracle import check_theorem2
+from interax.oracle import GenParams, check_theorem2, gen_random_system
+from interax.reduce_linear import compile_lsa
 from interax.semantics import compile_system
 
 
@@ -337,6 +339,302 @@ def test_golden_findings(build):
         # an invalid system is checked afresh on every call
         findings = [(f.rule, f.message) for f in validate_system(system).findings]
         assert findings == GOLDEN_FINDINGS[build]
+
+
+def _rename(im, component, port=None, new=""):
+    """`im` with `component`, or that component's `port`, renamed to `new`
+    in every place that names it."""
+
+    def renamed(p):
+        if p.component != component or port not in (None, p.port):
+            return p
+        return PortId(new, p.port) if port is None else PortId(component, new)
+
+    families = dict(im.ports)
+    components = im.components
+    if port is None:
+        components = tuple(new if c == component else c for c in components)
+        families[new] = families.pop(component)
+    else:
+        families[component] = tuple(new if p == port else p for p in families[component])
+    interactions = [Interaction(a.name, tuple(map(renamed, a.ports))) for a in im.interactions]
+    return InteractionModel(components, families, tuple(interactions))
+
+
+def _with(im, component=None, ports=(), interaction=None):
+    """`im` with `ports` appended to `component`'s family and `interaction`
+    appended to the interactions."""
+    families = dict(im.ports)
+    if component is not None:
+        families[component] = (*families.get(component, ()), *ports)
+    extra = () if interaction is None else (interaction,)
+    return InteractionModel(im.components, families, (*im.interactions, *extra))
+
+
+# (rule, mutation) per case: each mutation of a clean model `im` adds one
+# fault at its component c, c's first port p and its interaction a.  The
+# first thirteen break each rule of the model in turn; the last two repeat
+# a port set in other ways
+MODEL_MUTATIONS = {
+    "duplicate-component": (
+        "duplicate-component",
+        lambda im, c, p, a: dataclasses.replace(im, components=(*im.components, c)),
+    ),
+    "dotted-component-name": (
+        "dotted-component-name",
+        lambda im, c, p, a: _rename(im, c, new=f"{c}.x"),
+    ),
+    "empty-component-name": ("empty-name", lambda im, c, p, a: _rename(im, c)),
+    "family-of-unknown-component": (
+        "unknown-component-ref",
+        lambda im, c, p, a: _with(im, "ghost"),
+    ),
+    "duplicate-port": ("duplicate-port", lambda im, c, p, a: _with(im, c, (p,))),
+    "empty-port-name": ("empty-name", lambda im, c, p, a: _rename(im, c, p)),
+    "duplicate-interaction-name": (
+        "duplicate-interaction-name",
+        lambda im, c, p, a: _with(im, c, ("fresh",), Interaction(a.name, (PortId(c, "fresh"),))),
+    ),
+    "empty-interaction": (
+        "empty-interaction",
+        lambda im, c, p, a: _with(im, interaction=Interaction("extra", ())),
+    ),
+    "ref-to-unknown-component": (
+        "unknown-component-ref",
+        lambda im, c, p, a: _with(im, interaction=Interaction("extra", (PortId("ghost", "g"),))),
+    ),
+    "unknown-port-ref": (
+        "unknown-port-ref",
+        lambda im, c, p, a: _with(im, interaction=Interaction("extra", (PortId(c, "undeclared"),))),
+    ),
+    "multi-port-component": (
+        "multi-port-component",
+        lambda im, c, p, a: _with(
+            im, c, ("m1", "m2"), Interaction("extra", (PortId(c, "m1"), PortId(c, "m2")))
+        ),
+    ),
+    "duplicate-interaction": (
+        "duplicate-interaction",
+        lambda im, c, p, a: _with(im, interaction=Interaction("extra", a.ports[::-1])),
+    ),
+    "uncovered-port": ("uncovered-port", lambda im, c, p, a: _with(im, c, ("spare",))),
+    "port-listed-twice": (
+        "multi-port-component",
+        lambda im, c, p, a: _with(im, interaction=Interaction("extra", (PortId(c, p),) * 2)),
+    ),
+    "equal-port-set": (
+        "duplicate-interaction",
+        lambda im, c, p, a: _with(im, interaction=Interaction("extra", a.ports)),
+    ),
+}
+
+
+def mutant(im, case, k):
+    """`im` with the fault of `case` placed by k: at the k-th component that
+    has ports and the k-th interaction, both counted cyclically."""
+    owners = [c for c in im.components if im.ports.get(c)]
+    c = owners[k % len(owners)]
+    a = im.interactions[k % len(im.interactions)]
+    return MODEL_MUTATIONS[case][1](im, c, im.ports[c][0], a)
+
+
+MUTATED_BASES = {
+    "client_server(2)": lambda: client_server(2),
+    "pipeline(3)": lambda: pipeline(3),
+    "compile_lsa(even_a,aaaa)": lambda: compile_lsa(even_a(), "aaaa"),
+}
+
+
+# (rule, message) in report order for each mutant, as captured before the
+# model rules settled the clean case with set-level tests
+GOLDEN_MUTANT_FINDINGS = {
+    "client_server(2)": {
+        "duplicate-component": [("duplicate-component", "component c1 declared twice")],
+        "dotted-component-name": [("dotted-component-name", "component name c1.x contains '.'")],
+        "empty-component-name": [("empty-name", "a component name is empty")],
+        "family-of-unknown-component": [
+            ("unknown-component-ref", "port family for unknown component ghost"),
+        ],
+        "duplicate-port": [("duplicate-port", "component c1 declares port connect_1 twice")],
+        "empty-port-name": [("empty-name", "component c1 declares an empty port name")],
+        "duplicate-interaction-name": [
+            ("duplicate-interaction-name", "interaction name disconnect_S_c1 used more than once"),
+        ],
+        "empty-interaction": [("empty-interaction", "interaction extra has no ports")],
+        "ref-to-unknown-component": [
+            ("unknown-component-ref", "interaction extra references unknown component ghost"),
+        ],
+        "unknown-port-ref": [
+            ("unknown-port-ref", "interaction extra references unknown port c1.undeclared"),
+        ],
+        "multi-port-component": [
+            ("multi-port-component", "interaction extra has two ports of one component (c1)"),
+        ],
+        "duplicate-interaction": [
+            ("duplicate-interaction", "interactions disconnect_S_c1 and extra have identical port sets"),
+        ],
+        "uncovered-port": [("uncovered-port", "uncovered port c1.spare")],
+        "port-listed-twice": [
+            ("multi-port-component", "interaction extra has two ports of one component (c1)"),
+        ],
+        "equal-port-set": [
+            ("duplicate-interaction", "interactions disconnect_S_c1 and extra have identical port sets"),
+        ],
+    },
+    "pipeline(3)": {
+        "duplicate-component": [("duplicate-component", "component s2 declared twice")],
+        "dotted-component-name": [("dotted-component-name", "component name s2.x contains '.'")],
+        "empty-component-name": [("empty-name", "a component name is empty")],
+        "family-of-unknown-component": [
+            ("unknown-component-ref", "port family for unknown component ghost"),
+        ],
+        "duplicate-port": [("duplicate-port", "component s2 declares port rec_m_2 twice")],
+        "empty-port-name": [("empty-name", "component s2 declares an empty port name")],
+        "duplicate-interaction-name": [
+            ("duplicate-interaction-name", "interaction name send_message_2 used more than once"),
+        ],
+        "empty-interaction": [("empty-interaction", "interaction extra has no ports")],
+        "ref-to-unknown-component": [
+            ("unknown-component-ref", "interaction extra references unknown component ghost"),
+        ],
+        "unknown-port-ref": [
+            ("unknown-port-ref", "interaction extra references unknown port s2.undeclared"),
+        ],
+        "multi-port-component": [
+            ("multi-port-component", "interaction extra has two ports of one component (s2)"),
+        ],
+        "duplicate-interaction": [
+            ("duplicate-interaction", "interactions send_message_2 and extra have identical port sets"),
+        ],
+        "uncovered-port": [("uncovered-port", "uncovered port s2.spare")],
+        "port-listed-twice": [
+            ("multi-port-component", "interaction extra has two ports of one component (s2)"),
+        ],
+        "equal-port-set": [
+            ("duplicate-interaction", "interactions send_message_2 and extra have identical port sets"),
+        ],
+    },
+    "compile_lsa(even_a,aaaa)": {
+        "duplicate-component": [("duplicate-component", "component 1 declared twice")],
+        "dotted-component-name": [("dotted-component-name", "component name 1.x contains '.'")],
+        "empty-component-name": [("empty-name", "a component name is empty")],
+        "family-of-unknown-component": [
+            ("unknown-component-ref", "port family for unknown component ghost"),
+        ],
+        "duplicate-port": [("duplicate-port", "component 1 declares port A:even:a twice")],
+        "empty-port-name": [("empty-name", "component 1 declares an empty port name")],
+        "duplicate-interaction-name": [
+            ("duplicate-interaction-name", "interaction name mv:even:a:1:2 used more than once"),
+        ],
+        "empty-interaction": [("empty-interaction", "interaction extra has no ports")],
+        "ref-to-unknown-component": [
+            ("unknown-component-ref", "interaction extra references unknown component ghost"),
+        ],
+        "unknown-port-ref": [
+            ("unknown-port-ref", "interaction extra references unknown port 1.undeclared"),
+        ],
+        "multi-port-component": [
+            ("multi-port-component", "interaction extra has two ports of one component (1)"),
+        ],
+        "duplicate-interaction": [
+            ("duplicate-interaction", "interactions mv:even:a:1:2 and extra have identical port sets"),
+        ],
+        "uncovered-port": [("uncovered-port", "uncovered port 1.spare")],
+        "port-listed-twice": [
+            ("multi-port-component", "interaction extra has two ports of one component (1)"),
+        ],
+        "equal-port-set": [
+            ("duplicate-interaction", "interactions mv:even:a:1:2 and extra have identical port sets"),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("case", MODEL_MUTATIONS)
+@pytest.mark.parametrize("base", GOLDEN_MUTANT_FINDINGS)
+def test_golden_mutant_findings(base, case):
+    im = mutant(MUTATED_BASES[base]().model, case, 1)
+    findings = [(f.rule, f.message) for f in validate_model(im).findings]
+    assert findings == GOLDEN_MUTANT_FINDINGS[base][case]
+
+
+def test_seeded_mutants_report_their_rule():
+    for seed in range(200):
+        system = gen_random_system(GenParams(seed=seed))
+        assert validate_system(system).ok, seed
+        rng = random.Random(seed)
+        case = rng.choice(sorted(MODEL_MUTATIONS))
+        rules = _rules(validate_model(mutant(system.model, case, rng.randrange(64))))
+        assert MODEL_MUTATIONS[case][0] in rules, (seed, case)
+
+
+def line_with(replace_cells):
+    """compile_lsa(even_a(), "aaaa"), whose inner cells 1-4 share one port
+    family and one transition set, with the behaviors that
+    `replace_cells(behaviors)` maps cells to."""
+    system = compile_lsa(even_a(), "aaaa")
+    behaviors = system.behaviors
+    return InteractionSystem(system.model, {**behaviors, **replace_cells(behaviors)})
+
+
+def _own_bad_row(behaviors):
+    b = behaviors["2"]
+    row = ("nowhere", "A:even:a", b.states[0])
+    return {"2": dataclasses.replace(b, transitions=b.transitions | {row})}
+
+
+def _shared_wildcard(behaviors):
+    bad = dataclasses.replace(behaviors["1"], states=(*behaviors["1"].states, "*"))
+    return {"4": bad, "1": bad, "3": bad}
+
+
+# (rule, message) in report order, as captured before cells sharing one
+# behavior were checked once per call
+SHARED_BEHAVIOR_FINDINGS = {
+    "own-faulty-behavior": (
+        _own_bad_row,
+        [
+            (
+                "unknown-transition-state",
+                "component 2: transition nowhere --A:even:a--> even,a uses an unknown state",
+            ),
+        ],
+    ),
+    "shared-faulty-behavior": (
+        _shared_wildcard,
+        [
+            ("wildcard-state", "component 1 declares the state name *"),
+            ("wildcard-state", "component 3 declares the state name *"),
+            ("wildcard-state", "component 4 declares the state name *"),
+        ],
+    ),
+    "initial-outside-shared-states": (
+        lambda behaviors: {"3": dataclasses.replace(behaviors["3"], initial="nowhere")},
+        [("missing-initial", "component 3: missing initial state nowhere")],
+    ),
+    "shared-behavior-under-another-family": (
+        lambda behaviors: {"5": behaviors["1"]},
+        [
+            ("unknown-port", f"component 5: transition {row} uses unknown port {port}")
+            for row, port in (
+                ("even,a --L:even:a--> s,a", "L:even:a"),
+                ("odd,a --L:odd:a--> s,a", "L:odd:a"),
+                ("s,a --A:even:b--> accept,a", "A:even:b"),
+                ("s,a --A:odd:b--> reject,a", "A:odd:b"),
+                ("s,b --A:even:b--> accept,b", "A:even:b"),
+                ("s,b --A:odd:b--> reject,b", "A:odd:b"),
+            )
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_BEHAVIOR_FINDINGS)
+def test_cells_sharing_a_behavior(case):
+    replace_cells, expected = SHARED_BEHAVIOR_FINDINGS[case]
+    system = line_with(replace_cells)
+    for _ in range(2):
+        assert [(f.rule, f.message) for f in validate_system(system).findings] == expected
 
 
 def count_rule_checks(monkeypatch):

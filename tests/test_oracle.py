@@ -365,7 +365,7 @@ class TestGenRandomSystem:
 
     @pytest.mark.parametrize("name", [f.name for f in fields(GenParams)[1:]])
     def test_every_bound_is_checked(self, name):
-        with pytest.raises(ModelError, match=f"^{name} must be >= 1$"):
+        with pytest.raises(ModelError, match=f"^{name} must be at least 1, got 0$"):
             gen_random_system(GenParams(seed=0, **{name: 0}))
         cap = next(f.metadata["cap"] for f in fields(GenParams) if f.name == name)
         with pytest.raises(ModelError, match=f"^{name} must be at most {cap}$"):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -20,6 +21,7 @@ from interax import (
     is_reachable,
     replay_trace,
     resolve_predicate,
+    run_tm,
     step,
     successors,
 )
@@ -99,7 +101,30 @@ class TestEnabledInteractions:
 
 # an unhashable name is refused as a foreign one is, by every entry point
 UNHASHABLE_NAMES = [["x"], {"x": 1}]
-NON_INTEGER_BOUNDS = [2.5, 3.0, "3"]
+NON_INTEGER_BOUNDS = [2.5, 3.0, "3", True]
+
+# every bound parameter: its name and a call that passes it a value
+BOUND_CALLS = {
+    "max_states": lambda v: explore(client_server(3), max_states=v),
+    "max_steps": lambda v: run_tm(even_a(), "aaaa", v),
+    **{
+        f.name: lambda v, name=f.name: gen_random_system(GenParams(seed=1, **{name: v}))
+        for f in fields(GenParams)[1:]
+    },
+}
+
+
+@pytest.mark.parametrize("value", [*NON_INTEGER_BOUNDS, 0, -1], ids=repr)
+@pytest.mark.parametrize("name", BOUND_CALLS)
+def test_every_bound_refuses_non_integers_and_values_below_one(name, value):
+    # a fraction or a bool must not bound a run silently: run_tm would take
+    # 3 steps for 2.5, and explore would find 1 state for True
+    with pytest.raises(ModelError) as caught:
+        BOUND_CALLS[name](value)
+    if type(value) is int:
+        assert str(caught.value) == f"{name} must be at least 1, got {value}"
+    else:
+        assert str(caught.value) == f"{name} must be an integer, got {value!r}"
 
 
 @pytest.mark.parametrize("name", UNHASHABLE_NAMES, ids=["list", "dict"])
