@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from interax import Outcome, check_theorem1, run_tm
 from interax.fixtures import client_server, even_a, first_last, pipeline
 from interax.formats import parse_dtm, serialize_dtm, serialize_system
 
@@ -28,8 +29,19 @@ def test_machine_files_current():
     assert (FIXTURES / "even_a.json").read_text() == serialize_dtm(even_a())
     assert (FIXTURES / "first_last.json").read_text() == serialize_dtm(first_last())
     # no builder in the package: the file itself is the machine's definition
-    text = (FIXTURES / "ping_pong.json").read_text()
-    assert serialize_dtm(parse_dtm(text)) == text
+    for name in ("ping_pong.json", "counter.json"):
+        text = (FIXTURES / name).read_text()
+        assert serialize_dtm(parse_dtm(text)) == text
+
+
+def test_counter_runs_exponentially_long_and_theorem1_agrees():
+    # the binary counter on 0^n counts to 1^n and overflows into cell 0:
+    # 4·2^n − 2 steps, all replayed by the line system of n + 2 cells
+    counter = parse_dtm((FIXTURES / "counter.json").read_text())
+    for n in range(9):
+        result = run_tm(counter, "0" * n)
+        assert (result.outcome, result.steps) == (Outcome.ACCEPT, 4 * 2**n - 2)
+        assert check_theorem1(counter, "0" * n).agree
 
 
 def test_builders_refuse_too_few_members():

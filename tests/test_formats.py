@@ -1,6 +1,7 @@
 """Document parsing and canonical serialization: round trips, strictness,
 and a seeded mutation fuzz asserting no invalid document slips through."""
 
+import hashlib
 import json
 import random
 import re
@@ -62,6 +63,11 @@ def system_fixtures():
 class TestSystemRoundTrip:
     def test_parse_of_serialize_is_canonicalize(self):
         for sys in system_fixtures():
+            assert parse_system(serialize_system(sys)) == canonicalize_system(sys)
+
+    def test_random_systems_round_trip(self):
+        for seed in range(200):
+            sys = gen_random_system(GenParams(seed=seed))
             assert parse_system(serialize_system(sys)) == canonicalize_system(sys)
 
     def test_serialize_deterministic(self):
@@ -711,3 +717,133 @@ def test_mutation_fuzz_never_silently_accepts():
             parse(json.dumps(doc))
         rejected += 1
     assert rejected >= 950
+
+
+# ------------------------------------------------------------------ refusal table
+# Every document under fixtures/ and one predicate document, each broken in
+# each object kind it has, and the exact outcome of parsing each broken copy:
+# the `ParseError` text, `ModelError` where a machine reads but fails
+# validation, or a digest of the value read.  `refusals.json` holds the table as the
+# per-value reader, the one that spelled every path, wrote it; the readers
+# must keep it byte for byte.
+
+REFUSALS = Path(__file__).resolve().parent / "refusals.json"
+PREDICATE_TEXT = serialize_predicates([{"S": "busy", "c1": "*"}, {"s1": "waiting"}])
+RETYPED = {"int": 7, "bool": True, "null": None, "list": [], "object": {}}
+
+
+class Pairs(list):
+    """An object's (key, value) pairs in order, a key possibly twice."""
+
+
+def _json(value) -> str:
+    """JSON text of `value`; a `Pairs` is written as one object."""
+    if isinstance(value, dict):
+        value = Pairs(value.items())
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return json.dumps(value)
+
+
+def _replaced(obj: dict, key, value) -> Pairs:
+    return Pairs((k, value if k == key else v) for k, v in obj.items())
+
+
+def _broken(obj: dict, kind: str):
+    """(label, replacement) for each broken copy of the object `obj`."""
+    for key in obj:
+        yield f"drop {key}", Pairs((k, v) for k, v in obj.items() if k != key)
+    yield "unknown field", Pairs([*obj.items(), ("bogus", 1)])
+    for key, value in obj.items():
+        for name, other in RETYPED.items():
+            yield f"{key} as {name}", _replaced(obj, key, other)
+            if isinstance(value, list) and value:
+                yield f"{key}[-1] as {name}", _replaced(obj, key, [*value[:-1], other])
+    first = next(iter(obj), None)
+    if first is not None:
+        yield "repeated key", Pairs([*obj.items(), (first, obj[first])])
+    if kind == "interaction":
+        for ref in (".p", "c.", "cp"):
+            yield f"reference {ref!r}", _replaced(obj, "ports", [*obj["ports"][:-1], ref])
+
+
+def _objects(doc: dict):
+    """(kind, location) of one object of each kind in `doc`: the top level
+    and the last of every list of objects, so every object before it reads."""
+    yield "top", []
+    if "components" in doc:
+        yield "component", ["components", -1]
+        last = max(k for k, c in enumerate(doc["components"]) if c["transitions"])
+        yield "transition", ["components", last, "transitions", -1]
+        yield "interaction", ["interactions", -1]
+    elif "delta" in doc:
+        yield "delta row", ["delta", -1]
+    else:
+        yield "predicate", ["predicates", -1]
+
+
+def _shape(value) -> str:
+    """A digest of a parsed value, with its order as read; a transition set
+    is sorted, since a set has no order."""
+    if isinstance(value, InteractionSystem):
+        value = (
+            value.model.components,
+            dict(value.model.ports),
+            value.model.interactions,
+            {c: (b.states, sorted(b.transitions), b.initial) for c, b in value.behaviors.items()},
+        )
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _outcome(parse, text: str) -> str:
+    try:
+        return f"value {_shape(parse(text))}"
+    except ParseError as e:
+        return f"ParseError: {e}"
+    except ModelError:  # validation's texts are its own tests' business
+        return "ModelError"
+
+
+def _at(doc, location: list):
+    for step in location:
+        doc = doc[step]
+    return doc
+
+
+def _put(doc: dict, location: list, value):
+    """A copy of `doc` with `value` at `location`."""
+    if not location:
+        return value
+    copy = json.loads(json.dumps(doc))
+    _at(copy, location[:-1])[location[-1]] = value
+    return copy
+
+
+def refusal_table() -> dict[str, dict[str, str]]:
+    documents = {p.name: p.read_text() for p in FIXTURE_PATHS}
+    documents["predicates"] = PREDICATE_TEXT
+    table = {}
+    for name, text in documents.items():
+        doc = json.loads(text)
+        if "components" in doc:
+            parse = lambda t: parse_system(t, validate=False)  # noqa: E731
+        else:
+            parse = parse_dtm if "delta" in doc else parse_predicates
+        cases = table[name] = {"as written": _outcome(parse, text)}
+        for kind, location in _objects(doc):
+            obj = _at(doc, location)
+            for label, broken in _broken(obj, kind):
+                text = _json(_put(doc, location, broken))
+                cases[f"{kind} {label}"] = _outcome(parse, text)
+            if location:
+                items = _at(doc, location[:-1])
+                text = _json(_put(doc, location[:-1], [*items, items[-1]]))
+                cases[f"{kind} repeated"] = _outcome(parse, text)
+    return table
+
+
+def test_refusals_are_those_of_the_per_value_reader():
+    table = refusal_table()
+    assert table == json.loads(REFUSALS.read_text())
