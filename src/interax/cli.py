@@ -261,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-steps",
         type=int,
-        help="at least 1; if omitted, the run ends in accept, reject, bound_violation or loop",
+        default=DEFAULT_MAX_STATES,
+        help=f"stop after this many steps (default {DEFAULT_MAX_STATES:,}; at least 1)",
     )
 
     p = command("tm-compile", _cmd_tm_compile, "dtm",

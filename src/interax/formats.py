@@ -7,9 +7,14 @@ transition row repeated in a system document is one transition, since
 transitions form a set; plain syntax errors carry the line and column; a
 key repeated within one object, the constants NaN/Infinity/-Infinity, and
 nesting too deep to parse, are errors too.  Every other rule is checked by
-validation.  Serialization canonicalizes first and emits sorted keys,
-two-space indentation, `\\uXXXX` escapes for non-ASCII and a trailing
-newline, so equal values produce identical bytes: those of `json.dumps(...,
+validation.  A reader checks an object, or a list of them, whole: its key
+set, and the type of every value in one `map(type, ...)` pass; it builds
+the value with C-level calls.  Only an object that fails is walked again
+value by value, spelling paths, to raise its first error (finding none is
+an `AssertionError`), so a path is formatted only for a refused document.
+Serialization canonicalizes first and emits sorted keys, two-space
+indentation, `\\uXXXX` escapes for non-ASCII and a trailing newline, so
+equal values produce identical bytes: those of `json.dumps(...,
 sort_keys=True, indent=2)` plus a newline.  `dump_document` writes every
 document but the system's (machines, predicates and the CLI's verdicts)
 with that call.  `serialize_system` renders the system document, the one
@@ -38,6 +43,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Any
 
 from .errors import ModelError, ParseError
@@ -104,14 +110,15 @@ def _integer(literal: str) -> int:
         raise ParseError(f"integer literal too long: {len(literal)} characters") from None
 
 
+_HOOKS = {"object_pairs_hook": _unique_keys, "parse_constant": _no_constant, "parse_int": _integer}
+_DECODER = json.JSONDecoder(**_HOOKS)
+
+
 def _load(text: str) -> Any:
     try:
-        return json.loads(
-            text,
-            object_pairs_hook=_unique_keys,
-            parse_constant=_no_constant,
-            parse_int=_integer,
-        )
+        if type(text) is str and not text.startswith("\ufeff"):
+            return _DECODER.decode(text)
+        return json.loads(text, **_HOOKS)  # bytes, or the byte order mark it refuses
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
@@ -175,6 +182,91 @@ def _reference(name: str, p: PortId) -> str:
     return f"{component}.{port}"
 
 
+# The readers of the objects in lists: each reads its object whole, and
+# walks one that does not read value by value to raise its first error.
+_STR, _DICT = {str}, {dict}
+_COMPONENT_FIELDS = ("name", "ports", "states", "initial", "transitions")
+_TRANSITION_FIELDS = ("from", "port", "to")
+_ROW_FIELDS = ("state", "read", "next", "write", "move")
+_COMPONENT_KEYS = set(_COMPONENT_FIELDS)
+_TRANSITION_KEYS = {frozenset(_TRANSITION_FIELDS)}
+_ROW_KEYS = {frozenset(_ROW_FIELDS)}
+_INTERACTION_KEYS = ({"ports"}, {"ports", "name"})
+_ROW_TYPES = (str, str, str, str, int)
+_component_values = itemgetter(*_COMPONENT_FIELDS)
+_transition_values = itemgetter(*_TRANSITION_FIELDS)
+_row_values = itemgetter(*_ROW_FIELDS)
+
+
+def _component(obj: Any, k: int) -> tuple[str, tuple[str, ...], LocalBehavior]:
+    if type(obj) is dict and obj.keys() == _COMPONENT_KEYS:
+        name, ports, states, initial, trs = _component_values(obj)
+        if (
+            type(name) is type(initial) is str
+            and type(ports) is type(states) is type(trs) is list
+            and _STR.issuperset(map(type, chain(ports, states)))
+            and _DICT.issuperset(map(type, trs))
+            and _TRANSITION_KEYS.issuperset(map(frozenset, trs))
+        ):
+            triples = list(map(_transition_values, trs))
+            if _STR.issuperset(map(type, chain.from_iterable(triples))):
+                return name, tuple(ports), LocalBehavior(tuple(states), frozenset(triples), initial)
+    path = f"$.components[{k}]"
+    obj = _object(obj, path)
+    _fields(obj, path, _COMPONENT_FIELDS)
+    _string(obj["name"], f"{path}.name")
+    _string_array(obj["ports"], f"{path}.ports")
+    _string_array(obj["states"], f"{path}.states")
+    _string(obj["initial"], f"{path}.initial")
+    for t, tr in enumerate(_array(obj["transitions"], f"{path}.transitions")):
+        tr_path = f"{path}.transitions[{t}]"
+        _fields(_object(tr, tr_path), tr_path, _TRANSITION_FIELDS)
+        for field in _TRANSITION_FIELDS:
+            _string(tr[field], f"{tr_path}.{field}")
+    raise AssertionError(f"{path} reads value by value but not whole")
+
+
+def _interaction(obj: Any, k: int) -> Interaction:
+    if type(obj) is dict and obj.keys() in _INTERACTION_KEYS:
+        refs, name = obj["ports"], obj.get("name", f"alpha_{k}")
+        if type(refs) is list and type(name) is str and _STR.issuperset(map(type, refs)):
+            pids = tuple(PortId(c, p) for c, _, p in (r.partition(".") for r in refs))
+            if "" not in chain.from_iterable(pids):
+                return Interaction(name, pids)
+    path = f"$.interactions[{k}]"
+    obj = _object(obj, path)
+    _fields(obj, path, ("ports",), ("name",))
+    for j, p in enumerate(_array(obj["ports"], f"{path}.ports")):
+        _port_ref(p, f"{path}.ports[{j}]")
+    if "name" in obj:
+        _string(obj["name"], f"{path}.name")
+    raise AssertionError(f"{path} reads value by value but not whole")
+
+
+def _delta(rows: list) -> dict[tuple[str, str], tuple[str, str, int]]:
+    if _DICT.issuperset(map(type, rows)) and _ROW_KEYS.issuperset(map(frozenset, rows)):
+        values = list(map(_row_values, rows))
+        if all(tuple(map(type, v)) == _ROW_TYPES for v in values):
+            delta = {v[:2]: v[2:] for v in values}
+            if len(delta) == len(values):
+                return delta
+    seen: dict[tuple[str, str], int] = {}
+    for k, raw in enumerate(rows):
+        path = f"$.delta[{k}]"
+        obj = _object(raw, path)
+        _fields(obj, path, _ROW_FIELDS)
+        key = (_string(obj["state"], f"{path}.state"), _string(obj["read"], f"{path}.read"))
+        move = obj["move"]
+        if not isinstance(move, int) or isinstance(move, bool):
+            raise ParseError(f"{path}.move: expected an integer, got {type(move).__name__}")
+        if key in seen:
+            raise ParseError(f"{path} duplicates $.delta[{seen[key]}] (same state and read symbol)")
+        seen[key] = k
+        _string(obj["next"], f"{path}.next")
+        _string(obj["write"], f"{path}.write")
+    raise AssertionError("$.delta reads value by value but not whole")
+
+
 def parse_system(text: str, validate: bool = True) -> InteractionSystem:
     """Parse a system document.  With validate=True (the default) any
     validation finding is raised; validate=False returns the value so the
@@ -186,42 +278,13 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
     components: list[str] = []
     ports: dict[str, tuple[str, ...]] = {}
     behaviors: dict[str, LocalBehavior] = {}
-    for k, raw in enumerate(_array(doc["components"], "$.components")):
-        path = f"$.components[{k}]"
-        obj = _object(raw, path)
-        _fields(obj, path, ("name", "ports", "states", "initial", "transitions"))
-        name = _string(obj["name"], f"{path}.name")
-        ports[name] = _string_array(obj["ports"], f"{path}.ports")
-        states = _string_array(obj["states"], f"{path}.states")
-        initial = _string(obj["initial"], f"{path}.initial")
-        transitions = set()
-        for t, raw_tr in enumerate(_array(obj["transitions"], f"{path}.transitions")):
-            tr_path = f"{path}.transitions[{t}]"
-            tr = _object(raw_tr, tr_path)
-            _fields(tr, tr_path, ("from", "port", "to"))
-            transitions.add(
-                (
-                    _string(tr["from"], f"{tr_path}.from"),
-                    _string(tr["port"], f"{tr_path}.port"),
-                    _string(tr["to"], f"{tr_path}.to"),
-                )
-            )
+    for k, obj in enumerate(_array(doc["components"], "$.components")):
+        name, family, behavior = _component(obj, k)
         components.append(name)
-        behaviors[name] = LocalBehavior(states, frozenset(transitions), initial)
-
-    interactions: list[Interaction] = []
-    for k, raw in enumerate(_array(doc["interactions"], "$.interactions")):
-        path = f"$.interactions[{k}]"
-        obj = _object(raw, path)
-        _fields(obj, path, ("ports",), ("name",))
-        pids = tuple(
-            _port_ref(p, f"{path}.ports[{j}]")
-            for j, p in enumerate(_array(obj["ports"], f"{path}.ports"))
-        )
-        name = (
-            _string(obj["name"], f"{path}.name") if "name" in obj else f"alpha_{k}"
-        )
-        interactions.append(Interaction(name, pids))
+        ports[name], behaviors[name] = family, behavior
+    interactions = [
+        _interaction(obj, k) for k, obj in enumerate(_array(doc["interactions"], "$.interactions"))
+    ]
 
     system = InteractionSystem(
         InteractionModel(tuple(components), ports, tuple(interactions)), behaviors
@@ -311,31 +374,7 @@ def parse_dtm(text: str) -> DTM:
     )
     _version(doc, "$")
 
-    delta: dict[tuple[str, str], tuple[str, str, int]] = {}
-    rows: dict[tuple[str, str], int] = {}
-    for k, raw in enumerate(_array(doc["delta"], "$.delta")):
-        path = f"$.delta[{k}]"
-        obj = _object(raw, path)
-        _fields(obj, path, ("state", "read", "next", "write", "move"))
-        state = _string(obj["state"], f"{path}.state")
-        read = _string(obj["read"], f"{path}.read")
-        move = obj["move"]
-        if not isinstance(move, int) or isinstance(move, bool):
-            raise ParseError(
-                f"{path}.move: expected an integer, got {type(move).__name__}"
-            )
-        key = (state, read)
-        if key in rows:
-            raise ParseError(
-                f"{path} duplicates $.delta[{rows[key]}] (same state and read symbol)"
-            )
-        rows[key] = k
-        delta[key] = (
-            _string(obj["next"], f"{path}.next"),
-            _string(obj["write"], f"{path}.write"),
-            move,
-        )
-
+    delta = _delta(_array(doc["delta"], "$.delta"))
     machine = DTM(
         tape_alphabet=_string_array(doc["tape_alphabet"], "$.tape_alphabet"),
         input_alphabet=_string_array(doc["input_alphabet"], "$.input_alphabet"),
@@ -386,12 +425,16 @@ def parse_predicates(text: str) -> list[dict[str, str]]:
     doc = _object(_load(text), "$")
     _fields(doc, "$", ("version", "predicates"))
     _version(doc, "$")
-    out = []
-    for k, raw in enumerate(_array(doc["predicates"], "$.predicates")):
+    predicates = _array(doc["predicates"], "$.predicates")
+    if _DICT.issuperset(map(type, predicates)) and _STR.issuperset(
+        map(type, chain.from_iterable(map(dict.values, predicates)))
+    ):
+        return predicates
+    for k, obj in enumerate(predicates):
         path = f"$.predicates[{k}]"
-        obj = _object(raw, path)
-        out.append({c: _string(s, f"{path}.{c}") for c, s in obj.items()})
-    return out
+        for c, s in _object(obj, path).items():
+            _string(s, f"{path}.{c}")
+    raise AssertionError("$.predicates reads value by value but not whole")
 
 
 def serialize_predicates(predicates: list[dict[str, str]]) -> str:

@@ -198,11 +198,17 @@ class Engine:
         # rules none of whose ports has a transition that moves a code
         self.still = self.full & ~moves
 
+        self._packed: tuple = (object(), None)  # the last tuple packed, and its pack
         self.initial_code, self.initial = self.pack(sys.initial_state())
 
     def pack(self, q: GlobalState) -> tuple[int, tuple[int, ...]]:
         """The code and digits of a global state, rejecting a state of the
-        wrong length or with a name its component lacks."""
+        wrong length or with a name its component lacks.  The last tuple
+        packed is remembered, by identity, so the per-state calls on one
+        state pack it once; a list, which may change, never is."""
+        last, packed = self._packed
+        if q is last:
+            return packed
         if len(q) != len(self.components):
             raise ModelError(
                 f"global state has {len(q)} entries, expected {len(self.components)}"
@@ -220,7 +226,10 @@ class Engine:
                 )
             code += k * self.weights[ci]
             digits.append(k)
-        return code, tuple(digits)
+        packed = code, tuple(digits)
+        if type(q) is tuple:
+            self._packed = q, packed
+        return packed
 
     def names(self, code: int, start: int = 0, stop: int | None = None) -> GlobalState:
         """The global state, as local state names, whose code is `code`; or,

@@ -371,6 +371,22 @@ class TestTmCommands:
             assert (code, doc) == (2, None)
             assert f"max_steps must be at least 1, got {bound}" in err
 
+    def test_tm_run_stops_at_its_stated_default(self, monkeypatch, capsys):
+        # the counter takes 1,022 steps on 0^8 and 4·2^30 − 2 on 0^30: with
+        # no --max-steps the run stops at the default, patched low here
+        monkeypatch.setattr(cli, "DEFAULT_MAX_STATES", 100)
+        code, doc, err = run(capsys, "tm-run", FIXTURES / "counter.json", "--input", "0" * 8)
+        assert (code, doc["outcome"], doc["steps"]) == (0, "step_limit", 100)
+        assert err == "step_limit after 100 step(s)\n"
+        monkeypatch.undo()
+        sub = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        (steps,) = [a for a in sub.choices["tm-run"]._actions if "--max-steps" in a.option_strings]
+        assert (steps.default, steps.help) == (
+            1_000_000, "stop after this many steps (default 1,000,000; at least 1)"
+        )
+
     def test_tm_run_reports_loop(self):
         code, doc = run_child("tm-run", FIXTURES / "ping_pong.json", "--input", "a" * 30)
         assert code == 0

@@ -173,6 +173,55 @@ def test_an_unhashable_interaction_name_is_no_such_interaction(call, name):
     assert str(caught.value) == f"no such interaction: {name!r}"
 
 
+class Counted(dict):
+    """A state index that records every name looked up in it."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.looked_up = []
+
+    def get(self, key, default=None):
+        self.looked_up.append(key)
+        return super().get(key, default)
+
+
+class TestPackMemo:
+    def test_a_walk_packs_each_state_once(self):
+        # enabled_interactions, successors and step on one state tuple
+        # share one pack, whose body looks component 0's name up once
+        sys = pipeline(3)
+        eng = compile_system(sys)
+        index = eng.state_index[0] = Counted(eng.state_index[0])
+        rng = random.Random(0)
+        q = sys.initial_state()
+        visited = []
+        for _ in range(24):
+            enabled = enabled_interactions(sys, q)
+            assert {name for name, _ in successors(sys, q)} == enabled
+            visited.append(q[0])
+            q = step(sys, q, rng.choice(sorted(enabled)))
+        assert index.looked_up == visited
+
+    def test_a_list_state_is_packed_on_every_call(self):
+        sys = client_server(2)
+        first, then = sys.initial_state(), ("busy", "connected", "idle")
+        expected = successors(sys, first), successors(sys, then)
+        q = list(first)
+        assert successors(sys, q) == expected[0]
+        q[:] = then
+        assert successors(sys, q) == expected[1]
+        assert enabled_interactions(sys, q) == {"disconnect_S_c1"}
+
+    @pytest.mark.parametrize("name", ["gone", *UNHASHABLE_NAMES], ids=["unknown", "list", "dict"])
+    def test_a_refused_state_is_refused_again(self, name):
+        sys = client_server(2)
+        q = (name, "idle", "idle")
+        for _ in range(2):
+            with pytest.raises(ModelError) as caught:
+                successors(sys, q)
+            assert str(caught.value) == f"no such state: {name!r} in component S"
+
+
 class TestStep:
     def test_connect_moves_both_participants(self):
         sys = client_server(1)
