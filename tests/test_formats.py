@@ -723,9 +723,9 @@ def test_mutation_fuzz_never_silently_accepts():
 # Every document under fixtures/ and one predicate document, each broken in
 # each object kind it has, and the exact outcome of parsing each broken copy:
 # the `ParseError` text, `ModelError` where a machine reads but fails
-# validation, or a digest of the value read.  `refusals.json` holds the table as the
-# per-value reader, the one that spelled every path, wrote it; the readers
-# must keep it byte for byte.
+# validation, or a digest of the value read.  `refusals.json` holds the table
+# as the per-value reader, the one that spelled every path, wrote it; the
+# readers must keep it byte for byte.
 
 REFUSALS = Path(__file__).resolve().parent / "refusals.json"
 PREDICATE_TEXT = serialize_predicates([{"S": "busy", "c1": "*"}, {"s1": "waiting"}])
