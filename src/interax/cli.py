@@ -196,13 +196,21 @@ def _cmd_starify(args: argparse.Namespace) -> None:
 
 
 def _report_verdict(verdict: Verdict, out: str | None) -> None:
-    _emit(out, "verdict", agree=verdict.agree, details=verdict.details)
-    _say(("agree: " if verdict.agree else "DISAGREE: ") + verdict.details)
+    _emit(
+        out,
+        "verdict",
+        agree=verdict.agree,
+        complete=verdict.complete,
+        details=verdict.details,
+    )
+    label = "agree" if verdict.agree else "DISAGREE" if verdict.complete else "UNDECIDED"
+    _say(f"{label}: {verdict.details}")
 
 
 def _cmd_check_thm1(args: argparse.Namespace) -> None:
     machine = parse_dtm(_read(args.dtm))
-    _report_verdict(check_theorem1(machine, args.input), args.output)
+    verdict = check_theorem1(machine, args.input, max_states=args.max_states)
+    _report_verdict(verdict, args.output)
 
 
 def _cmd_check_thm2(args: argparse.Namespace) -> None:
@@ -279,8 +287,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("starify", _cmd_starify, "system",
             "transform a system into hub-and-spokes form")
-    command("check-thm1", _cmd_check_thm1, "dtm",
-            "machine acceptance vs. reachability in the compiled line system")
+    p = command("check-thm1", _cmd_check_thm1, "dtm",
+                "machine acceptance vs. reachability in the compiled line system")
+    p.add_argument(
+        "--max-states",
+        type=int,
+        help=(
+            "stop the run after this many steps and the search after this many "
+            f"states (default {DEFAULT_MAX_STATES:,}; at least 1)"
+        ),
+    )
     command("check-thm2", _cmd_check_thm2, "system",
             "reachable set vs. hub-idle projection of the starified system")
 

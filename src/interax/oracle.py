@@ -35,7 +35,7 @@ from .reduce_linear import (
     head_marker,
 )
 from .reduce_star import project_state, starify
-from .semantics import GlobalState, compile_system, is_reachable
+from .semantics import DEFAULT_MAX_STATES, GlobalState, compile_system, is_reachable
 from .turing import DTM, Outcome, initial_config, run_tm, tm_step
 from .validation import bound
 
@@ -70,7 +70,11 @@ class GenParams:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A checker's answer.  `complete` is False when the check stopped at
+    its bound before it could decide; `agree` is then False too."""
+
     agree: bool
+    complete: bool
     details: str
 
 
@@ -249,22 +253,31 @@ def _lockstep_check(
     return True, f"lockstep held for {steps} steps"
 
 
-def check_theorem1(machine: DTM, word: str) -> Verdict:
+def check_theorem1(machine: DTM, word: str, max_states: int | None = None) -> Verdict:
     """Machine acceptance of the word versus reachability of the accept
     predicate in the compiled line system, plus the lockstep replay.
-    `compile_lsa` validates the machine before `run_tm` runs it.  A search
-    cut off by its state bound says so in `details`."""
+    `compile_lsa` validates the machine before `run_tm` runs it.
+
+    One bound N (default 1,000,000) caps both the run, at N steps, and the
+    search, at N states: the line system's reachable set holds the image
+    of every configuration of the run, so a run longer than N − 1 steps is
+    out of the search's reach anyway.  A run stopped at its step limit, or
+    a search stopped at its bound, leaves the verdict undecided: not
+    complete and not agreeing, with `details` naming where it stopped.  The
+    lockstep replays only the steps that ran."""
+    limit = DEFAULT_MAX_STATES if max_states is None else bound(max_states, "max_states")
     sys_m = compile_lsa(machine, word)
-    run = run_tm(machine, word)
-    reach = is_reachable(sys_m, accept_predicate(machine, word))
+    run = run_tm(machine, word, max_steps=limit)
+    reach = is_reachable(sys_m, accept_predicate(machine, word), max_states=limit)
     lock_ok, lock_msg = _lockstep_check(machine, word, sys_m, run.steps)
+    complete = run.outcome is not Outcome.STEP_LIMIT and reach.complete
     tm_accepts = run.outcome is Outcome.ACCEPT
-    agree = (tm_accepts == reach.reachable) and lock_ok
+    agree = complete and (tm_accepts == reach.reachable) and lock_ok
     reachable = f"reachable={reach.reachable}"
     if not reach.complete:
         reachable += f" (search stopped at {reach.states_explored} states)"
     details = f"tm={run.outcome.value} in {run.steps} steps; {reachable}; {lock_msg}"
-    return Verdict(agree, details)
+    return Verdict(agree, complete, details)
 
 
 def check_theorem2(sys: InteractionSystem) -> Verdict:
@@ -288,4 +301,4 @@ def check_theorem2(sys: InteractionSystem) -> Verdict:
     details = (
         f"|reach|={len(base)} |reach'|={len(lifted)} |projected|={len(projected)}"
     )
-    return Verdict(agree, details)
+    return Verdict(agree, True, details)

@@ -99,8 +99,9 @@ class Engine:
     whose parts are `(component index, table)` pairs in component order;
     `table[s]` is the ascending tuple of the code steps `(t − s)·w_c` to
     the targets the participant's port leads to from local state `s`, empty
-    when `s` disables the port; the weight is `weights[ci]`.  Only the
-    build and `fire` read a table.  Enabledness mask: rule `k` owns bit
+    when `s` disables the port; the weight is `weights[ci]`.  The build,
+    `fire` and the search read a table, the search for a one-participant
+    rule's steps only (see below).  Enabledness mask: rule `k` owns bit
     `k`, and each component with a local state that disables some rule's
     port has a row of ints, where `row[s]` has bit `k` set unless rule `k`
     needs a port that `s` disables.  The AND of a state's rows is exactly
@@ -118,10 +119,14 @@ class Engine:
     to a 1-tuple, so most transitions allocate nothing.  The search keeps,
     per search, a dict from each enabledness mask it meets to the mask's
     split: the number of enabled still rules, which it counts as one
-    transition each without firing them, and the enabled moving rules as
-    `(index, parts)` pairs in name order, the only ones it fires.  A ring
-    has one mask, so every state reuses one split.  Every other caller
-    fires every enabled rule.  The search dedups on codes.  It carries
+    transition each without firing them, and the enabled moving rules in
+    name order as `(index, parts, component index, table)`, the only ones
+    it fires.  The table is a one-participant rule's own, and None for any
+    other rule: the search takes such a rule's steps as its participant's
+    entry, all that `fire` would return, since on a ring, whose moving
+    rules are all ticks, the calls cost about a fifth of the search.  A
+    ring has one mask, so every state reuses one split.  Every other
+    caller fires every enabled rule.  The search dedups on codes.  It carries
     each frontier state's digits in a list parallel to the frontier's
     codes and builds a state's digit tuple once, when its code is first
     seen, copying the parent's and changing only the participants.
@@ -383,9 +388,10 @@ class Engine:
         rules, rows, fire, moved = self.rules, self.rows, self.fire, self.moved
         full, still = self.full, self.still
         n = len(rules)
-        # enabledness mask -> (enabled still rules, enabled moving rules as
-        # (index, parts) pairs in name order)
-        splits: dict[int, tuple[int, list[tuple[int, Parts]]]] = {}
+        # enabledness mask -> (enabled still rules, enabled moving rules in
+        # name order as (index, parts, component index, table), where the
+        # table is a one-participant rule's own and None otherwise)
+        splits: dict[int, tuple[int, list[tuple[int, Parts, int, list | None]]]] = {}
         codes, digits = [start], [self.initial]
         transitions = 0
         truncated = False
@@ -399,12 +405,17 @@ class Engine:
                     mask &= row[q[ci]]
                 split = splits.get(mask)
                 if split is None:
-                    moving = [(k, rules[k][1]) for k in _set_bits(mask & ~still)]
+                    moving = []
+                    for k in _set_bits(mask & ~still):
+                        parts = rules[k][1]
+                        ci, table = parts[0] if len(parts) == 1 else (0, None)
+                        moving.append((k, parts, ci, table))
                     split = splits[mask] = ((mask & still).bit_count(), moving)
                 stills, moving = split
                 transitions += stills
-                for k, parts in moving:
-                    steps = fire(q, parts)
+                for k, parts, ci, table in moving:
+                    # a one-participant rule's steps are its table entry
+                    steps = fire(q, parts) if table is None else table[q[ci]]
                     transitions += len(steps)
                     for step in steps:
                         succ = code + step
@@ -418,9 +429,11 @@ class Engine:
                         seen[succ] = code * n + k
                         if matches is not None and matches(q2):
                             # the still rules are already counted
-                            for later, others in moving:
+                            for later, others, cj, own in moving:
                                 if later > k:
-                                    transitions += len(fire(q, others))
+                                    transitions += len(
+                                        fire(q, others) if own is None else own[q[cj]]
+                                    )
                             return seen, transitions, truncated, succ
                         next_codes.append(succ)
                         next_digits.append(q2)

@@ -398,7 +398,32 @@ class TestTmCommands:
                 "check-thm1", FIXTURES / "ping_pong.json", "--input", word
             )
             assert code == 0
-            assert doc["agree"] is True
+            assert doc == {
+                "kind": "verdict",
+                "version": 1,
+                "agree": True,
+                "complete": True,
+                "details": "tm=loop in 3 steps; reachable=False; lockstep held for 3 steps",
+            }
+
+    def test_check_thm1_bound_is_checked_and_its_default_stated(self, files, capsys):
+        for bound in (0, -5):
+            code, doc, err = run(
+                capsys, "check-thm1", files["even_a"], "--input", "aa", "--max-states", bound
+            )
+            assert (code, doc) == (2, None)
+            assert err == f"error: max_states must be at least 1, got {bound}\n"
+        sub = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        (states,) = [
+            a for a in sub.choices["check-thm1"]._actions if "--max-states" in a.option_strings
+        ]
+        assert (states.default, states.help) == (
+            None,
+            "stop the run after this many steps and the search after this many "
+            "states (default 1,000,000; at least 1)",
+        )
 
     def test_tm_run_bad_symbol_exits_two(self, files, capsys):
         code, _, _ = run(capsys, "tm-run", files["even_a"], "--input", "xyz")
@@ -465,13 +490,21 @@ class TestTransformsAndCheckers:
     def test_check_thm1_agrees(self, files, capsys):
         code, doc, err = run(capsys, "check-thm1", files["even_a"], "--input", "aa")
         assert code == 0
-        assert doc["agree"] is True
+        assert (doc["agree"], doc["complete"]) == (True, True)
         assert err.startswith("agree")
 
     def test_check_thm2_agrees(self, files, capsys):
+        # the brute-force guard refuses rather than stops, so a thm2
+        # verdict is always complete
         code, doc, _ = run(capsys, "check-thm2", files["cs1"])
         assert code == 0
-        assert doc["agree"] is True
+        assert doc == {
+            "kind": "verdict",
+            "version": 1,
+            "agree": True,
+            "complete": True,
+            "details": "|reach|=2 |reach'|=12 |projected|=2",
+        }
 
     def test_gen_random_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -499,7 +532,7 @@ def adversarial_inputs(tmp_path):
         # the nondeterministic ring(6) has 729 states; its starification
         # has 3^6 * 37 = 26,973 product states
         "ring6": serialize_system(ring(6, nondet=True)),
-        "ping_pong": (FIXTURES / "ping_pong.json").read_text(),
+        "counter": (FIXTURES / "counter.json").read_text(),
     }
     for name, text in texts.items():
         (tmp_path / f"{name}.json").write_text(text)
@@ -533,9 +566,11 @@ BOUNDS = {
         "error: port name collision: s1.ok:send_m_1 already exists\n",
     ),
     "check-thm1": (
-        ["check-thm1", "{ping_pong}", "--input", "a"], 0,
-        {"agree": True, "details": "tm=loop in 3 steps; reachable=False; lockstep held for 3 steps"},
-        "agree: tm=loop in 3 steps; reachable=False; lockstep held for 3 steps\n",
+        # the counter takes 1,022 steps on 0^8
+        ["check-thm1", "{counter}", "--input", "00000000", "--max-states", "1000"], 0,
+        {"agree": False, "complete": False},
+        "UNDECIDED: tm=step_limit in 1000 steps; reachable=False "
+        "(search stopped at 1000 states); lockstep held for 1000 steps\n",
     ),
     "check-thm2": (
         ["check-thm2", "{ring6}"], 2, None,

@@ -41,7 +41,8 @@ def test_counter_runs_exponentially_long_and_theorem1_agrees():
     for n in range(9):
         result = run_tm(counter, "0" * n)
         assert (result.outcome, result.steps) == (Outcome.ACCEPT, 4 * 2**n - 2)
-        assert check_theorem1(counter, "0" * n).agree
+        verdict = check_theorem1(counter, "0" * n)
+        assert (verdict.agree, verdict.complete) == (True, True)
 
 
 def test_builders_refuse_too_few_members():

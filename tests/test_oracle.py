@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from interax import (
     LocalBehavior,
     ModelError,
     PortId,
+    Verdict,
     brute_force_reachable,
     check_theorem1,
     check_theorem2,
@@ -25,9 +27,12 @@ from interax import (
 )
 from interax import oracle, semantics
 from interax.fixtures import client_server, even_a, first_last, pipeline
+from interax.formats import parse_dtm
 from interax.oracle import STAR_EQUIVALENCE_SEEDS, _lockstep_check
 
 from test_semantics import ring
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestBruteForce:
@@ -402,13 +407,49 @@ class TestCheckTheorem1:
         assert "lockstep" in verdict.details
 
     def test_details_state_the_search_bound(self, monkeypatch):
-        monkeypatch.setattr(semantics, "DEFAULT_MAX_STATES", 5)
+        # one bound caps the run's steps and the search's states; the
+        # default is the search's own, patched low here
+        monkeypatch.setattr(oracle, "DEFAULT_MAX_STATES", 5)
         verdict = check_theorem1(even_a(), "a" * 10)
-        assert not verdict.agree
+        assert (verdict.agree, verdict.complete) == (False, False)
         assert verdict.details == (
-            "tm=accept in 11 steps; reachable=False (search stopped at 5 states); "
+            "tm=step_limit in 5 steps; reachable=False (search stopped at 5 states); "
+            "lockstep held for 5 steps"
+        )
+
+    def test_either_side_at_its_bound_leaves_the_verdict_undecided(self):
+        # even_a accepts a^10 in 11 steps, whose 12 configurations the
+        # search must all discover: a bound of 11 lets the run finish but
+        # stops the search, and 12 decides
+        verdict = check_theorem1(even_a(), "a" * 10, max_states=11)
+        assert (verdict.agree, verdict.complete) == (False, False)
+        assert verdict.details == (
+            "tm=accept in 11 steps; reachable=False (search stopped at 11 states); "
             "lockstep held for 11 steps"
         )
+        verdict = check_theorem1(even_a(), "a" * 10, max_states=12)
+        assert (verdict.agree, verdict.complete) == (True, True)
+        assert verdict.details == (
+            "tm=accept in 11 steps; reachable=True; lockstep held for 11 steps"
+        )
+
+    def test_a_run_at_its_step_limit_is_undecided_though_the_search_ends(self):
+        # ping_pong loops through 2 configurations, and Brent's detection
+        # needs 3 steps to see it: a bound of 2 completes the search only
+        m = parse_dtm((FIXTURES / "ping_pong.json").read_text())
+        verdict = check_theorem1(m, "a", max_states=2)
+        assert (verdict.agree, verdict.complete) == (False, False)
+        assert verdict.details == (
+            "tm=step_limit in 2 steps; reachable=False; lockstep held for 2 steps"
+        )
+        assert check_theorem1(m, "a", max_states=3) == Verdict(
+            True, True, "tm=loop in 3 steps; reachable=False; lockstep held for 3 steps"
+        )
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True], ids=repr)
+    def test_the_bound_is_checked(self, value):
+        with pytest.raises(ModelError, match="^max_states must be"):
+            check_theorem1(even_a(), "aa", max_states=value)
 
     def test_machine_validated_before_it_runs(self):
         m = even_a()

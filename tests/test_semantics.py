@@ -28,7 +28,7 @@ from interax import (
 from interax.fixtures import client_server, even_a, pipeline
 from interax.reduce_linear import accept_predicate, compile_lsa
 from interax.formats import parse_system, serialize_system
-from interax.semantics import compile_system
+from interax.semantics import Engine, compile_system
 from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
 
 
@@ -667,6 +667,35 @@ def test_hit_counts_every_successor_of_its_parent():
     assert result.trace == ["connect_S_c1"]
     assert (result.states_explored, result.transitions_explored) == (2, 2)
     assert_search_is_reference(sys, [StatePredicate.of({"c1": "connected"})])
+
+
+def fire_calls(monkeypatch):
+    """Count calls through the class attribute `Engine.fire`."""
+    calls = []
+    original = Engine.fire
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(Engine, "fire", counted)
+    return calls
+
+
+def test_the_search_takes_a_one_participant_rules_steps_itself(monkeypatch):
+    # a ring's moving rules are its ticks, each with one participant; a
+    # compiled line's rules all have two, so each state fires once
+    calls = fire_calls(monkeypatch)
+    assert explore(ring(5, True)).complete
+    det = ring(5, False)
+    deep = StatePredicate.of({f"c{i}": "q2" for i in range(5)})
+    mid = StatePredicate.of({"c3": "q1", "c4": "q2"})
+    assert is_reachable(det, deep).reachable and is_reachable(det, mid).reachable
+    assert calls == []
+    sys = compile_lsa(even_a(), "aaaa")
+    result = is_reachable(sys, accept_predicate(even_a(), "aaaa"))
+    assert result.reachable and result.states_explored == 6
+    assert len(calls) == 5
 
 
 def still_names(sys):
