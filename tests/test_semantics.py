@@ -1,9 +1,11 @@
 """Global semantics: enabledness, stepping, exploration, reachability."""
 
 import itertools
+import json
 import math
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -635,6 +637,53 @@ def test_search_on_a_ring_is_the_reference_bfs(nondet):
     assert [explore(sys, bound).complete for bound in (242, 243, 244)] == [
         False, True, True,
     ]
+
+
+# ------------------------------------------------------------------ pinned results
+# What `explore` and `is_reachable` return on the random systems and on the
+# rings, at bounds None, 1, 3 and each system's exact state count: a random
+# system's target is its last component in its last state, and a ring has a
+# deep and a mid target.  `search_results.json` holds the table as the
+# search wrote it before it counted fixed fan-out rules in its split (one
+# system per line); the search must keep every entry.
+
+SEARCH_RESULTS = Path(__file__).resolve().parent / "search_results.json"
+
+
+def search_cases():
+    """(label, system, {target label: target}) for each pinned system."""
+    for seed in ENGINE_EQUIVALENCE_SEEDS:
+        sys = gen_random_system(GenParams(seed=seed))
+        last = sys.model.components[-1]
+        yield f"seed {seed}", sys, {
+            "last": StatePredicate.of({last: sys.behaviors[last].states[-1]}),
+        }
+    for k in range(3, 10):
+        for nondet in (False, True):
+            yield f"ring {k} {'nondet' if nondet else 'det'}", ring(k, nondet), {
+                "deep": StatePredicate.of({f"c{i}": "q2" for i in range(k)}),
+                "mid": StatePredicate.of({f"c{k - 2}": "q1", f"c{k - 1}": "q2"}),
+            }
+
+
+def search_results() -> dict[str, dict[str, list]]:
+    table = {}
+    for label, sys, targets in search_cases():
+        cases = table[label] = {}
+        for bound in (None, 1, 3, len(explore(sys).states)):
+            got = explore(sys, bound)
+            cases[f"explore {bound}"] = [len(got.states), got.transitions, got.complete]
+            for name, target in targets.items():
+                r = is_reachable(sys, target, bound)
+                cases[f"reach {name} {bound}"] = [
+                    r.reachable, r.trace, r.states_explored,
+                    r.transitions_explored, r.complete,
+                ]
+    return table
+
+
+def test_search_results_are_pinned():
+    assert search_results() == json.loads(SEARCH_RESULTS.read_text())
 
 
 def test_a_later_predicate_filed_with_a_failing_one_still_matches():
