@@ -100,14 +100,17 @@ class Engine:
     `table[s]` is the ascending tuple of the code steps `(t − s)·w_c` to
     the targets the participant's port leads to from local state `s`, empty
     when `s` disables the port; the weight is `weights[ci]`.  The build,
-    `fire` and the search read a table, the search for a one-participant
-    rule's steps only (see below).  Enabledness mask: rule `k` owns bit
-    `k`, and each component with a local state that disables some rule's
-    port has a row of ints, where `row[s]` has bit `k` set unless rule `k`
-    needs a port that `s` disables.  The AND of a state's rows is exactly
-    its enabled set, and walking its set bits from low to high visits the
-    enabled rules in name order, so the canonical order comes from
-    generation, not sorting.  One walker, `_set_bits`, serves both
+    `fire` and the search read a table, the search for a fixed rule's steps
+    only (see below).  A one-participant rule is *fixed* when all its
+    non-empty table entries have the same length, its fan-out, and `fixed`
+    maps its index to `(component index, table, fan-out)`; the build scans
+    only one-participant rules' tables for it.  Enabledness mask: rule `k`
+    owns bit `k`, and each component with a local state that disables some
+    rule's port has a row of ints, where `row[s]` has bit `k` set unless
+    rule `k` needs a port that `s` disables.  The AND of a state's rows is
+    exactly its enabled set, and walking its set bits from low to high
+    visits the enabled rules in name order, so the canonical order comes
+    from generation, not sorting.  One walker, `_set_bits`, serves both
     `enabled` and the search's split below.  A rule none of whose ports
     has a moving transition is *still*, and `still` has bit `k` set when
     rule `k` is: where one is enabled, every participant's table entry is
@@ -118,14 +121,18 @@ class Engine:
     are its table entry, and several participants with one step each sum
     to a 1-tuple, so most transitions allocate nothing.  The search keeps,
     per search, a dict from each enabledness mask it meets to the mask's
-    split: the number of enabled still rules, which it counts as one
-    transition each without firing them, and the enabled moving rules in
-    name order as `(index, parts, component index, table)`, the only ones
-    it fires.  The table is a one-participant rule's own, and None for any
-    other rule: the search takes such a rule's steps as its participant's
+    split: the number of transitions of its enabled still rules, one
+    each, and of its enabled fixed rules, their fan-out each, which the
+    search adds at each state with that mask without a `len`; and the
+    enabled moving rules in name order as
+    `(index, parts, component index, table)`.  The table is a fixed rule's
+    own, and the search takes such a rule's steps as its participant's
     entry, all that `fire` would return, since on a ring, whose moving
-    rules are all ticks, the calls cost about a fifth of the search.  A
-    ring has one mask, so every state reuses one split.  Every other
+    rules are all ticks, the calls cost about a fifth of the search.  It
+    is None for any other rule, which the search fires and counts by its
+    steps: a rule with several participants, or with one whose fan-out
+    varies.  At a hit, the search adds only the later rules of this kind.
+    A ring has one mask, so every state reuses one split.  Every other
     caller fires every enabled rule.  The search dedups on codes.  It carries
     each frontier state's digits in a list parallel to the frontier's
     codes and builds a state's digit tuple once, when its code is first
@@ -161,6 +168,7 @@ class Engine:
         # total order, and rule k owns bit k of the mask.
         used: list[dict[str, list]] = [{} for _ in self.components]
         self.interactions: dict[str, Parts] = {}
+        singles = []  # (rule index, component index, table), one participant each
         for k, a in enumerate(sorted(model.interactions, key=lambda a: a.name)):
             parts = []
             keys = sorted([(self.comp_index[p.component], p.port) for p in a.ports])
@@ -171,6 +179,8 @@ class Engine:
                 entry[1] |= 1 << k
                 parts.append((ci, entry[0]))
             self.interactions[a.name] = tuple(parts)
+            if len(parts) == 1:
+                singles.append((k, *parts[0]))
         self.rules = list(self.interactions.items())
         self.every = range(len(self.rules))
 
@@ -202,6 +212,14 @@ class Engine:
         ]
         # rules none of whose ports has a transition that moves a code
         self.still = self.full & ~moves
+        # rule index -> (component index, table, fan-out) of each
+        # one-participant rule whose non-empty entries all have one length
+        fixed: dict[int, tuple[int, list[tuple[int, ...]], int]] = {}
+        for k, ci, table in singles:
+            fans = {len(steps) for steps in table if steps}
+            if len(fans) == 1:
+                fixed[k] = (ci, table, fans.pop())
+        self.fixed = fixed
 
         self._packed: tuple = (object(), None)  # the last tuple packed, and its pack
         self.initial_code, self.initial = self.pack(sys.initial_state())
@@ -386,11 +404,12 @@ class Engine:
         if matches is not None and matches(self.initial):
             return seen, 0, False, start
         rules, rows, fire, moved = self.rules, self.rows, self.fire, self.moved
-        full, still = self.full, self.still
+        full, still, fixed = self.full, self.still, self.fixed
         n = len(rules)
-        # enabledness mask -> (enabled still rules, enabled moving rules in
-        # name order as (index, parts, component index, table), where the
-        # table is a one-participant rule's own and None otherwise)
+        # enabledness mask -> (the transitions of its enabled still and
+        # fixed rules, enabled moving rules in name order as (index, parts,
+        # component index, table), where the table is a fixed rule's own and
+        # None for a rule the search fires and counts by its steps)
         splits: dict[int, tuple[int, list[tuple[int, Parts, int, list | None]]]] = {}
         codes, digits = [start], [self.initial]
         transitions = 0
@@ -405,18 +424,21 @@ class Engine:
                     mask &= row[q[ci]]
                 split = splits.get(mask)
                 if split is None:
+                    counted = (mask & still).bit_count()
                     moving = []
                     for k in _set_bits(mask & ~still):
-                        parts = rules[k][1]
-                        ci, table = parts[0] if len(parts) == 1 else (0, None)
-                        moving.append((k, parts, ci, table))
-                    split = splits[mask] = ((mask & still).bit_count(), moving)
-                stills, moving = split
-                transitions += stills
+                        ci, table, fan = fixed.get(k, (0, None, 0))
+                        counted += fan
+                        moving.append((k, rules[k][1], ci, table))
+                    split = splits[mask] = (counted, moving)
+                counted, moving = split
+                transitions += counted
                 for k, parts, ci, table in moving:
-                    # a one-participant rule's steps are its table entry
-                    steps = fire(q, parts) if table is None else table[q[ci]]
-                    transitions += len(steps)
+                    if table is None:
+                        steps = fire(q, parts)
+                        transitions += len(steps)
+                    else:  # a fixed rule's steps are its table entry
+                        steps = table[q[ci]]
                     for step in steps:
                         succ = code + step
                         if succ in seen:
@@ -428,12 +450,10 @@ class Engine:
                         q2 = moved(q, succ, parts)
                         seen[succ] = code * n + k
                         if matches is not None and matches(q2):
-                            # the still rules are already counted
-                            for later, others, cj, own in moving:
-                                if later > k:
-                                    transitions += len(
-                                        fire(q, others) if own is None else own[q[cj]]
-                                    )
+                            # the still and fixed rules are already counted
+                            for later, others, _, own in moving:
+                                if later > k and own is None:
+                                    transitions += len(fire(q, others))
                             return seen, transitions, truncated, succ
                         next_codes.append(succ)
                         next_digits.append(q2)

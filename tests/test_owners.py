@@ -26,7 +26,11 @@ Still rules are skipped in one place: only `Engine.search` reads an
 attribute named `still`, the engine's rules that can never move a state.
 It counts each enabled one as one transition without firing it, while
 the per-state calls (`successors`, `step`, `replay_trace`) fire every rule
-through `Engine.fire`.
+through `Engine.fire`.  Likewise only `Engine.search` reads an attribute
+named `fixed`, the engine's one-participant rules whose every enabled
+table entry has the same number of steps: it counts each enabled one by
+that fan-out once per enabledness mask, where the per-state calls count
+the steps `fire` returns.
 
 Every search keeps one container: `Engine.search` makes no `.add` call,
 so `explore` and `is_reachable` read the same dict of parent links and no
@@ -44,7 +48,7 @@ caller can skip validation by setting it or trust it where a copy lacks it.
 
 The engine has one firing rule and one inlined copy of its simplest case:
 a rule table is subscripted only in `Engine.__init__`, which fills the
-tables, in `Engine.fire`, and in `Engine.search`, which takes a
+tables, in `Engine.fire`, and in `Engine.search`, which takes a fixed
 one-participant rule's steps as its table entry without calling `fire`.
 No other caller inlines a firing rule; `step` names its blockers by firing
 each participant alone.
@@ -82,7 +86,7 @@ SOURCES = sorted(
 CODEC = {"weights", "radices", "state_names"}
 JSON_WRITERS = {"dump", "dumps"}
 MEMO = "_validated"
-TABLE_SOURCES = {"parts", "ports", "moving"}
+TABLE_SOURCES = {"parts", "ports", "moving", "fixed"}
 
 
 def codec_reads(source: str) -> list[str]:
@@ -237,6 +241,16 @@ def test_only_the_search_skips_still_rules():
     assert found == ["semantics.Engine.search"]
 
 
+def test_only_the_search_counts_fixed_rules():
+    # the per-state calls count each rule by the steps `fire` returns
+    found = sorted(
+        f"{path.stem}.{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in readers(path.read_text(), "fixed")
+    )
+    assert found == ["semantics.Engine.search"]
+
+
 def test_checker_finds_every_add_call():
     source = (
         "class Engine:\n"
@@ -339,11 +353,12 @@ def test_only_validate_system_remembers_a_verdict():
 
 def table_subscripts(source: str) -> list[str]:
     """Where a rule table is subscripted.  A table is reached from a
-    rule's participants, a port entry or the search's split: a name
-    unpacked from a tuple whose source mentions `parts`, `ports` or
-    `moving` (`for ci, t in parts`, `ci, t = parts[0]`, `t, bits =
-    ports[port]`, `for k, parts, ci, t in moving`), or three subscripts
-    down from `parts` (`parts[0][1][s]`)."""
+    rule's participants, a port entry, the search's split or the fixed
+    rules: a name unpacked from a tuple whose source mentions `parts`,
+    `ports`, `moving` or `fixed` (`for ci, t in parts`, `ci, t =
+    parts[0]`, `t, bits = ports[port]`, `for k, parts, ci, t in moving`,
+    `ci, t, fan = fixed[k]`), or three subscripts down from `parts`
+    (`parts[0][1][s]`)."""
     tables = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.For, ast.comprehension)):
@@ -391,14 +406,18 @@ def test_checker_finds_every_table_subscript():
         "        stills, moving = split\n"
         "        for k, rule, ci, own in moving:\n"
         "            own[q[ci]]\n"
+        "    def count(self, q, k):\n"
+        "        cj, entries, fan = self.fixed.get(k)\n"
+        "        return entries[q[cj]]\n"
     )
     assert table_subscripts(source) == [
-        "Engine.fire", "Engine.fire", "Engine.search", "Engine.walk", "fill",
+        "Engine.count", "Engine.fire", "Engine.fire", "Engine.search", "Engine.walk",
+        "fill",
     ]
 
 
 def test_only_the_build_fire_and_the_search_subscript_a_rule_table():
-    # the search reads a one-participant rule's entry itself: measured at
+    # the search reads a fixed rule's entry itself: measured at
     # about a fifth of ring-reach's time, it is the one reader beside `fire`
     found = sorted({
         f"{path.stem}.{where}"

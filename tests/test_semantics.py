@@ -745,6 +745,16 @@ def test_the_search_takes_a_one_participant_rules_steps_itself(monkeypatch):
     result = is_reachable(sys, accept_predicate(even_a(), "aaaa"))
     assert result.reachable and result.states_explored == 6
     assert len(calls) == 5
+    # `a` has one participant but two targets from x0 and one from x1, so
+    # the search fires it and counts its steps; `b` and `d` it never fires
+    calls.clear()
+    sys = fan_system()
+    parts = compile_system(sys).interactions
+    states = explore(sys).states
+    fired = [parts for _, _, parts in calls]
+    assert fired.count(parts["a"]) == sum(q[0] != "x2" for q in states) > 0
+    assert parts["c"] in fired and parts["e"] in fired
+    assert parts["b"] not in fired and parts["d"] not in fired
 
 
 def still_names(sys):
@@ -776,6 +786,113 @@ def small_system(behaviors, interactions):
             for c, (states, moves) in behaviors.items()
         },
     )
+
+
+def fan_system():
+    """One rule of each kind of fan-out: `a` is x's alone, with two targets
+    from x0 and one from x1 and from the unreachable x3; `b` is y's alone,
+    with two targets wherever y enables it (y2 does not); `d` is y's alone,
+    with one target; `c` and `e` have two participants each."""
+    return small_system(
+        {
+            "x": (
+                ("x0", "x1", "x2", "x3"),
+                {
+                    ("x0", "go", "x1"), ("x0", "go", "x2"),
+                    ("x1", "go", "x2"), ("x3", "go", "x3"),
+                },
+            ),
+            "y": (
+                ("y0", "y1", "y2"),
+                {
+                    ("y0", "t", "y1"), ("y0", "t", "y2"), ("y1", "t", "y0"),
+                    ("y1", "t", "y2"), ("y2", "m", "y0"),
+                },
+            ),
+        },
+        {
+            "a": [("x", "go")],
+            "b": [("y", "t")],
+            "c": [("x", "go"), ("y", "m")],
+            "d": [("y", "m")],
+            "e": [("x", "go"), ("y", "t")],
+        },
+    )
+
+
+def behavior_count(sys, states):
+    """The transitions out of `states` straight off the behaviors: per state
+    and interaction, the product of its participants' target counts (0
+    where one of them disables its port)."""
+    comps = sys.model.components
+    total = 0
+    for q in states:
+        for a in sys.model.interactions:
+            n = 1
+            for p in a.ports:
+                here = q[comps.index(p.component)]
+                moves = sys.behaviors[p.component].transitions
+                n *= len([t for s, port, t in moves if (s, port) == (here, p.port)])
+            total += n
+    return total
+
+
+COUNT_SYSTEMS = {
+    "fan": fan_system,
+    "ring det": lambda: ring(4, False),
+    "ring nondet": lambda: ring(4, True),
+    "two participants": lambda: client_server(2),
+    "two nondet participants": index_order_system,
+    "one nondet participant": nondet_system,
+}
+
+
+class TestTransitionCount:
+    """The search counts each enabled still rule and each enabled
+    one-participant rule of one fan-out once per enabledness mask, and
+    every other rule by the steps `fire` returns; the totals are the
+    behaviors' own."""
+
+    def test_fixed_rules_are_the_one_participant_rules_of_one_fan_out(self):
+        eng = compile_system(fan_system())
+        assert {eng.rules[k][0]: fan for k, (_, _, fan) in eng.fixed.items()} == {
+            "b": 2, "d": 1,
+        }
+        for nondet in (False, True):
+            eng = compile_system(ring(4, nondet))
+            fans = {eng.rules[k][0]: fan for k, (_, _, fan) in eng.fixed.items()}
+            assert fans == {f"t_{i}": 2 if nondet else 1 for i in range(4)}
+
+    @pytest.mark.parametrize("label", COUNT_SYSTEMS)
+    def test_explore_counts_the_behaviors_transitions(self, label):
+        # a truncated search still expands every state it discovered
+        sys = COUNT_SYSTEMS[label]()
+        for bound in (None, 1, 2, 3, 5):
+            result = explore(sys, bound)
+            assert result.transitions == behavior_count(sys, result.states)
+
+    def test_a_full_search_counts_the_behaviors_transitions(self):
+        sys = fan_system()
+        states = explore(sys).states
+        got = is_reachable(sys, StatePredicate.of({"x": "x3"}))
+        assert (got.reachable, got.states_explored) == (False, len(states))
+        assert got.transitions_explored == behavior_count(sys, states)
+
+    @pytest.mark.parametrize("hit, rule", [("x1", "a"), ("y1", "b")])
+    def test_a_hit_counts_its_parents_transitions_once(self, hit, rule):
+        # from (x0, y0) the fired `a` reaches x1 first, while the fixed `b`,
+        # counted in the split, and the fired `e` come later; y1 is reached
+        # by `b` itself, after `a` and before `e`
+        sys = fan_system()
+        target = StatePredicate.of({hit[0]: hit})
+        got = is_reachable(sys, target)
+        assert got.trace == [rule]
+        initial = [sys.initial_state()]
+        assert got.transitions_explored == behavior_count(sys, initial) == 8
+        assert (
+            got.reachable, got.trace, got.states_explored,
+            got.transitions_explored, got.complete,
+        ) == reference_reach(sys, [target])
 
 
 class TestStillRules:
