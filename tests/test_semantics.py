@@ -854,14 +854,13 @@ class TestTransitionCount:
     behaviors' own."""
 
     def test_fixed_rules_are_the_one_participant_rules_of_one_fan_out(self):
-        eng = compile_system(fan_system())
-        assert {eng.rules[k][0]: fan for k, (_, _, fan) in eng.fixed.items()} == {
-            "b": 2, "d": 1,
-        }
+        def fans(sys):
+            eng = compile_system(sys)
+            return {eng.rules[k][0]: fan for k, (_, _, fan) in eng.fixed.items()}
+
+        assert fans(fan_system()) == {"b": 2, "d": 1}
         for nondet in (False, True):
-            eng = compile_system(ring(4, nondet))
-            fans = {eng.rules[k][0]: fan for k, (_, _, fan) in eng.fixed.items()}
-            assert fans == {f"t_{i}": 2 if nondet else 1 for i in range(4)}
+            assert fans(ring(4, nondet)) == {f"t_{i}": 2 if nondet else 1 for i in range(4)}
 
     @pytest.mark.parametrize("label", COUNT_SYSTEMS)
     def test_explore_counts_the_behaviors_transitions(self, label):
