@@ -177,6 +177,36 @@ class TestSystemRoundTrip:
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             serialize_system(system)
 
+    def test_several_faults_are_refused_in_canonical_order(self):
+        # the writer checks missing behaviors, then behaviors the model
+        # lacks, then stray port families, then port references, each in
+        # sorted order, whatever order the system lists them in
+        b = LocalBehavior(("q",), frozenset(), "q")
+        behaviors = {"a": b, "c": b}
+        extra = {**behaviors, "yy": b, "y": b}
+        model = InteractionModel(("c", "a"), {"a": (), "c": (), "zz": ("p",), "z": ("p",)}, ())
+        missing = replace(model, components=("e", "c", "b", "a"))
+        for system, message in (
+            (InteractionSystem(missing, extra), "component b has no behavior"),
+            (InteractionSystem(model, extra), "component y is not in the model"),
+            (InteractionSystem(model, behaviors), "port family for component z is not in the model"),
+        ):
+            with pytest.raises(ModelError, match=f"^cannot serialize: {message}$"):
+                serialize_system(system)
+        unreadable = (
+            Interaction("n", (PortId("", "p"),)),
+            Interaction("m", (PortId("x.y", "p"), PortId("a.b", "p"))),
+        )
+        system = InteractionSystem(
+            InteractionModel(("c", "a"), {"a": (), "c": ()}, unreadable), behaviors
+        )
+        message = (
+            f"cannot serialize: interaction 'm' lists {PortId('a.b', 'p')!r}, "
+            "whose reference 'a.b.p' does not read back as it"
+        )
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            serialize_system(system)
+
 
 class TestDtmRoundTrip:
     def test_parse_of_serialize_is_canonicalize(self):

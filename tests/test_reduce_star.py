@@ -1,5 +1,9 @@
 """Hub-and-spokes transformation: sizes, protocol shape, projection."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from interax import (
@@ -22,6 +26,10 @@ from interax import (
     validate_system,
 )
 from interax.fixtures import client_server, pipeline
+from interax.formats import parse_dtm, parse_system, serialize_system
+from interax.oracle import ENGINE_EQUIVALENCE_SEEDS
+from interax.reduce_linear import compile_lsa
+from interax.topology import interaction_graph
 
 
 def hub_of(sys):
@@ -353,3 +361,61 @@ class TestSinglePass:
             assert star.model.ports[hub] == tuple(names)
             # each interaction's hub side is the last party and bears its name
             assert all(a.ports[-1] == PortId(hub, a.name) for a in star.model.interactions)
+
+
+# What the star path gives: per system, the sha256 of the starified
+# system's document, the classification of its model and the edges of the
+# system's own interaction graph, and the interaction graphs of line
+# systems.  `star_results.json` holds the table
+# as the code wrote it before `serialize_system` rendered from sorted views
+# (one entry per line); the star path must keep every entry.
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+STAR_RESULTS = Path(__file__).resolve().parent / "star_results.json"
+
+
+def star_cases():
+    """(label, system) for every fixture system, pipeline(2..6),
+    client_server(1..6) and the random systems."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        text = path.read_text()
+        if "components" in json.loads(text):
+            yield path.name, parse_system(text)
+    yield from ((f"pipeline({n})", pipeline(n)) for n in range(2, 7))
+    yield from ((f"client_server({r})", client_server(r)) for r in range(1, 7))
+    for seed in ENGINE_EQUIVALENCE_SEEDS:
+        yield f"seed {seed}", gen_random_system(GenParams(seed=seed))
+
+
+def line_cases():
+    """(label, system) for the line system of each fixture machine on a
+    word of two lengths, cycling through its input alphabet."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        text = path.read_text()
+        if "delta" in json.loads(text):
+            machine = parse_dtm(text)
+            for n in (3, 9):
+                alphabet = machine.input_alphabet
+                word = "".join(alphabet[k % len(alphabet)] for k in range(n))
+                yield f"{path.name} {word}", compile_lsa(machine, word)
+
+
+def star_results() -> dict[str, dict]:
+    table = {}
+    for label, sys in star_cases():
+        star = starify(sys)
+        shape = classify(star.model)
+        table[label] = {
+            "sha256": hashlib.sha256(serialize_system(star).encode()).hexdigest(),
+            "star_like": shape.star_like,
+            "linear": shape.linear,
+            "edges": [list(e) for e in interaction_graph(sys.model).edges],
+        }
+    for label, sys in line_cases():
+        g = interaction_graph(sys.model)
+        table[label] = {"nodes": list(g.nodes), "edges": [list(e) for e in g.edges]}
+    return table
+
+
+def test_star_results_are_pinned():
+    assert star_results() == json.loads(STAR_RESULTS.read_text())
