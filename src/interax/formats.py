@@ -12,7 +12,7 @@ set, and the type of every value in one `map(type, ...)` pass; it builds
 the value with C-level calls.  Only an object that fails is walked again
 value by value, spelling paths, to raise its first error (finding none is
 an `AssertionError`), so a path is formatted only for a refused document.
-Serialization canonicalizes first and emits sorted keys, two-space
+Serialization writes in canonical order and emits sorted keys, two-space
 indentation, `\\uXXXX` escapes for non-ASCII and a trailing newline, so
 equal values produce identical bytes: those of `json.dumps(...,
 sort_keys=True, indent=2)` plus a newline.  `dump_document` writes every
@@ -53,7 +53,6 @@ from .model import (
     InteractionSystem,
     LocalBehavior,
     PortId,
-    canonicalize_system,
     refuse_untyped,
     validate_system,
 )
@@ -306,24 +305,27 @@ def serialize_system(sys: InteractionSystem) -> str:
     The text is rendered straight from the document's fixed shape, one
     template per object, with no dict in between; its bytes are those that
     `dump_document` writes for the same document, and `json.dumps(...,
-    sort_keys=True, indent=2)` plus a newline."""
+    sort_keys=True, indent=2)` plus a newline.  It reads the system through
+    sorted views: sorted components, port families, states and transitions,
+    and the interactions as sorted `(name, sorted ports)` pairs, the order
+    of `canonicalize_system`, whose copy it does not build.  The faults are
+    checked in that order too: the first missing behavior, then the first
+    behavior the model lacks, then the first port family it lacks, then
+    each interaction's port references."""
     refuse_untyped(sys, "serialize")
-    canonical = canonicalize_system(sys)
-    for c in canonical.model.components:
-        if c not in canonical.behaviors:
-            raise ModelError(f"cannot serialize: component {c} has no behavior")
-    components = set(canonical.model.components)
-    for c in canonical.behaviors:
-        if c not in components:
-            raise ModelError(f"cannot serialize: component {c} is not in the model")
-    for c in canonical.model.ports:
-        if c not in components:
-            raise ModelError(
-                f"cannot serialize: port family for component {c} is not in the model"
-            )
+    model, behaviors = sys.model, sys.behaviors
+    components = sorted(model.components)
+    known = set(components)
+    for faults, message in (
+        (known - behaviors.keys(), "component {} has no behavior"),
+        (behaviors.keys() - known, "component {} is not in the model"),
+        (model.ports.keys() - known, "port family for component {} is not in the model"),
+    ):
+        if faults:
+            raise ModelError("cannot serialize: " + message.format(min(faults)))
     rendered = []
-    for c in canonical.model.components:
-        b = canonical.behaviors[c]
+    for c in components:
+        b = behaviors[c]
         transitions = [
             _TRANSITION % (_quote(src), _quote(port), _quote(dst))
             for src, port, dst in sorted(b.transitions)
@@ -333,18 +335,18 @@ def serialize_system(sys: InteractionSystem) -> str:
             % (
                 _quote(b.initial),
                 _quote(c),
-                _items([_quote(p) for p in canonical.model.ports[c]], "\n      "),
-                _items([_quote(q) for q in b.states], "\n      "),
+                _items([_quote(p) for p in sorted(model.ports.get(c, ()))], "\n      "),
+                _items([_quote(q) for q in sorted(b.states)], "\n      "),
                 _items(transitions, "\n      "),
             )
         )
     interactions = [
         _INTERACTION
         % (
-            _quote(a.name),
-            _items([_quote(_reference(a.name, p)) for p in a.ports], "\n      "),
+            _quote(label),
+            _items([_quote(_reference(label, p)) for p in pids], "\n      "),
         )
-        for a in canonical.model.interactions
+        for label, pids in sorted((a.name, tuple(sorted(a.ports))) for a in model.interactions)
     ]
     return _SYSTEM % (
         _items(rendered, "\n  "),

@@ -416,7 +416,9 @@ def canonicalize_system(sys: InteractionSystem) -> InteractionSystem:
     """Canonical model plus behaviors with sorted state lists, sorted by
     component.  Every behavior given is kept, also one the model lacks.
     Names that cannot be sorted together raise `ModelError` through
-    `refuse_untyped`."""
+    `refuse_untyped`.  This is the order `formats.serialize_system` writes
+    from sorted views of a system without building this copy: reading a
+    written document back gives this value."""
     try:
         behaviors = {
             c: replace(b, states=tuple(sorted(b.states)))

@@ -90,21 +90,20 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
                         f"port name collision: {comp}.{variant} already exists"
                     )
             lifted += (ok, nok)
-            transitions.update(
-                (state, ok if (state, port) in enabled else nok, state)
-                for state in b.states
-            )
+            for state in b.states:
+                transitions.add((state, ok if (state, port) in enabled else nok, state))
             name = f"{comp}.{port}"
-            hub_side = sides[PortId(comp, port)] = (
+            hub_ok, hub_nok, hub_fire = sides[PortId(comp, port)] = (
                 f"ok:{name}",
                 f"nok:{name}",
                 f"fire:{name}",
             )
-            for own, side in zip((ok, nok, port), hub_side):
-                interactions.append(
-                    Interaction(side, (PortId(comp, own), PortId(hub, side)))
-                )
-            hub_ports += hub_side
+            interactions += (
+                Interaction(hub_ok, (PortId(comp, ok), PortId(hub, hub_ok))),
+                Interaction(hub_nok, (PortId(comp, nok), PortId(hub, hub_nok))),
+                Interaction(hub_fire, (PortId(comp, port), PortId(hub, hub_fire))),
+            )
+            hub_ports += (hub_ok, hub_nok, hub_fire)
         if not family:
             side = f"ok:{comp}.{LINK}"
             interactions.append(

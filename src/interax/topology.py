@@ -30,15 +30,19 @@ class TopologyClass:
 
 def interaction_graph(im: InteractionModel) -> InteractionGraph:
     """Build the communication graph; isolated components are kept as nodes.
+    Its edges are the ordered pairs of distinct components `u < v` within
+    each interaction, collected in one pass over every interaction's ports.
     Names that cannot be sorted together, or a port entry that is not a
     `PortId`, raise `ModelError` through `refuse_untyped`."""
     try:
         nodes = tuple(sorted(set(im.components)))
-        edges: set[tuple[str, str]] = set()
-        for a in im.interactions:
-            participants = sorted({p.component for p in a.ports})
-            for u, v in itertools.combinations(participants, 2):
-                edges.add((u, v))
+        edges = {
+            (u, v)
+            for a in im.interactions
+            for p in a.ports
+            for q in a.ports
+            if (u := p.component) != (v := q.component) and u < v
+        }
         return InteractionGraph(nodes, tuple(sorted(edges)))
     except (TypeError, AttributeError):
         refuse_untyped(im, "build the interaction graph")

@@ -627,6 +627,8 @@ def test_names_are_refused_through_their_gates(name):
 
 # public functions without a caller in src/ or bench/, and why they stay
 UNCALLED = {
+    "canonicalize_system": "the value the system writer's order is checked against: "
+    "the round trips in tests/test_formats.py and tests/test_properties.py",
     "validate_model": "the model-level entry point of the rule tests in tests/test_model.py",
 }
 

@@ -188,6 +188,16 @@ class TestUntypedNames:
         with pytest.raises(ModelError, match="^cannot export DOT: name 1 is not a string$"):
             export_dot(g)
 
+    def test_a_name_is_never_compared_with_itself(self):
+        # a component named by no other port of its interaction is sorted
+        # with nothing, so even a name that cannot be ordered gives a graph
+        im = InteractionModel(
+            ("a",),
+            {"a": ("x",)},
+            (Interaction("i", (PortId(None, "p"), PortId(None, "q"))),),
+        )
+        assert interaction_graph(im) == InteractionGraph(("a",), ())
+
     def test_int_name_on_an_edge_only(self):
         g = InteractionGraph(("a", "b"), (("a", 3),))
         with pytest.raises(ModelError, match="^cannot export DOT: name 3 is not a string$"):
