@@ -16,8 +16,6 @@ from .model import (
     InteractionSystem,
     LocalBehavior,
     PortId,
-    canonicalize,
-    canonicalize_system,
     validate_model,
     validate_system,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "Verdict",
     "accept_predicate",
     "brute_force_reachable",
-    "canonicalize",
-    "canonicalize_system",
     "check_theorem1",
     "check_theorem2",
     "classify",

@@ -53,6 +53,7 @@ from .model import (
     InteractionSystem,
     LocalBehavior,
     PortId,
+    _mark_typed,
     refuse_untyped,
     validate_system,
 )
@@ -269,7 +270,8 @@ def _delta(rows: list) -> dict[tuple[str, str], tuple[str, str, int]]:
 def parse_system(text: str, validate: bool = True) -> InteractionSystem:
     """Parse a system document.  With validate=True (the default) any
     validation finding is raised; validate=False returns the value so the
-    findings can be reported as data."""
+    findings can be reported as data.  The readers take only strings, so
+    the value is marked typed either way."""
     doc = _object(_load(text), "$")
     _fields(doc, "$", ("version", "components", "interactions"))
     _version(doc, "$")
@@ -285,9 +287,8 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
         _interaction(obj, k) for k, obj in enumerate(_array(doc["interactions"], "$.interactions"))
     ]
 
-    system = InteractionSystem(
-        InteractionModel(tuple(components), ports, tuple(interactions)), behaviors
-    )
+    model = InteractionModel(tuple(components), ports, tuple(interactions))
+    system = _mark_typed(InteractionSystem(model, behaviors))
     if validate:
         validate_system(system).raise_if_failed("system")
     return system
@@ -307,11 +308,12 @@ def serialize_system(sys: InteractionSystem) -> str:
     `dump_document` writes for the same document, and `json.dumps(...,
     sort_keys=True, indent=2)` plus a newline.  It reads the system through
     sorted views: sorted components, port families, states and transitions,
-    and the interactions as sorted `(name, sorted ports)` pairs, the order
-    of `canonicalize_system`, whose copy it does not build.  The faults are
-    checked in that order too: the first missing behavior, then the first
-    behavior the model lacks, then the first port family it lacks, then
-    each interaction's port references."""
+    and the interactions as sorted `(name, sorted ports)` pairs, so reading
+    the document back gives the system in that order.  The faults are
+    checked in this order: the first port entry that is not a `PortId`, else
+    the first name that is not a string (unless the system is marked typed),
+    then the first missing behavior, the first behavior the model lacks, the
+    first port family it lacks, and each interaction's port references."""
     refuse_untyped(sys, "serialize")
     model, behaviors = sys.model, sys.behaviors
     components = sorted(model.components)

@@ -15,7 +15,7 @@ can be inspected.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -37,8 +37,8 @@ class PortId(NamedTuple):
 @dataclass(frozen=True)
 class Interaction:
     """A named set of ports, listed in any order.  Validation requires it
-    nonempty with at most one port per component; `canonicalize` sorts the
-    ports by component and port name."""
+    nonempty with at most one port per component; a written document lists
+    the ports sorted by component and port name."""
 
     name: str
     ports: tuple[PortId, ...]
@@ -90,7 +90,8 @@ class InteractionSystem:
     frozen.  That lets `validate_system` remember a clean verdict, and
     `semantics.compile_system` the engine it builds, once per system object,
     each as a private attribute outside the dataclass fields (so `==` and
-    `repr` ignore them)."""
+    `repr` ignore them); a builder that makes every name a string marks its
+    result the same way (`_mark_typed`)."""
 
     model: InteractionModel
     behaviors: Mapping[str, LocalBehavior]
@@ -99,7 +100,7 @@ class InteractionSystem:
         object.__setattr__(self, "behaviors", MappingProxyType(dict(self.behaviors)))
 
     def __reduce__(self):
-        # as InteractionModel's; a copy starts unvalidated and without an engine
+        # as InteractionModel's; a copy starts without a verdict, a mark or an engine
         return type(self), (self.model, dict(self.behaviors))
 
     def initial_state(self) -> tuple[str, ...]:
@@ -115,12 +116,24 @@ def _non_port_ids(im: InteractionModel) -> list[tuple[str, object]]:
     ]
 
 
+def _mark_typed(sys: InteractionSystem, like: InteractionSystem | None = None) -> InteractionSystem:
+    """`sys`, marked as its builder made it: every interaction port entry a
+    `PortId` and every name a string, all that `refuse_untyped` checks.  A
+    builder that copies names from a system `like` passes on its mark."""
+    if like is None or getattr(like, "_typed", False):
+        object.__setattr__(sys, "_typed", True)
+    return sys
+
+
 def refuse_untyped(value: InteractionModel | InteractionSystem, doing: str) -> None:
     """Raise `ModelError("cannot <doing>: ...")` naming the first interaction
     port entry that is not a `PortId`, else the first name that is not a
     string, from the one list of a model's names (components, port-family
     keys, port names, interaction names, `PortId` fields) and, for a system,
-    then its behavior keys, states, initials and transition fields."""
+    then its behavior keys, states, initials and transition fields.  A
+    system marked by `_mark_typed` passes at once."""
+    if getattr(value, "_typed", False):
+        return
     im = value if isinstance(value, InteractionModel) else value.model
     for name, p in _non_port_ids(im):
         raise ModelError(
@@ -301,6 +314,7 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     very objects (`is`) of a component found clean earlier in the same call,
     as the inner cells of a `compile_lsa` system share them, is checked for
     its initial state only: every other check would read the same objects.
+    A system marked by `_mark_typed` is not scanned for typing findings.
 
     A clean verdict is remembered on the system object, as a private
     attribute outside the dataclass fields, so every later call on that
@@ -310,9 +324,11 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     if getattr(sys, "_validated", False):
         return ValidationReport()
     im = sys.model
-    report = _typing_findings(im)
-    if not report.ok:
-        return report
+    typed = getattr(sys, "_typed", False)
+    if not typed:
+        report = _typing_findings(im)
+        if not report.ok:
+            return report
     report = _model_rules(im)
 
     # key=str: a behavior key need not be a string
@@ -337,7 +353,7 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
         shared = (id(b.states), id(b.transitions), id(family))
         states = clean.get(shared)
         if states is None:
-            odd = non_strings(b.states)
+            odd = [] if typed else non_strings(b.states)
             for s in odd:
                 report.add(
                     "non-string-name", f"component {c}: state name {s!r} is not a string"
@@ -390,41 +406,3 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     if report.ok:
         object.__setattr__(sys, "_validated", True)
     return report
-
-
-def canonicalize(im: InteractionModel) -> InteractionModel:
-    """Sort components, port families, interactions (by name, then ports)
-    and each interaction's ports.  Nothing is merged or dropped, so an
-    invalid model keeps every finding; names that cannot be sorted together
-    raise `ModelError` through `refuse_untyped`."""
-    try:
-        components = tuple(sorted(im.components))
-        # a family for a component the model lacks is kept too
-        families = sorted({*components, *im.ports})
-        ports = {c: tuple(sorted(im.ports.get(c, ()))) for c in families}
-        interactions = sorted(
-            (Interaction(a.name, tuple(sorted(a.ports))) for a in im.interactions),
-            key=lambda a: (a.name, a.ports),
-        )
-    except TypeError:
-        refuse_untyped(im, "canonicalize")
-        raise
-    return InteractionModel(components, ports, tuple(interactions))
-
-
-def canonicalize_system(sys: InteractionSystem) -> InteractionSystem:
-    """Canonical model plus behaviors with sorted state lists, sorted by
-    component.  Every behavior given is kept, also one the model lacks.
-    Names that cannot be sorted together raise `ModelError` through
-    `refuse_untyped`.  This is the order `formats.serialize_system` writes
-    from sorted views of a system without building this copy: reading a
-    written document back gives this value."""
-    try:
-        behaviors = {
-            c: replace(b, states=tuple(sorted(b.states)))
-            for c, b in sorted(sys.behaviors.items())
-        }
-    except TypeError:
-        refuse_untyped(sys, "canonicalize")
-        raise
-    return InteractionSystem(canonicalize(sys.model), behaviors)

@@ -26,6 +26,7 @@ from .model import (
     InteractionSystem,
     LocalBehavior,
     PortId,
+    _mark_typed,
 )
 from .reduce_linear import (
     accept_predicate,
@@ -164,7 +165,7 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
     Interactions are drawn first and port families collect exactly the ports
     the interactions use, so every port is covered by construction.  Local
     relations are sometimes nondeterministic and some ports may never be
-    enabled; both are legal."""
+    enabled; both are legal.  Its names are f-strings: it is marked typed."""
     for f in fields(params)[1:]:
         # the bounds after `seed`
         value, cap = bound(getattr(params, f.name), f.name), f.metadata["cap"]
@@ -214,7 +215,7 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
         behaviors[c] = LocalBehavior(states, frozenset(transitions), states[0])
 
     model = InteractionModel(tuple(comps), ports, tuple(interactions))
-    return InteractionSystem(model, behaviors)
+    return _mark_typed(InteractionSystem(model, behaviors))
 
 
 def _lockstep_check(

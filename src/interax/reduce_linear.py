@@ -40,6 +40,7 @@ from .model import (
     InteractionSystem,
     LocalBehavior,
     PortId,
+    _mark_typed,
 )
 from .semantics import GlobalState, StatePredicate
 from .turing import DTM, Configuration, initial_config, validate_dtm
@@ -99,7 +100,7 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
     interaction, whose successor is the image of the next configuration.
     Interactions and port families follow delta's insertion order, which
     neither `serialize_system` nor the engine (it orders rules by name) sees;
-    each interaction lists its two ports in cell order.
+    each interaction lists its two ports in cell order.  It is marked typed.
     """
     validate_dtm(machine).raise_if_failed("machine")
     initial = config_to_gstate(machine, word, initial_config(machine, word))
@@ -159,7 +160,7 @@ def compile_lsa(machine: DTM, word: str) -> InteractionSystem:
         ports[cell] = family
         behaviors[cell] = LocalBehavior(all_states, transitions, q)
     model = InteractionModel(cells, ports, tuple(interactions))
-    return InteractionSystem(model, behaviors)
+    return _mark_typed(InteractionSystem(model, behaviors))
 
 
 def accept_predicate(machine: DTM, word: str) -> list[StatePredicate]:
@@ -202,6 +203,7 @@ def extend_halt_propagation(
     so its receive transition branches nondeterministically; the wrong branch
     merely strands the run, it never unlocks the cascade ahead of acceptance.
     The extension only touches neighbor pairs, so the line shape survives.
+    It is marked typed, as `compile_lsa`'s result is.
     """
     sys_m = compile_lsa(machine, word)
     cells = sys_m.model.components
@@ -263,4 +265,4 @@ def extend_halt_propagation(
         )
     model = InteractionModel(cells, ports, tuple(interactions))
     distinguished = tuple(HALT_DONE for _ in cells)
-    return InteractionSystem(model, behaviors), distinguished
+    return _mark_typed(InteractionSystem(model, behaviors)), distinguished

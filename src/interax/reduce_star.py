@@ -37,6 +37,7 @@ from .model import (
     InteractionSystem,
     LocalBehavior,
     PortId,
+    _mark_typed,
     validate_system,
 )
 from .semantics import GlobalState
@@ -63,6 +64,7 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
     states and 3k+1 transitions, all lobes sharing the idle state; every
     non-idle hub state enables the ports of one original port (its ok and
     not-ok variants in a check state, its fire port in a fire state).
+    It copies names of `sys`, so it is marked typed only when `sys` is.
     """
     validate_system(sys).raise_if_failed("system")
     model = sys.model
@@ -147,7 +149,7 @@ def starify(sys: InteractionSystem) -> InteractionSystem:
     )
     components = (*model.components, hub)
     new_model = InteractionModel(components, ports, tuple(interactions))
-    return InteractionSystem(new_model, behaviors)
+    return _mark_typed(InteractionSystem(new_model, behaviors), like=sys)
 
 
 def project_state(sys: InteractionSystem, q: GlobalState) -> GlobalState | None:

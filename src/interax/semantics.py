@@ -533,8 +533,8 @@ def resolve_predicate(
     sys: InteractionSystem, constraints: Mapping[str, str]
 ) -> StatePredicate:
     """Build a predicate against a system, rejecting unknown names.  It
-    stays because the benchmark's ring-reach job calls it; ROADMAP item 1
-    removes that caller."""
+    stays because the benchmark's ring-reach job calls it; ROADMAP item 14
+    removes that caller and deletes it."""
     pred = StatePredicate.of(constraints)
     compile_system(sys).resolve(pred)
     return pred

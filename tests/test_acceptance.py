@@ -20,7 +20,6 @@ import time
 from interax import (
     GenParams,
     brute_force_reachable,
-    canonicalize_system,
     check_theorem1,
     check_theorem2,
     classify,
@@ -35,6 +34,7 @@ from interax.formats import parse_dtm, parse_system, serialize_dtm, serialize_sy
 from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, STAR_EQUIVALENCE_SEEDS
 from interax.turing import canonicalize_dtm
 
+from canonical import canonicalize_system
 from test_formats import DTM_MUTATIONS, SYSTEM_MUTATIONS, system_fixtures
 
 

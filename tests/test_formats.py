@@ -20,7 +20,6 @@ from interax import (
     ParseError,
     PortId,
     accept_predicate,
-    canonicalize_system,
     compile_lsa,
     extend_halt_propagation,
     starify,
@@ -41,6 +40,8 @@ from interax.formats import (
 )
 from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
 from interax.turing import canonicalize_dtm
+
+from canonical import canonicalize_system
 
 
 def system_fixtures():

@@ -1,9 +1,14 @@
 """Model layer: validation rules, canonicalization."""
 
+import contextlib
 import copy
 import dataclasses
+import json
 import pickle
 import random
+from itertools import product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -14,8 +19,6 @@ from interax import (
     LocalBehavior,
     ModelError,
     PortId,
-    canonicalize,
-    canonicalize_system,
     explore,
     starify,
     validate_dtm,
@@ -24,10 +27,17 @@ from interax import (
 )
 from interax import model as model_module
 from interax.fixtures import client_server, even_a, pipeline
-from interax.formats import parse_system, serialize_system
-from interax.oracle import GenParams, check_theorem2, gen_random_system
-from interax.reduce_linear import compile_lsa
+from interax.formats import parse_dtm, parse_system, serialize_system
+from interax.oracle import (
+    ENGINE_EQUIVALENCE_SEEDS,
+    GenParams,
+    check_theorem2,
+    gen_random_system,
+)
+from interax.reduce_linear import compile_lsa, extend_halt_propagation
 from interax.semantics import compile_system
+
+from canonical import canonicalize, canonicalize_system
 
 
 def _rules(report):
@@ -694,6 +704,140 @@ class TestValidationMemo:
             assert validate_system(twin).ok and validate_system(twin).ok
         assert validate_system(system).ok
         assert len(calls) == len(copies)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_documents(key):
+    """The text of each fixture document that has the field `key`."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        if key in json.loads(text):
+            yield text
+
+
+def scans_names(system):
+    """Whether `refuse_untyped` scans the names of `system`, as it does for
+    every system but one marked typed where it was built."""
+    with mock.patch.object(
+        model_module, "_non_port_ids", wraps=model_module._non_port_ids
+    ) as scan, contextlib.suppress(ModelError):
+        model_module.refuse_untyped(system, "check")
+    return scan.called
+
+
+def written(system):
+    """The document `serialize_system` writes for `system`, or its refusal."""
+    try:
+        return serialize_system(system)
+    except ModelError as e:
+        return f"refused: {e}"
+
+
+def marked_systems(family):
+    """The systems a typed builder makes, by family."""
+    if family == "parsed fixtures":
+        yield from map(parse_system, fixture_documents("components"))
+    elif family.startswith("random"):
+        for seed in ENGINE_EQUIVALENCE_SEEDS:
+            system = gen_random_system(GenParams(seed=seed))
+            yield starify(system) if family == "random, starified" else system
+    else:
+        for machine in map(parse_dtm, fixture_documents("delta")):
+            for n in range(7):
+                for word in map("".join, product(machine.input_alphabet, repeat=n)):
+                    if family == "compile_lsa":
+                        yield compile_lsa(machine, word)
+                    else:
+                        yield extend_halt_propagation(machine, word)[0]
+
+
+class Fake:
+    """Not a string, but hashes and compares equal to "q"."""
+
+    def __eq__(self, other):
+        return other == "q"
+
+    def __hash__(self):
+        return hash("q")
+
+    def __repr__(self):
+        return "Fake()"
+
+
+class TestTypedMark:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "parsed fixtures",
+            "random",
+            "random, starified",
+            "compile_lsa",
+            "extend_halt_propagation",
+        ],
+    )
+    def test_the_mark_never_changes_an_answer(self, family):
+        count = 0
+        for system in marked_systems(family):
+            # a copy is rebuilt through `__reduce__`, so it starts unmarked
+            twin = copy.copy(system)
+            assert not scans_names(system) and scans_names(twin)
+            model_module.refuse_untyped(twin, "serialize")
+            assert validate_system(twin).findings == validate_system(system).findings
+            assert written(twin) == written(system)
+            count += 1
+        assert count > 0
+
+    def test_a_name_equal_to_a_string_is_not_marked(self):
+        b = LocalBehavior(("q",), frozenset({("q", "p", Fake())}), "q")
+        model = InteractionModel(("a",), {"a": ("p",)}, (Interaction("i", (PortId("a", "p"),)),))
+        system = InteractionSystem(model, {"a": b})
+        # validation tests a transition target by membership only
+        assert validate_system(system).ok
+        star = starify(system)
+        assert scans_names(star)
+        for value in (system, star):
+            with pytest.raises(ModelError, match=r"^cannot serialize: name Fake\(\) is not a string$"):
+                serialize_system(value)
+
+    def test_an_invalid_document_parsed_without_validation_is_marked(self):
+        doc = {
+            "version": 1,
+            "components": [
+                {
+                    "name": "b",
+                    "ports": ["p", "p"],
+                    "states": ["q", "*", "q"],
+                    "initial": "r",
+                    "transitions": [{"from": "q", "port": "x", "to": "z"}],
+                },
+                {"name": "a.c", "ports": [], "states": [], "initial": "q", "transitions": []},
+            ],
+            "interactions": [{"ports": ["a.c.p"]}, {"name": "i", "ports": ["b.y", "b.p"]}],
+        }
+        system = parse_system(json.dumps(doc), validate=False)
+        assert not scans_names(system)
+        assert not validate_system(system).ok
+        assert validate_system(copy.copy(system)).findings == validate_system(system).findings
+        canonical = {
+            "version": 1,
+            "components": [
+                {"name": "a.c", "ports": [], "states": [], "initial": "q", "transitions": []},
+                {
+                    "name": "b",
+                    "ports": ["p", "p"],
+                    "states": ["*", "q", "q"],
+                    "initial": "r",
+                    "transitions": [{"from": "q", "port": "x", "to": "z"}],
+                },
+            ],
+            "interactions": [
+                {"name": "alpha_0", "ports": ["a.c.p"]},
+                {"name": "i", "ports": ["b.p", "b.y"]},
+            ],
+        }
+        assert serialize_system(system) == json.dumps(canonical, sort_keys=True, indent=2) + "\n"
 
 
 def dotted_system():

@@ -46,6 +46,11 @@ A clean validation verdict has one owner: only `model.validate_system`
 reads or writes the attribute that remembers it on a system object, so no
 caller can skip validation by setting it or trust it where a copy lacks it.
 
+The typed mark has one owner too: only `model.py` reads or writes the
+attribute that marks a system's names as typed where they were made, and
+each builder that makes them so marks its result through
+`model._mark_typed`, so no caller can skip the name scan by setting it.
+
 The engine has one firing rule and one inlined copy of its simplest case:
 a rule table is subscripted only in `Engine.__init__`, which fills the
 tables, in `Engine.fire`, and in `Engine.search`, which takes a fixed
@@ -86,6 +91,7 @@ SOURCES = sorted(
 CODEC = {"weights", "radices", "state_names"}
 JSON_WRITERS = {"dump", "dumps"}
 MEMO = "_validated"
+MARK = "_typed"
 TABLE_SOURCES = {"parts", "ports", "moving", "fixed"}
 
 
@@ -312,15 +318,26 @@ def test_the_per_state_path_builds_no_generator():
     assert [w for w in generators(source) if on_the_per_state_path(w)] == []
 
 
-def memo_touches(source: str) -> list[str]:
-    """Where the remembered-verdict attribute is touched: `x._validated`
-    in any context, or the string "_validated" (as `getattr` and
-    `object.__setattr__` name it)."""
+def touches(source: str, attr: str) -> list[str]:
+    """Where the private attribute `attr` is touched: `x.<attr>` in any
+    context, or the string `attr` (as `getattr` and `object.__setattr__`
+    name it)."""
     return places(
         source,
-        lambda node: (isinstance(node, ast.Attribute) and node.attr == MEMO)
-        or (isinstance(node, ast.Constant) and node.value == MEMO),
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == attr)
+        or (isinstance(node, ast.Constant) and node.value == attr),
     )
+
+
+def touchers(attr: str) -> list[str]:
+    """`module.where` for each place of the package, the tests (but this
+    file) and the bench that touches `attr`, each once."""
+    return sorted({
+        f"{path.stem}.{where}"
+        for path in SOURCES
+        if path != Path(__file__).resolve()
+        for where in touches(path.read_text(), attr)
+    })
 
 
 def test_checker_finds_every_memo_touch():
@@ -336,19 +353,36 @@ def test_checker_finds_every_memo_touch():
         "    def skip(self, s):\n"
         "        return s.validated, '_valid', s._validated.x\n"
     )
-    assert memo_touches(source) == [
+    assert touches(source, MEMO) == [
         "Cli.run", "Cli.run", "Cli.skip", "validate", "validate",
     ]
 
 
 def test_only_validate_system_remembers_a_verdict():
-    found = sorted({
+    assert touchers(MEMO) == ["model.validate_system"]
+
+
+def test_only_model_touches_the_typed_mark():
+    assert touchers(MARK) == [
+        "model._mark_typed", "model.refuse_untyped", "model.validate_system",
+    ]
+
+
+def test_builders_mark_their_results_through_the_helper():
+    # each makes every name a string and every port entry a PortId;
+    # `starify` marks its result only when its input is marked
+    found = sorted(
         f"{path.stem}.{where}"
         for path in SOURCES
-        if path != Path(__file__).resolve()
-        for where in memo_touches(path.read_text())
-    })
-    assert found == ["model.validate_system"]
+        for where in callers(path.read_text(), "_mark_typed")
+    )
+    assert found == [
+        "formats.parse_system",
+        "oracle.gen_random_system",
+        "reduce_linear.compile_lsa",
+        "reduce_linear.extend_halt_propagation",
+        "reduce_star.starify",
+    ]
 
 
 def table_subscripts(source: str) -> list[str]:
@@ -627,8 +661,6 @@ def test_names_are_refused_through_their_gates(name):
 
 # public functions without a caller in src/ or bench/, and why they stay
 UNCALLED = {
-    "canonicalize_system": "the value the system writer's order is checked against: "
-    "the round trips in tests/test_formats.py and tests/test_properties.py",
     "validate_model": "the model-level entry point of the rule tests in tests/test_model.py",
 }
 

@@ -21,7 +21,6 @@ from interax import (  # noqa: E402
     Outcome,
     PortId,
     StatePredicate,
-    canonicalize_system,
     check_theorem1,
     explore,
     initial_config,
@@ -44,6 +43,8 @@ from interax.formats import (  # noqa: E402
 )
 from interax.oracle import GenParams, gen_random_system  # noqa: E402
 from interax.turing import canonicalize_dtm  # noqa: E402
+
+from canonical import canonicalize_system  # noqa: E402
 from test_semantics import assert_search_is_reference  # noqa: E402
 
 bound = st.integers(1, 4)
