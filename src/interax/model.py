@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ModelError
 from .validation import ValidationReport, non_strings, refuse_non_strings, repeated
@@ -125,20 +125,11 @@ def _mark_typed(sys: InteractionSystem, like: InteractionSystem | None = None) -
     return sys
 
 
-def refuse_untyped(value: InteractionModel | InteractionSystem, doing: str) -> None:
-    """Raise `ModelError("cannot <doing>: ...")` naming the first interaction
-    port entry that is not a `PortId`, else the first name that is not a
-    string, from the one list of a model's names (components, port-family
-    keys, port names, interaction names, `PortId` fields) and, for a system,
-    then its behavior keys, states, initials and transition fields.  A
-    system marked by `_mark_typed` passes at once."""
-    if getattr(value, "_typed", False):
-        return
+def _names(value: InteractionModel | InteractionSystem) -> Iterable:
+    """Every name of a model (components, port-family keys, port names,
+    interaction names, `PortId` fields) and, for a system, then its behavior
+    keys, states, initials and transition fields, in that order."""
     im = value if isinstance(value, InteractionModel) else value.model
-    for name, p in _non_port_ids(im):
-        raise ModelError(
-            f"cannot {doing}: interaction {name!r} lists {p!r}, which is not a PortId"
-        )
     names = chain(
         im.components,
         im.ports,
@@ -155,7 +146,22 @@ def refuse_untyped(value: InteractionModel | InteractionSystem, doing: str) -> N
             (b.initial for b in behaviors),
             chain.from_iterable(chain.from_iterable(b.transitions for b in behaviors)),
         )
-    refuse_non_strings(names, doing)
+    return names
+
+
+def refuse_untyped(value: InteractionModel | InteractionSystem, doing: str) -> None:
+    """Raise `ModelError("cannot <doing>: ...")` naming the first interaction
+    port entry that is not a `PortId`, else the first name that is not a
+    string, in the order of `_names`.  A system marked by `_mark_typed`
+    passes at once."""
+    if getattr(value, "_typed", False):
+        return
+    im = value if isinstance(value, InteractionModel) else value.model
+    for name, p in _non_port_ids(im):
+        raise ModelError(
+            f"cannot {doing}: interaction {name!r} lists {p!r}, which is not a PortId"
+        )
+    refuse_non_strings(_names(value), doing)
 
 
 def _typing_findings(im: InteractionModel) -> ValidationReport:
@@ -315,6 +321,10 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     as the inner cells of a `compile_lsa` system share them, is checked for
     its initial state only: every other check would read the same objects.
     A system marked by `_mark_typed` is not scanned for typing findings.
+    On any other system, one with no other finding is scanned last for a
+    name that is not a string, in `refuse_untyped`'s order: any such name,
+    be it a transition field, an initial, a key or a `PortId` field, equals
+    a declared name, or another rule would have reported it.
 
     A clean verdict is remembered on the system object, as a private
     attribute outside the dataclass fields, so every later call on that
@@ -403,6 +413,11 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
                     f"component {c}: transition {src} --{port}--> {dst} uses unknown port {port}",
                 )
 
+    if report.ok and not typed:
+        # a name that is not a string but hashes and compares equal to a
+        # declared one passes every rule above: only here is it found
+        for x in non_strings(_names(sys)):
+            report.add("non-string-name", f"name {x!r} is not a string")
     if report.ok:
         object.__setattr__(sys, "_validated", True)
     return report

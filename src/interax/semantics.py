@@ -75,6 +75,19 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
+class _Record:
+    """What an engine knows of the last global state tuple it was asked
+    about: the tuple itself, its (code, digits), its enabled rule indices,
+    its (name, successor) list, and its first successor by name; each of
+    the last three is None until first needed."""
+
+    __slots__ = ("state", "packed", "enabled", "successors", "firsts")
+
+    def __init__(self) -> None:
+        self.state: object = object()  # no tuple yet
+        self.packed = self.enabled = self.successors = self.firsts = None
+
+
 class Engine:
     """Index-packed view of a validated system.  `fire` is the one firing
     rule: successors, `step`, enabledness and trace replay are all read off
@@ -140,6 +153,19 @@ class Engine:
     Every search keeps one int per parent link, `parent code·|rules| + rule
     index`: `is_reachable` follows the links back, and `explore` decodes
     the codes once, at the end.
+
+    The record: the engine keeps one `_Record` of the last global state
+    tuple it was asked about, by identity: its code and digits, its
+    enabled rule indices, its named successors and its first successor by
+    name.  `pack` refills it with a new tuple's code and digits, and the
+    per-state calls fill the rest, each part only when first needed:
+    `enabled_interactions` and `successors` compute the enabled rules
+    once, `successors` builds its list once, through the method
+    `successors` below, and hands out a fresh copy on every call, and
+    `step` after `successors` takes the first successor of its
+    interaction from a dict keyed by name, so with the hash and equality
+    of `parts`' lookup; any other `step` fires as before.  A list, which
+    may change, is never remembered, nor is a state `pack` refuses.
 
     An engine is built only from a validated system, by `compile_system`,
     which builds it once per system object and hands the same engine to
@@ -221,17 +247,17 @@ class Engine:
                 fixed[k] = (ci, table, fans.pop())
         self.fixed = fixed
 
-        self._packed: tuple = (object(), None)  # the last tuple packed, and its pack
+        self._record = _Record()
         self.initial_code, self.initial = self.pack(sys.initial_state())
 
     def pack(self, q: GlobalState) -> tuple[int, tuple[int, ...]]:
         """The code and digits of a global state, rejecting a state of the
-        wrong length or with a name its component lacks.  The last tuple
-        packed is remembered, by identity, so the per-state calls on one
-        state pack it once; a list, which may change, never is."""
-        last, packed = self._packed
-        if q is last:
-            return packed
+        wrong length or with a name its component lacks.  A tuple packed
+        refills the record, so the per-state calls on one state pack it
+        once; a list, which may change, never does."""
+        record = self._record
+        if q is record.state:
+            return record.packed
         if len(q) != len(self.components):
             raise ModelError(
                 f"global state has {len(q)} entries, expected {len(self.components)}"
@@ -251,7 +277,8 @@ class Engine:
             digits.append(k)
         packed = code, tuple(digits)
         if type(q) is tuple:
-            self._packed = q, packed
+            record.state, record.packed = q, packed
+            record.enabled = record.successors = record.firsts = None
         return packed
 
     def names(self, code: int, start: int = 0, stop: int | None = None) -> GlobalState:
@@ -367,15 +394,19 @@ class Engine:
         return self.every if mask == self.full else _set_bits(mask)
 
     def successors(
-        self, code: int, q: tuple[int, ...], names: GlobalState | None = None
+        self,
+        code: int,
+        q: tuple[int, ...],
+        names: GlobalState | None = None,
+        on: Sequence[int] | None = None,
     ) -> list[tuple[str, int]] | list[tuple[str, GlobalState]]:
         """All (interaction name, successor) pairs of q, whose code is
         `code`, in canonical order: by name, then as `fire` yields their
         steps.  A successor is its code, or, given q's names, its names as
-        `renamed` reads them."""
+        `renamed` reads them.  `on` is `enabled(q)` when already known."""
         out: list = []
         rules, fire, renamed = self.rules, self.fire, self.renamed
-        for k in self.enabled(q):
+        for k in self.enabled(q) if on is None else on:
             name, parts = rules[k]
             for step in fire(q, parts):
                 succ = code + step
@@ -479,7 +510,16 @@ def compile_system(sys: InteractionSystem) -> Engine:
 def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:
     """Names of interactions whose every participant enables its port in q."""
     eng = compile_system(sys)
-    return frozenset(eng.rules[k][0] for k in eng.enabled(eng.pack(q)[1]))
+    _, digits = eng.pack(q)
+    record = eng._record
+    if record.state is not q:  # not a tuple: never remembered
+        on = eng.enabled(digits)
+    else:
+        on = record.enabled
+        if on is None:
+            on = record.enabled = eng.enabled(digits)
+    rules = eng.rules
+    return frozenset([rules[k][0] for k in on])
 
 
 def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalState:
@@ -490,6 +530,17 @@ def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalStat
     blocking components.  Only the participants' names are read off the
     successor's code; the others are q's."""
     eng = compile_system(sys)
+    record = eng._record
+    if record.state is q and record.successors is not None:
+        firsts = record.firsts
+        if firsts is None:  # reversed, so each name keeps its first
+            firsts = record.firsts = dict(reversed(record.successors))
+        try:
+            succ = firsts.get(interaction)
+        except TypeError:  # unhashable: refused below
+            succ = None
+        if succ is not None:
+            return succ
     code, packed = eng.pack(q)
     parts = eng.parts(interaction)
     steps = eng.fire(packed, parts)
@@ -511,7 +562,19 @@ def successors(
     successor (local state indices, in component order).  Each successor
     is q with its participants' names read off its code."""
     eng = compile_system(sys)
-    return eng.successors(*eng.pack(q), q)
+    record = eng._record
+    if record.state is not q:
+        packed = eng.pack(q)
+        if record.state is not q:  # not a tuple: never remembered
+            return eng.successors(*packed, q)
+    succs = record.successors
+    if succs is None:
+        code, digits = record.packed
+        on = record.enabled
+        if on is None:
+            on = record.enabled = eng.enabled(digits)
+        succs = record.successors = eng.successors(code, digits, q, on)
+    return succs.copy()
 
 
 def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableSet:

@@ -793,13 +793,49 @@ class TestTypedMark:
         b = LocalBehavior(("q",), frozenset({("q", "p", Fake())}), "q")
         model = InteractionModel(("a",), {"a": ("p",)}, (Interaction("i", (PortId("a", "p"),)),))
         system = InteractionSystem(model, {"a": b})
-        # validation tests a transition target by membership only
-        assert validate_system(system).ok
-        star = starify(system)
-        assert scans_names(star)
-        for value in (system, star):
-            with pytest.raises(ModelError, match=r"^cannot serialize: name Fake\(\) is not a string$"):
-                serialize_system(value)
+        # the transition target passes every membership test; the last scan
+        # of validation finds it, so nothing accepts the system
+        assert scans_names(system)
+        assert [str(f) for f in validate_system(system).findings] == [
+            "non-string-name: name Fake() is not a string"
+        ]
+        for call in (starify, explore, compile_system):
+            with pytest.raises(ModelError, match=r"^invalid system: non-string-name: name Fake\(\) is not a string$"):
+                call(system)
+        with pytest.raises(ModelError, match=r"^cannot serialize: name Fake\(\) is not a string$"):
+            serialize_system(system)
+
+    def test_validation_scans_the_names_of_an_unmarked_system_only(self):
+        system = parse_system(serialize_system(client_server(2)), validate=False)
+        with mock.patch.object(model_module, "_names", wraps=model_module._names) as scan:
+            assert validate_system(system).ok
+            assert not scan.called
+            assert validate_system(copy.copy(system)).ok
+            assert scan.call_count == 1
+
+    @pytest.mark.parametrize(
+        "field", ["port-family key", "PortId field", "behavior key", "initial", "transition source"]
+    )
+    def test_every_name_equal_to_a_string_is_found(self, field):
+        # one component "q" with state "q" and port "p": Fake() takes the
+        # place of one "q"
+        fake = Fake()
+        b = LocalBehavior(
+            ("q",),
+            frozenset({(fake if field == "transition source" else "q", "p", "q")}),
+            fake if field == "initial" else "q",
+        )
+        model = InteractionModel(
+            ("q",),
+            {fake if field == "port-family key" else "q": ("p",)},
+            (Interaction("i", (PortId(fake if field == "PortId field" else "q", "p"),)),),
+        )
+        system = InteractionSystem(model, {fake if field == "behavior key" else "q": b})
+        assert [str(f) for f in validate_system(system).findings] == [
+            "non-string-name: name Fake() is not a string"
+        ]
+        with pytest.raises(ModelError, match=r"^cannot serialize: name Fake\(\) is not a string$"):
+            serialize_system(system)
 
     def test_an_invalid_document_parsed_without_validation_is_marked(self):
         doc = {

@@ -51,6 +51,12 @@ attribute that marks a system's names as typed where they were made, and
 each builder that makes them so marks its result through
 `model._mark_typed`, so no caller can skip the name scan by setting it.
 
+An engine's state record has its owners too: only `Engine.__init__`,
+which makes it, `Engine.pack`, which refills it with a new tuple's code
+and digits, and the three per-state calls (`enabled_interactions`,
+`successors`, `step`), which fill and read the rest, touch the attribute
+that holds it, so no other caller can trust what it remembers of a state.
+
 The engine has one firing rule and one inlined copy of its simplest case:
 a rule table is subscripted only in `Engine.__init__`, which fills the
 tables, in `Engine.fire`, and in `Engine.search`, which takes a fixed
@@ -92,6 +98,7 @@ CODEC = {"weights", "radices", "state_names"}
 JSON_WRITERS = {"dump", "dumps"}
 MEMO = "_validated"
 MARK = "_typed"
+RECORD = "_record"
 TABLE_SOURCES = {"parts", "ports", "moving", "fixed"}
 
 
@@ -365,6 +372,16 @@ def test_only_validate_system_remembers_a_verdict():
 def test_only_model_touches_the_typed_mark():
     assert touchers(MARK) == [
         "model._mark_typed", "model.refuse_untyped", "model.validate_system",
+    ]
+
+
+def test_only_packing_and_the_per_state_calls_touch_the_record():
+    assert touchers(RECORD) == [
+        "semantics.Engine.__init__",
+        "semantics.Engine.pack",
+        "semantics.enabled_interactions",
+        "semantics.step",
+        "semantics.successors",
     ]
 
 

@@ -639,6 +639,90 @@ def test_search_on_a_ring_is_the_reference_bfs(nondet):
     ]
 
 
+# ------------------------------------------------------------------ the state record
+
+class Named:
+    """Unhashable, but compares equal to the interaction name it wraps."""
+
+    __hash__ = None
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return other == self.name
+
+    def __repr__(self):
+        return f"Named({self.name!r})"
+
+
+def raised(call, *args):
+    """The text of the `ModelError` that `call(*args)` raises, else None."""
+    try:
+        call(*args)
+    except ModelError as e:
+        return str(e)
+    return None
+
+
+def record_systems():
+    """(id, system) pairs for the state record: every system document of
+    fixtures/, ring(3) of both kinds and some random systems."""
+    for path in sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")):
+        text = path.read_text()
+        if "interactions" in json.loads(text):
+            yield path.stem, parse_system(text)
+    for nondet in (False, True):
+        yield f"ring(3,{'nondet' if nondet else 'det'})", ring(3, nondet)
+    for seed in ENGINE_EQUIVALENCE_SEEDS[:20]:
+        yield f"random({seed})", gen_random_system(GenParams(seed=seed))
+
+
+RECORD_SYSTEMS = dict(record_systems())
+
+
+@pytest.mark.parametrize("label", RECORD_SYSTEMS)
+def test_the_state_record_never_changes_an_answer(label):
+    # a walk of 24 seeded steps: at each state, the three per-state calls
+    # answer the state tuple itself, asked again and again, as they answer
+    # a list (never remembered) and an equal fresh tuple (not yet asked)
+    sys = RECORD_SYSTEMS[label]
+    rules = sorted(name for name, _ in compile_system(sys).rules)
+    rng = random.Random(0)
+    q = sys.initial_state()
+    for _ in range(24):
+        listed = list(q)
+        enabled = enabled_interactions(sys, listed)
+        succs = successors(sys, listed)
+        firsts = {name: step(sys, listed, name) for name in enabled}
+        # a disabled, an unknown, an unhashable and an unhashable but equal name
+        bad = [
+            *(name for name in rules if name not in enabled),
+            "gone", ["x"], *(Named(name) for name in rules),
+        ]
+        refusals = [raised(step, sys, tuple(listed), name) for name in bad]
+        assert None not in refusals
+        for _ in range(2):
+            assert enabled_interactions(sys, q) == enabled
+            got = successors(sys, q)
+            assert got == succs
+            got.append(("gone", q))  # the next answer is a new list
+            assert successors(sys, q) == succs
+            assert [raised(step, sys, q, name) for name in bad] == refusals
+            assert {name: step(sys, q, name) for name in enabled} == firsts
+        for other in (tuple(listed), list(q)):
+            assert enabled_interactions(sys, other) == enabled
+            assert successors(sys, other) == succs
+            assert {name: step(sys, other, name) for name in enabled} == firsts
+            assert [raised(step, sys, other, name) for name in bad] == refusals
+        if not enabled:
+            break
+        successors(sys, q)
+        name = rng.choice(sorted(enabled))
+        q = step(sys, q, name)
+        assert q == firsts[name]
+
+
 # ------------------------------------------------------------------ pinned results
 # What `explore` and `is_reachable` return on the random systems and on the
 # rings, at bounds None, 1, 3 and each system's exact state count: a random
