@@ -116,6 +116,14 @@ def _non_port_ids(im: InteractionModel) -> list[tuple[str, object]]:
     ]
 
 
+def _has(group: set, x: object) -> bool:
+    """Whether `x` is in `group`; an unhashable `x` is no member's name."""
+    try:
+        return x in group
+    except TypeError:
+        return False
+
+
 def _mark_typed(sys: InteractionSystem, like: InteractionSystem | None = None) -> InteractionSystem:
     """`sys`, marked as its builder made it: every interaction port entry a
     `PortId` and every name a string, all that `refuse_untyped` checks.  A
@@ -198,7 +206,10 @@ def _clean_in_bulk(im: InteractionModel) -> bool:
     known = set(components)
     declared = {(c, p) for c in components for p in families.get(c, ())}
     refs = list(chain.from_iterable(a.ports for a in interactions))
-    used = set(refs)
+    try:
+        used = set(refs)
+    except TypeError:  # an unhashable PortId field: reported one by one
+        return False
     return (
         len(known) == len(components)
         and "" not in known
@@ -277,18 +288,22 @@ def _model_rules(im: InteractionModel) -> ValidationReport:
             continue
 
         for p in a.ports:
-            if p.component not in seen_components:
+            if not _has(seen_components, p.component):
                 report.add(
                     "unknown-component-ref",
                     f"interaction {a.name} references unknown component {p.component}",
                 )
-            elif p not in declared:
+            elif not _has(declared, p):
                 report.add(
                     "unknown-port-ref",
                     f"interaction {a.name} references unknown port {p}",
                 )
             else:
                 used.add(p)
+        try:
+            key = a.port_set()
+        except TypeError:  # an unhashable field, reported above: no set to compare
+            continue
         if len({p.component for p in a.ports}) < len(a.ports):
             for c, count in Counter(p.component for p in a.ports).items():
                 if count > 1:
@@ -297,7 +312,6 @@ def _model_rules(im: InteractionModel) -> ValidationReport:
                         f"interaction {a.name} has two ports of one component ({c})",
                     )
 
-        key = a.port_set()
         if key in seen_port_sets:
             report.add(
                 "duplicate-interaction",
@@ -324,7 +338,9 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
     On any other system, one with no other finding is scanned last for a
     name that is not a string, in `refuse_untyped`'s order: any such name,
     be it a transition field, an initial, a key or a `PortId` field, equals
-    a declared name, or another rule would have reported it.
+    a declared name, or another rule would have reported it.  An
+    unhashable initial or `PortId` field is no declared name either: it is
+    reported as unknown, like a hashable value that is not a string.
 
     A clean verdict is remembered on the system object, as a private
     attribute outside the dataclass fields, so every later call on that
@@ -379,7 +395,7 @@ def validate_system(sys: InteractionSystem) -> ValidationReport:
                 # predicate text reads "*" as any state, so no target can name it
                 report.add("wildcard-state", f"component {c} declares the state name *")
 
-        if b.initial not in states:
+        if not _has(states, b.initial):
             report.add(
                 "missing-initial",
                 f"component {c}: missing initial state {b.initial}",

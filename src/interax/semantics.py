@@ -22,6 +22,8 @@ from .validation import bound
 GlobalState = tuple[str, ...]
 # an interaction's (component index, table) participants; see `Engine`
 Parts = tuple[tuple[int, list[tuple[int, ...]]], ...]
+# a state, its (name, successor) list and its first successor by name
+Record = tuple[object, list[tuple[str, GlobalState]], dict[str, GlobalState]]
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -73,19 +75,6 @@ def _set_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-class _Record:
-    """What an engine knows of the last global state tuple it was asked
-    about: the tuple itself, its (code, digits), its enabled rule indices,
-    its (name, successor) list, and its first successor by name; each of
-    the last three is None until first needed."""
-
-    __slots__ = ("state", "packed", "enabled", "successors", "firsts")
-
-    def __init__(self) -> None:
-        self.state: object = object()  # no tuple yet
-        self.packed = self.enabled = self.successors = self.firsts = None
 
 
 class Engine:
@@ -154,18 +143,13 @@ class Engine:
     index`: `is_reachable` follows the links back, and `explore` decodes
     the codes once, at the end.
 
-    The record: the engine keeps one `_Record` of the last global state
-    tuple it was asked about, by identity: its code and digits, its
-    enabled rule indices, its named successors and its first successor by
-    name.  `pack` refills it with a new tuple's code and digits, and the
-    per-state calls fill the rest, each part only when first needed:
-    `enabled_interactions` and `successors` compute the enabled rules
-    once, `successors` builds its list once, through the method
-    `successors` below, and hands out a fresh copy on every call, and
-    `step` after `successors` takes the first successor of its
-    interaction from a dict keyed by name, so with the hash and equality
-    of `parts`' lookup; any other `step` fires as before.  A list, which
-    may change, is never remembered, nor is a state `pack` refuses.
+    The record: the engine keeps one tuple `(state, successors, firsts)`
+    for the last global state tuple the per-state calls were asked about,
+    by identity: its (name, successor) list and its first successor by
+    name.  `_record_of` builds it whole and stores it with one assignment,
+    so `enabled_interactions`, `successors` and `step` on one state do its
+    work once, also from several threads.  A list, which may change, is
+    never remembered, nor is a state `pack` refuses.
 
     An engine is built only from a validated system, by `compile_system`,
     which builds it once per system object and hands the same engine to
@@ -247,17 +231,12 @@ class Engine:
                 fixed[k] = (ci, table, fans.pop())
         self.fixed = fixed
 
-        self._record = _Record()
+        self._record: Record = (object(), [], {})  # no state yet
         self.initial_code, self.initial = self.pack(sys.initial_state())
 
     def pack(self, q: GlobalState) -> tuple[int, tuple[int, ...]]:
         """The code and digits of a global state, rejecting a state of the
-        wrong length or with a name its component lacks.  A tuple packed
-        refills the record, so the per-state calls on one state pack it
-        once; a list, which may change, never does."""
-        record = self._record
-        if q is record.state:
-            return record.packed
+        wrong length or with a name its component lacks."""
         if len(q) != len(self.components):
             raise ModelError(
                 f"global state has {len(q)} entries, expected {len(self.components)}"
@@ -275,11 +254,7 @@ class Engine:
                 )
             code += k * self.weights[ci]
             digits.append(k)
-        packed = code, tuple(digits)
-        if type(q) is tuple:
-            record.state, record.packed = q, packed
-            record.enabled = record.successors = record.firsts = None
-        return packed
+        return code, tuple(digits)
 
     def names(self, code: int, start: int = 0, stop: int | None = None) -> GlobalState:
         """The global state, as local state names, whose code is `code`; or,
@@ -394,19 +369,15 @@ class Engine:
         return self.every if mask == self.full else _set_bits(mask)
 
     def successors(
-        self,
-        code: int,
-        q: tuple[int, ...],
-        names: GlobalState | None = None,
-        on: Sequence[int] | None = None,
+        self, code: int, q: tuple[int, ...], names: GlobalState | None = None
     ) -> list[tuple[str, int]] | list[tuple[str, GlobalState]]:
         """All (interaction name, successor) pairs of q, whose code is
         `code`, in canonical order: by name, then as `fire` yields their
         steps.  A successor is its code, or, given q's names, its names as
-        `renamed` reads them.  `on` is `enabled(q)` when already known."""
+        `renamed` reads them."""
         out: list = []
         rules, fire, renamed = self.rules, self.fire, self.renamed
-        for k in self.enabled(q) if on is None else on:
+        for k in self.enabled(q):
             name, parts = rules[k]
             for step in fire(q, parts):
                 succ = code + step
@@ -507,51 +478,45 @@ def compile_system(sys: InteractionSystem) -> Engine:
     return eng
 
 
-def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:
-    """Names of interactions whose every participant enables its port in q."""
-    eng = compile_system(sys)
-    _, digits = eng.pack(q)
+def _record_of(eng: Engine, q: GlobalState) -> Record:
+    """The record `(q, successors, firsts)` of a global state: its named
+    successors, as `Engine.successors` lists them, and the first successor
+    under each enabled name.  A tuple's record replaces the engine's whole
+    (see `Engine`); a list's is never kept."""
     record = eng._record
-    if record.state is not q:  # not a tuple: never remembered
-        on = eng.enabled(digits)
-    else:
-        on = record.enabled
-        if on is None:
-            on = record.enabled = eng.enabled(digits)
-    rules = eng.rules
-    return frozenset([rules[k][0] for k in on])
+    if record[0] is not q:
+        succs = eng.successors(*eng.pack(q), q)
+        # reversed, so each name keeps its first successor
+        record = q, succs, dict(reversed(succs))
+        if type(q) is tuple:
+            eng._record = record
+    return record
+
+
+def enabled_interactions(sys: InteractionSystem, q: GlobalState) -> frozenset[str]:
+    """Names of interactions whose every participant enables its port in q:
+    those with a successor, since an enabled one always has one."""
+    return frozenset(_record_of(compile_system(sys), q)[2])
 
 
 def step(sys: InteractionSystem, q: GlobalState, interaction: str) -> GlobalState:
     """Fire one interaction: its first successor in canonical order, so
     participants move along their local transition (lowest target-state
     index when the local relation is nondeterministic) and everyone else
-    keeps its state.  Raises when the interaction is disabled, naming the
-    blocking components.  Only the participants' names are read off the
-    successor's code; the others are q's."""
+    keeps its state.  Raises on an unknown name, or when the interaction is
+    disabled, naming the blocking components."""
     eng = compile_system(sys)
-    record = eng._record
-    if record.state is q and record.successors is not None:
-        firsts = record.firsts
-        if firsts is None:  # reversed, so each name keeps its first
-            firsts = record.firsts = dict(reversed(record.successors))
-        try:
-            succ = firsts.get(interaction)
-        except TypeError:  # unhashable: refused below
-            succ = None
-        if succ is not None:
-            return succ
-    code, packed = eng.pack(q)
+    firsts = _record_of(eng, q)[2]
+    try:
+        return firsts[interaction]
+    except (KeyError, TypeError):  # unknown, unhashable or disabled
+        pass
     parts = eng.parts(interaction)
-    steps = eng.fire(packed, parts)
-    if not steps:
-        blockers = [
-            eng.components[ci] for ci, table in parts if not eng.fire(packed, ((ci, table),))
-        ]
-        raise ModelError(
-            f"interaction disabled: {interaction} blocked by {', '.join(blockers)}"
-        )
-    return eng.renamed(q, code + steps[0], parts)
+    _, packed = eng.pack(q)
+    blockers = [
+        eng.components[ci] for ci, table in parts if not eng.fire(packed, ((ci, table),))
+    ]
+    raise ModelError(f"interaction disabled: {interaction} blocked by {', '.join(blockers)}")
 
 
 def successors(
@@ -561,20 +526,7 @@ def successors(
     nondeterminism, in canonical order: by interaction name, then by
     successor (local state indices, in component order).  Each successor
     is q with its participants' names read off its code."""
-    eng = compile_system(sys)
-    record = eng._record
-    if record.state is not q:
-        packed = eng.pack(q)
-        if record.state is not q:  # not a tuple: never remembered
-            return eng.successors(*packed, q)
-    succs = record.successors
-    if succs is None:
-        code, digits = record.packed
-        on = record.enabled
-        if on is None:
-            on = record.enabled = eng.enabled(digits)
-        succs = record.successors = eng.successors(code, digits, q, on)
-    return succs.copy()
+    return _record_of(compile_system(sys), q)[1].copy()
 
 
 def explore(sys: InteractionSystem, max_states: int | None = None) -> ReachableSet:

@@ -637,6 +637,48 @@ class TestOneValidation:
             assert err.startswith("error: invalid system: "), path
 
 
+# commands whose output comes from sets and dicts of names, on the fixtures
+HASH_SEED_COMMANDS = {
+    "starify": ("starify", FIXTURES / "clientserver_r3.json"),
+    "check-thm2": ("check-thm2", FIXTURES / "clientserver_r2.json"),
+    "classify --dot": ("classify", FIXTURES / "clientserver_r3.json", "--dot", "graph.dot"),
+    "tm-compile": ("tm-compile", FIXTURES / "even_a.json", "--input", "aa"),
+    "tm-compile --halt-extension": (
+        "tm-compile", FIXTURES / "even_a.json", "--input", "aa", "--halt-extension",
+    ),
+    "check-thm1": ("check-thm1", FIXTURES / "first_last.json", "--input", "0110"),
+    "gen-random": ("gen-random", "--seed", "7"),
+    "reach --trace": (
+        "reach", FIXTURES / "pipeline_n3.json", "--target", "s3=replying", "--trace",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", HASH_SEED_COMMANDS)
+def test_output_bytes_do_not_depend_on_the_hash_seed(command, tmp_path):
+    # each run is a child process with its own hash seed, in its own
+    # directory, so a written DOT file is compared too
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    outputs = []
+    for seed in ("0", "1"):
+        where = tmp_path / seed
+        where.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "interax", *map(str, HASH_SEED_COMMANDS[command])],
+            capture_output=True,
+            timeout=30,
+            cwd=where,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes() for p in where.iterdir()}
+        outputs.append((proc.stdout, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]
+    if command == "classify --dot":
+        assert outputs[0][1]["graph.dot"]
+
+
 class TestArgumentHandling:
     def test_no_subcommand_exits_two(self, capsys):
         assert run_cli([]) == 2

@@ -1046,6 +1046,38 @@ class TestNonStringName:
             "unknown-transition-state",
         ]
 
+    @pytest.mark.parametrize("value", [5, ["q"]], ids=["hashable", "unhashable"])
+    @pytest.mark.parametrize("field", ["initial", "PortId port", "PortId component"])
+    def test_undeclared_initials_and_port_refs_are_unknown(self, field, value):
+        # a value that is no name, hashable or not, is reported as unknown;
+        # the unhashable one used to raise TypeError from every validating call
+        b = LocalBehavior(
+            ("q",), frozenset({("q", "p", "q")}), value if field == "initial" else "q"
+        )
+        port = PortId(
+            value if field == "PortId component" else "k",
+            value if field == "PortId port" else "p",
+        )
+        model = InteractionModel(("k",), {"k": ("p",)}, (Interaction("i", (port,)),))
+        system = InteractionSystem(model, {"k": b})
+        expected = {
+            "initial": [f"missing-initial: component k: missing initial state {value}"],
+            "PortId port": [
+                f"unknown-port-ref: interaction i references unknown port k.{value}",
+                "uncovered-port: uncovered port k.p",
+            ],
+            "PortId component": [
+                f"unknown-component-ref: interaction i references unknown component {value}",
+                "uncovered-port: uncovered port k.p",
+            ],
+        }[field]
+        assert [str(f) for f in validate_system(system).findings] == expected
+        model_findings = [] if field == "initial" else expected
+        assert [str(f) for f in validate_model(model).findings] == model_findings
+        with pytest.raises(ModelError) as raised:
+            explore(system)
+        assert str(raised.value) == f"invalid system: {'; '.join(expected)}"
+
 
 def plain_port_model(*entries):
     """Component "a" with port "p" in one interaction "i" listing `entries`."""

@@ -51,11 +51,12 @@ attribute that marks a system's names as typed where they were made, and
 each builder that makes them so marks its result through
 `model._mark_typed`, so no caller can skip the name scan by setting it.
 
-An engine's state record has its owners too: only `Engine.__init__`,
-which makes it, `Engine.pack`, which refills it with a new tuple's code
-and digits, and the three per-state calls (`enabled_interactions`,
-`successors`, `step`), which fill and read the rest, touch the attribute
-that holds it, so no other caller can trust what it remembers of a state.
+An engine's state record has two owners: only `Engine.__init__`, which
+starts it with no state, and `semantics._record_of`, which builds a
+state's record whole and replaces it in one assignment, touch the
+attribute that holds it.  The three per-state calls (`enabled_interactions`,
+`successors`, `step`) read it through `_record_of` only, so no caller can
+see a record half built, nor trust what it remembers of a state.
 
 The engine has one firing rule and one inlined copy of its simplest case:
 a rule table is subscripted only in `Engine.__init__`, which fills the
@@ -76,9 +77,11 @@ the system document from templates, and only `formats` imports
 quotes that document's strings.  So the bytes of every document have one
 owner.
 
-Every public function has a caller: each function in the package's
-`__all__` is called in `src/` outside its own definition, or in `bench/`,
-or is on an allow-list that gives the reason it has no such caller.
+Every function has a user: each function and method of the package,
+nested and private ones included (dunders excepted), is called or read
+by name (passed as a hook, read as a property) in `src/` outside its own
+definition, or in `bench/`, or is on an allow-list that gives the reason
+it has no such user.  So a simplification cannot leave dead code behind.
 """
 
 import ast
@@ -121,12 +124,12 @@ def located(source: str, hit: Callable[[ast.AST], bool]) -> list[tuple[str, ast.
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{where}.{child.name}".lstrip("."))
-                continue
             if hit(child):
                 out.append((where, child))
-            visit(child, where)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+            else:
+                visit(child, where)
 
     visit(ast.parse(source), "")
     return out
@@ -375,14 +378,8 @@ def test_only_model_touches_the_typed_mark():
     ]
 
 
-def test_only_packing_and_the_per_state_calls_touch_the_record():
-    assert touchers(RECORD) == [
-        "semantics.Engine.__init__",
-        "semantics.Engine.pack",
-        "semantics.enabled_interactions",
-        "semantics.step",
-        "semantics.successors",
-    ]
+def test_only_the_constructor_and_the_record_builder_touch_the_record():
+    assert touchers(RECORD) == ["semantics.Engine.__init__", "semantics._record_of"]
 
 
 def test_builders_mark_their_results_through_the_helper():
@@ -676,38 +673,49 @@ def test_names_are_refused_through_their_gates(name):
     assert found == NAME_GATES[name]
 
 
-# public functions without a caller in src/ or bench/, and why they stay
-UNCALLED = {
-    "validate_model": "the model-level entry point of the rule tests in tests/test_model.py",
+# functions without a user in src/ or bench/, and why they stay
+UNUSED = {
+    "model.validate_model": "the model-level entry point of the rule tests in tests/test_model.py",
 }
 
 
-def public_functions(modules: dict[str, str]) -> dict[str, str]:
-    """Each public (not underscored) top-level `def` of `modules`
-    (key -> source), mapped to the key of its module."""
-    return {
-        node.name: key
+def functions(modules: dict[str, str]) -> list[tuple[str, str]]:
+    """(module key, dotted name) of each function and method of `modules`
+    (key -> source), nested and private ones included, dunders excepted."""
+    return sorted(
+        (key, f"{where}.{node.name}".lstrip("."))
         for key, source in modules.items()
-        for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
+        for where, node in located(
+            source, lambda n: isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+    )
 
 
-def uncalled(functions: dict[str, str], sources: dict[str, str]) -> list[str]:
-    """The functions of `functions` (name -> key of the defining module)
-    that no source of `sources` (key -> source) calls outside the
-    function's own definition, sorted."""
+def users(source: str, name: str) -> list[str]:
+    """Where `name` or `x.name` is read: called, passed or looked up."""
+    return places(
+        source,
+        lambda node: isinstance(getattr(node, "ctx", None), ast.Load)
+        and name in (getattr(node, "id", None), getattr(node, "attr", None)),
+    )
 
-    def elsewhere(name: str, key: str, where: str) -> bool:
-        return key != functions[name] or not (where == name or where.startswith(f"{name}."))
+
+def unused(found: list[tuple[str, str]], sources: dict[str, str]) -> list[str]:
+    """`module.name` for each function of `found` (module key, dotted
+    name) that no source of `sources` (key -> source) reads by its last
+    name outside the function's own definition, sorted."""
+
+    def elsewhere(key: str, name: str, other: str, where: str) -> bool:
+        return other != key or not (where == name or where.startswith(f"{name}."))
 
     return sorted(
-        name
-        for name in functions
+        f"{Path(key).stem}.{name}"
+        for key, name in found
         if not any(
-            elsewhere(name, key, where)
-            for key, source in sources.items()
-            for where in callers(source, name)
+            elsewhere(key, name, other, where)
+            for other, source in sources.items()
+            for where in users(source, name.rpartition(".")[2])
         )
     )
 
@@ -723,33 +731,49 @@ def test_checker_finds_every_uncalled_function():
         "        nested()\n"
         "def helper():\n"
         "    used()\n"
+        "    return json.loads('1', parse_constant=_hook)\n"
         "def unused():\n"
+        "    pass\n"
+        "def _hook(x):\n"
         "    pass\n"
         "def _private():\n"
         "    pass\n"
         "class K:\n"
+        "    def __init__(self):\n"
+        "        self.method = None\n"
         "    def method(self):\n"
+        "        return self.prop\n"
+        "    @property\n"
+        "    def prop(self):\n"
         "        pass\n"
+        "    def recursive(self):\n"
+        "        return self.recursive()\n"
     )
     b = "import a\ndef main():\n    a.helper()\n    return a.unused\n"
-    functions = public_functions({"a": a, "b": b})
-    assert functions == {
-        **dict.fromkeys(["used", "loop", "nested", "helper", "unused"], "a"),
-        "main": "b",
-    }
-    assert uncalled(functions, {"a": a, "b": b}) == ["loop", "main", "nested", "unused"]
-    # a call by name from a module that does not define the function counts
-    assert uncalled(functions, {"a": a, "b": b, "c": "def loop():\n    loop()\n"}) == [
-        "main",
-        "nested",
-        "unused",
+    found = functions({"a": a, "b": b})
+    assert found == [
+        ("a", name)
+        for name in [
+            "K.method", "K.prop", "K.recursive", "_hook", "_private", "helper", "loop",
+            "nested", "nested.inner", "unused", "used",
+        ]
+    ] + [("b", "main")]
+    # a write is no use, and neither is a read inside the function itself
+    assert unused(found, {"a": a, "b": b}) == [
+        "a.K.method", "a.K.recursive", "a._private", "a.loop", "a.nested",
+        "a.nested.inner", "b.main",
+    ]
+    # a read by name from a module that does not define the function counts
+    assert unused(found, {"a": a, "b": b, "c": "def loop():\n    loop()\n"}) == [
+        "a.K.method", "a.K.recursive", "a._private", "a.nested", "a.nested.inner",
+        "b.main",
     ]
 
 
-def test_every_public_function_has_a_caller_or_a_reason():
+def test_every_function_has_a_user_or_a_reason():
     package = {p.relative_to(ROOT).as_posix(): p.read_text() for p in PACKAGE_MODULES}
     bench = {p.relative_to(ROOT).as_posix(): p.read_text() for p in (ROOT / "bench").glob("*.py")}
-    functions = public_functions(package)
-    assert set(UNCALLED) <= set(functions)
-    assert all(UNCALLED.values())
-    assert uncalled(functions, {**package, **bench}) == sorted(UNCALLED)
+    found = functions(package)
+    assert set(UNUSED) <= {f"{Path(key).stem}.{name}" for key, name in found}
+    assert all(UNUSED.values())
+    assert unused(found, {**package, **bench}) == sorted(UNUSED)

@@ -4,8 +4,10 @@ import itertools
 import json
 import math
 import random
+import threading
 from dataclasses import fields
 from pathlib import Path
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
@@ -721,6 +723,60 @@ def test_the_state_record_never_changes_an_answer(label):
         name = rng.choice(sorted(enabled))
         q = step(sys, q, name)
         assert q == firsts[name]
+
+
+def per_state_answer(system, q, call):
+    """What one per-state call answers: `("enabled",)`, `("successors",)`
+    or `("step", name)`, as its value or its `ModelError` text."""
+    try:
+        if call[0] == "enabled":
+            return enabled_interactions(system, q)
+        if call[0] == "successors":
+            return successors(system, q)
+        return step(system, q, call[1])
+    except ModelError as e:
+        return str(e)
+
+
+def test_threads_sharing_an_engine_get_the_single_threaded_answers():
+    # four threads make mixed per-state calls on the same state tuples of
+    # one system, so each call may find the record of another thread's
+    # state; a tiny switch interval lets a thread be interrupted anywhere
+    system = gen_random_system(
+        GenParams(seed=17, max_components=5, max_states=5, max_interactions=12,
+                  max_interaction_size=2)
+    )
+    states = sorted(explore(system).states)
+    assert len(states) >= 40
+    calls = [("enabled",), ("successors",)]
+    calls += [("step", name) for name, _ in compile_system(system).rules]
+    expected = {
+        (q, call): per_state_answer(system, q, call) for q in states for call in calls
+    }
+    wrong: list = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(5000):
+                q, call = rng.choice(states), rng.choice(calls)
+                got = per_state_answer(system, q, call)
+                if got != expected[q, call]:
+                    wrong.append((q, call, got))
+        except Exception as e:  # a thread's error would not fail the test
+            wrong.append(repr(e))
+
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        setswitchinterval(interval)
+    assert wrong == []
 
 
 # ------------------------------------------------------------------ pinned results
