@@ -1,17 +1,23 @@
 """Bit-exact JSON serialization for systems, machines, and predicates.
 
 Documents carry a required integer `version` (currently 1).  Parsing is
-strict: unknown fields, wrong types, and duplicate machine delta rows (one
-`(state, read)` twice) are rejected with the offending path, while a
-transition row repeated in a system document is one transition, since
-transitions form a set; plain syntax errors carry the line and column; a
-key repeated within one object, the constants NaN/Infinity/-Infinity, and
-nesting too deep to parse, are errors too.  Every other rule is checked by
-validation.  A reader checks an object, or a list of them, whole: its key
-set, and the type of every value in one `map(type, ...)` pass; it builds
-the value with C-level calls.  Only an object that fails is walked again
-value by value, spelling paths, to raise its first error (finding none is
-an `AssertionError`), so a path is formatted only for a refused document.
+strict: undeclared or absent fields, wrong types, and duplicate machine
+delta rows (one `(state, read)` twice) are rejected with the offending
+path, while a transition row repeated in a system document is one
+transition, since transitions form a set; plain syntax errors carry the
+line and column; a key repeated within one object, the constants
+NaN/Infinity/-Infinity, and nesting too deep to parse, are errors too.
+Every other rule is checked by validation.  One table per object kind
+lists its fields in the order they are checked, with the shape of each,
+and one reader, `_read`, raises the first fault of a value against its
+shape: an object's type, then a field its table does not list, then a
+listed field it lacks, then each field in table order, so an object's own
+fields are checked before any object in its lists is read.  The readers of the
+objects in lists take their key sets and field order from the tables and
+check an object, or a list of them, whole, with C-level calls: its key
+set, and the type of every value in one `map(type, ...)` pass.  Only an
+object that fails is read again by `_read`, which spells paths, to raise
+its first error (finding none is an `AssertionError`).
 Serialization writes in canonical order and emits sorted keys, two-space
 indentation, `\\uXXXX` escapes for non-ASCII and a trailing newline, so
 equal values produce identical bytes: those of `json.dumps(...,
@@ -125,53 +131,68 @@ def _load(text: str) -> Any:
         raise ParseError("document nested too deeply") from None
 
 
-def _object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+# Each object's fields in the order they are read, with the shape of each:
+# `str` a string, `int` an integer (not a bool), `list` an array whose items
+# their own reader reads, `PortId` a `component.port` reference,
+# `DOCUMENT_VERSION` the version, `[shape]` an array of `shape`, and a table
+# `{field: shape}` an object with exactly those fields.
+_TRANSITION_FIELDS = {"from": str, "port": str, "to": str}
+_COMPONENT_FIELDS = {
+    "name": str, "ports": [str], "states": [str], "initial": str,
+    "transitions": [_TRANSITION_FIELDS],
+}
+_INTERACTION_FIELDS = {"ports": [PortId]}  # unnamed, the k-th is `alpha_<k>`
+_NAMED_INTERACTION_FIELDS = {**_INTERACTION_FIELDS, "name": str}
+_ROW_FIELDS = {"state": str, "read": str, "next": str, "write": str, "move": int}
+_SYSTEM_FIELDS = {"version": DOCUMENT_VERSION, "components": list, "interactions": list}
+_MACHINE_FIELDS = {  # a `DTM`'s fields and the version
+    "version": DOCUMENT_VERSION,
+    "tape_alphabet": [str], "input_alphabet": [str], "blank": str, "states": [str],
+    "initial": str, "accept": str, "reject": str,
+    "delta": list,
+}
+_PREDICATES_FIELDS = {"version": DOCUMENT_VERSION, "predicates": list}
 
 
-def _array(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{path}: expected an array, got {type(value).__name__}")
-    return value
-
-
-def _string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{path}: expected a string, got {type(value).__name__}")
-    return value
-
-
-def _fields(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ParseError(f"{path}: unknown field {key!r}")
-    for key in required:
-        if key not in obj:
-            raise ParseError(f"{path}: missing field {key!r}")
-
-
-def _version(obj: dict, path: str) -> None:
-    v = obj["version"]
-    if type(v) is not int or v != DOCUMENT_VERSION:
-        raise ParseError(f"{path}.version: unsupported version {v!r}")
-
-
-def _string_array(value: Any, path: str) -> tuple[str, ...]:
-    return tuple(_string(s, f"{path}[{k}]") for k, s in enumerate(_array(value, path)))
-
-
-def _port_ref(value: Any, path: str) -> PortId:
-    text = _string(value, path)
-    component, _, port = text.partition(".")
-    if not component or not port:
-        raise ParseError(f"{path}: port reference {text!r} must be 'component.port'")
-    return PortId(component, port)
+def _read(value: Any, shape: Any, path: str) -> None:
+    """Raise the first `ParseError` of `value` read as `shape` at `path`, in
+    the order the module states.  A field or item whose type is its shape
+    (`str`, `int` or `list`), or that is its shape (the version), fits it
+    without a call, so no path is spelled for it."""
+    if type(shape) is dict:
+        if type(value) is not dict:
+            raise ParseError(f"{path}: expected an object, got {type(value).__name__}")
+        if value.keys() != shape.keys():
+            for key in value:
+                if key not in shape:
+                    raise ParseError(f"{path}: unknown field {key!r}")
+            for key in shape:
+                if key not in value:
+                    raise ParseError(f"{path}: missing field {key!r}")
+        for key, field in shape.items():
+            v = value[key]
+            if v is not field and type(v) is not field:
+                _read(v, field, f"{path}.{key}")
+    elif type(shape) is list or shape is list:
+        if type(value) is not list:
+            raise ParseError(f"{path}: expected an array, got {type(value).__name__}")
+        for k, item in enumerate(value if shape is not list else ()):
+            if type(item) is not shape[0]:
+                _read(item, shape[0], f"{path}[{k}]")
+    elif shape is str or shape is PortId:
+        if type(value) is not str:
+            raise ParseError(f"{path}: expected a string, got {type(value).__name__}")
+        if shape is PortId and "" in value.partition(".")[::2]:
+            raise ParseError(f"{path}: port reference {value!r} must be 'component.port'")
+    elif shape is int:
+        if type(value) is not int:
+            raise ParseError(f"{path}: expected an integer, got {type(value).__name__}")
+    elif type(value) is not int or value != shape:  # the version
+        raise ParseError(f"{path}: unsupported version {value!r}")
 
 
 def _reference(name: str, p: PortId) -> str:
-    """The `component.port` text that `_port_ref` reads back as `p`, which
+    """The `component.port` text that `_interaction` reads back as `p`, which
     interaction `name` lists; refused where no text does."""
     component, port = p
     if not component or not port or "." in component:
@@ -182,24 +203,19 @@ def _reference(name: str, p: PortId) -> str:
     return f"{component}.{port}"
 
 
-# The readers of the objects in lists: each reads its object whole, and
-# walks one that does not read value by value to raise its first error.
+# The readers of the objects in lists, reading their tables' key sets and order.
 _STR, _DICT = {str}, {dict}
-_COMPONENT_FIELDS = ("name", "ports", "states", "initial", "transitions")
-_TRANSITION_FIELDS = ("from", "port", "to")
-_ROW_FIELDS = ("state", "read", "next", "write", "move")
-_COMPONENT_KEYS = set(_COMPONENT_FIELDS)
 _TRANSITION_KEYS = {frozenset(_TRANSITION_FIELDS)}
+_INTERACTION_KEYS = (_INTERACTION_FIELDS.keys(), _NAMED_INTERACTION_FIELDS.keys())
 _ROW_KEYS = {frozenset(_ROW_FIELDS)}
-_INTERACTION_KEYS = ({"ports"}, {"ports", "name"})
-_ROW_TYPES = (str, str, str, str, int)
+_ROW_TYPES = tuple(_ROW_FIELDS.values())
 _component_values = itemgetter(*_COMPONENT_FIELDS)
 _transition_values = itemgetter(*_TRANSITION_FIELDS)
 _row_values = itemgetter(*_ROW_FIELDS)
 
 
 def _component(obj: Any, k: int) -> tuple[str, tuple[str, ...], LocalBehavior]:
-    if type(obj) is dict and obj.keys() == _COMPONENT_KEYS:
+    if type(obj) is dict and obj.keys() == _COMPONENT_FIELDS.keys():
         name, ports, states, initial, trs = _component_values(obj)
         if (
             type(name) is type(initial) is str
@@ -212,17 +228,7 @@ def _component(obj: Any, k: int) -> tuple[str, tuple[str, ...], LocalBehavior]:
             if _STR.issuperset(map(type, chain.from_iterable(triples))):
                 return name, tuple(ports), LocalBehavior(tuple(states), frozenset(triples), initial)
     path = f"$.components[{k}]"
-    obj = _object(obj, path)
-    _fields(obj, path, _COMPONENT_FIELDS)
-    _string(obj["name"], f"{path}.name")
-    _string_array(obj["ports"], f"{path}.ports")
-    _string_array(obj["states"], f"{path}.states")
-    _string(obj["initial"], f"{path}.initial")
-    for t, tr in enumerate(_array(obj["transitions"], f"{path}.transitions")):
-        tr_path = f"{path}.transitions[{t}]"
-        _fields(_object(tr, tr_path), tr_path, _TRANSITION_FIELDS)
-        for field in _TRANSITION_FIELDS:
-            _string(tr[field], f"{tr_path}.{field}")
+    _read(obj, _COMPONENT_FIELDS, path)
     raise AssertionError(f"{path} reads value by value but not whole")
 
 
@@ -234,12 +240,8 @@ def _interaction(obj: Any, k: int) -> Interaction:
             if "" not in chain.from_iterable(pids):
                 return Interaction(name, pids)
     path = f"$.interactions[{k}]"
-    obj = _object(obj, path)
-    _fields(obj, path, ("ports",), ("name",))
-    for j, p in enumerate(_array(obj["ports"], f"{path}.ports")):
-        _port_ref(p, f"{path}.ports[{j}]")
-    if "name" in obj:
-        _string(obj["name"], f"{path}.name")
+    named = type(obj) is dict and "name" in obj
+    _read(obj, _NAMED_INTERACTION_FIELDS if named else _INTERACTION_FIELDS, path)
     raise AssertionError(f"{path} reads value by value but not whole")
 
 
@@ -251,19 +253,13 @@ def _delta(rows: list) -> dict[tuple[str, str], tuple[str, str, int]]:
             if len(delta) == len(values):
                 return delta
     seen: dict[tuple[str, str], int] = {}
-    for k, raw in enumerate(rows):
+    for k, row in enumerate(rows):
         path = f"$.delta[{k}]"
-        obj = _object(raw, path)
-        _fields(obj, path, _ROW_FIELDS)
-        key = (_string(obj["state"], f"{path}.state"), _string(obj["read"], f"{path}.read"))
-        move = obj["move"]
-        if not isinstance(move, int) or isinstance(move, bool):
-            raise ParseError(f"{path}.move: expected an integer, got {type(move).__name__}")
+        _read(row, _ROW_FIELDS, path)
+        key = (row["state"], row["read"])
         if key in seen:
             raise ParseError(f"{path} duplicates $.delta[{seen[key]}] (same state and read symbol)")
         seen[key] = k
-        _string(obj["next"], f"{path}.next")
-        _string(obj["write"], f"{path}.write")
     raise AssertionError("$.delta reads value by value but not whole")
 
 
@@ -272,20 +268,17 @@ def parse_system(text: str, validate: bool = True) -> InteractionSystem:
     validation finding is raised; validate=False returns the value so the
     findings can be reported as data.  The readers take only strings, so
     the value is marked typed either way."""
-    doc = _object(_load(text), "$")
-    _fields(doc, "$", ("version", "components", "interactions"))
-    _version(doc, "$")
+    doc = _load(text)
+    _read(doc, _SYSTEM_FIELDS, "$")
 
     components: list[str] = []
     ports: dict[str, tuple[str, ...]] = {}
     behaviors: dict[str, LocalBehavior] = {}
-    for k, obj in enumerate(_array(doc["components"], "$.components")):
+    for k, obj in enumerate(doc["components"]):
         name, family, behavior = _component(obj, k)
         components.append(name)
         ports[name], behaviors[name] = family, behavior
-    interactions = [
-        _interaction(obj, k) for k, obj in enumerate(_array(doc["interactions"], "$.interactions"))
-    ]
+    interactions = [_interaction(obj, k) for k, obj in enumerate(doc["interactions"])]
 
     model = InteractionModel(tuple(components), ports, tuple(interactions))
     system = _mark_typed(InteractionSystem(model, behaviors))
@@ -360,35 +353,11 @@ def serialize_system(sys: InteractionSystem) -> str:
 def parse_dtm(text: str) -> DTM:
     """Parse a machine document and validate it; rule totality is checked
     after parsing."""
-    doc = _object(_load(text), "$")
-    _fields(
-        doc,
-        "$",
-        (
-            "version",
-            "tape_alphabet",
-            "input_alphabet",
-            "blank",
-            "states",
-            "initial",
-            "accept",
-            "reject",
-            "delta",
-        ),
-    )
-    _version(doc, "$")
-
-    delta = _delta(_array(doc["delta"], "$.delta"))
-    machine = DTM(
-        tape_alphabet=_string_array(doc["tape_alphabet"], "$.tape_alphabet"),
-        input_alphabet=_string_array(doc["input_alphabet"], "$.input_alphabet"),
-        blank=_string(doc["blank"], "$.blank"),
-        states=_string_array(doc["states"], "$.states"),
-        initial=_string(doc["initial"], "$.initial"),
-        accept=_string(doc["accept"], "$.accept"),
-        reject=_string(doc["reject"], "$.reject"),
-        delta=delta,
-    )
+    doc = _load(text)
+    _read(doc, _MACHINE_FIELDS, "$")
+    del doc["version"]
+    delta = _delta(doc.pop("delta"))
+    machine = DTM(delta=delta, **{k: tuple(v) if type(v) is list else v for k, v in doc.items()})
     validate_dtm(machine).raise_if_failed("machine")
     return machine
 
@@ -426,18 +395,16 @@ def serialize_dtm(machine: DTM) -> str:
 def parse_predicates(text: str) -> list[dict[str, str]]:
     """Parse a predicate document into raw component->state mappings; names
     are resolved against a system later."""
-    doc = _object(_load(text), "$")
-    _fields(doc, "$", ("version", "predicates"))
-    _version(doc, "$")
-    predicates = _array(doc["predicates"], "$.predicates")
+    doc = _load(text)
+    _read(doc, _PREDICATES_FIELDS, "$")
+    predicates = doc["predicates"]
     if _DICT.issuperset(map(type, predicates)) and _STR.issuperset(
         map(type, chain.from_iterable(map(dict.values, predicates)))
     ):
         return predicates
     for k, obj in enumerate(predicates):
-        path = f"$.predicates[{k}]"
-        for c, s in _object(obj, path).items():
-            _string(s, f"{path}.{c}")
+        # a predicate's fields are its own keys, each naming a state
+        _read(obj, dict.fromkeys(obj if type(obj) is dict else (), str), f"$.predicates[{k}]")
     raise AssertionError("$.predicates reads value by value but not whole")
 
 

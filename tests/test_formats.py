@@ -878,3 +878,149 @@ def refusal_table() -> dict[str, dict[str, str]]:
 def test_refusals_are_those_of_the_per_value_reader():
     table = refusal_table()
     assert table == json.loads(REFUSALS.read_text())
+
+
+# ------------------------------------------------------------------ two faults
+# Documents with two faults each, and the one `ParseError` that reports the
+# first: an object's type, then a field its table does not list, then a
+# listed field it lacks, then each field in table order, so an object's own
+# fields are checked before any object in its lists is read.  `refusals.json` holds one
+# fault per document, so it cannot see this order.
+
+SYSTEM_TEXT = serialize_system(client_server(1))
+MACHINE_TEXT = serialize_dtm(even_a())
+DROP = object()
+FIRST_ROW = json.loads(MACHINE_TEXT)["delta"][0]
+TWO_FAULTS = {
+    "system: a bad component, then no array of interactions": (
+        parse_system,
+        SYSTEM_TEXT,
+        [(["components", -1, "initial"], 7), (["interactions"], None)],
+        "$.interactions: expected an array, got NoneType",
+    ),
+    "system: a bad version, then a field missing": (
+        parse_system,
+        SYSTEM_TEXT,
+        [(["version"], 2), (["interactions"], DROP)],
+        "$: missing field 'interactions'",
+    ),
+    "system: a version as text, then no array of components": (
+        parse_system,
+        SYSTEM_TEXT,
+        [(["version"], "1"), (["components"], {})],
+        "$.version: unsupported version '1'",
+    ),
+    "component: a bad name, then an unknown field": (
+        parse_system,
+        SYSTEM_TEXT,
+        [(["components", 0, "name"], 7), (["components", 0, "bogus"], 1)],
+        "$.components[0]: unknown field 'bogus'",
+    ),
+    "component: a bad transition, then a bad initial state": (
+        parse_system,
+        SYSTEM_TEXT,
+        [(["components", 0, "transitions", 0, "to"], 3), (["components", 0, "initial"], None)],
+        "$.components[0].initial: expected a string, got NoneType",
+    ),
+    "component: two bad components": (
+        parse_system,
+        SYSTEM_TEXT,
+        [(["components", 1, "name"], 1), (["components", 0, "ports"], "x")],
+        "$.components[0].ports: expected an array, got str",
+    ),
+    "transition: a bad source, then a field missing": (
+        parse_system,
+        SYSTEM_TEXT,
+        [
+            (["components", 1, "transitions", 1, "from"], []),
+            (["components", 1, "transitions", 1, "to"], DROP),
+        ],
+        "$.components[1].transitions[1]: missing field 'to'",
+    ),
+    "transition: a field missing, then an unknown field": (
+        parse_system,
+        SYSTEM_TEXT,
+        [
+            (["components", 0, "transitions", 0, "to"], DROP),
+            (["components", 0, "transitions", 0, "dst"], "free"),
+        ],
+        "$.components[0].transitions[0]: unknown field 'dst'",
+    ),
+    "transition: a bad target, then a bad source": (
+        parse_system,
+        SYSTEM_TEXT,
+        [
+            (["components", 0, "transitions", 1, "to"], 2),
+            (["components", 0, "transitions", 1, "from"], 1),
+        ],
+        "$.components[0].transitions[1].from: expected a string, got int",
+    ),
+    "interaction: a bad name, then a bad reference": (
+        parse_system,
+        SYSTEM_TEXT,
+        [(["interactions", 0, "name"], 5), (["interactions", 0, "ports", 1], "c1")],
+        "$.interactions[0].ports[1]: port reference 'c1' must be 'component.port'",
+    ),
+    "interaction: a bad interaction, then a bad component": (
+        parse_system,
+        SYSTEM_TEXT,
+        [(["interactions", 0, "ports"], None), (["components", 1, "states"], [1])],
+        "$.components[1].states[0]: expected a string, got int",
+    ),
+    "machine: a bad delta row, then a numeric blank": (
+        parse_dtm,
+        MACHINE_TEXT,
+        [(["delta", 3, "next"], 1), (["blank"], 0)],
+        "$.blank: expected a string, got int",
+    ),
+    "delta row: a repeated row with a numeric next state": (
+        parse_dtm,
+        MACHINE_TEXT,
+        [(["delta", 3], {**FIRST_ROW, "next": 1})],
+        "$.delta[3].next: expected a string, got int",
+    ),
+    "delta row: a bool move, then a bad state": (
+        parse_dtm,
+        MACHINE_TEXT,
+        [(["delta", 1, "move"], True), (["delta", 1, "state"], None)],
+        "$.delta[1].state: expected a string, got NoneType",
+    ),
+    "delta row: two bad rows": (
+        parse_dtm,
+        MACHINE_TEXT,
+        [(["delta", 2, "write"], 0), (["delta", 0, "read"], 0)],
+        "$.delta[0].read: expected a string, got int",
+    ),
+    "predicates: a bad predicate, then a bool version": (
+        parse_predicates,
+        PREDICATE_TEXT,
+        [(["predicates", 0, "S"], 1), (["version"], True)],
+        "$.version: unsupported version True",
+    ),
+    "predicate: two bad states": (
+        parse_predicates,
+        PREDICATE_TEXT,
+        [(["predicates", 0, "c1"], 2), (["predicates", 0, "S"], 1)],
+        "$.predicates[0].S: expected a string, got int",
+    ),
+    "predicate: a predicate that is no object, then an unknown field": (
+        parse_predicates,
+        PREDICATE_TEXT,
+        [(["predicates", 1], []), (["junk"], 0)],
+        "$: unknown field 'junk'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_the_first_of_two_faults_is_reported(case):
+    parse, text, edits, message = TWO_FAULTS[case]
+    doc = json.loads(text)
+    for location, value in edits:
+        parent = _at(doc, location[:-1])
+        if value is DROP:
+            del parent[location[-1]]
+        else:
+            parent[location[-1]] = value
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(json.dumps(doc))

@@ -77,6 +77,13 @@ the system document from templates, and only `formats` imports
 quotes that document's strings.  So the bytes of every document have one
 owner.
 
+Each refusal text of the document reader is spelled once: `expected a
+string`, `expected an array`, `expected an object`, `expected an integer`,
+`unknown field`, `missing field`, `unsupported version` and `must be
+'component.port'` each occur exactly once in `formats.py`, inside
+`formats._read`, which reads every document object against its field
+table.  So no per-value walker grows back beside the tables.
+
 Every function has a user: each function and method of the package,
 nested and private ones included (dunders excepted), is called or read
 by name (passed as a hook, read as a property) in `src/` outside its own
@@ -671,6 +678,57 @@ def test_names_are_refused_through_their_gates(name):
         for where in callers(path.read_text(), name)
     )
     assert found == NAME_GATES[name]
+
+
+READER_TEXTS = (
+    "expected a string",
+    "expected an array",
+    "expected an object",
+    "expected an integer",
+    "unknown field",
+    "missing field",
+    "unsupported version",
+    "must be 'component.port'",
+)
+
+
+def text_places(source: str, text: str) -> list[str]:
+    """Where `text` occurs on one line of `source`: the dotted name of the
+    innermost function or class around each occurrence ("" at module
+    level), once per occurrence, sorted."""
+    defs = [
+        (f"{where}.{node.name}".lstrip("."), node)
+        for where, node in located(
+            source, lambda n: isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        )
+    ]
+    out = []
+    for number, line in enumerate(source.splitlines(), 1):
+        around = [name for name, node in defs if node.lineno <= number <= node.end_lineno]
+        out += [max(around, key=len, default="")] * line.count(text)
+    return sorted(out)
+
+
+def test_checker_finds_every_text():
+    source = (
+        '"""Says expected a string."""\n'
+        "def read(v):\n"
+        "    if v:\n"
+        "        raise ValueError('expected a string, or expected a string')\n"
+        "    def inner():\n"
+        "        return 'expected a string'\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return 'expected an array'\n"
+    )
+    assert text_places(source, "expected a string") == ["", "read", "read", "read.inner"]
+    assert text_places(source, "expected an array") == ["K.m"]
+    assert text_places(source, "unknown field") == []
+
+
+@pytest.mark.parametrize("text", READER_TEXTS)
+def test_the_reader_spells_each_refusal_text_once(text):
+    assert text_places((PACKAGE / "formats.py").read_text(), text) == ["_read"]
 
 
 # functions without a user in src/ or bench/, and why they stay
