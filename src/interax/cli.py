@@ -12,7 +12,6 @@ import os
 import sys as _sys
 import traceback
 from dataclasses import fields
-from pathlib import Path
 from typing import Sequence
 
 from .errors import ModelError, ParseError
@@ -39,11 +38,14 @@ from .topology import classify, export_dot, interaction_graph
 from .turing import run_tm
 
 
+# both open the path as given: `Path("")` names ".", which would refuse an
+# empty path as a directory instead of by its name
 def _write(text: str, out: str | None) -> None:
     if out is None:
         _sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def _emit(out: str | None, kind: str, **fields) -> None:
@@ -56,7 +58,8 @@ def _say(message: str) -> None:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
 

@@ -36,8 +36,16 @@ from .reduce_linear import (
     head_marker,
 )
 from .reduce_star import project_state, starify
-from .semantics import DEFAULT_MAX_STATES, GlobalState, compile_system, is_reachable
-from .turing import DTM, Outcome, initial_config, run_tm, tm_step
+from .semantics import (
+    DEFAULT_MAX_STATES,
+    Engine,
+    GlobalState,
+    ReachResult,
+    compile_system,
+    is_reachable,
+    linked_path,
+)
+from .turing import DTM, Configuration, Outcome, initial_config, run_tm, tm_step
 from .validation import bound
 
 BRUTE_FORCE_LIMIT = 10_000
@@ -218,32 +226,81 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
     return _mark_typed(InteractionSystem(model, behaviors))
 
 
+def _image_moves(machine: DTM, config: Configuration, eng: Engine, steps: int):
+    """Per move of the run's first `steps` from `config`, the two cells of
+    the image it changes, each followed by its new digit: the cell the head
+    leaves, then the cell it enters, which differ, since the head moves
+    one cell.  A digit is None where the cell lacks the state, which no
+    digit equals."""
+    marker = head_marker(machine)
+    states = cell_states(machine)
+    index = eng.state_index
+    for _ in range(steps):
+        left = config.head
+        config = tm_step(machine, config)
+        head = config.head
+        tape = config.tape
+        yield (
+            left,
+            index[left].get(states[marker, tape[left]]),
+            head,
+            index[head].get(states[config.state, tape[head]]),
+        )
+
+
+def _linked_lockstep(eng: Engine, reach: ReachResult, steps: int, moves) -> bool:
+    """Whether the search behind `reach` proves the lockstep of the run's
+    first `steps` moves, as `_image_moves` yields them from the
+    configuration whose image is the initial state, without expanding an
+    image.  It does when the search found exactly the T + 1 images
+    (T = `steps`), each later one first from the one before, and counted
+    T transitions when it stopped at a hit, or T plus the last image's
+    successors when it found none.  The images are then the found states
+    at depths 0..T, every one the search expanded (all but the last at a
+    hit; all of them otherwise, since a search that drops a state at its
+    bound still expands and counts every state it found) has the next as a
+    successor, and the counts leave room for no other: each image before
+    the last has exactly one successor, the next image."""
+    if reach.states_explored != steps + 1:
+        return False
+    if reach.reachable and reach.transitions_explored != steps:
+        return False
+    end = linked_path(reach, eng, moves)
+    if end is None:
+        return False
+    return reach.reachable or reach.transitions_explored == steps + len(eng.successors(*end))
+
+
 def _lockstep_check(
-    machine: DTM, word: str, sys_m: InteractionSystem, steps: int
+    machine: DTM, word: str, sys_m: InteractionSystem, steps: int,
+    reach: ReachResult | None = None,
 ) -> tuple[bool, str]:
     """Replay the run's first `steps` moves from the compiled system's own
     initial state, which must be the initial configuration's image,
     `pack(config_to_gstate(...))`: each state before a move must enable
     exactly one interaction, whose successor is the image of the next
-    configuration.  The image is kept as the engine's digits, and a move
-    changes it only at the cell the head leaves and the cell it enters; the
-    successor's digits are read off its code by `Engine.moved` and must
-    equal the image."""
+    configuration.
+
+    Given `is_reachable`'s result on the system, the search's parent links
+    and counts settle a lockstep that holds without expanding an image (see
+    `_linked_lockstep`).  Otherwise each move is expanded: the image is kept
+    as the engine's digits, and a move changes it only at the cell the head
+    leaves and the cell it enters; the successor's digits are read off its
+    code by `Engine.moved` and must equal the image."""
     eng = compile_system(sys_m)
     config = initial_config(machine, word)
     code, here = eng.pack(config_to_gstate(machine, word, config))
     if code != eng.initial_code:
         return False, "initial state is not the image of the initial configuration"
-    marker = head_marker(machine)
-    states = cell_states(machine)
+    held = True, f"lockstep held for {steps} steps"
+    if reach is not None and _linked_lockstep(
+        eng, reach, steps, _image_moves(machine, config, eng, steps)
+    ):
+        return held
     image = list(here)
-    for step_no in range(steps):
-        left = config.head
-        config = tm_step(machine, config)
-        head = config.head
-        # None where the cell lacks the state, which no digit equals
-        image[left] = eng.state_index[left].get(states[marker, config.tape[left]])
-        image[head] = eng.state_index[head].get(states[config.state, config.tape[head]])
+    moves = _image_moves(machine, config, eng, steps)
+    for step_no, (left, digit_left, head, digit_head) in enumerate(moves):
+        image[left], image[head] = digit_left, digit_head
         succs = eng.successors(code, here)
         if len(succs) != 1:
             return False, f"step {step_no}: {len(succs)} successors, expected 1"
@@ -251,7 +308,7 @@ def _lockstep_check(
         here = eng.moved(here, code, eng.parts(name))
         if here != tuple(image):
             return False, f"step {step_no}: successor mismatch via {name}"
-    return True, f"lockstep held for {steps} steps"
+    return held
 
 
 def check_theorem1(machine: DTM, word: str, max_states: int | None = None) -> Verdict:
@@ -265,12 +322,15 @@ def check_theorem1(machine: DTM, word: str, max_states: int | None = None) -> Ve
     out of the search's reach anyway.  A run stopped at its step limit, or
     a search stopped at its bound, leaves the verdict undecided: not
     complete and not agreeing, with `details` naming where it stopped.  The
-    lockstep replays only the steps that ran."""
+    lockstep replays only the steps that ran, reading the search's parent
+    links where they settle it and expanding each image where they do not
+    (a loop, a bound short of the run, or a fault, whose text the
+    expansion gives)."""
     limit = DEFAULT_MAX_STATES if max_states is None else bound(max_states, "max_states")
     sys_m = compile_lsa(machine, word)
     run = run_tm(machine, word, max_steps=limit)
     reach = is_reachable(sys_m, accept_predicate(machine, word), max_states=limit)
-    lock_ok, lock_msg = _lockstep_check(machine, word, sys_m, run.steps)
+    lock_ok, lock_msg = _lockstep_check(machine, word, sys_m, run.steps, reach)
     complete = run.outcome is not Outcome.STEP_LIMIT and reach.complete
     tm_accepts = run.outcome is Outcome.ACCEPT
     agree = complete and (tm_accepts == reach.reachable) and lock_ok

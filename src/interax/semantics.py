@@ -58,7 +58,11 @@ class ReachableSet:
 class ReachResult:
     """Result of `is_reachable`.  `trace` is a shortest witness (interaction
     names) when reachable, else None.  `complete` is False only when the
-    search was truncated by `max_states` before finding a witness."""
+    search was truncated by `max_states` before finding a witness.
+
+    `is_reachable` also keeps the search's parent links on the result, as
+    the private attribute `_links` outside the fields, so `==` and `repr`
+    ignore them; only `linked_path` reads them."""
 
     reachable: bool
     trace: list[str] | None
@@ -140,8 +144,9 @@ class Engine:
     codes and builds a state's digit tuple once, when its code is first
     seen, copying the parent's and changing only the participants.
     Every search keeps one int per parent link, `parent code·|rules| + rule
-    index`: `is_reachable` follows the links back, and `explore` decodes
-    the codes once, at the end.
+    index`: `is_reachable` follows the links back and keeps them on its
+    result for `linked_path`, and `explore` decodes the codes once,
+    at the end.
 
     The record: the engine keeps one tuple `(state, successors, firsts)`
     for the last global state tuple the per-state calls were asked about,
@@ -565,7 +570,9 @@ def is_reachable(
 
     Truncated searches that found nothing report reachable=False with
     complete=False; a `max_states` that is not an integer, or is below 1,
-    is rejected.
+    is rejected.  The result keeps the search's parent links for
+    `linked_path`, which reads which state the search found each state
+    from.
     """
     targets = [target] if isinstance(target, StatePredicate) else list(target)
     if not targets:
@@ -603,15 +610,46 @@ def is_reachable(
 
     parents, transitions, truncated, hit = eng.search(max_states, matches)
     if hit is None:
-        return ReachResult(False, None, len(parents), transitions, not truncated)
-    trace: list[str] = []
-    link = parents[hit]
-    while link is not None:
-        hit, k = divmod(link, len(eng.rules))
-        trace.append(eng.rules[k][0])
+        result = ReachResult(False, None, len(parents), transitions, not truncated)
+    else:
+        trace: list[str] = []
         link = parents[hit]
-    trace.reverse()
-    return ReachResult(True, trace, len(parents), transitions, True)
+        while link is not None:
+            hit, k = divmod(link, len(eng.rules))
+            trace.append(eng.rules[k][0])
+            link = parents[hit]
+        trace.reverse()
+        result = ReachResult(True, trace, len(parents), transitions, True)
+    result._links = parents
+    return result
+
+
+def linked_path(
+    reach: ReachResult,
+    eng: Engine,
+    moves: Iterable[tuple[int, int | None, int, int | None]],
+) -> tuple[int, tuple[int, ...]] | None:
+    """The code and digits of the state that `moves` lead to from the
+    initial state, when the search behind `reach` (an `is_reachable` result
+    on `eng`'s system) first found each state on the way from the one
+    before it; None otherwise.  A move `(a, digit_a, b, digit_b)` gives two
+    distinct components their new digits, and only those move the code.  A
+    digit of None, or a `reach` that keeps no links, gives None."""
+    links = getattr(reach, "_links", None)
+    if links is None:
+        return None
+    code, q = eng.initial_code, list(eng.initial)
+    weights, n = eng.weights, len(eng.rules)
+    for a, digit_a, b, digit_b in moves:
+        if digit_a is None or digit_b is None:
+            return None
+        succ = code + (digit_a - q[a]) * weights[a] + (digit_b - q[b]) * weights[b]
+        q[a], q[b] = digit_a, digit_b
+        link = links.get(succ)
+        if link is None or link // n != code:
+            return None
+        code = succ
+    return code, tuple(q)
 
 
 def replay_trace(

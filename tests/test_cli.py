@@ -310,6 +310,19 @@ class TestReach:
             assert (code, doc) == (2, None), argv
             assert err.startswith("error: "), argv
 
+    def test_an_empty_path_is_refused_by_name(self, files, capsys):
+        # refused by its own name, not as the directory "." that Path("") names
+        for argv in (
+            *reading(""),
+            ("reach", files["pl3"], "--target", ""),
+            ("validate", files["pl3"], "-o", ""),
+            ("check-thm1", files["even_a"], "--input", "a", "-o", ""),
+            ("classify", files["pl3"], "--dot", ""),
+        ):
+            code, doc, err = run(capsys, *argv)
+            assert (code, doc) == (2, None), argv
+            assert err == "error: [Errno 2] No such file or directory: ''\n", argv
+
     def test_unknown_component_exits_two(self, files, capsys):
         code, _, _ = run(capsys, "reach", files["cs1"], "--target", "ghost=here")
         assert code == 2

@@ -30,7 +30,9 @@ from interax.fixtures import client_server, even_a, first_last, pipeline
 from interax.formats import parse_dtm
 from interax.oracle import STAR_EQUIVALENCE_SEEDS, _lockstep_check
 
-from test_semantics import ring
+from test_bench_contract import spy
+from test_mutants import CASES as MUTANT_CASES, mutants
+from test_semantics import palindrome, ring
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -521,6 +523,156 @@ class TestLockstepCheck:
         assert _lockstep_check(even_a(), "aa", mutated, 3) == (
             False,
             "initial state is not the image of the initial configuration",
+        )
+
+
+def _words(machine, longest):
+    """Every word over the machine's input alphabet up to `longest` letters."""
+    for n in range(longest + 1):
+        for letters in itertools.product(machine.input_alphabet, repeat=n):
+            yield "".join(letters)
+
+
+def _fixture_dtm(name):
+    return parse_dtm((FIXTURES / f"{name}.json").read_text())
+
+
+def _expanding(monkeypatch):
+    """Make `check_theorem1` expand every image in its lockstep, as when
+    it is given no search result."""
+    expand = oracle._lockstep_check
+    monkeypatch.setattr(
+        oracle, "_lockstep_check", lambda m, w, s, steps, reach=None: expand(m, w, s, steps)
+    )
+
+
+def _with_extra_move(source, target, word="a"):
+    """compile_lsa(even_a(), word) plus an interaction `zz:extra` whose one
+    port moves cell 1 from `source` to `target`.  Cell 1 holds the head in
+    `even,a` first; on "a" the run rejects in 2 steps, with the head back
+    on cell 1 in `reject,a`."""
+    sys_m = compile_lsa(even_a(), word)
+    model = sys_m.model
+    b = sys_m.behaviors["1"]
+    cell = replace(b, transitions=b.transitions | {(source, "X", target)})
+    return InteractionSystem(
+        InteractionModel(
+            model.components,
+            {**model.ports, "1": (*model.ports["1"], "X")},
+            (*model.interactions, Interaction("zz:extra", (PortId("1", "X"),))),
+        ),
+        {**sys_m.behaviors, "1": cell},
+    )
+
+
+class TestLinkedLockstep:
+    """The search's parent links and counts settle a lockstep that holds;
+    where they do not, the lockstep expands each image, so every verdict
+    keeps its bytes."""
+
+    def test_links_give_the_expanded_verdicts(self, monkeypatch):
+        cases = [
+            (m, w)
+            for m in (even_a(), first_last(), _fixture_dtm("ping_pong"), palindrome())
+            for w in _words(m, 6)
+        ]
+        counter = _fixture_dtm("counter")
+        cases += [(counter, "0" * n) for n in range(11)]
+        linked = [check_theorem1(m, w) for m, w in cases]
+        _expanding(monkeypatch)
+        assert linked == [check_theorem1(m, w) for m, w in cases]
+        assert sum(v.agree for v in linked) == len(cases)
+
+    def test_links_give_the_expanded_verdicts_on_every_mutant(self, monkeypatch):
+        # each deletes one local transition (see tests/test_mutants.py)
+        cases = []
+        for machine, word in MUTANT_CASES:
+            m = machine()
+            cases += [(m, word, mutant) for _, _, mutant in mutants(compile_lsa(m, word))]
+
+        def verdicts():
+            out = []
+            for m, word, mutant in cases:
+                monkeypatch.setattr(oracle, "compile_lsa", lambda *_: mutant)
+                out.append(check_theorem1(m, word))
+            return out
+
+        linked = verdicts()
+        _expanding(monkeypatch)
+        assert linked == verdicts()
+        assert sum(not v.agree for v in linked) == 58
+
+    def test_an_accepting_check_expands_no_image(self, monkeypatch):
+        calls = spy(monkeypatch, semantics.Engine, "successors")
+        verdict = check_theorem1(_fixture_dtm("counter"), "0" * 6)
+        assert verdict.details == (
+            "tm=accept in 254 steps; reachable=True; lockstep held for 254 steps"
+        )
+        assert len(calls) == 0
+
+    def test_a_rejecting_check_expands_only_the_last_image(self, monkeypatch):
+        calls = spy(monkeypatch, semantics.Engine, "successors")
+        verdict = check_theorem1(even_a(), "a" * 5)
+        assert verdict.details == (
+            "tm=reject in 6 steps; reachable=False; lockstep held for 6 steps"
+        )
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "target, expansions",
+        # back to the last image itself, the links settle it; a new state
+        # is one the search finds beyond the images, so each step expands
+        [("reject,a", 1), ("s,a", 2)],
+        ids=["to-itself", "to-a-new-state"],
+    )
+    def test_an_extra_successor_of_the_last_image_keeps_the_verdict(
+        self, target, expansions, monkeypatch
+    ):
+        mutated = _with_extra_move("reject,a", target)
+        assert validate_system(mutated).ok
+        monkeypatch.setattr(oracle, "compile_lsa", lambda *_: mutated)
+        calls = spy(monkeypatch, semantics.Engine, "successors")
+        # the lockstep checks the moves the run made, none out of its end
+        assert check_theorem1(even_a(), "a") == Verdict(
+            True, True, "tm=reject in 2 steps; reachable=False; lockstep held for 2 steps"
+        )
+        assert len(calls) == expansions
+
+    def test_links_settle_a_search_its_bound_cut_short(self, monkeypatch):
+        # the bound drops the last image's new successor, but the search
+        # still expands every image it found and counts that successor
+        mutated = _with_extra_move("reject,a", "s,a")
+        monkeypatch.setattr(oracle, "compile_lsa", lambda *_: mutated)
+        calls = spy(monkeypatch, semantics.Engine, "successors")
+        verdict = check_theorem1(even_a(), "a", max_states=3)
+        assert verdict == Verdict(
+            False,
+            False,
+            "tm=reject in 2 steps; reachable=False (search stopped at 3 states); "
+            "lockstep held for 2 steps",
+        )
+        assert len(calls) == 1
+        _expanding(monkeypatch)
+        assert check_theorem1(even_a(), "a", max_states=3) == verdict
+
+    @pytest.mark.parametrize(
+        "word, details",
+        [
+            ("a", "tm=reject in 2 steps; reachable=False"),
+            ("aa", "tm=accept in 3 steps; reachable=True"),
+        ],
+        ids=["no-hit", "hit"],
+    )
+    def test_the_counts_catch_an_extra_successor_the_links_cannot_show(
+        self, word, details, monkeypatch
+    ):
+        # a second way out of the first image, back to itself: the search
+        # finds no new state and every link holds, but it counts one
+        # transition too many, so the lockstep expands and names the step
+        mutated = _with_extra_move("even,a", "even,a", word)
+        monkeypatch.setattr(oracle, "compile_lsa", lambda *_: mutated)
+        assert check_theorem1(even_a(), word) == Verdict(
+            False, True, f"{details}; step 0: 2 successors, expected 1"
         )
 
 

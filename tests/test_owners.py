@@ -5,9 +5,11 @@ The engine's mixed-radix format has one owner: no module of the package
 but `semantics.py` reads an attribute named `weights`, `radices` or
 `state_names`.  Other modules translate states through `Engine.pack`,
 `names` and `moved`.  Inside `semantics.py` the code is read only where it
-is built, by `Engine.__init__` and `Engine.pack`, and where it is read
+is built, by `Engine.__init__` and `Engine.pack`, where it is read
 back, by `Engine.names`, `moved`, `renamed` (a successor's participants'
-names) and `decode` (a set of codes by halves).
+names) and `decode` (a set of codes by halves), and where a code is moved
+by the digits a step changes, by `linked_path`, which reads the
+search's parent links.
 
 An engine has one builder: `Engine(...)` is called only inside
 `semantics.compile_system`, which validates the system first.  The engine
@@ -57,6 +59,12 @@ state's record whole and replaces it in one assignment, touch the
 attribute that holds it.  The three per-state calls (`enabled_interactions`,
 `successors`, `step`) read it through `_record_of` only, so no caller can
 see a record half built, nor trust what it remembers of a state.
+
+A search's parent links have one writer and one reader:
+`semantics.is_reachable` keeps them on its result, and only
+`semantics.linked_path` reads them back, so the link format stays
+inside `semantics.py` and no caller trusts links that another search
+left.
 
 The engine has one firing rule and one inlined copy of its simplest case:
 a rule table is subscripted only in `Engine.__init__`, which fills the
@@ -109,6 +117,7 @@ JSON_WRITERS = {"dump", "dumps"}
 MEMO = "_validated"
 MARK = "_typed"
 RECORD = "_record"
+LINKS = "_links"
 TABLE_SOURCES = {"parts", "ports", "moving", "fixed"}
 
 
@@ -211,7 +220,7 @@ def test_checker_finds_every_codec_reader():
 def test_only_the_codecs_readers_read_it():
     assert codec_readers((PACKAGE / "semantics.py").read_text()) == [
         "Engine.__init__", "Engine.decode", "Engine.moved",
-        "Engine.names", "Engine.pack", "Engine.renamed",
+        "Engine.names", "Engine.pack", "Engine.renamed", "linked_path",
     ]
 
 
@@ -387,6 +396,17 @@ def test_only_model_touches_the_typed_mark():
 
 def test_only_the_constructor_and_the_record_builder_touch_the_record():
     assert touchers(RECORD) == ["semantics.Engine.__init__", "semantics._record_of"]
+
+
+def test_only_is_reachable_writes_the_links_and_only_their_reader_reads_them():
+    assert touchers(LINKS) == ["semantics.is_reachable", "semantics.linked_path"]
+    writes = places(
+        (PACKAGE / "semantics.py").read_text(),
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == LINKS
+        and isinstance(node.ctx, ast.Store),
+    )
+    assert writes == ["is_reachable"]
 
 
 def test_builders_mark_their_results_through_the_helper():

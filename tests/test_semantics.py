@@ -5,7 +5,7 @@ import json
 import math
 import random
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from sys import getswitchinterval, setswitchinterval
 
@@ -32,7 +32,7 @@ from interax import (
 from interax.fixtures import client_server, even_a, pipeline
 from interax.reduce_linear import accept_predicate, compile_lsa
 from interax.formats import parse_system, serialize_system
-from interax.semantics import Engine, compile_system
+from interax.semantics import Engine, compile_system, linked_path
 from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
 
 
@@ -856,6 +856,31 @@ def test_hit_counts_every_successor_of_its_parent():
     assert result.trace == ["connect_S_c1"]
     assert (result.states_explored, result.transitions_explored) == (2, 2)
     assert_search_is_reference(sys, [StatePredicate.of({"c1": "connected"})])
+
+
+def test_a_linked_path_follows_only_the_links_the_search_kept():
+    # x and y each move once, by `a` and `b`: the search finds (x1, y1)
+    # first from (x1, y0), so the path through (x0, y1) is not linked
+    sys = small_system(
+        {
+            "x": (("x0", "x1", "x2"), [("x0", "p", "x1")]),
+            "y": (("y0", "y1"), [("y0", "p", "y1")]),
+        },
+        {"a": [("x", "p")], "b": [("y", "p")]},
+    )
+    result = is_reachable(sys, StatePredicate.of({"x": "x2"}))
+    assert (result.reachable, result.states_explored) == (False, 4)
+    eng = compile_system(sys)
+    x0, x1 = (eng.state_index[0][s] for s in ("x0", "x1"))
+    y0, y1 = (eng.state_index[1][s] for s in ("y0", "y1"))
+    assert linked_path(result, eng, [(0, x1, 1, y0), (0, x1, 1, y1)]) == eng.pack(
+        ("x1", "y1")
+    )
+    assert linked_path(result, eng, [(0, x0, 1, y1), (0, x1, 1, y1)]) is None
+    # a cell that lacks the state, and a result that keeps no links
+    assert linked_path(result, eng, [(0, None, 1, y0)]) is None
+    assert linked_path(replace(result), eng, []) is None
+    assert linked_path(result, eng, []) == (eng.initial_code, eng.initial)
 
 
 def fire_calls(monkeypatch):
