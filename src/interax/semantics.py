@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModelError
@@ -105,22 +106,34 @@ class Engine:
     whose parts are `(component index, table)` pairs in component order;
     `table[s]` is the ascending tuple of the code steps `(t − s)·w_c` to
     the targets the participant's port leads to from local state `s`, empty
-    when `s` disables the port; the weight is `weights[ci]`.  The build,
-    `fire` and the search read a table, the search for a fixed rule's steps
-    only (see below).  A one-participant rule is *fixed* when all its
-    non-empty table entries have the same length, its fan-out, and `fixed`
-    maps its index to `(component index, table, fan-out)`; the build scans
-    only one-participant rules' tables for it.  Enabledness mask: rule `k`
-    owns bit `k`, and each component with a local state that disables some
-    rule's port has a row of ints, where `row[s]` has bit `k` set unless
-    rule `k` needs a port that `s` disables.  The AND of a state's rows is
-    exactly its enabled set, and walking its set bits from low to high
-    visits the enabled rules in name order, so the canonical order comes
-    from generation, not sorting.  One walker, `_set_bits`, serves both
-    `enabled` and the search's split below.  A rule none of whose ports
-    has a moving transition is *still*, and `still` has bit `k` set when
-    rule `k` is: where one is enabled, every participant's table entry is
-    `(0,)`, so it can only fire back to the state it fired from.
+    when `s` disables the port; the weight is `weights[ci]`.  The build
+    keeps the name order (`ordered`, and `rule_index` by name), each rule's
+    bit and the mask rows below, but no table: `rules[k]` is None until
+    `rule(k)` builds it on first use.  That builds each (component, port)
+    table once, from the port's (source digit, target digit) pairs in
+    `pairs[ci]` scaled by the weight, and shares it among the rules that
+    use the port (two threads may each build an equal one); it fills
+    `fixed[k]` for a fixed rule and stores `rules[k]` last, in one
+    assignment, as `_record_of` stores the record, so a thread that finds
+    the rule finds all it needs.  Every reader takes rule k as `rules[k] or
+    rule(k)`, so a search builds only the rules enabled where it expands a
+    state: a line check about a fifth of them.  `rule`, `fire` and the
+    search read a table, the search for a fixed rule's steps only (see
+    below).  A one-participant rule is *fixed* when all its non-empty table
+    entries have the same length, its fan-out, and `fixed` maps its index
+    to `(component index, table, fan-out)` once it is built.
+
+    Enabledness mask: rule `k` owns bit `k`, and each component with a local
+    state that disables some rule's port has a row of ints, where `row[s]`
+    has bit `k` set unless rule `k` needs a port that `s` disables.  The AND
+    of a state's rows is exactly its enabled set, and walking its set bits
+    from low to high visits the enabled rules in name order, so the
+    canonical order comes from generation, not sorting.  One walker,
+    `_set_bits`, serves both `enabled` and the search's split below.  A rule
+    none of whose ports has a moving transition is *still*, and `still` has
+    bit `k` set when rule `k` is: where one is enabled, every participant's
+    table entry is `(0,)`, so it can only fire back to the state it fired
+    from.
 
     `fire` returns the code steps to a state's successors, not their
     codes; a caller adds the state's code.  A one-participant rule's steps
@@ -158,8 +171,8 @@ class Engine:
 
     An engine is built only from a validated system, by `compile_system`,
     which builds it once per system object and hands the same engine to
-    every later call; its tables are shared and never change after
-    construction."""
+    every later call; each of its tables is built once on first use,
+    published by one assignment, and never changes after."""
 
     def __init__(self, sys: InteractionSystem):
         model = sys.model
@@ -176,48 +189,54 @@ class Engine:
             self.weights.append(weight)
             weight *= radix
 
-        # per component, port -> [table, bits] for every port some
-        # interaction uses, which validation makes every port a transition
-        # uses: the table is shared by the port's rules and filled from the
-        # transitions.  Names are validated unique, so name order is a
-        # total order, and rule k owns bit k of the mask.
-        used: list[dict[str, list]] = [{} for _ in self.components]
-        self.interactions: dict[str, Parts] = {}
-        singles = []  # (rule index, component index, table), one participant each
-        for k, a in enumerate(sorted(model.interactions, key=lambda a: a.name)):
-            parts = []
-            keys = sorted([(self.comp_index[p.component], p.port) for p in a.ports])
-            for ci, port in keys:
-                entry = used[ci].get(port)
-                if entry is None:
-                    entry = used[ci][port] = [[()] * self.radices[ci], 0]
-                entry[1] |= 1 << k
-                parts.append((ci, entry[0]))
-            self.interactions[a.name] = tuple(parts)
-            if len(parts) == 1:
-                singles.append((k, *parts[0]))
-        self.rules = list(self.interactions.items())
+        # per component, port -> the bits of the rules that use it, for
+        # every port some interaction uses, which validation makes every
+        # port a transition uses.  Names are validated unique, so name order
+        # is a total order, and rule k owns bit k of the mask.
+        used: list[dict[str, int]] = [{} for _ in self.components]
+        self.ordered = sorted(model.interactions, key=attrgetter("name"))
+        self.rule_index = {a.name: k for k, a in enumerate(self.ordered)}
+        for k, a in enumerate(self.ordered):
+            for c, port in a.ports:
+                mine = used[self.comp_index[c]]
+                mine[port] = mine.get(port, 0) | 1 << k
+        self.rules: list[tuple[str, Parts] | None] = [None] * len(self.ordered)
         self.every = range(len(self.rules))
+        self.tables: list[dict[str, list[tuple[int, ...]]]] = [{} for _ in used]
+        self.fixed: dict[int, tuple[int, list[tuple[int, ...]], int]] = {}
 
         # rows[ci][s] starts with the bits of the rules component ci does not
-        # constrain and gains those of each port local state s enables
+        # constrain and gains those of each port local state s enables.
+        # `pairs[ci]` maps each port to its (source digit, target digit)
+        # pairs, read once per distinct (states, transitions) objects, as a
+        # compiled line's inner cells share them.
         self.full = (1 << len(self.rules)) - 1
+        indexes: dict[tuple[int, int], dict[str, list[tuple[int, int]]]] = {}
+        self.pairs: list[dict[str, list[tuple[int, int]]]] = []
         rows = []
         moves = 0
         for ci, c in enumerate(model.components):
-            index, weight, ports = self.state_index[ci], self.weights[ci], used[ci]
+            b, mine, digit = sys.behaviors[c], used[ci], self.state_index[ci]
+            key = id(b.states), id(b.transitions)
+            pairs = indexes.get(key)
+            fresh = pairs is None
+            if fresh:
+                pairs = indexes[key] = {}
+            self.pairs.append(pairs)
             constrained = 0
-            for _, bits in ports.values():
+            for bits in mine.values():
                 constrained |= bits
-            row = [self.full ^ constrained] * len(index)
-            for src, port, dst in sys.behaviors[c].transitions:
-                table, bits = ports[port]
-                s = index[src]
-                step = (index[dst] - s) * weight
-                table[s] = tuple(sorted((*table[s], step))) if table[s] else (step,)
+            row = [self.full ^ constrained] * len(b.states)
+            for src, port, dst in b.transitions:
+                s, bits = digit[src], mine[port]
                 row[s] |= bits
-                if step:
+                if src != dst:
                     moves |= bits
+                if fresh:
+                    found = pairs.get(port)
+                    if found is None:
+                        found = pairs[port] = []
+                    found.append((s, digit[dst]))
             rows.append(row)
         # a component whose rows are all ones never clears a bit: left out
         self.rows = [
@@ -227,14 +246,6 @@ class Engine:
         ]
         # rules none of whose ports has a transition that moves a code
         self.still = self.full & ~moves
-        # rule index -> (component index, table, fan-out) of each
-        # one-participant rule whose non-empty entries all have one length
-        fixed: dict[int, tuple[int, list[tuple[int, ...]], int]] = {}
-        for k, ci, table in singles:
-            fans = {len(steps) for steps in table if steps}
-            if len(fans) == 1:
-                fixed[k] = (ci, table, fans.pop())
-        self.fixed = fixed
 
         self._record: Record = (object(), [], {})  # no state yet
         self.initial_code, self.initial = self.pack(sys.initial_state())
@@ -332,12 +343,34 @@ class Engine:
     def parts(self, name: str) -> Parts:
         """The (component index, table) participants of an interaction."""
         try:
-            parts = self.interactions.get(name)
+            k = self.rule_index.get(name)
         except TypeError:  # unhashable: no interaction's name
-            parts = None
-        if parts is None:
+            k = None
+        if k is None:
             raise ModelError(f"no such interaction: {name!r}")
-        return parts
+        return (self.rules[k] or self.rule(k))[1]
+
+    def rule(self, k: int) -> tuple[str, Parts]:
+        """Rule k, `(name, parts)`, built on first use (see `Engine`)."""
+        a, parts = self.ordered[k], []
+        for c, port in a.ports:
+            ci = self.comp_index[c]
+            tables = self.tables[ci]
+            table = tables.get(port)
+            if table is None:
+                table, weight = [()] * self.radices[ci], self.weights[ci]
+                for s, t in self.pairs[ci].get(port, ()):
+                    step = (t - s) * weight
+                    table[s] = tuple(sorted((*table[s], step))) if table[s] else (step,)
+                tables[port] = table
+            parts.append((ci, table))
+        parts.sort()  # by component index: a rule has one port per component
+        if len(parts) == 1:
+            fans = {len(steps) for steps in table if steps}
+            if len(fans) == 1:
+                self.fixed[k] = (ci, table, fans.pop())
+        rule = self.rules[k] = a.name, tuple(parts)
+        return rule
 
     def fire(self, q: tuple[int, ...], parts: Parts) -> Sequence[int]:
         """The code steps from q to each of its successors by the
@@ -383,7 +416,7 @@ class Engine:
         out: list = []
         rules, fire, renamed = self.rules, self.fire, self.renamed
         for k in self.enabled(q):
-            name, parts = rules[k]
+            name, parts = rules[k] or self.rule(k)
             for step in fire(q, parts):
                 succ = code + step
                 out.append((name, succ if names is None else renamed(names, succ, parts)))
@@ -410,7 +443,7 @@ class Engine:
         seen: dict[int, int | None] = {start: None}
         if matches is not None and matches(self.initial):
             return seen, 0, False, start
-        rules, rows, fire, moved = self.rules, self.rows, self.fire, self.moved
+        rules, rule, rows, fire, moved = self.rules, self.rule, self.rows, self.fire, self.moved
         full, still, fixed = self.full, self.still, self.fixed
         n = len(rules)
         # enabledness mask -> (the transitions of its enabled still and
@@ -434,9 +467,10 @@ class Engine:
                     counted = (mask & still).bit_count()
                     moving = []
                     for k in _set_bits(mask & ~still):
+                        parts = (rules[k] or rule(k))[1]
                         ci, table, fan = fixed.get(k, (0, None, 0))
                         counted += fan
-                        moving.append((k, rules[k][1], ci, table))
+                        moving.append((k, parts, ci, table))
                     split = splits[mask] = (counted, moving)
                 counted, moving = split
                 transitions += counted
@@ -616,7 +650,7 @@ def is_reachable(
         link = parents[hit]
         while link is not None:
             hit, k = divmod(link, len(eng.rules))
-            trace.append(eng.rules[k][0])
+            trace.append(eng.ordered[k].name)
             link = parents[hit]
         trace.reverse()
         result = ReachResult(True, trace, len(parents), transitions, True)

@@ -5,7 +5,8 @@ The engine's mixed-radix format has one owner: no module of the package
 but `semantics.py` reads an attribute named `weights`, `radices` or
 `state_names`.  Other modules translate states through `Engine.pack`,
 `names` and `moved`.  Inside `semantics.py` the code is read only where it
-is built, by `Engine.__init__` and `Engine.pack`, where it is read
+is built, by `Engine.__init__` and `Engine.pack`, where a rule's steps are
+scaled by its participants' weights, by `Engine.rule`, where it is read
 back, by `Engine.names`, `moved`, `renamed` (a successor's participants'
 names) and `decode` (a set of codes by halves), and where a code is moved
 by the digits a step changes, by `linked_path`, which reads the
@@ -32,7 +33,8 @@ through `Engine.fire`.  Likewise only `Engine.search` reads an attribute
 named `fixed`, the engine's one-participant rules whose every enabled
 table entry has the same number of steps: it counts each enabled one by
 that fan-out once per enabledness mask, where the per-state calls count
-the steps `fire` returns.
+the steps `fire` returns.  `Engine.rule`, which builds a rule on first
+use, is the one writer of `fixed`.
 
 Every search keeps one container: `Engine.search` makes no `.add` call,
 so `explore` and `is_reachable` read the same dict of parent links and no
@@ -67,9 +69,10 @@ inside `semantics.py` and no caller trusts links that another search
 left.
 
 The engine has one firing rule and one inlined copy of its simplest case:
-a rule table is subscripted only in `Engine.__init__`, which fills the
-tables, in `Engine.fire`, and in `Engine.search`, which takes a fixed
-one-participant rule's steps as its table entry without calling `fire`.
+a rule table is subscripted only in `Engine.rule`, the one place a table
+is built, on a rule's first use, in `Engine.fire`, and in
+`Engine.search`, which takes a fixed one-participant rule's steps as its
+table entry without calling `fire`.
 No other caller inlines a firing rule; `step` names its blockers by firing
 each participant alone.
 
@@ -219,8 +222,8 @@ def test_checker_finds_every_codec_reader():
 
 def test_only_the_codecs_readers_read_it():
     assert codec_readers((PACKAGE / "semantics.py").read_text()) == [
-        "Engine.__init__", "Engine.decode", "Engine.moved",
-        "Engine.names", "Engine.pack", "Engine.renamed", "linked_path",
+        "Engine.__init__", "Engine.decode", "Engine.moved", "Engine.names",
+        "Engine.pack", "Engine.renamed", "Engine.rule", "linked_path",
     ]
 
 
@@ -274,13 +277,14 @@ def test_only_the_search_skips_still_rules():
 
 
 def test_only_the_search_counts_fixed_rules():
-    # the per-state calls count each rule by the steps `fire` returns
+    # the per-state calls count each rule by the steps `fire` returns;
+    # `rule` fills the fixed rules as it builds them
     found = sorted(
         f"{path.stem}.{where}"
         for path in sorted(PACKAGE.glob("*.py"))
         for where in readers(path.read_text(), "fixed")
     )
-    assert found == ["semantics.Engine.search"]
+    assert found == ["semantics.Engine.rule", "semantics.Engine.search"]
 
 
 def test_checker_finds_every_add_call():
@@ -492,15 +496,16 @@ def test_checker_finds_every_table_subscript():
 
 
 def test_only_the_build_fire_and_the_search_subscript_a_rule_table():
-    # the search reads a fixed rule's entry itself: measured at
-    # about a fifth of ring-reach's time, it is the one reader beside `fire`
+    # `rule` builds each table on first use; the search reads a fixed
+    # rule's entry itself: measured at about a fifth of ring-reach's time,
+    # it is the one reader beside `fire`
     found = sorted({
         f"{path.stem}.{where}"
         for path in PACKAGE_MODULES
         for where in table_subscripts(path.read_text())
     })
     assert found == [
-        "semantics.Engine.__init__", "semantics.Engine.fire", "semantics.Engine.search",
+        "semantics.Engine.fire", "semantics.Engine.rule", "semantics.Engine.search",
     ]
 
 

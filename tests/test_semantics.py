@@ -29,9 +29,9 @@ from interax import (
     step,
     successors,
 )
-from interax.fixtures import client_server, even_a, pipeline
+from interax.fixtures import client_server, even_a, first_last, pipeline
 from interax.reduce_linear import accept_predicate, compile_lsa
-from interax.formats import parse_system, serialize_system
+from interax.formats import parse_dtm, parse_system, serialize_system
 from interax.semantics import Engine, compile_system, linked_path
 from interax.oracle import ENGINE_EQUIVALENCE_SEEDS, GenParams, gen_random_system
 
@@ -689,7 +689,7 @@ def test_the_state_record_never_changes_an_answer(label):
     # answer the state tuple itself, asked again and again, as they answer
     # a list (never remembered) and an equal fresh tuple (not yet asked)
     sys = RECORD_SYSTEMS[label]
-    rules = sorted(name for name, _ in compile_system(sys).rules)
+    rules = sorted(compile_system(sys).rule_index)
     rng = random.Random(0)
     q = sys.initial_state()
     for _ in range(24):
@@ -738,21 +738,23 @@ def per_state_answer(system, q, call):
         return str(e)
 
 
-def test_threads_sharing_an_engine_get_the_single_threaded_answers():
-    # four threads make mixed per-state calls on the same state tuples of
-    # one system, so each call may find the record of another thread's
-    # state; a tiny switch interval lets a thread be interrupted anywhere
-    system = gen_random_system(
-        GenParams(seed=17, max_components=5, max_states=5, max_interactions=12,
-                  max_interaction_size=2)
-    )
+def thread_answers(make, at_least: int) -> list:
+    """What four threads get wrong, making 5000 mixed per-state calls each
+    on the same (at least `at_least`) state tuples of a fresh copy of
+    `make()`, whose engine has built no rule yet, against the answers of
+    one thread on another copy.  Each call may find the record of another
+    thread's state, and may build a rule another thread is building; a
+    tiny switch interval lets a thread be interrupted anywhere."""
+    system = make()
     states = sorted(explore(system).states)
-    assert len(states) >= 40
+    assert len(states) >= at_least
     calls = [("enabled",), ("successors",)]
-    calls += [("step", name) for name, _ in compile_system(system).rules]
+    calls += [("step", name) for name in compile_system(system).rule_index]
     expected = {
         (q, call): per_state_answer(system, q, call) for q in states for call in calls
     }
+    system = make()
+    assert not any(compile_system(system).rules)
     wrong: list = []
 
     def worker(seed):
@@ -776,7 +778,14 @@ def test_threads_sharing_an_engine_get_the_single_threaded_answers():
             t.join()
     finally:
         setswitchinterval(interval)
-    assert wrong == []
+    return wrong
+
+
+def test_threads_sharing_an_engine_get_the_single_threaded_answers():
+    params = GenParams(seed=17, max_components=5, max_states=5, max_interactions=12,
+                       max_interaction_size=2)
+    assert thread_answers(lambda: gen_random_system(params), 40) == []
+    assert thread_answers(lambda: compile_lsa(palindrome(), "aabbaa"), 29) == []
 
 
 # ------------------------------------------------------------------ pinned results
@@ -824,6 +833,123 @@ def search_results() -> dict[str, dict[str, list]]:
 
 def test_search_results_are_pinned():
     assert search_results() == json.loads(SEARCH_RESULTS.read_text())
+
+
+# ------------------------------------------------------------------ rules built on first use
+# An engine builds a rule's tables when a search, `successors` or `parts`
+# first needs the rule.  The order in which rules are built changes no
+# rule, no fixed rule and no answer, and a line search builds only the
+# rules it meets enabled.
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def rule_of(eng, k):
+    """Rule k of `eng`, as the engine's own readers take it."""
+    return eng.rules[k] or eng.rule(k)
+
+
+def built(eng, order=None):
+    """`eng` with every rule built, in `order` (default: by index)."""
+    for k in eng.every if order is None else order:
+        rule_of(eng, k)
+    return eng
+
+
+def order_systems():
+    """(label, factory) of every `ENGINE_EQUIVALENCE_SEEDS` random system,
+    every system document of fixtures/ and a compiled line system of each
+    machine document there."""
+    for seed in ENGINE_EQUIVALENCE_SEEDS:
+        yield f"seed {seed}", lambda seed=seed: gen_random_system(GenParams(seed=seed))
+    for path in sorted(FIXTURES.glob("*.json")):
+        text = path.read_text()
+        if "interactions" in json.loads(text):
+            yield path.stem, lambda text=text: parse_system(text)
+        else:
+            machine = parse_dtm(text)
+            word = machine.input_alphabet[0] * 3
+            yield path.stem, lambda machine=machine, word=word: compile_lsa(machine, word)
+
+
+ORDER_SYSTEMS = dict(order_systems())
+
+
+@pytest.mark.parametrize("label", ORDER_SYSTEMS)
+def test_the_order_rules_are_built_in_changes_nothing(label):
+    make = ORDER_SYSTEMS[label]
+    n = len(compile_system(make()).rules)
+    pinned = json.loads(SEARCH_RESULTS.read_text()).get(label)
+    shuffled = list(range(n))
+    random.Random(label).shuffle(shuffled)
+    engines = []
+    for order in (range(n), range(n - 1, -1, -1), shuffled):
+        sys = make()
+        eng = built(compile_system(sys), order)
+        engines.append(eng)
+        # a (component, port) table is one list, whichever rule built it
+        tables: dict = {}
+        for a, (name, parts) in zip(eng.ordered, eng.rules):
+            assert name == a.name
+            for ci, table in parts:
+                port = next(p.port for p in a.ports if eng.comp_index[p.component] == ci)
+                assert tables.setdefault((ci, port), table) is table
+        if pinned is not None:  # a random system: its targets are pinned too
+            last = sys.model.components[-1]
+            target = StatePredicate.of({last: sys.behaviors[last].states[-1]})
+            for key, want in pinned.items():
+                kind, *_, bound = key.split()
+                bound = None if bound == "None" else int(bound)
+                if kind == "explore":
+                    got = explore(sys, bound)
+                    assert [len(got.states), got.transitions, got.complete] == want
+                else:
+                    r = is_reachable(sys, target, bound)
+                    assert [
+                        r.reachable, r.trace, r.states_explored,
+                        r.transitions_explored, r.complete,
+                    ] == want
+        for q in sorted(explore(sys).states):
+            assert successors(sys, q) == reference_successors(sys, q)
+    first = engines[0]
+    for eng in engines[1:]:
+        assert eng.rules == first.rules
+        assert eng.fixed == first.fixed
+
+
+LAZY_MACHINES = {
+    "even_a": even_a,
+    "first_last": first_last,
+    "ping_pong": lambda: parse_dtm((FIXTURES / "ping_pong.json").read_text()),
+}
+
+
+@pytest.mark.parametrize("machine", LAZY_MACHINES)
+def test_a_line_search_builds_only_the_rules_it_meets_enabled(machine):
+    # a line system's runs are chains with no still rule, so the search
+    # expands every state it finds but the hit, and builds each rule
+    # enabled at one of them, and no other
+    dtm = LAZY_MACHINES[machine]()
+    words = [
+        "".join(w)
+        for n in range(7)
+        for w in itertools.product(dtm.input_alphabet, repeat=n)
+    ]
+    for word in words:
+        sys = compile_lsa(dtm, word)
+        eng = compile_system(sys)
+        assert not any(eng.rules) and eng.fixed == {} and eng.still == 0
+        targets = accept_predicate(dtm, word)
+        is_reachable(sys, targets)
+        # the reference runs on a copy, whose engine builds every rule it lists
+        other = compile_lsa(dtm, word)
+        parents, _, _, hit = reference_search(other, targets)
+        enabled = set()
+        for q in parents:
+            if q != hit:
+                enabled |= enabled_interactions(other, q)
+        built_names = {rule[0] for rule in eng.rules if rule}
+        assert built_names == enabled, word
 
 
 def test_a_later_predicate_filed_with_a_failing_one_still_matches():
@@ -914,7 +1040,8 @@ def test_the_search_takes_a_one_participant_rules_steps_itself(monkeypatch):
     # the search fires it and counts its steps; `b` and `d` it never fires
     calls.clear()
     sys = fan_system()
-    parts = compile_system(sys).interactions
+    eng = compile_system(sys)
+    parts = {name: eng.parts(name) for name in eng.rule_index}
     states = explore(sys).states
     fired = [parts for _, _, parts in calls]
     assert fired.count(parts["a"]) == sum(q[0] != "x2" for q in states) > 0
@@ -925,7 +1052,7 @@ def test_the_search_takes_a_one_participant_rules_steps_itself(monkeypatch):
 def still_names(sys):
     """The names of the engine's still rules."""
     eng = compile_system(sys)
-    return {name for k, (name, _) in enumerate(eng.rules) if eng.still >> k & 1}
+    return {name for name, k in eng.rule_index.items() if eng.still >> k & 1}
 
 
 def small_system(behaviors, interactions):
@@ -1020,7 +1147,7 @@ class TestTransitionCount:
 
     def test_fixed_rules_are_the_one_participant_rules_of_one_fan_out(self):
         def fans(sys):
-            eng = compile_system(sys)
+            eng = built(compile_system(sys))
             return {eng.rules[k][0]: fan for k, (_, _, fan) in eng.fixed.items()}
 
         assert fans(fan_system()) == {"b": 2, "d": 1}
@@ -1136,7 +1263,7 @@ def test_a_still_rule_fires_back_to_its_state(seed):
         _, digits = eng.pack(q)
         for k in eng.enabled(digits):
             if eng.still >> k & 1:
-                assert eng.fire(digits, eng.rules[k][1]) == (0,)
+                assert eng.fire(digits, rule_of(eng, k)[1]) == (0,)
 
 
 def test_hit_counts_each_later_successor_once():
