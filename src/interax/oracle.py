@@ -18,6 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .errors import ModelError
 from .model import (
@@ -45,7 +46,7 @@ from .semantics import (
     is_reachable,
     linked_path,
 )
-from .turing import DTM, Configuration, Outcome, initial_config, run_tm, tm_step
+from .turing import DTM, Configuration, Outcome, _moves, initial_config, run_tm
 from .validation import bound
 
 BRUTE_FORCE_LIMIT = 10_000
@@ -227,24 +228,20 @@ def gen_random_system(params: GenParams) -> InteractionSystem:
 
 
 def _image_moves(machine: DTM, config: Configuration, eng: Engine, steps: int):
-    """Per move of the run's first `steps` from `config`, the two cells of
-    the image it changes, each followed by its new digit: the cell the head
-    leaves, then the cell it enters, which differ, since the head moves
-    one cell.  A digit is None where the cell lacks the state, which no
-    digit equals."""
+    """Per move of the run's first `steps` from `config`, read off a fresh
+    drain of `turing._moves`, the two cells of the image it changes, each
+    followed by its new digit: the cell the head leaves, then the cell it
+    enters, which differ, since the head moves one cell.  A digit is None
+    where the cell lacks the state, which no digit equals."""
     marker = head_marker(machine)
     states = cell_states(machine)
     index = eng.state_index
-    for _ in range(steps):
-        left = config.head
-        config = tm_step(machine, config)
-        head = config.head
-        tape = config.tape
+    for left, head, state, tape in itertools.islice(_moves(machine, config), steps):
         yield (
             left,
             index[left].get(states[marker, tape[left]]),
             head,
-            index[head].get(states[config.state, tape[head]]),
+            index[head].get(states[state, tape[head]]),
         )
 
 
@@ -293,13 +290,11 @@ def _lockstep_check(
     if code != eng.initial_code:
         return False, "initial state is not the image of the initial configuration"
     held = True, f"lockstep held for {steps} steps"
-    if reach is not None and _linked_lockstep(
-        eng, reach, steps, _image_moves(machine, config, eng, steps)
-    ):
+    moves = partial(_image_moves, machine, config, eng, steps)
+    if reach is not None and _linked_lockstep(eng, reach, steps, moves()):
         return held
     image = list(here)
-    moves = _image_moves(machine, config, eng, steps)
-    for step_no, (left, digit_left, head, digit_head) in enumerate(moves):
+    for step_no, (left, digit_left, head, digit_head) in enumerate(moves()):
         image[left], image[head] = digit_left, digit_head
         succs = eng.successors(code, here)
         if len(succs) != 1:

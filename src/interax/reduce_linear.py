@@ -246,23 +246,13 @@ def extend_halt_propagation(
             initial=b.initial,
         )
 
-    ports = {
-        cell: (*sys_m.model.ports[cell], HALT_SND, HALT_RCV) for cell in cells
-    }
+    ports = {cell: (*sys_m.model.ports[cell], HALT_SND, HALT_RCV) for cell in cells}
     interactions = list(sys_m.model.interactions)
-    for i in range(1, last + 1):
-        interactions.append(
-            Interaction(
-                f"halt:left:{cells[i]}",
-                (PortId(cells[i - 1], HALT_RCV), PortId(cells[i], HALT_SND)),
-            )
-        )
-        interactions.append(
-            Interaction(
-                f"halt:right:{cells[i]}",
-                (PortId(cells[i - 1], HALT_SND), PortId(cells[i], HALT_RCV)),
-            )
-        )
+    for a, b in zip(cells, cells[1:]):
+        interactions += [
+            Interaction(f"halt:left:{b}", (PortId(a, HALT_RCV), PortId(b, HALT_SND))),
+            Interaction(f"halt:right:{b}", (PortId(a, HALT_SND), PortId(b, HALT_RCV))),
+        ]
     model = InteractionModel(cells, ports, tuple(interactions))
     distinguished = tuple(HALT_DONE for _ in cells)
     return _mark_typed(InteractionSystem(model, behaviors)), distinguished

@@ -178,9 +178,10 @@ class Engine:
         model = sys.model
         self.components = model.components
         self.state_names = [sys.behaviors[c].states for c in model.components]
-        self.state_index = [
-            {s: k for k, s in enumerate(states)} for states in self.state_names
-        ]
+        # one index per distinct states tuple, which a compiled line's cells share
+        by_id = {id(states): states for states in self.state_names}
+        by_id = {key: {s: k for k, s in enumerate(states)} for key, states in by_id.items()}
+        self.state_index = [by_id[id(states)] for states in self.state_names]
         self.comp_index = {c: k for k, c in enumerate(model.components)}
         self.radices = [len(states) for states in self.state_names]
         self.weights = []

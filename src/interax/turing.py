@@ -5,10 +5,22 @@ length n).  Whether a machine really is linear bounded is semantic and
 undecidable in general, so the simulator enforces the bound at runtime: a
 step that would move the head off either end yields the BOUND_VIOLATION
 outcome instead of growing the tape.
+
+A run is one stream of moves on one mutable tape, `_moves`, which keeps no
+move and ends with the `RunResult`; `run_tm` drains it, `tm_step` is its
+first move and the Theorem 1 lockstep reads a drain of its own.  Before a
+move the stream checks, in order: a halt state (ACCEPT or REJECT), a
+missing rule (`ModelError`), the tape's ends (BOUND_VIOLATION) and the cap
+(STEP_LIMIT).  After one, Brent's cycle detection (*BIT* 1980) compares the
+configuration with one saved configuration, replaced when the steps since
+saving reach a doubling power of two: LOOP comes at the first repeat of the
+saved one, after the run has closed its cycle, so its `steps` moves visit
+every distinct configuration.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
@@ -100,12 +112,8 @@ def validate_dtm(machine: DTM) -> ValidationReport:
         report.add("blank-in-input", f"blank in input alphabet: {m.blank}")
 
     states = set(m.states)
-    for role, name in (
-        ("initial", m.initial),
-        ("accept", m.accept),
-        ("reject", m.reject),
-    ):
-        if name not in states:
+    for role in ("initial", "accept", "reject"):
+        if (name := getattr(m, role)) not in states:
             report.add("missing-state", f"{role} state {name} not declared")
     if m.accept == m.reject:
         report.add("halt-states-equal", "accept and reject states coincide")
@@ -147,55 +155,59 @@ def initial_config(machine: DTM, word: str) -> Configuration:
     return Configuration(machine.initial, tape, 1)
 
 
+def _moves(machine: DTM, config: Configuration, max_steps: int | None = None):
+    """The run from `config`: after each move, the cell the head left, the
+    cell it entered, the new state and the tape list, which the next move
+    changes in place; last, the `RunResult`, whose final configuration is
+    the one `Configuration` the stream builds."""
+    accept, reject, delta = machine.accept, machine.reject, machine.delta
+    state, head, tape = config.state, config.head, list(config.tape)
+    last = len(tape) - 1
+    saved_state, saved_head, saved_tape = state, head, tape[:]
+    saved_at, power, steps = 0, 1, 0
+    while state != accept and state != reject:
+        rule = delta.get(key := (state, tape[head]))
+        if rule is None:
+            raise ModelError(f"delta has no rule for {key}")
+        after, written, move = rule
+        entered = head + move
+        if entered < 0 or entered > last:
+            outcome = Outcome.BOUND_VIOLATION
+            break
+        if steps == max_steps:
+            outcome = Outcome.STEP_LIMIT
+            break
+        steps += 1
+        tape[head] = written
+        yield head, entered, after, tape
+        state, head = after, entered
+        if head == saved_head and state == saved_state and tape == saved_tape:
+            outcome = Outcome.LOOP
+            break
+        if steps - saved_at == power:
+            saved_state, saved_head, saved_tape = state, head, tape[:]
+            saved_at, power = steps, 2 * power
+    else:
+        outcome = Outcome.ACCEPT if state == accept else Outcome.REJECT
+    yield RunResult(outcome, steps, Configuration(state, tuple(tape), head))
+
+
 def tm_step(machine: DTM, config: Configuration) -> Configuration | Outcome:
-    """One move: the next Configuration, or how the run ends here (ACCEPT or
-    REJECT in a halt state, BOUND_VIOLATION when the head would leave the
-    tape)."""
-    if config.state == machine.accept:
-        return Outcome.ACCEPT
-    if config.state == machine.reject:
-        return Outcome.REJECT
-    key = (config.state, config.tape[config.head])
-    rule = machine.delta.get(key)
-    if rule is None:
-        raise ModelError(f"delta has no rule for {key}")
-    state, written, move = rule
-    head = config.head + move
-    if head < 0 or head >= len(config.tape):
-        return Outcome.BOUND_VIOLATION
-    tape = list(config.tape)
-    tape[config.head] = written
+    """One move, the first of `_moves`: the next Configuration, or how the
+    run ends here (ACCEPT, REJECT or BOUND_VIOLATION)."""
+    first = next(_moves(machine, config))
+    if isinstance(first, RunResult):
+        return first.outcome
+    _, head, state, tape = first
     return Configuration(state, tuple(tape), head)
 
 
 def run_tm(machine: DTM, word: str, max_steps: int | None = None) -> RunResult:
-    """Iterate tm_step from the initial configuration and classify the end.
-
-    A run on n+2 cells halts, leaves the tape or repeats a configuration.
-    Repeats are found by Brent's cycle detection: one saved configuration,
-    replaced when the steps since saving reach a doubling power of two.  LOOP
-    comes at the first repeat of the saved configuration, after the run has
-    closed its cycle, so its `steps` moves visit every distinct configuration.
-    `max_steps=None` means no cap; an explicit cap, at least 1, yields
-    STEP_LIMIT.
-    """
+    """The last item of `_moves` from the initial configuration.  No cap
+    when `max_steps` is None; an explicit cap, at least 1, gives STEP_LIMIT."""
     if max_steps is not None:
         bound(max_steps, "max_steps")
-    config = initial_config(machine, word)
-    saved, saved_at, power = config, 0, 1
-    steps = 0
-    while True:
-        result = tm_step(machine, config)
-        if isinstance(result, Outcome):
-            return RunResult(result, steps, config)
-        if max_steps is not None and steps >= max_steps:
-            return RunResult(Outcome.STEP_LIMIT, steps, config)
-        steps += 1
-        config = result
-        if config == saved:
-            return RunResult(Outcome.LOOP, steps, config)
-        if steps - saved_at == power:
-            saved, saved_at, power = config, steps, 2 * power
+    return deque(_moves(machine, initial_config(machine, word), max_steps), maxlen=1)[0]
 
 
 def canonicalize_dtm(machine: DTM) -> DTM:

@@ -577,7 +577,7 @@ class TestLinkedLockstep:
             for w in _words(m, 6)
         ]
         counter = _fixture_dtm("counter")
-        cases += [(counter, "0" * n) for n in range(11)]
+        cases += [(counter, "0" * n) for n in range(13)]
         linked = [check_theorem1(m, w) for m, w in cases]
         _expanding(monkeypatch)
         assert linked == [check_theorem1(m, w) for m, w in cases]

@@ -68,6 +68,13 @@ A search's parent links have one writer and one reader:
 inside `semantics.py` and no caller trusts links that another search
 left.
 
+The machine runs once per Theorem 1 check: `check_theorem1` calls
+`run_tm` exactly once, through `oracle`'s module global, which the
+benchmark wraps as its `turing.run` span, and calls no `tm_step`; its
+lockstep reads a drain of `turing._moves` of its own, so the span counts
+each step once.  `turing.tm_step`, the public one-move API, has no caller
+in the package.
+
 The engine has one firing rule and one inlined copy of its simplest case:
 a rule table is subscripted only in `Engine.rule`, the one place a table
 is built, on a rule's first use, in `Engine.fire`, and in
@@ -107,6 +114,9 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
+
+from interax import check_theorem1, oracle, turing
+from interax.formats import parse_dtm
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "interax"
@@ -411,6 +421,34 @@ def test_only_is_reachable_writes_the_links_and_only_their_reader_reads_them():
         and isinstance(node.ctx, ast.Store),
     )
     assert writes == ["is_reachable"]
+
+
+def test_check_theorem1_runs_the_machine_once_and_steps_it_nowhere(monkeypatch):
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name, None)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted, raising=False)
+
+    for module in (oracle, turing):
+        for name in ("run_tm", "tm_step"):
+            spy(module, name)
+    fixtures = ROOT / "fixtures"
+    cases = [
+        (fixtures / "even_a.json", "aaa"),  # reject
+        (fixtures / "first_last.json", "0110"),  # accept
+        (fixtures / "ping_pong.json", "a"),  # loop
+        (fixtures / "counter.json", "000"),  # 30 steps
+    ]
+    for path, word in cases:
+        calls.clear()
+        assert check_theorem1(parse_dtm(path.read_text()), word).agree
+        assert calls == ["run_tm"], path.name
 
 
 def test_builders_mark_their_results_through_the_helper():
@@ -759,6 +797,8 @@ def test_the_reader_spells_each_refusal_text_once(text):
 # functions without a user in src/ or bench/, and why they stay
 UNUSED = {
     "model.validate_model": "the model-level entry point of the rule tests in tests/test_model.py",
+    "turing.tm_step": "the public one-move API, pinned by tests/test_turing.py; every run "
+    "in the package reads turing._moves",
 }
 
 

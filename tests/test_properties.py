@@ -27,7 +27,6 @@ from interax import (  # noqa: E402
     is_reachable,
     run_tm,
     starify,
-    tm_step,
     validate_dtm,
     validate_system,
 )
@@ -46,6 +45,7 @@ from interax.turing import canonicalize_dtm  # noqa: E402
 
 from canonical import canonicalize_system  # noqa: E402
 from test_semantics import assert_search_is_reference  # noqa: E402
+from test_turing import reference_step  # noqa: E402
 
 bound = st.integers(1, 4)
 
@@ -266,10 +266,11 @@ def bouncer():
 
 
 def distinct_configurations(machine, word):
-    """Walk the run keeping every configuration seen: (repeats, count)."""
+    """Walk the run by the tests' own reference step, keeping every
+    configuration seen: (repeats, count)."""
     config = initial_config(machine, word)
     seen = {config}
-    while isinstance(config := tm_step(machine, config), Configuration):
+    while isinstance(config := reference_step(machine, config), Configuration):
         if config in seen:
             return True, len(seen)
         seen.add(config)

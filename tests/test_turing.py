@@ -1,6 +1,8 @@
-"""Machine syntax, bounded stepping, and full runs against closed forms."""
+"""Machine syntax, bounded stepping, and full runs against closed forms and
+against a reference stepper that builds one configuration per move."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from interax import (
     DTM,
     ModelError,
     Outcome,
+    RunResult,
     initial_config,
     run_tm,
     tm_step,
@@ -17,7 +20,8 @@ from interax import (
 )
 from interax.fixtures import even_a, first_last
 from interax.formats import parse_dtm, serialize_dtm
-from interax.turing import canonicalize_dtm
+from interax.turing import _moves, canonicalize_dtm
+from test_semantics import palindrome
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -25,6 +29,68 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def ping_pong():
     """Moves the head between cells 1 and 2 forever, rewriting each symbol."""
     return parse_dtm((FIXTURES / "ping_pong.json").read_text())
+
+
+def counter():
+    """Counts in binary from 0^n to 1^n and overflows: 4·2^n − 2 steps."""
+    return parse_dtm((FIXTURES / "counter.json").read_text())
+
+
+def reference_step(machine, config):
+    """One move on a tuple tape: the next Configuration, or ACCEPT or REJECT
+    in a halt state, or BOUND_VIOLATION when the head would leave the tape.
+    It shares no code with `turing`'s stream."""
+    if config.state == machine.accept:
+        return Outcome.ACCEPT
+    if config.state == machine.reject:
+        return Outcome.REJECT
+    key = (config.state, config.tape[config.head])
+    if key not in machine.delta:
+        raise ModelError(f"delta has no rule for {key}")
+    state, written, move = machine.delta[key]
+    head = config.head + move
+    if not 0 <= head < len(config.tape):
+        return Outcome.BOUND_VIOLATION
+    tape = config.tape[: config.head] + (written,) + config.tape[config.head + 1 :]
+    return Configuration(state, tape, head)
+
+
+def reference_run(machine, config, max_steps=None):
+    """(the configuration after each move, the RunResult): `reference_step`
+    from `config`, capped at `max_steps` moves, with Brent's detection over
+    one saved configuration, replaced when the moves since saving reach a
+    doubling power of two."""
+    seen = []
+    saved, saved_at, power = config, 0, 1
+    while True:
+        result = reference_step(machine, config)
+        if isinstance(result, Outcome):
+            return seen, RunResult(result, len(seen), config)
+        if len(seen) == max_steps:
+            return seen, RunResult(Outcome.STEP_LIMIT, len(seen), config)
+        config = result
+        seen.append(config)
+        if config == saved:
+            return seen, RunResult(Outcome.LOOP, len(seen), config)
+        if len(seen) - saved_at == power:
+            saved, saved_at, power = config, len(seen), 2 * power
+
+
+def streamed_run(machine, config, max_steps=None, longest=None):
+    """(the configuration after each move, the RunResult), read off
+    `_moves`: each move must leave the cell the last one entered, on the
+    one tape list the stream changes in place, and the stream must end
+    with its RunResult, after at most `longest` moves when given."""
+    seen, head, tape = [], config.head, None
+    items = _moves(machine, config, max_steps)
+    for item in itertools.islice(items, None if longest is None else longest + 1):
+        if isinstance(item, RunResult):
+            return seen, item
+        left, head_now, state, tape_now = item
+        assert left == head and (tape is None or tape is tape_now) and type(tape_now) is list
+        head, tape = head_now, tape_now
+        seen.append(Configuration(state, tuple(tape), head))
+    raise AssertionError("the stream ended without a RunResult")
 
 
 def words(alphabet, max_len):
@@ -257,3 +323,47 @@ class TestRunTm:
         c = initial_config(m, "01")
         seen = {tm_step(m, c) for _ in range(5)}
         assert len(seen) == 1
+
+
+# every word up to length 6 of four small machines, and the counter on 0^n
+STREAM_CORPUS = [
+    *((m, w) for m in (even_a(), first_last(), ping_pong(), palindrome())
+      for w in words(m.input_alphabet, 6)),
+    *((counter(), "0" * n) for n in range(13)),
+]
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 5, 40])
+def test_the_stream_steps_as_the_reference_does(cap):
+    outcomes = set()
+    for machine, word in STREAM_CORPUS:
+        config = initial_config(machine, word)
+        seen, result = reference_run(machine, config, cap)
+        assert streamed_run(machine, config, cap, len(seen)) == (seen, result), (word, cap)
+        assert run_tm(machine, word, cap) == result
+        for before, after in zip([config, *seen], seen):
+            assert tm_step(machine, before) == after
+        assert tm_step(machine, result.final) == reference_step(machine, result.final)
+        outcomes.add(result.outcome)
+    # the corpus ends runs in every way a run can end
+    if cap is None:
+        assert outcomes == set(Outcome) - {Outcome.STEP_LIMIT}
+    elif cap == 40:
+        assert outcomes == set(Outcome)
+
+
+def test_a_missing_rule_raises_where_the_reference_raises():
+    # even_a without its rule for (odd, b): "a" moves once, then reads b in odd
+    m = even_a()
+    broken = dataclasses.replace(
+        m, delta={k: v for k, v in m.delta.items() if k != ("odd", "b")}
+    )
+    config = initial_config(broken, "a")
+    message = r"^delta has no rule for \('odd', 'b'\)$"
+    moves = _moves(broken, config)
+    assert next(moves)[1:3] == (2, "odd")
+    with pytest.raises(ModelError, match=message):
+        next(moves)
+    for run in (lambda: run_tm(broken, "a"), lambda: reference_run(broken, config)):
+        with pytest.raises(ModelError, match=message):
+            run()
